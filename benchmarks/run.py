@@ -6,10 +6,10 @@ Runs two pinned grids through :func:`repro.core.experiment.run_experiment`:
   x 2 queue depths) that every prior BENCH_<n> measured, reporting wall
   seconds, kernel events/sec and peak RSS per point; and
 - the **steady-heavy fastpath grid** (long random reads on the three
-  fastpath-eligible SSDs) run exact vs ``fastpath=splice`` and
-  ``fastpath=batch``, reporting *effective* events/sec -- processed
-  plus analytically fast-forwarded events over wall time -- and the
-  speedup of each mode against the exact kernel on the same configs.
+  fastpath-eligible SSDs) run exact vs ``fastpath=splice``, reporting
+  *effective* events/sec -- processed plus analytically fast-forwarded
+  events over wall time -- and the splice's speedup against the exact
+  kernel on the same configs.
 
 Results land in a machine-readable ``BENCH_<n>.json`` at the repo root so
 successive PRs accumulate a performance trajectory, and ``--check`` turns
@@ -44,8 +44,11 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: Version stamp of the emitted trajectory file (matches the PR number).
-BENCH_INDEX = 10
+#: Version stamp of the emitted trajectory file.  Bumped when the kernel
+#: event stream was redefined (handler entries; no callback-less
+#: process-done entries, one entry per buffer wake-up), which makes
+#: events/sec incomparable with BENCH_10.json and earlier.
+BENCH_INDEX = 13
 
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline.json"
 
@@ -73,7 +76,7 @@ GRID_SEED = 11
 #: the wave-free SSDs, where most of the run sits in the quasi-steady
 #: window the paper's Table 1 / Fig. 10 measurements average over.
 FASTPATH_DEVICES = ("ssd3", "860evo", "pm1743")
-FASTPATH_MODES = ("splice", "batch")
+FASTPATH_MODES = ("splice",)
 FASTPATH_PATTERN = "randread"
 FASTPATH_BLOCK_SIZE = 64 * 1024
 FASTPATH_IODEPTH = 8

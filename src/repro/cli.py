@@ -161,13 +161,13 @@ def _fastpath_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--fastpath",
         nargs="?",
-        const="auto",
+        const="splice",
         default=None,
-        choices=["auto", "splice", "batch"],
+        choices=["splice"],
         metavar="MODE",
-        help="accelerate eligible steady-state runs analytically "
-        "(auto|splice|batch; bare flag = auto).  Ineligible runs fall "
-        "back to the exact kernel bit-identically; accelerated runs are "
+        help="splice detected steady-state windows analytically (splice, "
+        "the only mode; bare flag = splice).  Ineligible runs fall back "
+        "to the exact kernel bit-identically; spliced runs are "
         "equivalent within declared tolerances (see DESIGN.md)",
     )
     return parent

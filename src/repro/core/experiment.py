@@ -73,11 +73,10 @@ class ExperimentConfig:
             bit-identical to a build without it.
         fastpath: Optional
             :class:`~repro.sim.fastpath.options.FastpathOptions` enabling
-            the analytic steady-state fast-forward and/or batched kernel
-            dispatch.  Typed as ``object`` for the same lazy-import
-            contract as ``policy``: ``None`` -- the default -- keeps
-            :mod:`repro.sim.fastpath` entirely unloaded and the run
-            bit-identical to a build without it.  Ineligible runs
+            the analytic steady-state fast-forward.  Typed as ``object``
+            for the same lazy-import contract as ``policy``: ``None`` --
+            the default -- keeps :mod:`repro.sim.fastpath` entirely
+            unloaded and the run bit-identical to a build without it.  Ineligible runs
             (writes, faults, policies, non-SSD devices...) fall back to
             the exact kernel and are also bit-identical; eligible runs
             are equivalent within the options' declared tolerances.

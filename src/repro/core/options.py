@@ -88,7 +88,7 @@ class ExecutionOptions:
         fastpath: Optional
             :class:`~repro.sim.fastpath.options.FastpathOptions` attached
             to every point of the sweep (analytic steady-state
-            fast-forward / batched kernel dispatch).  Typed as ``object``
+            fast-forward).  Typed as ``object``
             so this module never imports :mod:`repro.sim.fastpath`;
             ``None`` keeps the fastpath machinery entirely unloaded and
             every point bit-identical to a build without it.

@@ -4,7 +4,8 @@ All device models expose the same minimal contract the measurement harness
 and the workload engine need:
 
 - :meth:`StorageDevice.submit` -- asynchronous IO submission returning an
-  event that fires with an :class:`IOResult`.
+  event that fires with an :class:`IOResult`; :meth:`StorageDevice.
+  submit_call` is its handler form (a callback instead of an event).
 - power control entry points (``set_power_state``, ``enter_standby``,
   ``exit_standby``), each a process generator because transitions take
   simulated time.
@@ -96,6 +97,23 @@ class StorageDevice(abc.ABC):
     @abc.abstractmethod
     def submit(self, request: IORequest) -> Event:
         """Submit an IO; the returned event fires with an :class:`IOResult`."""
+
+    def submit_call(self, request: IORequest, on_done) -> None:
+        """Submit an IO; ``on_done(result)`` runs when it completes.
+
+        Runs at the instant, and in the heap position, where a process
+        waiting on :meth:`submit`'s event would resume.  This default
+        hangs the callback on that event, so devices with a generator IO
+        path work unchanged; a device with a handler IO path overrides it
+        to push ``on_done`` as its completion entry directly.
+        """
+
+        def deliver(event: Event) -> None:
+            if not event._ok:
+                raise event._value
+            on_done(event._value)
+
+        self.submit(request).add_callback(deliver)
 
     @property
     @abc.abstractmethod

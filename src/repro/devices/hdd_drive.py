@@ -26,7 +26,6 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
 from typing import Deque, Optional
 
 from repro._units import MiB
@@ -34,7 +33,7 @@ from repro.devices.base import IOKind, IORequest, IOResult, StorageDevice
 from repro.devices.link import HostLink, LinkPowerTable
 from repro.hdd.cache import CachedWrite, WriteCache
 from repro.hdd.geometry import HddGeometry
-from repro.hdd.mechanics import RotationModel, SeekModel, pick_next_rpo
+from repro.hdd.mechanics import RotationModel, SeekModel
 from repro.hdd.spindle import Spindle, SpindleConfig
 from repro.obs.events import EventKind
 from repro.sim.engine import Engine, Event
@@ -132,13 +131,18 @@ class HddConfig:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class _PendingMediaOp:
-    """A queued media access awaiting the actuator."""
+    """A queued media access awaiting the actuator.
+
+    ``place`` is the target's ``(radial fraction, angular offset)``,
+    computed once at enqueue for the RPO cost.
+    """
 
     request: IORequest
     done: Event
     enqueued_at: float
+    place: tuple
 
 
 class SimulatedHDD(StorageDevice):
@@ -233,7 +237,9 @@ class SimulatedHDD(StorageDevice):
                 )
             while not self.cache.fits(request.nbytes):
                 yield self.cache.wait_for_space()
-            self.cache.put(request.offset, request.nbytes)
+            self.cache.put(
+                request.offset, request.nbytes, self._place(request.offset)
+            )
             self._signal_work()
             self.record_completion(request)
             self._trace_complete(request, submit_time)
@@ -243,7 +249,11 @@ class SimulatedHDD(StorageDevice):
             # Write-through: host data must arrive before the media write.
             yield from self.link.transfer(request.nbytes)
         media_done = Event(self.engine)
-        self._media_queue.append(_PendingMediaOp(request, media_done, self.engine.now))
+        self._media_queue.append(
+            _PendingMediaOp(
+                request, media_done, self.engine.now, self._place(request.offset)
+            )
+        )
         self._signal_work()
         yield media_done
         if request.kind is IOKind.READ:
@@ -354,49 +364,71 @@ class SimulatedHDD(StorageDevice):
             if served:
                 self.media_ops_served += 1
 
-    def _serve_one(self):
-        """Pick the cheapest pending media op by RPO and execute it."""
-        now = self.engine.now
-        window = self.config.rpo_window
-        cost_of = self._cost
-        candidates: list[tuple[float, object]] = [
-            (cost_of(op.request.offset, op.request.kind, now), op)
-            for op in islice(self._media_queue, window)
-        ]
-        for entry in self.cache.window(window):
-            candidates.append((cost_of(entry.offset, IOKind.WRITE, now), entry))
-        if not candidates:
-            return False
-        __, picked = pick_next_rpo(
-            candidates, cost=itemgetter(0), window=len(candidates)
-        )
-        cost, target = picked
-        if isinstance(target, CachedWrite):
-            yield from self._media_access(
-                target.offset, target.nbytes, IOKind.WRITE, cost
-            )
-            self.cache.remove(target)
-        else:
-            assert isinstance(target, _PendingMediaOp)
-            self._media_queue.remove(target)
-            yield from self._media_access(
-                target.request.offset, target.request.nbytes, target.request.kind, cost
-            )
-            target.done.succeed()
-        return True
-
-    def _cost(self, offset: int, kind: IOKind, now: float) -> float:
-        # Inlined positioning_time() with the config lookups hoisted: this
-        # runs for every candidate in the RPO window on every decision.
-        if self._sequential_end == offset:
-            return 0.0
+    def _place(self, offset: int) -> tuple:
+        """``(radial fraction, angular offset)`` of a byte offset."""
         geometry = self._geometry
-        distance = abs(
-            geometry.radial_fraction(offset) - geometry.radial_fraction(self._head_byte)
-        )
-        seek = self._seek.seek_time(distance, kind is IOKind.WRITE)
-        rot = self.rotation.rotational_wait(now, seek, geometry.angular_offset(offset))
-        return seek + rot
+        return geometry.radial_fraction(offset), geometry.angular_offset(offset)
+
+    def _serve_one(self):
+        """Pick the cheapest pending media op by RPO and execute it.
+
+        Candidates are the leading ``rpo_window`` host media ops, then the
+        write cache's elevator window; the earliest of the cheapest wins.
+        A candidate's cost is its seek plus rotational wait from the head,
+        or zero for a sequential continuation of the last transfer.  No
+        cost is negative, so the scan stops at the first zero.
+        """
+        now = self.engine._now
+        window = self.config.rpo_window
+        sequential_end = self._sequential_end
+        head = self._geometry.radial_fraction(self._head_byte)
+        seek_time = self._seek.seek_time
+        rotational_wait = self.rotation.rotational_wait
+        best = None
+        best_cost = 0.0
+        best_index = 0
+        for index, op in enumerate(islice(self._media_queue, window)):
+            if op.request.offset == sequential_end:
+                cost = 0.0
+            else:
+                radial, angle = op.place
+                seek = seek_time(
+                    abs(radial - head), op.request.kind is IOKind.WRITE
+                )
+                cost = seek + rotational_wait(now, seek, angle)
+            if best is None or cost < best_cost:
+                best, best_cost, best_index = op, cost, index
+                if cost == 0.0:
+                    break
+        # Always taken: the window call also moves the elevator.
+        entries = self.cache.window(window)
+        if best is None or best_cost > 0.0:
+            for entry in entries:
+                if entry.offset == sequential_end:
+                    cost = 0.0
+                else:
+                    radial, angle = entry.place or self._place(entry.offset)
+                    seek = seek_time(abs(radial - head), True)
+                    cost = seek + rotational_wait(now, seek, angle)
+                if best is None or cost < best_cost:
+                    best, best_cost = entry, cost
+                    if cost == 0.0:
+                        break
+        if best is None:
+            return False
+        if isinstance(best, CachedWrite):
+            yield from self._media_access(
+                best.offset, best.nbytes, IOKind.WRITE, best_cost
+            )
+            self.cache.remove(best)
+        else:
+            del self._media_queue[best_index]
+            request = best.request
+            yield from self._media_access(
+                request.offset, request.nbytes, request.kind, best_cost
+            )
+            best.done.succeed()
+        return True
 
     def _media_access(self, offset: int, nbytes: int, kind: IOKind, positioning: float):
         """Seek + rotational wait + media transfer, with power draws."""

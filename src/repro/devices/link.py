@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.power.rail import PowerRail
 from repro.sim.engine import Engine
+from repro.sim.process import drive_inline
 from repro.sim.resources import Resource
 
 __all__ = ["HostLink", "LinkPowerMode", "LinkPowerTable"]
@@ -115,6 +116,32 @@ class HostLink:
                 rail.add_draw(component, -power)
         finally:
             self._bus.release()
+
+    def transfer_call(self, nbytes: int, then, arg=None) -> None:
+        """Handler form of :meth:`transfer`: ``then(arg)`` runs once done.
+
+        Pushes the entries :meth:`transfer` pushes under ``yield from``, at
+        the same moments, and calls ``then`` synchronously after the bus
+        release, exactly where the generator caller would resume.
+        """
+        self._bus.request_call(self._on_bus, (nbytes, then, arg))
+
+    def _on_bus(self, xfer) -> None:
+        if self.mode is not LinkPowerMode.ACTIVE:
+            drive_inline(self._wake(), self._stream, xfer)
+        else:
+            self._stream(xfer)
+
+    def _stream(self, xfer) -> None:
+        self.rail.add_draw(self._xfer_component, self.transfer_power_w)
+        self.engine.schedule(xfer[0] / self.bandwidth, self._streamed, xfer)
+
+    def _streamed(self, xfer) -> None:
+        nbytes, then, arg = xfer
+        self.bytes_transferred += nbytes
+        self.rail.add_draw(self._xfer_component, -self.transfer_power_w)
+        self._bus.release()
+        then(arg)
 
     def _wake(self):
         exit_latency = self.power_table.exit_latency_s[self.mode]

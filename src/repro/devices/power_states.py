@@ -16,6 +16,7 @@ firmware's estimate of non-NAND power (idle + controller + interface).
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Optional
@@ -103,7 +104,9 @@ class PowerGovernor:
         self._intended_cap_w = cap_w
         self.committed_w = 0.0
         self.granted_ops = 0
-        self._waiters: Deque[tuple[Event, float]] = deque()
+        # One FIFO for both request forms: (handler, arg, watts), where a
+        # None handler marks a generator waiter whose arg is its Event.
+        self._waiters: Deque[tuple] = deque()
         self.total_grants = 0
         self.total_stalls = 0
         self.failed = False
@@ -152,20 +155,41 @@ class PowerGovernor:
             raise ValueError("op power must be non-negative")
         event = Event(self.engine)
         if not self._waiters and self._admissible(watts):
-            self._grant(event, watts)
+            self._grant(watts)
+            event.succeed()
         else:
-            self.total_stalls += 1
-            tracer = self.engine.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    EventKind.GOV_THROTTLE,
-                    self.name,
-                    watts=watts,
-                    queued=len(self._waiters) + 1,
-                    committed_w=self.committed_w,
-                )
-            self._waiters.append((event, watts))
+            self._stall(watts)
+            self._waiters.append((None, event, watts))
         return event
+
+    def request_call(self, watts: float, handler, arg=None) -> None:
+        """Handler form of :meth:`request`: ``handler(arg)`` runs on grant.
+
+        Shares the FIFO with :meth:`request`; the grant entry is pushed
+        at the moment the granted event would be.
+        """
+        if watts < 0:
+            raise ValueError("op power must be non-negative")
+        if not self._waiters and self._admissible(watts):
+            self._grant(watts)
+            engine = self.engine
+            engine._seq += 1
+            heapq.heappush(engine._queue, (engine._now, engine._seq, handler, arg))
+        else:
+            self._stall(watts)
+            self._waiters.append((handler, arg, watts))
+
+    def _stall(self, watts: float) -> None:
+        self.total_stalls += 1
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(
+                EventKind.GOV_THROTTLE,
+                self.name,
+                watts=watts,
+                queued=len(self._waiters) + 1,
+                committed_w=self.committed_w,
+            )
 
     def release(self, watts: float) -> None:
         """Return a grant and re-examine the queue."""
@@ -221,7 +245,7 @@ class PowerGovernor:
         self._cap_w = None
         self._drain()
 
-    def _grant(self, event: Event, watts: float, queued: bool = False) -> None:
+    def _grant(self, watts: float, queued: bool = False) -> None:
         self.committed_w += watts
         self.granted_ops += 1
         self.total_grants += 1
@@ -238,9 +262,17 @@ class PowerGovernor:
                 committed_w=self.committed_w,
                 queued=queued,
             )
-        event.succeed()
 
     def _drain(self) -> None:
-        while self._waiters and self._admissible(self._waiters[0][1]):
-            event, watts = self._waiters.popleft()
-            self._grant(event, watts, queued=True)
+        waiters = self._waiters
+        while waiters and self._admissible(waiters[0][2]):
+            handler, arg, watts = waiters.popleft()
+            self._grant(watts, queued=True)
+            if handler is None:
+                arg.succeed()
+            else:
+                engine = self.engine
+                engine._seq += 1
+                heapq.heappush(
+                    engine._queue, (engine._now, engine._seq, handler, arg)
+                )

@@ -27,6 +27,7 @@ Key behaviours the paper's measurements rest on, and where they live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Optional
 
 from repro._units import MiB
@@ -42,6 +43,7 @@ from repro.nand.geometry import NandGeometry
 from repro.nand.ops import NandPower, NandTimings, OpKind
 from repro.obs.events import EventKind
 from repro.sim.engine import Engine, Event
+from repro.sim.process import drive_inline
 from repro.sim.resources import Gate, Resource
 from repro.sim.rng import RngStreams
 
@@ -49,6 +51,45 @@ __all__ = ["ControllerConfig", "SimulatedSSD", "SsdConfig"]
 
 _PHANTOM_HASH = 2654435761
 _PHANTOM_MOD = 2**32
+
+
+class _HostIO:
+    """One host command's state while its handlers run."""
+
+    __slots__ = ("request", "done", "on_done", "submit_time", "pages_left")
+
+    def __init__(self, request: IORequest, done, on_done) -> None:
+        self.request = request
+        self.done = done
+        self.on_done = on_done
+        self.submit_time = 0.0
+        self.pages_left = 0
+
+
+class _PageRead:
+    """One page of a host read: its die, channel and byte count."""
+
+    __slots__ = ("io", "lpn", "nbytes", "die", "channel")
+
+    def __init__(self, io: _HostIO, lpn: int, nbytes: int) -> None:
+        self.io = io
+        self.lpn = lpn
+        self.nbytes = nbytes
+
+
+class _Program:
+    """One page program of the write flush."""
+
+    __slots__ = ("die", "channel", "t_before", "phase")
+
+
+def _pulse_phase(die, prog: _Program) -> tuple:
+    """(power, duration) of a pulsed program's current phase."""
+    if prog.phase == 0:
+        return die._prog_p_rest, prog.t_before
+    if prog.phase == 1:
+        return die._prog_p_pulse, die._prog_t_pulse
+    return die._prog_p_rest, die._prog_span - prog.t_before
 
 
 class _GovernorAdapter:
@@ -260,7 +301,7 @@ class SimulatedSSD(StorageDevice):
         )
         # Buffer accounting (bytes) with explicit waiters.
         self._buffer_used = 0
-        self._buffer_waiters: list[Event] = []
+        self._buffer_waiters: list[_HostIO] = []
         self._pending_program_bytes = 0
         self._staged_lpns: list[int] = []
         # Power state machinery.
@@ -283,8 +324,10 @@ class SimulatedSSD(StorageDevice):
         self._link_xfer_component = f"{config.name}.link.xfer"
         self._wave_avg_w = config.power_wave_w * config.power_wave_duty
         # Hot-path config scalars, hoisted out of the chained dataclass
-        # attribute lookups the per-IO generators would otherwise repeat.
+        # attribute lookups the per-IO handlers would otherwise repeat.
         self._page_size = config.geometry.page_size
+        self._capacity_bytes = config.logical_pages * self._page_size
+        self._logical_pages = config.logical_pages
         self._command_time_s = config.controller.command_time_s
         self._completion_time_s = config.controller.completion_time_s
         self._core_active_w = config.controller.core_active_power_w
@@ -296,6 +339,16 @@ class SimulatedSSD(StorageDevice):
             )
             for kind in (OpKind.PROGRAM, OpKind.ERASE)
         }
+        op_draw = self.array._op_draw
+        self._read_w = op_draw[OpKind.READ]
+        self._read_time_s = config.timings.duration(OpKind.READ)
+        self._program_w = op_draw[OpKind.PROGRAM]
+        self._program_time_s = config.timings.duration(OpKind.PROGRAM)
+        # The committed power of a host program, exactly as the admission
+        # adapter computes it for the generator path.
+        self._program_commit_w = (
+            self._program_w + self._governor_adapters[OpKind.PROGRAM].extra_w
+        )
         self._apply_idle_draws()
         self._trace_power_state(None)  # baseline residency mark at t=0
         if config.maintenance_programs > 0 or config.maintenance_erases > 0:
@@ -309,7 +362,7 @@ class SimulatedSSD(StorageDevice):
 
     @property
     def capacity_bytes(self) -> int:
-        return self.config.logical_pages * self.config.geometry.page_size
+        return self._capacity_bytes
 
     @property
     def current_power_state(self) -> NvmePowerState | None:
@@ -508,16 +561,35 @@ class SimulatedSSD(StorageDevice):
         self._ready.open()
 
     # -- IO front end --------------------------------------------------------
+    #
+    # The per-IO path runs as heap handlers: each method below is one hop,
+    # named for the moment it runs.  A hop pushes exactly the entries a
+    # generator process taking the same steps would push, in the same
+    # order (the hop-faithful rules, DESIGN.md §10).  Cold generator code
+    # (fault delays, power-state wake, GC) is reached through
+    # drive_inline with ``yield from`` semantics.
 
     def submit(self, request: IORequest) -> Event:
-        self.check_request(request)
         done = Event(self.engine)
-        self.engine.process(self._io(request, done))
+        self._submit(request, done, None)
         return done
 
-    def _io(self, request: IORequest, done: Event):
+    def submit_call(self, request: IORequest, on_done) -> None:
+        self._submit(request, None, on_done)
+
+    def _submit(self, request: IORequest, done, on_done) -> None:
+        self.check_request(request)
         engine = self.engine
-        submit_time = engine._now
+        engine._seq += 1
+        heappush(
+            engine._queue,
+            (engine._now, engine._seq, self._io_start, _HostIO(request, done, on_done)),
+        )
+
+    def _io_start(self, io: "_HostIO") -> None:
+        engine = self.engine
+        io.submit_time = engine._now
+        request = io.request
         tracer = engine.tracer
         if tracer.enabled:
             tracer.emit(
@@ -527,136 +599,190 @@ class SimulatedSSD(StorageDevice):
                 offset=request.offset,
                 nbytes=request.nbytes,
             )
-        self._last_activity = submit_time
+        self._last_activity = io.submit_time
         self._inflight_ios += 1
-        try:
-            if self.faults.enabled:
-                yield from self.faults.io_delay(
-                    f"{self.name}.io", request.kind.value
-                )
-            if self._resident is not None and not self._resident.operational:
-                yield from self._wake()
-            yield from self._controller_step(self._command_time_s)
-            if request.kind is IOKind.READ:
-                yield from self._read(request)
-            else:
-                yield from self._write(request)
-            if self._completion_time_s > 0:
-                yield engine.timeout(self._completion_time_s)
-        finally:
-            self._inflight_ios -= 1
-            self._last_activity = engine._now
+        if self.faults.enabled:
+            drive_inline(
+                self.faults.io_delay(f"{self.name}.io", request.kind.value),
+                self._io_wake,
+                io,
+            )
+        else:
+            self._io_wake(io)
+
+    def _io_wake(self, io: "_HostIO") -> None:
+        """Leave a non-operational power state before taking a core."""
+        if self._resident is not None and not self._resident.operational:
+            drive_inline(self._wake(), self._io_command, io)
+        else:
+            self._io_command(io)
+
+    def _io_command(self, io: "_HostIO") -> None:
+        """Occupy a controller core for the command, drawing core power."""
+        self.cores.request_call(self._on_core, io)
+
+    def _on_core(self, io: "_HostIO") -> None:
+        self.rail.add_draw("ctrl.active", self._core_active_w)
+        engine = self.engine
+        engine._seq += 1
+        heappush(
+            engine._queue,
+            (engine._now + self._command_time_s, engine._seq, self._on_command, io),
+        )
+
+    def _on_command(self, io: "_HostIO") -> None:
+        self.rail.add_draw("ctrl.active", -self._core_active_w)
+        self.cores.release()
+        if io.request.kind is IOKind.READ:
+            self._read_pages(io)
+        else:
+            self.link.transfer_call(io.request.nbytes, self._write_buffer, io)
+
+    def _io_complete(self, io: "_HostIO") -> None:
+        """Pay the completion-posting time, then finish the IO."""
+        if self._completion_time_s > 0:
+            engine = self.engine
+            engine._seq += 1
+            heappush(
+                engine._queue,
+                (
+                    engine._now + self._completion_time_s,
+                    engine._seq,
+                    self._io_finish,
+                    io,
+                ),
+            )
+        else:
+            self._io_finish(io)
+
+    def _io_finish(self, io: "_HostIO") -> None:
+        engine = self.engine
+        self._inflight_ios -= 1
+        self._last_activity = engine._now
+        request = io.request
         self.record_completion(request)
+        tracer = engine.tracer
         if tracer.enabled:
             tracer.emit(
                 EventKind.IO_COMPLETE,
                 f"{self.name}.io",
                 kind=request.kind.value,
                 nbytes=request.nbytes,
-                latency_s=engine._now - submit_time,
+                latency_s=engine._now - io.submit_time,
             )
-        done.succeed(IOResult(request, submit_time, engine._now))
-
-    def _controller_step(self, duration: float):
-        """Occupy a controller core, drawing core-active power."""
-        yield self.cores.request()
-        rail = self.rail
-        active_w = self._core_active_w
-        rail.add_draw("ctrl.active", active_w)
-        try:
-            yield self.engine.timeout(duration)
-        finally:
-            rail.add_draw("ctrl.active", -active_w)
-            self.cores.release()
+        result = IOResult(request, io.submit_time, engine._now)
+        if io.done is not None:
+            io.done.succeed(result)
+        else:
+            engine._seq += 1
+            heappush(engine._queue, (engine._now, engine._seq, io.on_done, result))
 
     # -- read path ---------------------------------------------------------------
 
-    def _read(self, request: IORequest):
+    def _read_pages(self, io: "_HostIO") -> None:
+        """Start one page read per touched page; the IO waits for all."""
+        request = io.request
         page_size = self._page_size
         first = request.offset // page_size
         last = (request.end - 1) // page_size
-        readers = []
+        io.pages_left = last - first + 1
+        engine = self.engine
+        queue = engine._queue
         for lpn in range(first, last + 1):
             page_start = lpn * page_size
             nbytes = min(request.end, page_start + page_size) - max(
                 request.offset, page_start
             )
-            readers.append(self.engine.process(self._read_page(lpn, nbytes)))
-        yield self.engine.all_of(readers)
-        yield from self.link.transfer(request.nbytes)
+            engine._seq += 1
+            heappush(
+                queue,
+                (engine._now, engine._seq, self._page_start, _PageRead(io, lpn, nbytes)),
+            )
 
-    def _read_page(self, lpn: int, nbytes: int):
-        ppn = self.page_map.lookup(lpn)
+    def _page_start(self, page: "_PageRead") -> None:
+        ppn = self.page_map.lookup(page.lpn)
         geometry = self.config.geometry
         if ppn is None:
             if not self.config.phantom_reads:
                 # Unmapped and no preconditioning emulation: zero-fill, only
                 # the controller/DMA cost applies (no NAND touch).
+                self._page_read(page)
                 return
-            ppn = (lpn * _PHANTOM_HASH) % _PHANTOM_MOD % geometry.total_pages
+            ppn = (page.lpn * _PHANTOM_HASH) % _PHANTOM_MOD % geometry.total_pages
         ppa = geometry.ppa_from_index(ppn)
-        # Reads are not power-governed: see module docstring.  The array's
-        # READ path (die sense, then bus transfer) is inlined verbatim from
-        # NandArray.execute / ChannelBus.transfer: page reads are per-page
-        # processes, and every helper generator frame taxes each event.
+        # Reads are not power-governed (see module docstring): the die
+        # senses, then the page crosses the channel bus, with the die held
+        # throughout -- NandArray.execute's READ branch, one hop per entry.
         array = self.array
         die = array.dies[ppa.die_index(geometry)]
-        watts = array._op_draw[OpKind.READ]
+        page.die = die
+        page.channel = array.channels[ppa.channel]
+        die._server.request_call(self._on_sense, page)
+
+    def _on_sense(self, page: "_PageRead") -> None:
+        die = page.die
+        self.rail.add_draw(die._component, self._read_w)
         engine = self.engine
-        yield die._server.request()
-        try:
-            rail = die.rail
-            component = die._component
-            rail.add_draw(component, watts)
-            try:
-                yield engine.timeout(die._op_duration[OpKind.READ])
-                die.op_counts[OpKind.READ] += 1
-            finally:
-                rail.add_draw(component, -watts)
-            channel = array.channels[ppa.channel]
-            yield channel._bus.request()
-            component = channel._component
-            power = channel.transfer_power_w
-            rail.add_draw(component, power)
-            try:
-                yield engine.timeout(nbytes / channel.bandwidth)
-                channel.bytes_transferred += nbytes
-            finally:
-                rail.add_draw(component, -power)
-                channel._bus.release()
-        finally:
-            die._server.release()
+        engine._seq += 1
+        heappush(
+            engine._queue,
+            (engine._now + self._read_time_s, engine._seq, self._on_sensed, page),
+        )
+
+    def _on_sensed(self, page: "_PageRead") -> None:
+        die = page.die
+        die.op_counts[OpKind.READ] += 1
+        self.rail.add_draw(die._component, -self._read_w)
+        page.channel._bus.request_call(self._on_page_bus, page)
+
+    def _on_page_bus(self, page: "_PageRead") -> None:
+        channel = page.channel
+        self.rail.add_draw(channel._component, channel.transfer_power_w)
+        engine = self.engine
+        engine._seq += 1
+        heappush(
+            engine._queue,
+            (
+                engine._now + page.nbytes / channel.bandwidth,
+                engine._seq,
+                self._on_page_moved,
+                page,
+            ),
+        )
+
+    def _on_page_moved(self, page: "_PageRead") -> None:
+        channel = page.channel
+        channel.bytes_transferred += page.nbytes
+        self.rail.add_draw(channel._component, -channel.transfer_power_w)
+        channel._bus.release()
+        page.die._server.release()
+        self._page_read(page)
+
+    def _page_read(self, page: "_PageRead") -> None:
+        engine = self.engine
+        engine._seq += 1
+        heappush(engine._queue, (engine._now, engine._seq, self._on_page_read, page.io))
+
+    def _on_page_read(self, io: "_HostIO") -> None:
+        io.pages_left -= 1
+        if io.pages_left == 0:
+            engine = self.engine
+            engine._seq += 1
+            heappush(engine._queue, (engine._now, engine._seq, self._on_pages_read, io))
+
+    def _on_pages_read(self, io: "_HostIO") -> None:
+        self.link.transfer_call(io.request.nbytes, self._io_complete, io)
 
     # -- write path -----------------------------------------------------------------
 
-    def _write(self, request: IORequest):
-        yield from self.link.transfer(request.nbytes)
-        yield from self._buffer_reserve(request.nbytes)
-        self.wear.record_host_write(request.nbytes)
-        self._stage_mapped_lpns(request)
-        page_size = self._page_size
-        self._pending_program_bytes += request.nbytes
-        while self._pending_program_bytes >= page_size:
-            self._pending_program_bytes -= page_size
-            self.engine.process(self._program_unit())
-        # Residual bytes stay buffered until later writes complete the page.
-
-    def _stage_mapped_lpns(self, request: IORequest) -> None:
-        """Queue LPNs fully covered by this write for mapping updates."""
-        page_size = self._page_size
-        first_full = -(-request.offset // page_size)  # ceil div
-        last_full = request.end // page_size  # exclusive
-        for lpn in range(first_full, last_full):
-            if lpn < self.page_map.logical_pages:
-                self._staged_lpns.append(lpn)
-
-    def _buffer_reserve(self, nbytes: int):
-        """Process generator: wait for ``nbytes`` of DRAM buffer space."""
+    def _write_buffer(self, io: "_HostIO") -> None:
+        """The write's data crossed the link: claim DRAM buffer space."""
         tracer = self.engine.tracer
         if tracer.enabled:
             # Buffer admission is the capped-write stall mechanism (Fig. 5):
             # a hit absorbs the write at DMA speed, a miss parks the host
             # behind the throttled flush.
+            nbytes = io.request.nbytes
             fits = self._buffer_used + nbytes <= self._write_buffer_bytes
             tracer.emit(
                 EventKind.CACHE_HIT if fits else EventKind.CACHE_MISS,
@@ -664,52 +790,94 @@ class SimulatedSSD(StorageDevice):
                 nbytes=nbytes,
                 used=self._buffer_used,
             )
-        while self._buffer_used + nbytes > self._write_buffer_bytes:
-            event = Event(self.engine)
-            self._buffer_waiters.append(event)
-            yield event
+        self._buffer_admit(io)
+
+    def _buffer_admit(self, io: "_HostIO") -> None:
+        request = io.request
+        nbytes = request.nbytes
+        if self._buffer_used + nbytes > self._write_buffer_bytes:
+            self._buffer_waiters.append(io)
+            return
         self._buffer_used += nbytes
+        self.wear.record_host_write(nbytes)
+        self._stage_mapped_lpns(request)
+        page_size = self._page_size
+        self._pending_program_bytes += nbytes
+        engine = self.engine
+        queue = engine._queue
+        while self._pending_program_bytes >= page_size:
+            self._pending_program_bytes -= page_size
+            engine._seq += 1
+            heappush(queue, (engine._now, engine._seq, self._program_start, _Program()))
+        # Residual bytes stay buffered until later writes complete the page.
+        self._io_complete(io)
+
+    def _stage_mapped_lpns(self, request: IORequest) -> None:
+        """Queue LPNs fully covered by this write for mapping updates."""
+        page_size = self._page_size
+        first_full = -(-request.offset // page_size)  # ceil div
+        last_full = request.end // page_size  # exclusive
+        logical_pages = self._logical_pages
+        for lpn in range(first_full, last_full):
+            if lpn < logical_pages:
+                self._staged_lpns.append(lpn)
 
     def _buffer_release(self, nbytes: int) -> None:
+        """Free buffer space and retry every parked writer, oldest first.
+
+        One entry retries them all: waking each writer with its own entry
+        would push those entries back to back at this instant, and nothing
+        can be pushed between consecutive same-instant entries, so they
+        would pop back to back too.  Writers that still do not fit re-park
+        in order.
+        """
         self._buffer_used -= nbytes
         if self._buffer_used < 0:
             self._buffer_used = 0
-        waiters, self._buffer_waiters = self._buffer_waiters, []
-        for event in waiters:
-            event.succeed()
+        if self._buffer_waiters:
+            waiters, self._buffer_waiters = self._buffer_waiters, []
+            engine = self.engine
+            engine._seq += 1
+            heappush(engine._queue, (engine._now, engine._seq, self._buffer_retry, waiters))
 
-    def _program_unit(self):
+    def _buffer_retry(self, waiters: list) -> None:
+        for io in waiters:
+            self._buffer_admit(io)
+
+    def _program_start(self, prog: "_Program") -> None:
         """Flush one page of buffered write data to NAND.
 
-        The allocate-with-GC loop lives inline (not in a helper generator)
-        and the program op goes straight to ``array.execute`` with the
-        precomputed admission adapter: this is the per-page hot path, and
-        every helper generator here adds a frame that taxes each event.
-
-        Allocation retries with GC until a page is produced.  Many flush
-        processes race for the free pool, so a single pressure-check
-        before allocating is not enough: the reserve can drain between
-        the check and the allocation.  A device whose GC cannot reclaim
-        anything (all data valid -- genuine capacity exhaustion)
-        re-raises.
+        Allocation retries with GC until a page is produced.  Many flushes
+        race for the free pool, so a single pressure-check before
+        allocating is not enough: the reserve can drain between the check
+        and the allocation.  A device whose GC cannot reclaim anything
+        (all data valid -- genuine capacity exhaustion) re-raises.
         """
-        page_size = self._page_size
-        while True:
-            if self.gc.pressure:
-                yield from self.gc.maybe_collect()
-            try:
-                ppn, ppa = self.allocator.allocate()
-                break
-            except RuntimeError:
-                relocated_before = self.gc.pages_relocated
-                erased_before = self.gc.blocks_erased
-                yield from self.gc.maybe_collect()
+        if self.gc.pressure:
+            drive_inline(self.gc.maybe_collect(), self._program_allocate, prog)
+        else:
+            self._program_allocate(prog)
+
+    def _program_allocate(self, prog: "_Program") -> None:
+        gc = self.gc
+        try:
+            ppn, ppa = self.allocator.allocate()
+        except RuntimeError as exc:
+            error = exc  # ``exc`` is unbound once this block ends
+            relocated_before = gc.pages_relocated
+            erased_before = gc.blocks_erased
+
+            def after_collect(prog: "_Program") -> None:
                 made_progress = (
-                    self.gc.blocks_erased > erased_before
-                    or self.gc.pages_relocated > relocated_before
+                    gc.blocks_erased > erased_before
+                    or gc.pages_relocated > relocated_before
                 )
                 if not made_progress and self.allocator.free_blocks == 0:
-                    raise
+                    raise error
+                self._program_start(prog)
+
+            drive_inline(gc.maybe_collect(), after_collect, prog)
+            return
         if self._staged_lpns:
             lpn = self._staged_lpns.pop(0)
             stale = self.page_map.bind(lpn, ppn)
@@ -719,68 +887,95 @@ class SimulatedSSD(StorageDevice):
             # Sub-page log traffic: the page holds fragments that are not
             # tracked at map granularity; it is immediately reclaimable.
             self.allocator.mark_invalid(ppn)
-        # Inlined NandArray.execute's PROGRAM branch (bus transfer, governor
-        # admission, die-busy phase) and ChannelBus.transfer: page programs
-        # are the hottest NAND op in any write-heavy run, and each helper
-        # generator in the yield-from chain adds a frame every event must
-        # bubble through.  Statement order mirrors the originals exactly.
+        # NandArray.execute's PROGRAM branch, one hop per entry: hold the
+        # die, move the page over the channel bus, pass governor
+        # admission, then the die-busy phase.
         array = self.array
         die = array.dies[ppa.die_index(array.geometry)]
-        watts = array._op_draw[OpKind.PROGRAM]
-        admission = self._governor_adapters[OpKind.PROGRAM]
+        prog.die = die
+        prog.channel = array.channels[ppa.channel]
+        die._server.request_call(self._on_program_die, prog)
+
+    def _on_program_die(self, prog: "_Program") -> None:
+        prog.channel._bus.request_call(self._on_program_bus, prog)
+
+    def _on_program_bus(self, prog: "_Program") -> None:
+        channel = prog.channel
+        self.rail.add_draw(channel._component, channel.transfer_power_w)
         engine = self.engine
-        nand_page = array.geometry.page_size
-        yield die._server.request()
-        try:
-            channel = array.channels[ppa.channel]
-            yield channel._bus.request()
-            rail = channel.rail
-            component = channel._component
-            power = channel.transfer_power_w
-            rail.add_draw(component, power)
-            try:
-                yield engine.timeout(nand_page / channel.bandwidth)
-                channel.bytes_transferred += nand_page
-            finally:
-                rail.add_draw(component, -power)
-                channel._bus.release()
-            yield admission.request(watts)
-            try:
-                if die._pulsed_programs:
-                    t_pulse = die._prog_t_pulse
-                    p_pulse = die._prog_p_pulse
-                    p_rest = die._prog_p_rest
-                    t_before = float(die._rng.uniform(0.0, die._prog_span))
-                    t_after = die._prog_span - t_before
-                    component = die._component
-                    for power_w, phase_time in (
-                        (p_rest, t_before),
-                        (p_pulse, t_pulse),
-                        (p_rest, t_after),
-                    ):
-                        if phase_time <= 0:
-                            continue
-                        rail.add_draw(component, power_w)
-                        try:
-                            yield engine.timeout(phase_time)
-                        finally:
-                            rail.add_draw(component, -power_w)
-                    die.op_counts[OpKind.PROGRAM] += 1
-                else:
-                    component = die._component
-                    rail.add_draw(component, watts)
-                    try:
-                        yield engine.timeout(die._op_duration[OpKind.PROGRAM])
-                        die.op_counts[OpKind.PROGRAM] += 1
-                    finally:
-                        rail.add_draw(component, -watts)
-            finally:
-                admission.release(watts)
-        finally:
-            die._server.release()
-        self.wear.record_nand_write(page_size)
+        engine._seq += 1
+        heappush(
+            engine._queue,
+            (
+                engine._now + self._page_size / channel.bandwidth,
+                engine._seq,
+                self._on_program_moved,
+                prog,
+            ),
+        )
+
+    def _on_program_moved(self, prog: "_Program") -> None:
+        channel = prog.channel
+        channel.bytes_transferred += self._page_size
+        self.rail.add_draw(channel._component, -channel.transfer_power_w)
+        channel._bus.release()
+        self.governor.request_call(self._program_commit_w, self._on_admitted, prog)
+
+    def _on_admitted(self, prog: "_Program") -> None:
+        die = prog.die
+        if die._pulsed_programs:
+            prog.t_before = float(die._rng.uniform(0.0, die._prog_span))
+            prog.phase = 0
+            self._program_phase(prog)
+            return
+        self.rail.add_draw(die._component, self._program_w)
+        engine = self.engine
+        engine._seq += 1
+        heappush(
+            engine._queue,
+            (engine._now + self._program_time_s, engine._seq, self._on_programmed, prog),
+        )
+
+    def _program_phase(self, prog: "_Program") -> None:
+        """Start the next non-empty phase of a pulsed program, or finish.
+
+        Phases are (rest, pulse, rest) around a randomly placed pulse, as
+        in :meth:`repro.nand.die.NandDie.run_op`.
+        """
+        die = prog.die
+        while prog.phase < 3:
+            power_w, phase_time = _pulse_phase(die, prog)
+            if phase_time > 0:
+                self.rail.add_draw(die._component, power_w)
+                engine = self.engine
+                engine._seq += 1
+                heappush(
+                    engine._queue,
+                    (engine._now + phase_time, engine._seq, self._on_phase, prog),
+                )
+                return
+            prog.phase += 1
+        die.op_counts[OpKind.PROGRAM] += 1
+        self._program_done(prog)
+
+    def _on_phase(self, prog: "_Program") -> None:
+        power_w, _ = _pulse_phase(prog.die, prog)
+        self.rail.add_draw(prog.die._component, -power_w)
+        prog.phase += 1
+        self._program_phase(prog)
+
+    def _on_programmed(self, prog: "_Program") -> None:
+        die = prog.die
+        die.op_counts[OpKind.PROGRAM] += 1
+        self.rail.add_draw(die._component, -self._program_w)
+        self._program_done(prog)
+
+    def _program_done(self, prog: "_Program") -> None:
+        self.governor.release(self._program_commit_w)
+        prog.die._server.release()
+        self.wear.record_nand_write(self._page_size)
         self._writes_since_maintenance += 1
-        self._buffer_release(page_size)
+        self._buffer_release(self._page_size)
 
     # -- governor plumbing -----------------------------------------------------------
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.sim.engine import Engine, Event
 
@@ -29,6 +30,10 @@ class CachedWrite:
     offset: int
     nbytes: int = field(compare=False)
     inserted_at: float = field(compare=False, default=0.0)
+    #: Platter placement of ``offset`` as ``(radial fraction, angular
+    #: offset)``, when the drive supplied it: it is fixed per offset, so
+    #: the drive's scheduler computes it once, not per decision.
+    place: Optional[tuple] = field(compare=False, default=None)
 
 
 class WriteCache:
@@ -59,11 +64,13 @@ class WriteCache:
     def fits(self, nbytes: int) -> bool:
         return self.used_bytes + nbytes <= self.capacity_bytes
 
-    def put(self, offset: int, nbytes: int) -> None:
+    def put(self, offset: int, nbytes: int, place: Optional[tuple] = None) -> None:
         """Insert a write (caller must have checked :meth:`fits`)."""
         if not self.fits(nbytes):
             raise RuntimeError("write cache overflow; call fits() first")
-        entry = CachedWrite(offset, nbytes, inserted_at=self.engine.now)
+        entry = CachedWrite(
+            offset, nbytes, inserted_at=self.engine.now, place=place
+        )
         bisect.insort(self._entries, entry)
         self.used_bytes += nbytes
 

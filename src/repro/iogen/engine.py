@@ -5,6 +5,11 @@ worker loops each keep one IO outstanding, so the device always sees the
 configured queue depth (until a stop condition trips).  IOs are submitted
 directly to the device -- there is no page cache in the path, matching the
 paper's ``direct=1`` methodology.
+
+The worker loops are heap handlers over
+:meth:`~repro.devices.base.StorageDevice.submit_call`, not generator
+processes: each hop (worker start, IO completion, host-overhead pause)
+is one heap entry, pushed where the equivalent process would resume.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from repro.devices.base import IOKind, IORequest, StorageDevice
 from repro.iogen.patterns import OffsetGenerator, RandomOffsets, SequentialOffsets
 from repro.iogen.spec import IoPattern, JobSpec
 from repro.iogen.stats import IoRecord, JobResult
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 
 __all__ = ["FioJob"]
 
@@ -80,13 +85,17 @@ class FioJob:
         return self.engine.process(self._master())
 
     def _master(self):
-        self._start_time = self.engine.now
-        workers = [
-            self.engine.process(self._worker())
-            for _ in range(self.spec.iodepth)
-        ]
-        yield self.engine.all_of(workers)
-        self._end_time = self.engine.now
+        engine = self.engine
+        self._start_time = engine.now
+        done_events = []
+        for _ in range(self.spec.iodepth):
+            loop, done = self._worker()
+            # The worker's first loop pass runs where a spawned worker
+            # process would take its first step.
+            engine.schedule(0.0, loop)
+            done_events.append(done)
+        yield engine.all_of(done_events)
+        self._end_time = engine.now
 
     @property
     def deadline(self) -> float:
@@ -101,26 +110,42 @@ class FioJob:
         )
 
     def _worker(self):
+        """One submit loop: returns its loop handler and its done event.
+
+        The loop keeps one IO outstanding until a stop condition trips,
+        then triggers the done event the master waits on.
+        """
         spec = self.spec
         kind = IOKind.READ if spec.pattern.is_read else IOKind.WRITE
         engine = self.engine
-        submit = self.device.submit
+        submit_call = self.device.submit_call
         next_offset = self._offsets.next_offset
         append_record = self.records.append
         block_size = spec.block_size
         size_limit = spec.size_limit_bytes
         host_overhead = spec.host_overhead_s
         deadline = self.deadline
-        while engine._now < deadline and self._issued_bytes < size_limit:
-            offset = next_offset()
-            self._issued_bytes += block_size
-            submit_time = engine._now
-            result = yield submit(IORequest(kind, offset, block_size))
-            append_record(
-                IoRecord(submit_time, result.complete_time, block_size)
-            )
+        done = Event(engine)
+        submit_time = 0.0
+
+        def loop(_arg=None) -> None:
+            nonlocal submit_time
+            if engine._now < deadline and self._issued_bytes < size_limit:
+                offset = next_offset()
+                self._issued_bytes += block_size
+                submit_time = engine._now
+                submit_call(IORequest(kind, offset, block_size), complete)
+            else:
+                done.succeed()
+
+        def complete(result) -> None:
+            append_record(IoRecord(submit_time, result.complete_time, block_size))
             if host_overhead > 0:
-                yield engine.timeout(host_overhead)
+                engine.schedule(host_overhead, loop)
+            else:
+                loop()
+
+        return loop, done
 
     # -- results --------------------------------------------------------------
 

@@ -3,11 +3,13 @@
 A small, dependency-free, simpy-style engine used as the substrate for all
 device simulation in this project:
 
-- :class:`~repro.sim.engine.Engine` -- the event loop and simulated clock.
+- :class:`~repro.sim.engine.Engine` -- the simulated clock and one heap of
+  ``(time, seq, handler, arg)`` entries; hot paths schedule plain handlers.
 - :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout` --
   one-shot events processes can wait on.
 - :class:`~repro.sim.process.Process` -- generator-based coroutines that
-  ``yield`` events to wait for them.
+  ``yield`` events to wait for them; :func:`~repro.sim.process.drive_inline`
+  runs one from a handler with ``yield from`` semantics.
 - :mod:`~repro.sim.resources` -- FIFO resources (fixed and adjustable
   capacity), stores, and gates used to model controllers, dies, buses and
   power governors.

@@ -1,14 +1,19 @@
 """Event loop and simulated clock.
 
-The engine keeps a priority queue of ``(time, sequence, event)`` triples.
-Processing an event at time ``t`` advances the clock to ``t`` and runs the
-event's callbacks, which typically resume waiting
-:class:`~repro.sim.process.Process` coroutines.
+The engine keeps a priority queue of ``(time, sequence, handler, arg)``
+entries.  Popping an entry advances the clock to ``time`` and calls
+``handler(arg)``.  Hot data paths schedule plain handlers directly
+(:meth:`Engine.schedule`, :meth:`~repro.sim.resources.Resource.
+request_call`); an :class:`Event` is one handler among others -- its
+entry's handler runs the event's callbacks, which typically resume
+waiting :class:`~repro.sim.process.Process` coroutines.
 
 The kernel is deliberately minimal: events are one-shot, callbacks run in
-deterministic FIFO order (ties broken by a monotonically increasing sequence
-number), and there is no wall-clock coupling.  Determinism matters here --
-every experiment in the reproduction must be exactly repeatable from a seed.
+deterministic FIFO order, entries at one instant pop in push order (ties
+broken by a monotonically increasing sequence number, so the handler is
+never compared), and there is no wall-clock coupling.  Determinism
+matters here -- every experiment in the reproduction must be exactly
+repeatable from a seed.
 
 The engine also carries the simulation's :mod:`repro.obs` tracer so any
 component holding the engine can emit structured observability events
@@ -37,6 +42,21 @@ class SimulationError(Exception):
 
 class StopEngine(Exception):
     """Raised internally to stop :meth:`Engine.run` early."""
+
+
+def _fire(event: "Event") -> None:
+    """Heap handler of an :class:`Event` entry: run its callbacks in order.
+
+    A *failed* event that nothing is waiting on re-raises its exception
+    here: errors never pass silently.  Failures with waiters are delivered
+    to them instead (thrown into waiting processes).
+    """
+    callbacks = event.callbacks
+    event.callbacks = None
+    if not callbacks and event._ok is False:
+        raise event._value
+    for callback in callbacks:
+        callback(event)
 
 
 class Event:
@@ -91,15 +111,14 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        # Inlined immediate _schedule(delay=0): triggering is the hottest
-        # kernel operation, so skip the delay validation a zero literal
-        # cannot fail.
+        # Pushed inline at the current instant: a zero delay needs no
+        # validation.
         if self._scheduled:
             raise SimulationError("event already scheduled")
         self._scheduled = True
         engine = self.engine
         engine._seq += 1
-        heapq.heappush(engine._queue, (engine._now, engine._seq, self))
+        heapq.heappush(engine._queue, (engine._now, engine._seq, _fire, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -115,7 +134,7 @@ class Event:
         self._scheduled = True
         engine = self.engine
         engine._seq += 1
-        heapq.heappush(engine._queue, (engine._now, engine._seq, self))
+        heapq.heappush(engine._queue, (engine._now, engine._seq, _fire, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -146,9 +165,8 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        # Inlined Event.__init__ and _schedule: a freshly constructed event
+        # Inlined Event.__init__ and the push: a freshly constructed event
         # cannot already be scheduled and the delay was validated above.
-        # Timeouts are the most-constructed object in a simulation.
         self.engine = engine
         self.callbacks = []
         self._value = value
@@ -156,7 +174,9 @@ class Timeout(Event):
         self._scheduled = True
         self.delay = delay
         engine._seq += 1
-        heapq.heappush(engine._queue, (engine._now + delay, engine._seq, self))
+        heapq.heappush(
+            engine._queue, (engine._now + delay, engine._seq, _fire, self)
+        )
 
 
 class AnyOf(Event):
@@ -224,7 +244,7 @@ class Engine:
 
     def __init__(self, tracer=None) -> None:
         self._now = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         self.events_processed = 0
         # Kernel events an analytic fast-forward accounted for without
@@ -267,14 +287,19 @@ class Engine:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        if event._scheduled:
-            raise SimulationError("event already scheduled")
+    def schedule(
+        self, delay: float, handler: Callable[[Any], None], arg: Any = None
+    ) -> None:
+        """Call ``handler(arg)`` ``delay`` seconds from now.
+
+        The handler form of :meth:`timeout`: one heap entry, no
+        :class:`Event`, no callback list.  Entries at one instant run in
+        the order they were scheduled, interleaved with event entries.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r}s in the past")
-        event._scheduled = True
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, handler, arg))
 
     def call_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at absolute simulated ``time``.
@@ -296,7 +321,7 @@ class Engine:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it).
+        """Process exactly one heap entry (advancing the clock to it).
 
         A *failed* event that nothing is waiting on re-raises its exception
         here: errors never pass silently.  Failures with waiters are
@@ -304,16 +329,10 @@ class Engine:
         """
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, handler, arg = heapq.heappop(self._queue)
         self._now = when
         self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None
-        if not callbacks and event._ok is False:
-            raise event._value
-        for callback in callbacks:
-            callback(event)
+        handler(arg)
 
     def run_until_complete(self, event: Event) -> None:
         """Process events until ``event`` triggers.
@@ -331,15 +350,10 @@ class Engine:
             while event._ok is None:
                 if not queue:
                     raise SimulationError("step() on an empty event queue")
-                when, _seq, popped = pop(queue)
+                when, _seq, handler, arg = pop(queue)
                 self._now = when
                 processed += 1
-                callbacks = popped.callbacks
-                popped.callbacks = None
-                if not callbacks and popped._ok is False:
-                    raise popped._value
-                for callback in callbacks:
-                    callback(popped)
+                handler(arg)
         finally:
             self.events_processed += processed
 

@@ -1,24 +1,21 @@
-"""Analytic steady-state fast-forward and batched kernel dispatch.
+"""Analytic steady-state fast-forward.
 
 The event kernel pays per-event cost through every microsecond of a run,
 yet the paper's measurements live in long quasi-steady windows where
 nothing *changes* -- the same queue-depth of reads cycles through the
 same service stations at the same rates.  This package skips simulation
-where the answer is analytically known:
+where the answer is analytically known.
 
-- **Splice mode** (:mod:`~repro.sim.fastpath.splice`): a stationarity
-  detector watches the job's completion stream and the power rail; once
-  consecutive observation windows agree, the run fast-forwards by whole
-  windows -- pending events are shifted in time, the power trace and IO
-  records are extended by replication, and exact simulation resumes a
-  safety margin before the next behavior-change horizon (job deadline,
-  size limit).
-- **Batch mode** (:mod:`~repro.sim.fastpath.batch`): the whole read job
-  is dispatched through the NAND/die timing model as flat arithmetic on
-  per-resource availability clocks -- no coroutines, no event heap.
+A stationarity detector (:mod:`~repro.sim.fastpath.detect`) watches the
+job's completion stream and the power rail; once consecutive observation
+windows agree, the run fast-forwards by whole windows
+(:mod:`~repro.sim.fastpath.splice`) -- pending heap entries are shifted
+in time, the power trace and IO records are extended by replication, and
+exact simulation resumes a safety margin before the next behavior-change
+horizon (job deadline, size limit).
 
-Both are opt-in via ``ExperimentConfig(fastpath=FastpathOptions(...))``
-(or ``ExecutionOptions(fastpath=...)`` for sweeps) and are **never**
+The splice is opt-in via ``ExperimentConfig(fastpath=FastpathOptions())``
+(or ``ExecutionOptions(fastpath=...)`` for sweeps) and is **never**
 imported otherwise: a run without fastpath is bit-identical to a build
 without this package (the zero-cost house rule).  With fastpath on,
 results are *approximately* equivalent within the declared tolerances of

@@ -1,4 +1,4 @@
-"""Fastpath experiment driver: eligibility gate + chunked stepping loop.
+"""Fastpath experiment driver: eligibility gate + splicing stepping loop.
 
 :func:`drive_job` replaces ``run_until_complete`` when an experiment
 carries :class:`~repro.sim.fastpath.options.FastpathOptions`.  It first
@@ -28,10 +28,8 @@ from __future__ import annotations
 import heapq
 
 from repro.devices.ssd import SimulatedSSD
-from repro.devices.link import LinkPowerMode
 from repro.obs.events import EventKind
 from repro.sim.engine import SimulationError
-from repro.sim.fastpath.batch import run_batched_read_job
 from repro.sim.fastpath.detect import StationarityDetector
 from repro.sim.fastpath.options import FastpathOptions, FastpathSummary
 from repro.sim.fastpath.splice import apply_fixups, splice_windows
@@ -59,39 +57,8 @@ def splice_eligibility(device, config) -> str:
     return ""
 
 
-def _batch_eligibility(device, config) -> str:
-    """Extra conditions for whole-job flat dispatch (beyond splice's)."""
-    reason = splice_eligibility(device, config)
-    if reason:
-        return reason
-    if device.link.mode is not LinkPowerMode.ACTIVE:
-        return "link is in a low-power mode (wake path has state)"
-    if device.config.apst_idle_timeout_s is not None:
-        return "APST could doze inside the batch window"
-    if device.engine.tracer.enabled:
-        return "tracing needs the per-IO event stream"
-    return ""
-
-
 def drive_job(engine, device, job, config, opts: FastpathOptions) -> FastpathSummary:
-    """Run ``job`` to completion under the configured fastpath mode."""
-    if opts.mode in ("auto", "batch"):
-        reason = _batch_eligibility(device, config)
-        if not reason:
-            dispatched = run_batched_read_job(engine, device, job)
-            return FastpathSummary(
-                engaged=True,
-                mode="batch",
-                batched_ios=dispatched,
-                events_fast_forwarded=engine.events_fast_forwarded,
-                time_fast_forwarded_s=job._end_time - job._start_time,
-            )
-        if opts.mode == "batch":
-            # Explicit batch request that cannot run: exact fallback.
-            master = job.start()
-            engine.run_until_complete(master)
-            return FastpathSummary(engaged=False, mode="exact", reason=reason)
-
+    """Run ``job`` to completion, splicing steady windows when eligible."""
     reason = splice_eligibility(device, config)
     master = job.start()
     if reason:
@@ -142,15 +109,10 @@ def _run_with_splices(engine, device, job, master, opts) -> FastpathSummary:
         while master._ok is None:
             if not queue:
                 raise SimulationError("step() on an empty event queue")
-            when, _seq, popped = pop(queue)
+            when, _seq, handler, arg = pop(queue)
             engine._now = when
             processed += 1
-            callbacks = popped.callbacks
-            popped.callbacks = None
-            if not callbacks and popped._ok is False:
-                raise popped._value
-            for callback in callbacks:
-                callback(popped)
+            handler(arg)
             if len(records) < detector.next_probe_len:
                 continue
             if len(splices) >= opts.max_splices:

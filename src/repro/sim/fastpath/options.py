@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["FastpathOptions", "FastpathSummary", "SpliceRecord"]
 
-_MODES = ("auto", "splice", "batch")
+_MODES = ("splice",)
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,10 @@ class FastpathOptions:
     """How aggressively to trade exactness for speed.
 
     Attributes:
-        mode: ``"splice"`` runs the event kernel with analytic
-            fast-forward over detected steady windows; ``"batch"``
-            dispatches eligible read jobs through the flat
-            availability-clock kernel with no event loop at all;
-            ``"auto"`` picks batch when the whole job qualifies, else
-            splice, else exact stepping.
+        mode: ``"splice"``, the only mode: run the event kernel with
+            analytic fast-forward over detected steady windows, or exact
+            stepping when the eligibility gate declines.  Runs that need
+            exact records leave the fastpath off instead.
         window_records: Completions per observation window.  Larger
             windows make the stationarity test stricter (means computed
             over more samples) but delay the first possible splice.
@@ -47,7 +45,7 @@ class FastpathOptions:
             steady run needs exactly one).
     """
 
-    mode: str = "auto"
+    mode: str = "splice"
     window_records: int = 96
     min_windows: int = 8
     margin_windows: int = 2
@@ -115,12 +113,11 @@ class FastpathSummary:
     """What the fastpath actually did for one experiment.
 
     Attributes:
-        engaged: Whether any fast-forward or batch dispatch happened.
-        mode: The mode that ran (``"splice"``, ``"batch"``, or
-            ``"exact"`` when the eligibility gate declined).
+        engaged: Whether any fast-forward happened.
+        mode: The mode that ran (``"splice"``, or ``"exact"`` when the
+            eligibility gate declined).
         reason: Why the gate declined (empty when engaged).
-        splices: Per-splice accounting (splice mode).
-        batched_ios: IOs dispatched through the flat kernel (batch mode).
+        splices: Per-splice accounting.
         events_fast_forwarded: Kernel events skipped analytically; the
             benchmark's "effective events/sec" adds these to
             ``engine.events_processed``.
@@ -131,7 +128,6 @@ class FastpathSummary:
     mode: str
     reason: str = ""
     splices: tuple[SpliceRecord, ...] = field(default_factory=tuple)
-    batched_ios: int = 0
     events_fast_forwarded: int = 0
     time_fast_forwarded_s: float = 0.0
 
@@ -139,11 +135,6 @@ class FastpathSummary:
         """One-line human summary for CLI output."""
         if not self.engaged:
             return f"declined ({self.reason}); ran exact"
-        if self.mode == "batch":
-            return (
-                f"batch: {self.batched_ios} IOs dispatched flat "
-                f"({self.events_fast_forwarded} events skipped)"
-            )
         return (
             f"splice: {len(self.splices)} splice(s), "
             f"{self.time_fast_forwarded_s * 1e3:.1f} ms and "

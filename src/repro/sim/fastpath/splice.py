@@ -127,7 +127,7 @@ def splice_windows(
 
     # -- time jump --------------------------------------------------------
     queue = engine._queue
-    queue[:] = [(t + shift, seq, event) for t, seq, event in queue]
+    queue[:] = [(t + shift, seq, handler, arg) for t, seq, handler, arg in queue]
     engine._now = t_splice + shift
     events_skipped = n_windows * stats.events
     engine.events_fast_forwarded += events_skipped

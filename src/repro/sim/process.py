@@ -13,6 +13,10 @@ value, so processes can wait on each other::
     def parent(engine):
         result = yield engine.process(child(engine))
         assert result == 42
+
+:func:`drive_inline` runs a generator from a heap handler with
+``yield from`` semantics instead, so handler chains can reach cold
+generator code (GC, wake paths, fault delays) without a process.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, Optional
 
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import Engine, Event, SimulationError, _fire
 
-__all__ = ["Interrupt", "Process"]
+__all__ = ["Interrupt", "Process", "drive_inline"]
 
 
 class Interrupt(Exception):
@@ -69,7 +73,7 @@ class Process(Event):
         start._ok = True
         start._scheduled = True
         engine._seq += 1
-        heapq.heappush(engine._queue, (engine._now, engine._seq, start))
+        heapq.heappush(engine._queue, (engine._now, engine._seq, _fire, start))
         start.callbacks.append(self._resume)
         self._waiting_on = start
 
@@ -136,3 +140,62 @@ class Process(Event):
             self._resume(target)
         else:
             callbacks.append(self._resume)
+
+
+class _InlineDriver:
+    """Drives one generator on behalf of a handler chain (see below)."""
+
+    __slots__ = ("_generator", "_then", "_arg")
+
+    def __init__(self, generator, then, arg) -> None:
+        self._generator = generator
+        self._then = then
+        self._arg = arg
+
+    def _resume(self, event: Event) -> None:
+        try:
+            if event._ok:
+                target = self._generator.send(event._value)
+            else:
+                target = self._generator.throw(event._value)
+        except StopIteration:
+            self._then(self._arg)
+            return
+        self._park(target)
+
+    def _park(self, target: Event) -> None:
+        # Exactly Process._resume's wait: an already-processed event
+        # resumes at once, a pending one gets a callback.
+        if not isinstance(target, Event):
+            raise SimulationError(
+                f"inline generator yielded {target!r}; generators must "
+                "yield Event instances"
+            )
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)
+        else:
+            callbacks.append(self._resume)
+
+
+def drive_inline(generator: Generator[Event, Any, Any], then, arg=None) -> None:
+    """Run ``generator`` as ``yield from`` would, then call ``then(arg)``.
+
+    The generator starts synchronously, inside the calling handler.  Each
+    event it yields parks it exactly the way a process parks, and when it
+    returns, ``then(arg)`` runs synchronously in the same engine step.  A
+    generator that never yields therefore costs no heap entry at all, and
+    one that does pushes exactly the entries it would push under
+    ``yield from`` inside a process.  Spawning a process instead would add
+    a start entry and a done entry, which reorders same-instant ties.
+
+    An exception the generator raises propagates to the caller (and from
+    a handler, out of the engine loop).
+    """
+    driver = _InlineDriver(generator, then, arg)
+    try:
+        target = next(generator)
+    except StopIteration:
+        then(arg)
+        return
+    driver._park(target)

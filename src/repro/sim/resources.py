@@ -17,7 +17,7 @@ import heapq
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import Engine, Event, SimulationError, _fire
 
 __all__ = ["AdjustableResource", "Gate", "Resource", "Store"]
 
@@ -33,6 +33,9 @@ class Resource:
         finally:
             resource.release()
 
+    or from a handler chain, ``resource.request_call(on_grant, arg)`` and a
+    later ``resource.release()``.  Both forms queue in one FIFO.
+
     Attributes:
         capacity: Maximum concurrent holders.
         in_use: Current number of holders.
@@ -45,7 +48,9 @@ class Resource:
         self.name = name
         self._capacity = capacity
         self.in_use = 0
-        self._waiters: Deque[Event] = deque()
+        # One FIFO for both request forms: (handler, arg) pairs, where a
+        # None handler marks a generator waiter whose arg is its Event.
+        self._waiters: Deque[tuple] = deque()
 
     @property
     def capacity(self) -> int:
@@ -69,10 +74,24 @@ class Resource:
             event._value = self
             event._scheduled = True
             engine._seq += 1
-            heapq.heappush(engine._queue, (engine._now, engine._seq, event))
+            heapq.heappush(engine._queue, (engine._now, engine._seq, _fire, event))
         else:
-            self._waiters.append(event)
+            self._waiters.append((None, event))
         return event
+
+    def request_call(self, handler, arg=None) -> None:
+        """Handler form of :meth:`request`: ``handler(arg)`` runs on grant.
+
+        The grant entry is pushed at the same moment :meth:`request` would
+        push its granted event, so mixing both forms keeps one FIFO order.
+        """
+        if self.in_use < self._capacity:
+            self.in_use += 1
+            engine = self.engine
+            engine._seq += 1
+            heapq.heappush(engine._queue, (engine._now, engine._seq, handler, arg))
+        else:
+            self._waiters.append((handler, arg))
 
     def release(self) -> None:
         """Return one unit; hands it to the oldest waiter if any."""
@@ -80,9 +99,18 @@ class Resource:
             raise SimulationError(f"{self.name}: release() without a holder")
         if self._waiters and self.in_use <= self._capacity:
             # Hand the unit straight to the next waiter: in_use is unchanged.
-            self._waiters.popleft().succeed(self)
+            self._grant_next()
         else:
             self.in_use -= 1
+
+    def _grant_next(self) -> None:
+        handler, arg = self._waiters.popleft()
+        if handler is None:
+            arg.succeed(self)
+        else:
+            engine = self.engine
+            engine._seq += 1
+            heapq.heappush(engine._queue, (engine._now, engine._seq, handler, arg))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -108,7 +136,7 @@ class AdjustableResource(Resource):
         self._capacity = capacity
         while self._waiters and self.in_use < self._capacity:
             self.in_use += 1
-            self._waiters.popleft().succeed(self)
+            self._grant_next()
 
 
 class Store:

@@ -581,28 +581,14 @@ def _check_fastpath(result: ExperimentResult, tol: Tolerances):
                 0.0,
                 1.0,
             )
-        if summary.splices or summary.batched_ios:
+        if summary.splices:
             yield Violation(
                 "fastpath_equivalence",
                 subject,
                 f"declined fastpath still reports work: "
-                f"{len(summary.splices)} splice(s), "
-                f"{summary.batched_ios} batched IOs",
-                float(len(summary.splices) + summary.batched_ios),
+                f"{len(summary.splices)} splice(s)",
+                float(len(summary.splices)),
                 0.0,
-            )
-        return
-    if summary.mode == "batch":
-        # Batch mode dispatches the *whole* job through the flat kernel,
-        # so its IO count and the job's record count must agree.
-        if summary.batched_ios != len(result.job.records):
-            yield Violation(
-                "fastpath_equivalence",
-                subject,
-                f"batch dispatched {summary.batched_ios} IOs but the job "
-                f"recorded {len(result.job.records)}",
-                float(summary.batched_ios),
-                float(len(result.job.records)),
             )
         return
     for i, splice in enumerate(summary.splices):

@@ -1,13 +1,13 @@
 """Scenario generation and comparison for the fastpath differential harness.
 
 A :class:`Scenario` is a flat bag of knobs -- device, workload shape,
-seed, fastpath mode, optional fault plan or policy -- from which both
-sides of one differential pair are built: the exact run (``fastpath=None``)
-and the accelerated run (identical config plus ``FastpathOptions``).
+seed, optional fault plan or policy -- from which both sides of one
+differential pair are built: the exact run (``fastpath=None``) and the
+accelerated run (identical config plus ``FastpathOptions``).
 :func:`run_pair` executes both; :func:`compare` applies the declared
 tolerances from :mod:`tests.equivalence.tolerances` according to what the
-fastpath actually did (declined -> bit identity, batch -> float noise,
-splice -> statistical bounds) and returns human-readable divergences.
+fastpath actually did (declined -> bit identity, splice -> statistical
+bounds) and returns human-readable divergences.
 
 Knobs are deliberately flat scalars so :mod:`tests.equivalence.shrink`
 can delta-debug a diverging scenario toward :data:`BASELINE` one knob at
@@ -51,7 +51,7 @@ __all__ = [
 ENGAGE_DEVICES = ("ssd3", "860evo", "pm1743")
 
 #: Devices that always decline (their power wave draws per-toggle RNG
-#: during reads, which neither fastpath mode can replay).
+#: during reads, which the splice cannot replay).
 DECLINE_DEVICES = ("ssd1", "ssd2")
 
 _PATTERNS = {p.value: p for p in IoPattern}
@@ -67,7 +67,6 @@ class Scenario:
     iodepth: int = 8
     runtime_ms: int = 4
     seed: int = 7
-    mode: str = "auto"
     power_state: Optional[int] = None
     faults: Optional[str] = None
     policy: bool = False
@@ -80,7 +79,7 @@ class Scenario:
 
 
 #: The all-defaults scenario every shrink converges toward: an eligible
-#: random-read job the fastpath engages on.
+#: random-read job the fastpath gate accepts.
 BASELINE = Scenario()
 
 
@@ -124,9 +123,7 @@ def _configs(scenario: Scenario) -> tuple[ExperimentConfig, ExperimentConfig]:
         faults=plan,
         policy=policy,
     )
-    fast = dataclasses.replace(
-        exact, fastpath=FastpathOptions(mode=scenario.mode)
-    )
+    fast = dataclasses.replace(exact, fastpath=FastpathOptions())
     return exact, fast
 
 
@@ -159,33 +156,40 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _metric_rows(exact, fast, mode):
+def _metric_rows(exact, fast):
     """(name, exact value, fast value, allowed rtol) per compared metric."""
-    batch = mode == "batch"
     rows = [
         (
             "true_mean_power_w",
             exact.true_mean_power_w,
             fast.true_mean_power_w,
-            tol.BATCH_MEAN_POWER_RTOL if batch else tol.SPLICE_MEAN_POWER_RTOL,
+            tol.SPLICE_MEAN_POWER_RTOL,
         ),
         (
             "throughput_bps",
             exact.throughput_bps,
             fast.throughput_bps,
-            tol.BATCH_THROUGHPUT_RTOL if batch else tol.SPLICE_THROUGHPUT_RTOL,
+            tol.SPLICE_THROUGHPUT_RTOL,
         ),
     ]
     if exact.job.records and fast.job.records:
         lat_exact, lat_fast = exact.latency(), fast.latency()
-        if batch:
-            p50_rtol = tol.BATCH_P50_LATENCY_RTOL
-            p99_rtol = tol.BATCH_P99_LATENCY_RTOL
-        else:
-            p50_rtol = tol.SPLICE_P50_LATENCY_RTOL
-            p99_rtol = tol.SPLICE_P99_LATENCY_RTOL
-        rows.append(("p50_latency_s", lat_exact.p50, lat_fast.p50, p50_rtol))
-        rows.append(("p99_latency_s", lat_exact.p99, lat_fast.p99, p99_rtol))
+        rows.append(
+            (
+                "p50_latency_s",
+                lat_exact.p50,
+                lat_fast.p50,
+                tol.SPLICE_P50_LATENCY_RTOL,
+            )
+        )
+        rows.append(
+            (
+                "p99_latency_s",
+                lat_exact.p99,
+                lat_fast.p99,
+                tol.SPLICE_P99_LATENCY_RTOL,
+            )
+        )
     return rows
 
 
@@ -194,9 +198,9 @@ def compare(exact: ExperimentResult, fast: ExperimentResult) -> list[str]:
 
     The contract applied depends on what the fastpath reports it did:
     a declined (or never-configured) fastpath must be bit-identical to
-    the exact run; batch mode is held to float-noise tolerances; splice
-    mode to its statistical bounds.  Every tolerance is a named constant
-    from :mod:`tests.equivalence.tolerances`.
+    the exact run; an engaged splice is held to its statistical bounds.
+    Every tolerance is a named constant from
+    :mod:`tests.equivalence.tolerances`.
     """
     summary = fast.fastpath
     divergences: list[str] = []
@@ -210,39 +214,13 @@ def compare(exact: ExperimentResult, fast: ExperimentResult) -> list[str]:
         return divergences
 
     n_exact, n_fast = len(exact.job.records), len(fast.job.records)
-    if summary.mode == "batch":
-        if abs(n_exact - n_fast) > tol.BATCH_IO_COUNT_ABS:
-            divergences.append(
-                f"io_count: exact={n_exact} batch={n_fast} "
-                f"(allowed abs {tol.BATCH_IO_COUNT_ABS})"
-            )
-        else:
-            # The central batch claim: the record sequence is bit
-            # identical, tie interleavings included (the sweep is
-            # hop-faithful to the engine's (time, seq) discipline).
-            worst = max(
-                (
-                    max(
-                        abs(a.submit_time - b.submit_time),
-                        abs(a.complete_time - b.complete_time),
-                    )
-                    for a, b in zip(exact.job.records, fast.job.records)
-                ),
-                default=0.0,
-            )
-            if worst > tol.BATCH_EVENT_TIME_ABS_S:
-                divergences.append(
-                    f"record sequence differs (worst event-time delta "
-                    f"{worst:.3g}s > {tol.BATCH_EVENT_TIME_ABS_S})"
-                )
-    else:
-        if n_exact and _rel(n_exact, n_fast) > tol.SPLICE_IO_COUNT_RTOL:
-            divergences.append(
-                f"io_count: exact={n_exact} splice={n_fast} "
-                f"(rel {_rel(n_exact, n_fast):.4f} > "
-                f"{tol.SPLICE_IO_COUNT_RTOL})"
-            )
-    for name, a, b, rtol in _metric_rows(exact, fast, summary.mode):
+    if n_exact and _rel(n_exact, n_fast) > tol.SPLICE_IO_COUNT_RTOL:
+        divergences.append(
+            f"io_count: exact={n_exact} splice={n_fast} "
+            f"(rel {_rel(n_exact, n_fast):.4f} > "
+            f"{tol.SPLICE_IO_COUNT_RTOL})"
+        )
+    for name, a, b, rtol in _metric_rows(exact, fast):
         if _rel(a, b) > rtol:
             divergences.append(
                 f"{name}: exact={a:.6g} {summary.mode}={b:.6g} "
@@ -277,7 +255,6 @@ def engage_scenarios() -> st.SearchStrategy[Scenario]:
             iodepth=st.sampled_from((1, 2, 4, 8, 16)),
             runtime_ms=st.sampled_from((2, 3, 4, 5)),
             seed=st.integers(min_value=0, max_value=2**20),
-            mode=st.sampled_from(("auto", "splice", "batch")),
             power_state=power_states,
         )
 
@@ -297,7 +274,6 @@ def decline_scenarios() -> st.SearchStrategy[Scenario]:
         pattern=st.sampled_from(("read", "randread")),
         iodepth=st.sampled_from((2, 8)),
         seed=st.integers(min_value=0, max_value=2**20),
-        mode=st.sampled_from(("auto", "splice", "batch")),
     )
     writes = st.builds(
         Scenario,
@@ -305,7 +281,6 @@ def decline_scenarios() -> st.SearchStrategy[Scenario]:
         pattern=st.sampled_from(("write", "randwrite")),
         iodepth=st.sampled_from((2, 8)),
         seed=st.integers(min_value=0, max_value=2**20),
-        mode=st.sampled_from(("auto", "splice", "batch")),
     )
     faulted = st.builds(
         Scenario,
@@ -317,12 +292,10 @@ def decline_scenarios() -> st.SearchStrategy[Scenario]:
             )
         ),
         seed=st.integers(min_value=0, max_value=2**20),
-        mode=st.sampled_from(("auto", "splice", "batch")),
     )
     policied = st.builds(
         Scenario,
         policy=st.just(True),
         seed=st.integers(min_value=0, max_value=2**20),
-        mode=st.sampled_from(("auto", "splice", "batch")),
     )
     return st.one_of(wave_device, writes, faulted, policied)

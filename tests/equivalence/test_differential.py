@@ -5,9 +5,8 @@ eligibility gate:
 
 - **Engage domain** (eligible read jobs): the accelerated result must
   match the exact result within the declared tolerances of
-  :mod:`tests.equivalence.tolerances` -- float noise for batch mode,
-  statistical bounds for splice mode, bit identity whenever the gate
-  declined after all.
+  :mod:`tests.equivalence.tolerances` -- statistical bounds when a
+  splice engaged, bit identity whenever the gate declined after all.
 - **Decline domain** (writes, faults, policies, wavy devices): the gate
   must refuse, and refusing must cost nothing -- the result is
   bit-for-bit identical to a run that never configured a fastpath.
@@ -55,21 +54,14 @@ class TestEngageDomain:
             + "; ".join(divergences)
         )
 
-    def test_batch_engages_on_the_baseline_scenario(self):
-        """The all-defaults scenario must actually exercise the fastpath
-        (a gate that declined everything would pass the property above
-        vacuously)."""
-        _, fast = run_pair(Scenario(mode="batch"))
-        assert fast.fastpath.engaged and fast.fastpath.mode == "batch"
-        assert fast.fastpath.batched_ios == len(fast.job.records) > 0
-        assert fast.fastpath.events_fast_forwarded > 0
-
     def test_splice_engages_on_a_steady_scenario(self):
-        # Splice needs runway: the detector observes ~3 windows of 96
-        # completions before its first probe, then skips whole windows.
-        _, fast = run_pair(
-            Scenario(device="pm1743", runtime_ms=40, mode="splice")
-        )
+        """A steady eligible scenario must actually splice (a gate that
+        declined everything would pass the property above vacuously).
+
+        Splice needs runway: the detector observes ~3 windows of 96
+        completions before its first probe, then skips whole windows.
+        """
+        _, fast = run_pair(Scenario(device="pm1743", runtime_ms=40))
         assert fast.fastpath.engaged and fast.fastpath.mode == "splice"
         assert fast.fastpath.splices
         assert fast.fastpath.time_fast_forwarded_s > 0

@@ -5,13 +5,13 @@ Two layers:
 - Unit tests pin :func:`tests.equivalence.shrink.shrink_scenario`'s
   contract (1-minimality, rejection of non-diverging input) against a
   synthetic divergence predicate, with no simulator in the loop.
-- An end-to-end drill tampers the batch kernel (a seeded, conditional
-  record perturbation -- the kind of bug the differential harness
-  exists to catch), confirms the harness flags it, delta-debugs the
-  reproducer down to at most two knobs, and pushes the failure through
-  the run ledger so ``repro report`` exits non-zero and names the
-  broken invariant.  If this test ever fails, the safety net itself has
-  a hole.
+- An end-to-end drill tampers the splice (a seeded, conditional
+  replication error -- the kind of bug the differential harness exists
+  to catch), confirms the harness flags it, delta-debugs the reproducer
+  down to at most two knobs, and pushes the failure through the run
+  ledger so ``repro report`` exits non-zero and names the broken
+  invariant.  If this test ever fails, the safety net itself has a
+  hole.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ import dataclasses
 
 import pytest
 
-from repro._units import KiB
 from repro.cli import main as cli_main
 from repro.core.ledger import RunLedger, run_record
-from repro.iogen.stats import IoRecord
 from repro.validate.report import ValidationReport, Violation
 
 from tests.equivalence.scenarios import (
@@ -66,38 +64,36 @@ class TestSeededTamper:
     ):
         import repro.sim.fastpath.driver as driver
 
-        real = driver.run_batched_read_job
+        real = driver.splice_windows
 
-        def tampered(engine, device, job):
-            # The seeded fault: on 16 KiB blocks only, nudge the last
-            # completion by a microsecond -- small, conditional, and
-            # invisible to counts or byte totals.
-            n = real(engine, device, job)
-            if job.spec.block_size == 16 * KiB and job.records:
-                last = job.records[-1]
-                job.records[-1] = IoRecord(
-                    last.submit_time, last.complete_time + 1e-6, last.nbytes
-                )
-            return n
+        def tampered(engine, device, job, stats, n_windows):
+            # The seeded fault: on pm1743 only, the replicated windows
+            # carry half again the template's power -- conditional, and
+            # invisible to record counts or timing.
+            values = device.rail.trace._values
+            before = len(values)
+            spliced = real(engine, device, job, stats, n_windows)
+            if device.name == "pm1743":
+                values[before:] = [v * 1.5 for v in values[before:]]
+            return spliced
 
-        monkeypatch.setattr(driver, "run_batched_read_job", tampered)
+        monkeypatch.setattr(driver, "splice_windows", tampered)
 
         def diverges(scenario):
             exact, fast = run_pair(scenario)
-            return (
-                fast.fastpath.engaged
-                and fast.fastpath.mode == "batch"
-                and bool(compare(exact, fast))
-            )
+            return fast.fastpath.engaged and bool(compare(exact, fast))
 
-        # The "fuzzer finding": a diverging scenario buried in noise knobs.
-        found = Scenario(block_kib=16, seed=123, runtime_ms=3, mode="batch")
-        assert diverges(found), "the tampered kernel must diverge"
+        # The "fuzzer finding": a diverging scenario buried in noise
+        # knobs.  A splice needs runway, so the run is 40 ms long.
+        found = Scenario(
+            device="pm1743", block_kib=16, seed=123, runtime_ms=40
+        )
+        assert diverges(found), "the tampered splice must diverge"
 
         shrunk = shrink_scenario(found, diverges)
         knobs = changed_knobs(shrunk)
         assert len(knobs) <= 2, f"reproducer not minimal: {knobs}"
-        assert "block_kib" in knobs, (
+        assert "device" in knobs, (
             "the tamper trigger must survive shrinking"
         )
 

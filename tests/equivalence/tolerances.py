@@ -6,22 +6,13 @@ epsilon -- every slack must be one of these named constants, so each
 carries its rationale and widening one is a reviewed decision, not a
 drive-by edit.
 
-Three regimes, three very different contracts:
+Two regimes, two very different contracts:
 
 - **Decline domain** (the fastpath gate refuses: writes, faults,
   policies, wavy devices).  The run falls back to the exact kernel, so
   the contract is *bit identity* -- there is no tolerance, and none is
   defined here on purpose.  Comparison is flatten()-equality over the
   whole result.
-
-- **Batch mode** (flat event sweep).  The sweep replays the event
-  kernel's queueing discipline station by station in arrival order, so
-  it is exact up to same-instant tie ordering between unrelated
-  stations (two events at the identical float timestamp, where the
-  engine's global sequence counter interleaves them differently than
-  the flat heap).  Random workloads essentially never tie; structured
-  sequential ones tie benignly.  The tolerances are therefore float-
-  noise-sized, not statistical.
 
 - **Splice mode** (analytic steady-state fast-forward).  Skipped
   windows are *replicated*, not re-simulated: the resumed tail sees the
@@ -33,28 +24,6 @@ Three regimes, three very different contracts:
   wider than medians because a p99 over a few hundred records moves in
   whole-record quanta.
 """
-
-# -- batch mode: hop-faithful flat sweep --------------------------------
-# IO count must agree exactly: the sweep evaluates the worker stop rule
-# at bit-identical submit instants.
-BATCH_IO_COUNT_ABS = 0
-# The central batch claim: the per-IO (submit, complete) record sequence
-# is bit-identical to the exact kernel's, *including* same-instant tie
-# interleavings, because the sweep schedules a flat counterpart of every
-# engine hop at the same instant and assigns sequence numbers at the
-# same moments (see repro/sim/fastpath/batch.py).  Any timing or
-# ordering divergence -- wrong service time, wrong queue discipline, a
-# tie broken differently -- perturbs this sequence; zero slack.
-BATCH_EVENT_TIME_ABS_S = 0.0
-# Bit-identical records make throughput exact too; mean power can move
-# by float summation order only (the sweep folds same-instant power
-# edges in sorted order, the engine applies them in callback order).
-BATCH_MEAN_POWER_RTOL = 1e-6
-BATCH_THROUGHPUT_RTOL = 1e-6
-# Latency quantiles are computed from the bit-identical records, so
-# these bounds cover nothing but the comparison arithmetic itself.
-BATCH_P50_LATENCY_RTOL = 1e-9
-BATCH_P99_LATENCY_RTOL = 1e-9
 
 # -- splice mode: statistical resume ------------------------------------
 # The detector admits windows whose completion rate drifts up to 2%

@@ -25,7 +25,7 @@ class TestGoldenEquivalence:
     def test_fixture_set_is_nonempty(self):
         """An empty fixture directory must never silently pass the gate."""
         fixtures = sorted(golden_result.GOLDEN_DIR.glob("*.json"))
-        assert len(fixtures) >= 13
+        assert len(fixtures) >= 21
 
     def test_covers_every_catalog_device(self):
         """The grid must exercise each catalog device class at least once."""
@@ -39,6 +39,22 @@ class TestGoldenEquivalence:
         assert "ssd2_policy_feedback" in stems
         assert "ssd2_policy_ladder" in stems
         assert "fleet_tiny" in stems
+
+    def test_covers_the_cold_paths(self):
+        """Handlers reach GC, APST, housekeeping, faults, the ALPM wake
+        and tracing through the inline driver; each is pinned by a run
+        that actually gets there."""
+        stems = {p.stem for p in golden_result.GOLDEN_DIR.glob("*.json")}
+        assert {
+            "tiny_gc_randwrite",
+            "tiny_apst_randwrite",
+            "ssd2_maintenance_ps1",
+            "ssd2_randwrite_4k_qd64_ps2",
+            "ssd2_faults_randwrite",
+            "ssd2_faults_randread",
+            "ssd3_alpm_slumber",
+            "ssd2_traced_ps2",
+        } <= stems
 
     def test_every_named_case_has_a_fixture(self):
         """golden_names() and the committed fixture set must agree, so a

@@ -24,7 +24,7 @@ from repro.iogen.stats import IoRecord
 from repro.obs.events import Tracer
 from repro.sim.engine import Engine
 from repro.sim.fastpath.detect import StationarityDetector
-from repro.sim.fastpath.driver import _batch_eligibility, splice_eligibility
+from repro.sim.fastpath.driver import splice_eligibility
 from repro.sim.fastpath.options import FastpathOptions, FastpathSummary
 from repro.sim.rng import RngStreams
 
@@ -256,10 +256,8 @@ def _device(name="ssd3", engine=None, config=None):
 class TestEligibilityGate:
     """Each decline clause fires for exactly its own hidden-state hazard."""
 
-    def test_eligible_read_job_passes_both_gates(self):
-        device = _device()
-        assert splice_eligibility(device, _config()) == ""
-        assert _batch_eligibility(device, _config()) == ""
+    def test_eligible_read_job_passes_the_gate(self):
+        assert splice_eligibility(_device(), _config()) == ""
 
     def test_writes_decline(self):
         reason = splice_eligibility(
@@ -307,25 +305,33 @@ class TestEligibilityGate:
             _device("hdd"), _config()
         )
 
+    # Batch mode once declined the next three hazards because it stepped
+    # the SSD network without the event kernel.  Batch is gone: the mode
+    # is refused, and the splice keeps the kernel, so the link wake path,
+    # an APST timer and a tracer all keep their exact semantics and the
+    # run stays eligible.
+
     def test_batch_declines_low_power_link(self):
+        with pytest.raises(ValueError, match="mode"):
+            FastpathOptions(mode="batch")
         device = _device()
         device.link.mode = LinkPowerMode.SLUMBER
-        assert "link" in _batch_eligibility(device, _config())
-        # ...but splice still allows it: splice keeps the event kernel.
         assert splice_eligibility(device, _config()) == ""
 
     def test_batch_declines_apst(self):
+        with pytest.raises(ValueError, match="mode"):
+            FastpathOptions(mode="batch")
         # pm1743 has non-operational states for APST to doze into.
         config = dataclasses.replace(
             DEVICE_PRESETS["pm1743"](), apst_idle_timeout_s=1e-3
         )
-        assert "APST" in _batch_eligibility(_device(config=config), _config())
+        assert splice_eligibility(_device(config=config), _config()) == ""
 
     def test_batch_declines_enabled_tracer(self):
+        with pytest.raises(ValueError, match="mode"):
+            FastpathOptions(mode="batch")
         engine = Engine(tracer=Tracer())
-        assert "tracing" in _batch_eligibility(
-            _device(engine=engine), _config()
-        )
+        assert splice_eligibility(_device(engine=engine), _config()) == ""
 
 
 # -- options + summary surfaces -----------------------------------------
@@ -333,12 +339,14 @@ class TestEligibilityGate:
 
 class TestFastpathOptions:
     def test_defaults_validate(self):
-        assert FastpathOptions().mode == "auto"
+        assert FastpathOptions().mode == "splice"
 
     @pytest.mark.parametrize(
         "overrides",
         [
             {"mode": "warp"},
+            {"mode": "auto"},
+            {"mode": "batch"},
             {"window_records": 7},
             {"min_windows": 0},
             {"margin_windows": 0},
@@ -355,7 +363,7 @@ class TestFastpathOptions:
     def test_frozen_and_hashable(self):
         opts = FastpathOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            opts.mode = "batch"
+            opts.mode = "exact"
         assert hash(opts) == hash(FastpathOptions())
 
 
@@ -365,15 +373,6 @@ class TestFastpathSummary:
             engaged=False, mode="exact", reason="rail audit shadows"
         ).describe()
         assert "declined" in text and "rail audit shadows" in text
-
-    def test_batch_describe_counts_ios_and_events(self):
-        text = FastpathSummary(
-            engaged=True,
-            mode="batch",
-            batched_ios=123,
-            events_fast_forwarded=4567,
-        ).describe()
-        assert "batch" in text and "123" in text and "4567" in text
 
     def test_splice_describe_counts_splices(self):
         text = FastpathSummary(

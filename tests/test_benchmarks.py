@@ -50,12 +50,12 @@ class TestRegressionGate:
         current = _report(
             agg=50.0,
             points=(("a", 10.0), ("b", 50.0), ("c", 10.0)),
-            fastpath_modes={"splice": (100.0, 2.0), "batch": (100.0, 2.0)},
+            fastpath_modes={"splice": (100.0, 2.0)},
         )
         baseline = _report(
             agg=100.0,
             points=(("a", 50.0), ("b", 50.0), ("c", 50.0)),
-            fastpath_modes={"splice": (500.0, 9.0), "batch": (100.0, 2.0)},
+            fastpath_modes={"splice": (500.0, 9.0)},
         )
         ok, message = check_against_baseline(current, baseline)
         assert not ok
@@ -63,7 +63,6 @@ class TestRegressionGate:
         for name in ("aggregate events/sec", "a", "c", "fastpath splice"):
             assert name in message, f"{name!r} missing from:\n{message}"
         assert "b:" not in message  # unregressed points are not accused
-        assert "fastpath batch" not in message
 
     def test_points_gate_wider_than_aggregate(self):
         drop = 1.0 - POINT_REGRESSION_TOLERANCE + 0.01

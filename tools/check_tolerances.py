@@ -19,13 +19,13 @@ What trips it::
 What passes::
 
     assert rel_error < tol.SPLICE_MEAN_POWER_RTOL
-    assert x == pytest.approx(y, rel=BATCH_MEAN_POWER_RTOL)
+    assert x == pytest.approx(y, rel=SPLICE_MEAN_POWER_RTOL)
     assert count > 0 and len(records) >= 200    # integers are counts
     assert worst > 0.0                          # zero is not a slack
 
 ``0.0`` is exempt: comparing against zero asserts exactness, not an
-approximation -- the zero-slack *contract* itself still lives as a
-named constant (``BATCH_EVENT_TIME_ABS_S``) where its rationale is.
+approximation -- a zero-slack *contract* itself still belongs in a
+named constant where its rationale is.
 
 A line can opt out with ``# tolerance: <reason>`` on it or the line
 above, for the rare assertion whose bound is structural rather than a

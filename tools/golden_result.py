@@ -143,7 +143,202 @@ def golden_configs() -> dict:
             window_s=4e-3,
         ),
     )
+    configs.update(cold_path_configs())
     return configs
+
+
+def tiny_ssd_config(**overrides):
+    """A 4-channel x 2-die SSD with 8-page blocks: GC is reachable fast.
+
+    A copy of ``tests/conftest.py::tiny_ssd_config``, not an import: the
+    cold-path fixtures pin this exact config, and must not move when a
+    test helper is edited.
+    """
+    from repro._units import MiB
+    from repro.devices.power_states import NvmePowerState
+    from repro.devices.ssd import ControllerConfig, SsdConfig
+    from repro.ftl.gc import GcConfig
+    from repro.nand.geometry import NandGeometry
+    from repro.nand.ops import NandPower, NandTimings
+
+    defaults = dict(
+        name="tiny",
+        geometry=NandGeometry(
+            channels=4,
+            dies_per_channel=2,
+            planes_per_die=1,
+            blocks_per_plane=8,
+            pages_per_block=8,
+            page_size=16 * 1024,
+        ),
+        timings=NandTimings(t_read=47e-6, t_program=300e-6, t_erase=2e-3),
+        nand_power=NandPower(p_read=0.05, p_program=0.3, p_erase=0.25),
+        channel_bandwidth=1.0e9,
+        channel_transfer_power_w=0.2,
+        link_bandwidth=2.0e9,
+        link_transfer_power_w=0.5,
+        controller=ControllerConfig(
+            cores=2,
+            command_time_s=5e-6,
+            core_active_power_w=0.4,
+            idle_power_w=1.0,
+            completion_time_s=2e-6,
+        ),
+        dram_power_w=0.3,
+        write_buffer_bytes=1 * MiB,
+        power_states=(
+            NvmePowerState(0, 20.0, True, 0.0, 0.0, 1.5),
+            NvmePowerState(1, 3.5, True, 20e-6, 20e-6, 1.5),
+            NvmePowerState(2, 2.8, True, 20e-6, 20e-6, 1.5),
+            NvmePowerState(3, 20.0, False, 1e-3, 2e-3, 0.4),
+        ),
+        governor_baseline_w=1.5,
+        governor_headroom_w=0.6,
+        overprovision=0.4,
+        gc=GcConfig(low_watermark=4, high_watermark=8),
+        maintenance_programs=0,
+    )
+    defaults.update(overrides)
+    return SsdConfig(**defaults)
+
+
+def cold_path_configs() -> dict:
+    """Runs that reach the control-plane paths the 8 MiB grid never does.
+
+    Garbage collection, APST doze and wake, housekeeping bursts sharing
+    dies and the governor with host flushes, every IO-path fault, and an
+    ALPM slumber wake.  Each stays well under a second of CPU.
+    """
+    import dataclasses
+
+    from repro._units import KiB, MiB
+    from repro.core.experiment import ExperimentConfig
+    from repro.devices.catalog import ssd_d7p5510
+    from repro.devices.link import LinkPowerMode
+    from repro.faults.plan import (
+        FaultPlan,
+        IoErrorSpec,
+        LatencySpikeSpec,
+        StuckTransitionSpec,
+        ThermalThrottleSpec,
+    )
+    from repro.iogen.spec import IoPattern, JobSpec
+
+    def job(pattern, block_kib, iodepth, runtime_s, size_mib, **extra):
+        return JobSpec(
+            pattern=pattern,
+            block_size=block_kib * KiB,
+            iodepth=iodepth,
+            runtime_s=runtime_s,
+            size_limit_bytes=size_mib * MiB,
+            **extra,
+        )
+
+    faults = FaultPlan(
+        io_errors=IoErrorSpec(probability=0.05, retry_cost_s=2e-4),
+        latency_spikes=(
+            LatencySpikeSpec(
+                start_s=2e-3, duration_s=2e-3, extra_s=3e-4, repeat_every_s=8e-3
+            ),
+        ),
+        thermal_throttle=ThermalThrottleSpec(
+            start_s=4e-3, duration_s=5e-3, cap_scale=0.6
+        ),
+        stuck_transitions=StuckTransitionSpec(probability=1.0, max_stuck=2),
+    )
+    return {
+        "tiny_gc_randwrite": ExperimentConfig(
+            device=tiny_ssd_config(),
+            job=job(IoPattern.RANDWRITE, 16, 16, 0.2, 64),
+            seed=7,
+        ),
+        "tiny_apst_randwrite": ExperimentConfig(
+            device=tiny_ssd_config(apst_idle_timeout_s=2e-4),
+            job=job(IoPattern.RANDWRITE, 16, 2, 0.03, 64, host_overhead_s=1e-3),
+            seed=7,
+        ),
+        "ssd2_maintenance_ps1": ExperimentConfig(
+            device=dataclasses.replace(ssd_d7p5510(), maintenance_interval_s=4e-3),
+            job=job(IoPattern.RANDWRITE, 64, 8, 0.02, 64),
+            power_state=1,
+            seed=7,
+        ),
+        "ssd2_randwrite_4k_qd64_ps2": ExperimentConfig(
+            device="ssd2",
+            job=job(IoPattern.RANDWRITE, 4, 64, 0.02, 8),
+            power_state=2,
+            seed=7,
+        ),
+        "ssd2_faults_randwrite": ExperimentConfig(
+            device="ssd2",
+            job=job(IoPattern.RANDWRITE, 64, 8, 0.02, 64),
+            power_state=1,
+            faults=faults,
+            seed=7,
+        ),
+        "ssd2_faults_randread": ExperimentConfig(
+            device="ssd2",
+            job=job(IoPattern.RANDREAD, 16, 8, 0.02, 64),
+            power_state=1,
+            faults=faults,
+            seed=7,
+        ),
+        "ssd3_alpm_slumber": ExperimentConfig(
+            device="ssd3",
+            job=job(IoPattern.RANDWRITE, 64, 4, 0.03, 8),
+            alpm_mode=LinkPowerMode.SLUMBER,
+            seed=7,
+        ),
+    }
+
+
+def traced_config():
+    """The traced case: a capped ssd2 write whose event stream is pinned."""
+    from repro._units import KiB, MiB
+    from repro.core.experiment import ExperimentConfig
+    from repro.iogen.spec import IoPattern, JobSpec
+
+    return ExperimentConfig(
+        device="ssd2",
+        job=JobSpec(
+            pattern=IoPattern.RANDWRITE,
+            block_size=64 * KiB,
+            iodepth=8,
+            runtime_s=0.01,
+            size_limit_bytes=4 * MiB,
+        ),
+        power_state=2,
+        seed=7,
+    )
+
+
+def compute_traced_golden() -> object:
+    """The traced run's result plus a digest of every emitted event.
+
+    The event stream (a few thousand events) is pinned by count, by a
+    per-kind census and by a SHA-256 over its canonical flattening,
+    which keeps the fixture small while still failing on one moved bit.
+    """
+    import hashlib
+
+    from repro.core.experiment import run_experiment
+    from repro.obs.events import Tracer
+
+    tracer = Tracer()
+    result = run_experiment(traced_config(), tracer=tracer)
+    events = tracer.events
+    census: dict = {}
+    for event in events:
+        census[event.kind.value] = census.get(event.kind.value, 0) + 1
+    stream = json.dumps(flatten(list(events)), separators=(",", ":"))
+    return flatten(
+        {
+            "result": result,
+            "events": len(events),
+            "census": census,
+            "sha256": hashlib.sha256(stream.encode()).hexdigest(),
+        }
+    )
 
 
 def compute_fleet_golden() -> object:
@@ -180,6 +375,8 @@ def compute_fleet_golden() -> object:
 def compute_golden(name: str) -> object:
     if name == "fleet_tiny":
         return compute_fleet_golden()
+    if name == "ssd2_traced_ps2":
+        return compute_traced_golden()
     from repro.core.experiment import run_experiment
 
     return flatten(run_experiment(golden_configs()[name]))
@@ -187,7 +384,7 @@ def compute_golden(name: str) -> object:
 
 def golden_names() -> list:
     """Every golden fixture name, experiment grid plus composite runs."""
-    return sorted(golden_configs()) + ["fleet_tiny"]
+    return sorted(golden_configs()) + ["fleet_tiny", "ssd2_traced_ps2"]
 
 
 def main(argv=None) -> int:
