@@ -16,6 +16,7 @@ io_error + spike plan.
 """
 
 from repro._units import KiB, MiB
+from repro.core.options import ExecutionOptions
 from repro.core.sweep import SweepGrid, run_sweep
 from repro.faults import FaultPlan, IoErrorSpec, LatencySpikeSpec
 from repro.iogen.spec import IoPattern, JobSpec
@@ -51,7 +52,9 @@ ACTIVE_PLAN = FaultPlan(
 def test_baseline_no_faults(benchmark):
     """The default path: no plan, devices hold the NULL_INJECTOR."""
     results = benchmark.pedantic(
-        lambda: run_sweep(_grid(), n_workers=1), iterations=1, rounds=3
+        lambda: run_sweep(_grid(), ExecutionOptions(n_workers=1)),
+        iterations=1,
+        rounds=3,
     )
     assert len(results) == 4
     assert all(r.faults is None for r in results.values())
@@ -60,12 +63,12 @@ def test_baseline_no_faults(benchmark):
 def test_inert_plan_bit_identical(benchmark):
     """An empty FaultPlan must match the no-injector run bit for bit."""
     results = benchmark.pedantic(
-        lambda: run_sweep(_grid(FaultPlan()), n_workers=1),
+        lambda: run_sweep(_grid(FaultPlan()), ExecutionOptions(n_workers=1)),
         iterations=1,
         rounds=3,
     )
     assert len(results) == 4
-    baseline = run_sweep(_grid(), n_workers=1)
+    baseline = run_sweep(_grid(), ExecutionOptions(n_workers=1))
     for point, result in results.items():
         assert result.mean_power_w == baseline[point].mean_power_w
         assert result.true_mean_power_w == baseline[point].true_mean_power_w
@@ -77,7 +80,7 @@ def test_inert_plan_bit_identical(benchmark):
 def test_active_plan_documented(benchmark):
     """Faults firing: retries + spikes cost simulated work by design."""
     results = benchmark.pedantic(
-        lambda: run_sweep(_grid(ACTIVE_PLAN), n_workers=1),
+        lambda: run_sweep(_grid(ACTIVE_PLAN), ExecutionOptions(n_workers=1)),
         iterations=1,
         rounds=3,
     )

@@ -18,6 +18,7 @@ per-experiment by ``tests/obs/test_equivalence.py``).
 """
 
 from repro._units import KiB, MiB
+from repro.core.options import ExecutionOptions
 from repro.core.sweep import SweepGrid, run_sweep
 from repro.iogen.spec import IoPattern, JobSpec
 from repro.obs.events import NullTracer, Tracer
@@ -54,14 +55,19 @@ def _write_grid() -> SweepGrid:
 def _traced_sweep(grid: SweepGrid):
     tracer = Tracer()
     tracer.subscribe(MetricsCollector())
-    results = run_sweep(grid, n_workers=1, tracer=tracer, profiler=RunProfiler())
+    results = run_sweep(
+        grid,
+        ExecutionOptions(n_workers=1, tracer=tracer, profiler=RunProfiler()),
+    )
     return results, tracer
 
 
 def test_baseline_untraced(benchmark):
     """The default path: engines fall back to the NULL_TRACER singleton."""
     results = benchmark.pedantic(
-        lambda: run_sweep(_read_grid(), n_workers=1), iterations=1, rounds=3
+        lambda: run_sweep(_read_grid(), ExecutionOptions(n_workers=1)),
+        iterations=1,
+        rounds=3,
     )
     assert len(results) == 4
 
@@ -69,7 +75,9 @@ def test_baseline_untraced(benchmark):
 def test_null_tracer_explicit(benchmark):
     """An explicit NullTracer must cost the same as the default (~0 %)."""
     results = benchmark.pedantic(
-        lambda: run_sweep(_read_grid(), n_workers=1, tracer=NullTracer()),
+        lambda: run_sweep(
+            _read_grid(), ExecutionOptions(n_workers=1, tracer=NullTracer())
+        ),
         iterations=1,
         rounds=3,
     )
@@ -83,7 +91,7 @@ def test_traced_read_grid(benchmark):
     )
     assert len(results) == 4
     assert len(tracer.events) > 0
-    baseline = run_sweep(_read_grid(), n_workers=1)
+    baseline = run_sweep(_read_grid(), ExecutionOptions(n_workers=1))
     for point, result in results.items():
         assert result.mean_power_w == baseline[point].mean_power_w
         assert result.throughput_bps == baseline[point].throughput_bps
@@ -92,7 +100,9 @@ def test_traced_read_grid(benchmark):
 def test_baseline_write_stress(benchmark):
     """Untraced comparator for the write-stress row below."""
     results = benchmark.pedantic(
-        lambda: run_sweep(_write_grid(), n_workers=1), iterations=1, rounds=3
+        lambda: run_sweep(_write_grid(), ExecutionOptions(n_workers=1)),
+        iterations=1,
+        rounds=3,
     )
     assert len(results) == 4
 
@@ -106,7 +116,7 @@ def test_traced_write_stress(benchmark):
     # Sanity: the stress grid really is event-dense (governor + cache
     # events on top of IO), or it stops stressing anything.
     assert len(tracer.events) > 4000
-    baseline = run_sweep(_write_grid(), n_workers=1)
+    baseline = run_sweep(_write_grid(), ExecutionOptions(n_workers=1))
     for point, result in results.items():
         assert result.mean_power_w == baseline[point].mean_power_w
         assert result.throughput_bps == baseline[point].throughput_bps

@@ -10,6 +10,7 @@ timed: parallel execution must reproduce the sequential results exactly.
 import os
 
 from repro._units import KiB, MiB
+from repro.core.options import ExecutionOptions
 from repro.core.sweep import SweepGrid, run_sweep
 from repro.iogen.spec import IoPattern, JobSpec
 
@@ -33,7 +34,9 @@ def _grid() -> SweepGrid:
 
 def test_sequential_sweep(benchmark):
     results = benchmark.pedantic(
-        lambda: run_sweep(_grid(), n_workers=1), iterations=1, rounds=3
+        lambda: run_sweep(_grid(), ExecutionOptions(n_workers=1)),
+        iterations=1,
+        rounds=3,
     )
     assert len(results) == 12
 
@@ -41,11 +44,13 @@ def test_sequential_sweep(benchmark):
 def test_parallel_sweep(benchmark):
     workers = min(4, os.cpu_count() or 1)
     results = benchmark.pedantic(
-        lambda: run_sweep(_grid(), n_workers=workers), iterations=1, rounds=3
+        lambda: run_sweep(_grid(), ExecutionOptions(n_workers=workers)),
+        iterations=1,
+        rounds=3,
     )
     assert len(results) == 12
     # Point-for-point equivalence with the sequential path.
-    sequential = run_sweep(_grid(), n_workers=1)
+    sequential = run_sweep(_grid(), ExecutionOptions(n_workers=1))
     assert list(results) == list(sequential)
     for point, result in results.items():
         assert result.mean_power_w == sequential[point].mean_power_w

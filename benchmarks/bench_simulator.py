@@ -10,6 +10,7 @@ baseline the parallel-sweep bench (bench_parallel_sweep.py) compares to.
 
 from repro._units import KiB, MiB
 from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core.options import ExecutionOptions
 from repro.core.sweep import SweepGrid, run_sweep
 from repro.iogen.spec import IoPattern, JobSpec
 
@@ -51,6 +52,8 @@ def test_sweep_throughput(benchmark):
         ),
     )
     results = benchmark.pedantic(
-        lambda: run_sweep(grid, n_workers=1), iterations=1, rounds=3
+        lambda: run_sweep(grid, ExecutionOptions(n_workers=1)),
+        iterations=1,
+        rounds=3,
     )
     assert len(results) == 4

@@ -6,7 +6,7 @@ Everything in this package corresponds to sections 3.3 and 4 of the paper:
   a power-control configuration; returns power, throughput and latency.
 - :mod:`~repro.core.sweep` -- the full mechanism grid (chunk sizes x queue
   depths x power states x patterns) behind every figure.
-- :mod:`~repro.core.parallel` -- process-pool execution of experiment
+- :mod:`~repro.core.parallel` -- worker-pool execution of experiment
   batches: deterministic ordering, per-point failure capture, an on-disk
   result cache keyed by config content hash.
 - :mod:`~repro.core.model` -- the per-device power-throughput model
@@ -16,9 +16,6 @@ Everything in this package corresponds to sections 3.3 and 4 of the paper:
 - :mod:`~repro.core.adaptive` -- the single-device planner of the paper's
   worked example (find a config meeting a power cut with minimal
   throughput loss; compute curtailable best-effort load).
-- :mod:`~repro.core.fleet` -- deprecated alias of
-  :mod:`repro.fleet.model` (multi-device model composition moved into
-  the :mod:`repro.fleet` cluster package).
 - :mod:`~repro.core.redirection` -- power-aware IO redirection (section 4).
 - :mod:`~repro.core.asymmetric` -- asymmetric read/write segregation.
 - :mod:`~repro.core.tiering` -- tiered write absorption during spin-up.

@@ -2,9 +2,9 @@
 
 Every figure in the paper comes from a grid of independent experiments,
 and each experiment is deterministic from its config alone — so fanning
-points out across a process pool must (and does) reproduce the sequential
-results bit for bit.  This module provides the execution substrate the
-sweep layer, the figure drivers and the CLI share:
+points out across worker processes must (and does) reproduce the
+sequential results bit for bit.  This module provides the execution
+substrate the sweep layer, the figure studies and the CLI share:
 
 - :func:`run_configs` — run a batch of :class:`ExperimentConfig` across
   ``n_workers`` processes, preserving submission order in the returned
@@ -16,31 +16,33 @@ sweep layer, the figure drivers and the CLI share:
   already-computed points;
 - :class:`RetryPolicy` — resilient execution: per-point wall-clock
   timeouts, bounded retries with exponential backoff and deterministic
-  jitter, and survival of hard worker crashes (the crashed point is
-  re-dispatched to a fresh worker);
-- graceful fallback to in-process execution when ``n_workers == 1`` or
-  the platform cannot provide a process pool.
+  jitter.
+
+A batch runs on one of two paths.  One worker, one pending point or a
+tracer runs in-process (tracer events cannot cross a process boundary in
+order).  Every other batch runs on an owned pool of forked workers, each
+connected by a pipe: a worker still running at its deadline is
+``terminate()``-d and replaced, and a worker that dies mid-point (segfault,
+OOM kill, ``os._exit``) costs only that point, which is retried or
+reported as a :class:`WorkerCrashError` failure while its siblings'
+results are kept.  A :class:`RetryPolicy` with a timeout or retries uses
+the pool even at one worker, since only a separate process can be killed.
+If the pool's first workers cannot be spawned, the batch warns and runs
+in-process instead.  Retry scheduling (backoff, jitter) is wall-clock
+only and never touches simulation state, so every point that completes
+is bit-identical on both paths.
 
 Telemetry note: when a
 :class:`~repro.core.telemetry.TelemetryRecorder` rides along (sweep
 telemetry, live progress, or a run ledger was requested), workers ship a
-compact :class:`~repro.obs.profile.PointProfile` back over the existing
-pipe protocol next to each outcome, and the parent folds queue/dispatch
-timestamps into per-point lifecycle spans.  The recorder is wall-clock
-only and strictly passive: results are bit-identical with and without it
-(the telemetry-overhead benchmark holds that line).  The same aux channel
+compact :class:`~repro.obs.profile.PointProfile` back over the pipe next
+to each outcome, and the parent folds queue/dispatch timestamps into
+per-point lifecycle spans.  The recorder is wall-clock only and strictly
+passive: results are bit-identical with and without it (the
+telemetry-overhead benchmark holds that line).  The same aux channel
 lets a parent :class:`~repro.obs.profile.RunProfiler` see pool execution:
 per-worker profiles merge back in submission order instead of forcing
 the whole batch in-process.
-
-Resilience note: a :class:`RetryPolicy` with a timeout or retries runs
-points on a dedicated pipe-connected worker pool rather than
-``ProcessPoolExecutor`` — the stdlib pool cannot kill a hung worker
-(``shutdown`` joins it), while a directly-owned process can be
-``terminate()``-d at its deadline and replaced.  Retry scheduling
-(backoff, jitter) is wall-clock only and never touches simulation
-state, so resilient execution reproduces plain execution bit for bit
-for every point that completes.
 
 Determinism note: parallel execution only matches sequential execution
 because per-point seeds are *process-stable* (derived via
@@ -53,6 +55,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import hashlib
 import heapq
 import multiprocessing
@@ -62,16 +65,14 @@ import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.checkpoint import CheckpointJournal, PointState
-from repro.core.options import UNSET, coerce_execution_options
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.core.options import ExecutionOptions, require_options
 from repro.obs.profile import RunProfiler
 
 __all__ = [
@@ -178,7 +179,11 @@ class RetryPolicy:
 
     @property
     def resilient(self) -> bool:
-        """Whether this policy needs the resilient (kill-capable) pool."""
+        """Whether this policy needs the owned pool even at one worker.
+
+        Only a separate process can be killed at a deadline or retried
+        after a crash, so a timeout or retries rule out in-process runs.
+        """
         return self.timeout_s is not None or self.retries > 0
 
 
@@ -346,13 +351,20 @@ class ResultCache:
 
 
 def resolve_workers(n_workers: Optional[int]) -> int:
-    """Normalize a worker-count request (``None`` = all cores).
+    """Normalize a worker-count request (``None`` = every usable CPU).
 
-    Zero and negative counts are rejected rather than silently mapped:
-    a scripted ``--workers $N`` with an unset ``N`` collapsing to "all
+    ``None`` counts the CPUs this process may run on (its affinity mask,
+    where the platform exposes one), not every CPU in the machine: under
+    ``taskset`` or a container CPU set ``os.cpu_count()`` overcounts, and
+    ``--workers all`` would fork workers that can only time-slice.  Zero
+    and negative counts are rejected rather than silently mapped: a
+    scripted ``--workers $N`` with an unset ``N`` collapsing to "all
     cores" is the kind of surprise that takes a shared machine down.
     """
     if n_workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        if affinity is not None:
+            return len(affinity(0))
         return os.cpu_count() or 1
     if n_workers < 1:
         raise ValueError(
@@ -395,67 +407,43 @@ def _run_config_aux(config: ExperimentConfig):
     return outcome, profile
 
 
+@dataclass
+class _Attempt:
+    """One point of a batch on its way to a terminal outcome."""
+
+    index: int
+    config: ExperimentConfig
+    attempt: int = 0
+
+    @functools.cached_property
+    def key(self) -> str:
+        """The point's :func:`config_content_hash`, hashed on first read.
+
+        Only a journal, the telemetry recorder and a retry backoff read
+        it; a plain batch never pays for hashing its configs.
+        """
+        return config_content_hash(self.config)
+
+
 def _journal_final(
     journal: Optional[CheckpointJournal],
-    key: str,
+    task: _Attempt,
     outcome: Union[ExperimentResult, PointFailure],
-    attempt: int,
 ) -> None:
     if journal is None:
         return
     if isinstance(outcome, PointFailure):
         journal.record(
-            key, PointState.EXHAUSTED, attempt=attempt, detail=outcome.describe()
+            task.key,
+            PointState.EXHAUSTED,
+            attempt=task.attempt,
+            detail=outcome.describe(),
         )
     else:
-        journal.record(key, PointState.DONE, attempt=attempt)
+        journal.record(task.key, PointState.DONE, attempt=task.attempt)
 
 
-def _run_point_inprocess(
-    config: ExperimentConfig,
-    key: str,
-    policy: Optional[RetryPolicy],
-    journal: Optional[CheckpointJournal],
-    cache: Optional["ResultCache"] = None,
-    tracer=None,
-    profiler=None,
-) -> Union[ExperimentResult, PointFailure]:
-    """In-process execution with the policy's retry loop.
-
-    Timeouts are not enforceable here (there is no worker to kill);
-    callers that need them route through the resilient pool instead.
-    The cache write happens *before* the DONE journal record so a crash
-    between the two can never leave a "done" point without its result --
-    resume trusts the journal's DONE to mean "persisted".
-    """
-    attempts_allowed = 1 + (policy.retries if policy is not None else 0)
-    outcome: Union[ExperimentResult, PointFailure, None] = None
-    for attempt in range(1, attempts_allowed + 1):
-        if journal is not None:
-            journal.record(key, PointState.IN_FLIGHT, attempt=attempt)
-        outcome = _run_config(config, tracer=tracer, profiler=profiler)
-        if isinstance(outcome, ExperimentResult):
-            if cache is not None:
-                cache.put(config, outcome)
-            _journal_final(journal, key, outcome, attempt)
-            return outcome
-        outcome = dataclasses.replace(outcome, attempts=attempt)
-        if attempt < attempts_allowed:
-            if journal is not None:
-                journal.record(
-                    key,
-                    PointState.FAILED,
-                    attempt=attempt,
-                    detail=outcome.describe(),
-                )
-            if policy is not None:
-                time.sleep(backoff_delay(key, attempt, policy))
-    assert outcome is not None
-    _journal_final(journal, key, outcome, attempts_allowed)
-    return outcome
-
-
-# -- resilient pool ---------------------------------------------------------
+# -- owned worker pool ------------------------------------------------------
 
 
 def _pipe_worker_main(conn, collect_aux: bool = False) -> None:
@@ -480,16 +468,6 @@ def _pipe_worker_main(conn, collect_aux: bool = False) -> None:
             conn.send((index, outcome, aux))
     except (EOFError, OSError):
         return
-
-
-@dataclass
-class _Attempt:
-    """One point making its way through the resilient pool."""
-
-    index: int
-    config: ExperimentConfig
-    key: str
-    attempt: int = 0
 
 
 class _WorkerSlot:
@@ -535,8 +513,8 @@ def _run_resilient(
     cache: Optional["ResultCache"] = None,
     recorder=None,
     collect_aux: bool = False,
-) -> tuple[
-    Dict[int, Union[ExperimentResult, PointFailure]], Dict[int, object]
+) -> Optional[
+    tuple[Dict[int, Union[ExperimentResult, PointFailure]], Dict[int, object]]
 ]:
     """Run points on an owned worker pool that can kill and re-dispatch.
 
@@ -544,7 +522,10 @@ def _run_resilient(
     workers that blow their per-attempt deadline, treats a dead pipe as
     a worker crash, and re-queues failed attempts (after their backoff
     delay) until the retry budget is spent.  Worker loss of any kind is
-    survived by spawning a replacement.
+    survived by spawning a replacement.  Returns ``None``, having run
+    nothing, when the first workers cannot be spawned (``OSError``), so
+    the caller can fall back to in-process execution; a failure after
+    that point never re-runs the batch.
 
     With ``collect_aux``, workers return a per-point
     :class:`~repro.obs.profile.PointProfile` next to each outcome; the
@@ -571,9 +552,7 @@ def _run_resilient(
             recorder.worker_spawned(slot.worker_id)
         return slot
 
-    pool: List[_WorkerSlot] = [
-        new_slot() for _ in range(min(workers, len(tasks)))
-    ]
+    pool: List[_WorkerSlot] = []
 
     def give_up(task: _Attempt, error: str, message: str) -> None:
         failure = PointFailure(
@@ -584,7 +563,7 @@ def _run_resilient(
             attempts=task.attempt,
         )
         results[task.index] = failure
-        _journal_final(journal, task.key, failure, task.attempt)
+        _journal_final(journal, task, failure)
 
     def retry_or_give_up(
         task: _Attempt,
@@ -609,7 +588,7 @@ def _run_resilient(
         elif final is not None:
             # Keep the captured failure (it carries the real traceback).
             results[task.index] = final
-            _journal_final(journal, task.key, final, task.attempt)
+            _journal_final(journal, task, final)
         else:
             give_up(task, error, message)
 
@@ -636,6 +615,20 @@ def _run_resilient(
             pool.append(new_slot())
 
     try:
+        try:
+            for _ in range(min(workers, len(tasks))):
+                pool.append(new_slot())
+        except OSError as exc:
+            # Platforms without usable fork/pipe primitives degrade to
+            # in-process execution rather than failing the sweep.  No
+            # point has been dispatched yet, so nothing runs twice.
+            warnings.warn(
+                f"process pool unavailable ({exc!r}); "
+                "falling back to in-process execution",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None
         while queue or delayed or any(slot.busy for slot in pool):
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
@@ -727,7 +720,7 @@ def _run_resilient(
                         # DONE to mean the result is on disk.
                         cache.put(task.config, outcome)
                     results[index] = outcome
-                    _journal_final(journal, task.key, outcome, task.attempt)
+                    _journal_final(journal, task, outcome)
                     finish_if_final(task, aux)
                 elif slot.deadline is not None and now >= slot.deadline:
                     slot.task = None
@@ -753,66 +746,31 @@ def _run_resilient(
     return results, profiles
 
 
-def _run_batch(
-    configs: Sequence[ExperimentConfig],
-    workers: int,
-    collect_aux: bool = False,
-) -> List[tuple]:
-    """Run a plain (no-policy) batch, returning ``(outcome, aux)`` pairs.
-
-    ``aux`` is each point's :class:`~repro.obs.profile.PointProfile` when
-    ``collect_aux`` is set and ``None`` otherwise.
-    """
-    entry = _run_config_aux if collect_aux else _run_config
-    outcomes = None
-    if workers > 1 and len(configs) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
-                outcomes = list(pool.map(entry, configs))
-        except (OSError, BrokenProcessPool, PermissionError) as exc:
-            # Platforms without usable multiprocessing primitives (or a
-            # pool torn down under us): degrade to in-process execution
-            # rather than failing the sweep.
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                "falling back to in-process execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    if outcomes is None:
-        outcomes = [entry(config) for config in configs]
-    if collect_aux:
-        return outcomes
-    return [(outcome, None) for outcome in outcomes]
-
-
 def run_configs(
     configs: Sequence[ExperimentConfig],
-    options=UNSET,
-    *legacy_args,
+    options: ExecutionOptions = ExecutionOptions(),
+    *,
     policy: Optional[RetryPolicy] = None,
     journal: Optional[CheckpointJournal] = None,
     recorder=None,
-    **legacy_kwargs,
 ) -> List[Union[ExperimentResult, PointFailure]]:
     """Run experiments, optionally across processes, preserving order.
 
     Args:
         configs: Experiments to run; the returned list is index-aligned
             with this sequence regardless of worker completion order.
-        options: An :class:`~repro.core.options.ExecutionOptions`.  Its
+        options: An :class:`~repro.core.options.ExecutionOptions`
+            (anything else raises :class:`TypeError`).  Its
             ``n_workers``/``cache_dir``/``tracer``/``profiler`` fields map
             onto the execution knobs documented there; ``timeout_s`` and
             ``retries`` build a :class:`RetryPolicy` unless an explicit
             ``policy`` is given, and ``checkpoint``/``resume`` open a
             journal for the duration of the call unless an explicit
-            ``journal`` is given.  The legacy individual-argument form
-            (``n_workers``, ``cache_dir``, ``tracer``, ``profiler``)
-            still works but emits a :class:`DeprecationWarning`.
+            ``journal`` is given.
         policy: Optional :class:`RetryPolicy`.  A resilient policy
-            (timeout or retries) runs points on an owned worker pool
-            that can terminate hung workers at their deadline, survive
-            hard crashes, and re-dispatch failed attempts after a
+            (timeout or retries) runs points on the owned worker pool even
+            at one worker, so a hung worker can be terminated at its
+            deadline and failed attempts re-dispatched after a
             deterministic backoff.
         journal: Optional open :class:`CheckpointJournal` recording each
             point's lifecycle (keyed by :func:`config_content_hash`), so
@@ -827,7 +785,7 @@ def run_configs(
     Returns:
         One :class:`ExperimentResult` or :class:`PointFailure` per config.
     """
-    opts = coerce_execution_options("run_configs", options, legacy_args, legacy_kwargs)
+    opts = require_options("run_configs", options)
     if policy is None and (opts.timeout_s is not None or opts.retries):
         policy = RetryPolicy(timeout_s=opts.timeout_s, retries=opts.retries)
     own_journal = journal is None and opts.checkpoint is not None
@@ -893,9 +851,7 @@ def _merge_profiles(profiler, aux_profiles) -> None:
 
 
 def _run_pending_inprocess(
-    configs: List[ExperimentConfig],
-    pending: List[int],
-    key_for,
+    pending: List[_Attempt],
     policy: Optional[RetryPolicy],
     journal: Optional[CheckpointJournal],
     cache: Optional[ResultCache],
@@ -903,39 +859,53 @@ def _run_pending_inprocess(
     profiler,
     recorder,
 ) -> List[Union[ExperimentResult, PointFailure]]:
-    """In-process execution of the pending points, with telemetry hooks."""
+    """Run the pending points in this process, in submission order.
+
+    The policy's retries apply; its timeout cannot (there is no worker
+    to kill).  The cache write happens *before* the DONE journal record
+    so a crash between the two can never leave a "done" point without
+    its result -- resume trusts the journal's DONE to mean "persisted".
+    """
+    attempts_allowed = 1 + (policy.retries if policy is not None else 0)
     fresh: List[Union[ExperimentResult, PointFailure]] = []
-    for i in pending:
+    for task in pending:
         if recorder is not None:
-            recorder.point_dispatched(i)
-        scratch = None
-        use_profiler = profiler
+            recorder.point_dispatched(task.index)
+        point_profiler = profiler
         if recorder is not None and profiler is None:
             # Telemetry wants per-point run cost even when the caller
             # did not ask for a profiler; profiling is passive, so the
             # scratch profiler cannot change the outcome.
-            scratch = RunProfiler()
-            use_profiler = scratch
-        before = len(profiler.points) if profiler is not None else 0
-        outcome = _run_point_inprocess(
-            configs[i],
-            key_for(i),
-            policy,
-            journal,
-            cache,
-            tracer=tracer,
-            profiler=use_profiler,
-        )
-        if recorder is not None:
-            if scratch is not None:
-                profile = scratch.points[-1] if scratch.points else None
-            else:
-                profile = (
-                    profiler.points[-1]
-                    if len(profiler.points) > before
-                    else None
+            point_profiler = RunProfiler()
+        before = len(point_profiler.points) if point_profiler is not None else 0
+        while True:
+            task.attempt += 1
+            if journal is not None:
+                journal.record(task.key, PointState.IN_FLIGHT, attempt=task.attempt)
+            outcome = _run_config(task.config, tracer=tracer, profiler=point_profiler)
+            if isinstance(outcome, ExperimentResult):
+                if cache is not None:
+                    cache.put(task.config, outcome)
+                break
+            outcome = dataclasses.replace(outcome, attempts=task.attempt)
+            if task.attempt == attempts_allowed:
+                break
+            if journal is not None:
+                journal.record(
+                    task.key,
+                    PointState.FAILED,
+                    attempt=task.attempt,
+                    detail=outcome.describe(),
                 )
-            recorder.point_finished(i, outcome, profile)
+            time.sleep(backoff_delay(task.key, task.attempt, policy))
+        _journal_final(journal, task, outcome)
+        if recorder is not None:
+            profile = (
+                point_profiler.points[-1]
+                if len(point_profiler.points) > before
+                else None
+            )
+            recorder.point_finished(task.index, outcome, profile)
         fresh.append(outcome)
     return fresh
 
@@ -954,97 +924,65 @@ def _execute_configs(
     """The execution engine behind :func:`run_configs` (resolved knobs).
 
     ``cache`` reads/writes results keyed by :func:`config_content_hash`
-    (failures are never cached).  A tracer forces in-process execution
-    regardless of ``n_workers`` (events cannot cross a process boundary
-    in order); a profiler no longer does -- pool workers ship their
-    per-point profiles back and the parent merges them in submission
-    order.  Results are identical on every path (that equivalence is
-    under test).
+    (failures are never cached).  One worker, one pending point or a
+    tracer runs in-process (tracer events cannot cross a process
+    boundary in order); every other batch, and every resilient policy,
+    runs on the owned pool.  A profiler does not force in-process
+    execution: pool workers ship their per-point profiles back and the
+    parent merges them in submission order.  Results are identical on
+    both paths (that equivalence is under test).
     """
     workers = resolve_workers(n_workers)
-
-    keys: Dict[int, str] = {}
-
-    def key_for(index: int) -> str:
-        if index not in keys:
-            keys[index] = config_content_hash(configs[index])
-        return keys[index]
-
     outcomes: List[Union[ExperimentResult, PointFailure, None]] = [None] * len(configs)
-    pending: List[int] = []
+    pending: List[_Attempt] = []
     for index, config in enumerate(configs):
+        task = _Attempt(index, config)
         cached = cache.get(config) if cache is not None else None
         if cached is not None:
             outcomes[index] = cached
             if recorder is not None:
-                recorder.point_cached(index, key_for(index), config.describe())
+                recorder.point_cached(index, task.key, config.describe())
             if journal is not None:
-                journal.record(key_for(index), PointState.DONE, detail="cached")
+                journal.record(task.key, PointState.DONE, detail="cached")
         else:
             if recorder is not None:
-                recorder.point_enqueued(index, key_for(index), config.describe())
-            pending.append(index)
+                recorder.point_enqueued(index, task.key, config.describe())
+            pending.append(task)
+    if not pending:
+        return outcomes  # type: ignore[return-value]
 
-    if pending:
-        resilient = policy is not None and policy.resilient
-        collect_aux = profiler is not None or recorder is not None
-        pooled = workers > 1 and len(pending) > 1
-        if tracer is not None:
-            if resilient and policy.timeout_s is not None:
-                warnings.warn(
-                    "tracing forces in-process execution; per-point "
-                    "timeouts cannot be enforced without a worker "
-                    "process to kill",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            fresh = _run_pending_inprocess(
-                configs, pending, key_for, policy, journal, cache,
-                tracer, profiler, recorder,
+    resilient = policy is not None and policy.resilient
+    pooled = None
+    if tracer is not None:
+        if resilient and policy.timeout_s is not None:
+            warnings.warn(
+                "tracing forces in-process execution; per-point "
+                "timeouts cannot be enforced without a worker "
+                "process to kill",
+                RuntimeWarning,
+                stacklevel=2,
             )
-        elif resilient or (recorder is not None and pooled):
-            # Telemetry without a policy still runs on the owned pool:
-            # it is the only pooled path with per-dispatch visibility,
-            # and with the default policy (no timeout, no retries) it
-            # behaves exactly like the plain pool.
-            pool_policy = policy if policy is not None else RetryPolicy()
-            tasks = [
-                _Attempt(index=i, config=configs[i], key=key_for(i))
-                for i in pending
-            ]
-            by_index, aux_by_index = _run_resilient(
-                tasks,
-                workers,
-                pool_policy,
-                journal,
-                cache,
-                recorder=recorder,
-                collect_aux=collect_aux,
+    elif resilient or (workers > 1 and len(pending) > 1):
+        pooled = _run_resilient(
+            pending,
+            workers,
+            policy if policy is not None else RetryPolicy(),
+            journal,
+            cache,
+            recorder=recorder,
+            collect_aux=profiler is not None or recorder is not None,
+        )
+    if pooled is None:
+        fresh = _run_pending_inprocess(
+            pending, policy, journal, cache, tracer, profiler, recorder
+        )
+    else:
+        by_index, aux_by_index = pooled
+        fresh = [by_index[task.index] for task in pending]
+        if profiler is not None:
+            _merge_profiles(
+                profiler, (aux_by_index.get(task.index) for task in pending)
             )
-            fresh = [by_index[i] for i in pending]
-            if profiler is not None:
-                _merge_profiles(
-                    profiler, (aux_by_index.get(i) for i in pending)
-                )
-        elif pooled:
-            if journal is not None:
-                for i in pending:
-                    journal.record(key_for(i), PointState.IN_FLIGHT)
-            pairs = _run_batch(
-                [configs[i] for i in pending], workers, collect_aux
-            )
-            fresh = [outcome for outcome, _ in pairs]
-            for i, outcome in zip(pending, fresh):
-                if cache is not None and isinstance(outcome, ExperimentResult):
-                    cache.put(configs[i], outcome)
-                _journal_final(journal, key_for(i), outcome, 1)
-            if profiler is not None:
-                _merge_profiles(profiler, (aux for _, aux in pairs))
-        else:
-            fresh = _run_pending_inprocess(
-                configs, pending, key_for, policy, journal, cache,
-                None, profiler, recorder,
-            )
-        for index, outcome in zip(pending, fresh):
-            outcomes[index] = outcome
+    for task, outcome in zip(pending, fresh):
+        outcomes[task.index] = outcome
     return outcomes  # type: ignore[return-value]

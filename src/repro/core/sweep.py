@@ -14,14 +14,12 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 from repro._units import GiB, MiB
-from repro.core.checkpoint import CheckpointJournal
 from repro.core.experiment import ExperimentConfig, ExperimentResult
-from repro.core.options import UNSET, ExecutionOptions, coerce_execution_options
+from repro.core.options import ExecutionOptions, require_options
 from repro.faults.plan import FaultPlan
 from repro.core.parallel import (
     PointFailure,
     ResultCache,
-    RetryPolicy,
     SweepExecutionError,
     run_configs,
 )
@@ -179,10 +177,7 @@ class SweepOutcome:
 
 
 def sweep_outcome(
-    grid: SweepGrid,
-    options: Optional[ExecutionOptions] = UNSET,
-    *legacy_args,
-    **legacy_kwargs,
+    grid: SweepGrid, options: ExecutionOptions = ExecutionOptions()
 ) -> SweepOutcome:
     """Execute ``grid``, capturing per-point failures instead of raising.
 
@@ -192,18 +187,13 @@ def sweep_outcome(
             every execution setting: worker count, result cache, tracing,
             profiling, per-point timeouts, retries, checkpointing and
             resume.  Omit it for the defaults (one in-process worker, no
-            cache).  Results are identical for any worker count — points
-            are independent and deterministic from their config — and
-            always returned in grid order regardless of completion order.
-
-    The pre-:class:`ExecutionOptions` calling convention (``n_workers``,
-    ``cache_dir``, ``tracer``, ``profiler``, ``timeout_s``, ``retries``,
-    ``checkpoint``, ``resume`` as individual arguments) still works and
-    behaves identically, but emits a :class:`DeprecationWarning`.
+            cache); anything other than an ``ExecutionOptions`` raises
+            :class:`TypeError`.  Results are identical for any worker
+            count — points are independent and deterministic from their
+            config — and always returned in grid order regardless of
+            completion order.
     """
-    opts = coerce_execution_options(
-        "sweep_outcome", options, legacy_args, legacy_kwargs
-    )
+    opts = require_options("sweep_outcome", options)
     if opts.resume and opts.cache_dir is None:
         raise ValueError(
             "resume requires cache_dir: completed points are skipped via "
@@ -211,13 +201,6 @@ def sweep_outcome(
         )
     if opts.resume and opts.checkpoint is None:
         raise ValueError("resume requires a checkpoint journal path")
-    policy = None
-    if opts.timeout_s is not None or opts.retries:
-        policy = RetryPolicy(timeout_s=opts.timeout_s, retries=opts.retries)
-    journal = None
-    if opts.checkpoint is not None:
-        journal = CheckpointJournal(opts.checkpoint)
-        journal.open(fresh=not opts.resume)
     recorder = None
     cache = None
     if opts.telemetry or opts.progress is not None or opts.ledger is not None:
@@ -250,17 +233,7 @@ def sweep_outcome(
         # each config so pool workers see them and config_content_hash
         # keeps accelerated and exact runs apart in the cache.
         configs = [replace(config, fastpath=opts.fastpath) for config in configs]
-    try:
-        outcomes = run_configs(
-            configs,
-            opts.evolve(timeout_s=None, retries=0, checkpoint=None, resume=False),
-            policy=policy,
-            journal=journal,
-            recorder=recorder,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
+    outcomes = run_configs(configs, opts, recorder=recorder)
     results: dict[SweepPoint, ExperimentResult] = {}
     failures: dict[SweepPoint, PointFailure] = {}
     for point, outcome in zip(points, outcomes):
@@ -308,10 +281,7 @@ def sweep_outcome(
 
 
 def run_sweep(
-    grid: SweepGrid,
-    options: Optional[ExecutionOptions] = UNSET,
-    *legacy_args,
-    **legacy_kwargs,
+    grid: SweepGrid, options: ExecutionOptions = ExecutionOptions()
 ) -> dict[SweepPoint, ExperimentResult]:
     """Execute every point of ``grid`` and return results in grid order.
 
@@ -320,11 +290,9 @@ def run_sweep(
     ``ExecutionOptions(validate=True)``, additionally raises
     :class:`~repro.validate.report.InvariantViolationError` if the
     completed results violate any physics invariant.  See
-    :func:`sweep_outcome` for the ``options`` parameter; the legacy
-    individual-keyword form works but warns.
+    :func:`sweep_outcome` for the ``options`` parameter.
     """
-    opts = coerce_execution_options("run_sweep", options, legacy_args, legacy_kwargs)
-    outcome = sweep_outcome(grid, opts)
+    outcome = sweep_outcome(grid, require_options("run_sweep", options))
     if outcome.failures:
         raise SweepExecutionError(list(outcome.failures.values()))
     if outcome.validation is not None and not outcome.validation.ok:

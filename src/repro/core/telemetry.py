@@ -399,8 +399,8 @@ class TelemetryRecorder:
     """Mutable collector the executor feeds; finalizes to a snapshot.
 
     The recorder is wall-clock-only and entirely outside the simulation:
-    it can be attached to any execution path (in-process, plain process
-    pool, resilient pipe pool) without perturbing results.  The executor
+    it can be attached to either execution path (in-process or the owned
+    worker pool) without perturbing results.  The executor
     guards every call on ``recorder is not None``, so the default path
     pays nothing.
 

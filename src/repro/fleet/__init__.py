@@ -8,8 +8,7 @@ pieces:
 - :mod:`repro.fleet.api` -- the :class:`BudgetAllocator` protocol and
   its value types (:class:`DeviceView`, :class:`BudgetSplit`).
 - :mod:`repro.fleet.model` -- the *offline* allocator: the paper's
-  section 3.3 fleet Pareto composition (:class:`FleetModel`), moved
-  here from ``repro.core.fleet`` (which remains a deprecated alias).
+  section 3.3 fleet Pareto composition (:class:`FleetModel`).
 - :mod:`repro.fleet.governor` -- the *online* allocator: demand-weighted
   water-filling from live meters (:class:`ClusterGovernor`).
 - :mod:`repro.fleet.workload` -- the diurnal, tenant-skewed front-end

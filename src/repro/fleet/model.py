@@ -16,8 +16,7 @@ repeat -- a storage server with 16 identical SSDs is 16 entries) and
 It is the *offline* half of the :class:`~repro.fleet.api.BudgetAllocator`
 protocol: it plans from fitted models and ignores live device views (the
 online half, :class:`~repro.fleet.governor.ClusterGovernor`, does the
-opposite).  This module moved here from ``repro.core.fleet``, which
-remains as a deprecated alias.
+opposite).
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import pytest
 from repro._units import KiB, MiB
 from repro.core import parallel
 from repro.core.checkpoint import CheckpointEntry, CheckpointJournal, PointState
+from repro.core.options import ExecutionOptions
 from repro.core.parallel import run_configs
 from repro.core.sweep import SweepGrid, run_sweep, sweep_outcome
 from repro.iogen.spec import IoPattern, JobSpec
@@ -131,7 +132,9 @@ class TestJournaledExecution:
         journal.open(fresh=True)
         try:
             with pytest.raises(KeyboardInterrupt):
-                run_configs(configs, n_workers=1, journal=journal)
+                run_configs(
+                    configs, ExecutionOptions(n_workers=1), journal=journal
+                )
         finally:
             journal.close()
         entries = CheckpointJournal.load(path)
@@ -142,9 +145,12 @@ class TestJournaledExecution:
     def test_resume_requires_cache_and_checkpoint(self, tmp_path):
         grid = small_grid()
         with pytest.raises(ValueError, match="resume requires cache_dir"):
-            sweep_outcome(grid, resume=True, checkpoint=tmp_path / "ck.jsonl")
+            sweep_outcome(
+                grid,
+                ExecutionOptions(resume=True, checkpoint=tmp_path / "ck.jsonl"),
+            )
         with pytest.raises(ValueError, match="checkpoint journal"):
-            sweep_outcome(grid, resume=True, cache_dir=tmp_path)
+            sweep_outcome(grid, ExecutionOptions(resume=True, cache_dir=tmp_path))
 
     def test_resume_skips_completed_points(self, tmp_path, monkeypatch):
         grid = small_grid()
@@ -152,7 +158,7 @@ class TestJournaledExecution:
         cache = tmp_path / "cache"
         # Simulate an interrupted sweep by completing only half the grid.
         partial = small_grid(block_sizes=(16 * KiB,))
-        first = run_sweep(partial, cache_dir=cache, checkpoint=ck)
+        first = run_sweep(partial, ExecutionOptions(cache_dir=cache, checkpoint=ck))
         assert len(first) == 2
 
         real = parallel.run_experiment
@@ -163,7 +169,9 @@ class TestJournaledExecution:
             return real(config)
 
         monkeypatch.setattr(parallel, "run_experiment", counting)
-        results = run_sweep(grid, cache_dir=cache, checkpoint=ck, resume=True)
+        results = run_sweep(
+            grid, ExecutionOptions(cache_dir=cache, checkpoint=ck, resume=True)
+        )
         assert len(results) == 4
         # Only the two 64 KiB points were recomputed.
         assert len(executed) == 2
@@ -186,6 +194,7 @@ def slow(config):
 
 parallel.run_experiment = slow
 
+from repro.core.options import ExecutionOptions
 from repro.core.sweep import SweepGrid, run_sweep
 from repro.iogen.spec import IoPattern, JobSpec
 
@@ -203,7 +212,9 @@ grid = SweepGrid(
     ),
     seed=5,
 )
-run_sweep(grid, n_workers=1, cache_dir={cache!r}, checkpoint={ck!r})
+run_sweep(
+    grid, ExecutionOptions(n_workers=1, cache_dir={cache!r}, checkpoint={ck!r})
+)
 print("finished-uninterrupted", flush=True)
 """
 
@@ -275,10 +286,9 @@ class TestSigintResume:
         monkeypatch.setattr(parallel, "run_experiment", counting)
         results = run_sweep(
             self._parent_grid(),
-            n_workers=1,
-            cache_dir=cache,
-            checkpoint=ck,
-            resume=True,
+            ExecutionOptions(
+                n_workers=1, cache_dir=cache, checkpoint=ck, resume=True
+            ),
         )
         assert len(results) == 4
         # Resume recomputed exactly the points the interrupt lost.

@@ -1,10 +1,10 @@
-"""``ExecutionOptions`` and the legacy-kwarg deprecation shims.
+"""``ExecutionOptions`` and the entry points that take it.
 
-One frozen options object now carries everything about *how* a sweep
-executes.  The old per-call kwargs must keep working -- warning, once
-per call site, via ``DeprecationWarning`` -- and must produce
-``SweepOutcome``s identical to the options path, or downstream scripts
-would silently change results when migrating.
+One frozen options object carries everything about *how* a sweep
+executes.  ``run_sweep``, ``sweep_outcome`` and ``run_configs`` accept
+nothing else in its place: a bare worker count, ``None`` or a stray
+keyword is a ``TypeError`` at the boundary, never a silently different
+execution plan.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 from repro._units import KiB, MiB
-from repro.core.options import ExecutionOptions, coerce_execution_options
+from repro.core.options import ExecutionOptions
 from repro.core.parallel import run_configs
 from repro.core.sweep import SweepGrid, run_sweep, sweep_outcome
 from repro.iogen.spec import IoPattern, JobSpec
@@ -80,131 +80,31 @@ class TestExecutionOptions:
         with pytest.raises(ValueError):
             ExecutionOptions(**kwargs)
 
-    def test_resilient_property(self):
-        assert not ExecutionOptions().resilient
-        assert ExecutionOptions(timeout_s=1.0).resilient
-        assert ExecutionOptions(retries=2).resilient
 
-
-class TestCoercion:
-    def test_options_object_passes_through(self):
-        opts = ExecutionOptions(n_workers=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            coerced = coerce_execution_options("f", opts, (), {})
-        assert coerced is opts
-
-    def test_no_arguments_yields_defaults(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            from repro.core.options import UNSET
-
-            assert coerce_execution_options("f", UNSET, (), {}) == (
-                ExecutionOptions()
-            )
-
-    def test_legacy_kwargs_warn_and_map(self):
-        from repro.core.options import UNSET
-
-        with pytest.warns(DeprecationWarning, match="n_workers"):
-            coerced = coerce_execution_options(
-                "f", UNSET, (), {"n_workers": 4, "retries": 2}
-            )
-        assert coerced == ExecutionOptions(n_workers=4, retries=2)
-
-    def test_legacy_positional_none_means_all_cores(self):
-        # run_sweep(grid, None) historically meant "all cores".
-        with pytest.warns(DeprecationWarning):
-            coerced = coerce_execution_options("f", None, (), {})
-        assert coerced.n_workers is None
-
-    def test_mixing_raises(self):
-        with pytest.raises(TypeError, match="both"):
-            coerce_execution_options(
-                "f", ExecutionOptions(), (), {"n_workers": 2}
-            )
-
-    def test_unknown_kwarg_raises(self):
-        from repro.core.options import UNSET
-
-        with pytest.raises(TypeError, match="bogus"):
-            coerce_execution_options("f", UNSET, (), {"bogus": 1})
-
-    def test_duplicate_positional_and_kwarg_raises(self):
-        from repro.core.options import UNSET
-
-        with pytest.raises(TypeError, match="multiple values"):
-            coerce_execution_options("f", 2, (), {"n_workers": 2})
-
-    @pytest.mark.parametrize("bad", ["4", 2.5, [4]])
-    def test_non_int_positional_rejected_with_clear_error(self, bad):
-        """A string "4" once sailed into the worker pool before failing
-        obscurely; the shim must reject it at the boundary, by name."""
-        from repro.core.options import UNSET
-
-        with pytest.raises(TypeError, match="int worker count"):
-            coerce_execution_options("run_sweep", bad, (), {})
-
-    def test_typoed_legacy_kwarg_raises_naming_it(self):
-        """``n_worker=2`` (a typo of n_workers) must not be swallowed."""
-        from repro.core.options import UNSET
-
-        with pytest.raises(TypeError, match="n_worker"):
-            coerce_execution_options("f", UNSET, (), {"n_worker": 2})
+class TestSignature:
+    """The options slot takes an ``ExecutionOptions`` and nothing else."""
 
     def test_run_sweep_rejects_string_worker_count(self):
-        with pytest.raises(TypeError, match="int worker count"):
+        with pytest.raises(TypeError, match="must be an ExecutionOptions"):
             run_sweep(small_grid(), "4")
+
+    @pytest.mark.parametrize("bad", [None, 2])
+    def test_entry_points_reject_non_options(self, bad):
+        """``None`` once meant "all cores" here and a bare int a worker
+        count; both now fail loudly instead of picking a pool width."""
+        grid = small_grid()
+        configs = [grid.config_for(point) for point in grid.points()]
+        for call in (
+            lambda: run_sweep(grid, bad),
+            lambda: sweep_outcome(grid, bad),
+            lambda: run_configs(configs, bad),
+        ):
+            with pytest.raises(TypeError, match="ExecutionOptions"):
+                call()
 
     def test_run_sweep_rejects_typoed_kwarg(self):
         with pytest.raises(TypeError, match="n_worker"):
             run_sweep(small_grid(), n_worker=2)
-
-
-class TestShimEquivalence:
-    """The acceptance bar: old kwargs warn but change nothing."""
-
-    def test_run_sweep_old_kwargs_identical(self):
-        grid = small_grid()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # new style must not warn
-            new = run_sweep(grid, ExecutionOptions(n_workers=1))
-        with pytest.warns(DeprecationWarning):
-            old = run_sweep(grid, n_workers=1)
-        assert list(old) == list(new)
-        for point in new:
-            assert old[point] == new[point]
-
-    def test_sweep_outcome_old_kwargs_identical(self):
-        grid = small_grid()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            new = sweep_outcome(grid, ExecutionOptions(n_workers=2))
-        with pytest.warns(DeprecationWarning):
-            old = sweep_outcome(grid, n_workers=2)
-        assert list(old.results) == list(new.results)
-        assert old.results == new.results
-        assert old.failures == new.failures
-
-    def test_legacy_positional_form_warns_and_matches(self):
-        grid = small_grid()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            new = run_sweep(grid, ExecutionOptions(n_workers=1))
-        # run_sweep(grid, 1) was the old positional n_workers form.
-        with pytest.warns(DeprecationWarning):
-            old = run_sweep(grid, 1)
-        assert old == new
-
-    def test_run_configs_old_kwargs_identical(self):
-        grid = small_grid()
-        configs = [grid.config_for(point) for point in grid.points()]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            new = run_configs(configs, ExecutionOptions(n_workers=1))
-        with pytest.warns(DeprecationWarning):
-            old = run_configs(configs, n_workers=1)
-        assert old == new
 
     def test_cli_path_does_not_warn(self):
         """repro.cli routes through ExecutionOptions -- no deprecations."""

@@ -1,9 +1,12 @@
 """Tests for the parallel sweep execution subsystem."""
 
+import os
+
 import pytest
 
 from repro._units import KiB, MiB
 from repro.core import parallel
+from repro.core.options import ExecutionOptions
 from repro.core.parallel import (
     PointFailure,
     ResultCache,
@@ -43,8 +46,8 @@ def small_grid(**overrides):
 class TestParallelEquivalence:
     def test_parallel_matches_sequential_exactly(self):
         grid = small_grid()
-        sequential = run_sweep(grid, n_workers=1)
-        parallel_results = run_sweep(grid, n_workers=4)
+        sequential = run_sweep(grid, ExecutionOptions(n_workers=1))
+        parallel_results = run_sweep(grid, ExecutionOptions(n_workers=4))
         assert list(parallel_results) == list(sequential)
         for point, result in sequential.items():
             other = parallel_results[point]
@@ -55,25 +58,33 @@ class TestParallelEquivalence:
 
     def test_results_in_grid_order(self):
         grid = small_grid()
-        results = run_sweep(grid, n_workers=2)
+        results = run_sweep(grid, ExecutionOptions(n_workers=2))
         assert list(results) == list(grid.points())
 
     def test_pool_failure_falls_back_in_process(self, monkeypatch):
-        def broken_pool(*args, **kwargs):
+        def broken_spawn(*args, **kwargs):
             raise OSError("no semaphores on this platform")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", broken_pool)
+        # The owned pool's very first worker spawn fails: no point has
+        # been dispatched, so the batch may safely run in-process.
+        monkeypatch.setattr(parallel, "_WorkerSlot", broken_spawn)
         grid = small_grid()
         with pytest.warns(RuntimeWarning, match="falling back"):
-            results = run_sweep(grid, n_workers=4)
+            results = run_sweep(grid, ExecutionOptions(n_workers=4))
         assert len(results) == 4
         for result in results.values():
             assert result.mean_power_w > 0
 
-    def test_resolve_workers(self):
+    def test_resolve_workers(self, monkeypatch):
         assert resolve_workers(1) == 1
         assert resolve_workers(3) == 3
         assert resolve_workers(None) >= 1
+        # "All cores" means the CPUs this process may run on (taskset,
+        # container CPU sets), not every CPU in the machine.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert resolve_workers(None) == 1
         # Zero and negatives are rejected with a clear message -- a silent
         # "0 means all cores" once turned an unset shell variable into a
         # machine-wide fan-out.
@@ -88,7 +99,7 @@ class TestFailureCapture:
         # Power state 99 does not exist on the tiny SSD: those points must
         # fail individually while the valid ps0 points still complete.
         grid = small_grid(power_states=(0, 99))
-        outcome = sweep_outcome(grid, n_workers=2)
+        outcome = sweep_outcome(grid, ExecutionOptions(n_workers=2))
         assert len(outcome.results) == 4
         assert len(outcome.failures) == 4
         assert not outcome.ok
@@ -150,21 +161,23 @@ class TestFailureRendering:
 class TestResultCache:
     def test_second_run_skips_execution(self, tmp_path, monkeypatch):
         grid = small_grid()
-        first = run_sweep(grid, cache_dir=tmp_path)
+        first = run_sweep(grid, ExecutionOptions(cache_dir=tmp_path))
         assert len(list(tmp_path.glob("*.pkl"))) == 4
 
         def boom(config):
             raise AssertionError("cached point was re-executed")
 
         monkeypatch.setattr(parallel, "run_experiment", boom)
-        second = run_sweep(grid, cache_dir=tmp_path)
+        second = run_sweep(grid, ExecutionOptions(cache_dir=tmp_path))
         assert list(second) == list(first)
         for point, result in first.items():
             assert second[point].mean_power_w == result.mean_power_w
             assert second[point].throughput_bps == result.throughput_bps
 
     def test_overlapping_grid_only_runs_new_points(self, tmp_path):
-        run_sweep(small_grid(block_sizes=(16 * KiB,)), cache_dir=tmp_path)
+        run_sweep(
+            small_grid(block_sizes=(16 * KiB,)), ExecutionOptions(cache_dir=tmp_path)
+        )
         calls = []
         original = parallel.run_experiment
 
@@ -175,7 +188,9 @@ class TestResultCache:
         import unittest.mock
 
         with unittest.mock.patch.object(parallel, "run_experiment", counting):
-            results = run_sweep(small_grid(), n_workers=1, cache_dir=tmp_path)
+            results = run_sweep(
+                small_grid(), ExecutionOptions(n_workers=1, cache_dir=tmp_path)
+            )
         assert len(results) == 4
         # Only the two 64 KiB points were new.
         assert len(calls) == 2
@@ -183,11 +198,11 @@ class TestResultCache:
 
     def test_corrupt_entry_recomputed(self, tmp_path):
         grid = small_grid(block_sizes=(16 * KiB,), iodepths=(1,))
-        first = run_sweep(grid, cache_dir=tmp_path)
+        first = run_sweep(grid, ExecutionOptions(cache_dir=tmp_path))
         (entry,) = tmp_path.glob("*.pkl")
         entry.write_bytes(b"not a pickle")
         cache = ResultCache(tmp_path)
-        second = run_sweep(grid, cache_dir=cache)
+        second = run_sweep(grid, ExecutionOptions(cache_dir=cache))
         point = next(iter(first))
         assert second[point].mean_power_w == first[point].mean_power_w
         # The unreadable entry was counted as corrupt, recomputed, and
@@ -212,7 +227,7 @@ class TestResultCache:
     def test_stats_track_hits_misses_puts(self, tmp_path):
         grid = small_grid()
         cache = ResultCache(tmp_path)
-        run_sweep(grid, cache_dir=cache)
+        run_sweep(grid, ExecutionOptions(cache_dir=cache))
         assert cache.stats.snapshot() == {
             "hits": 0,
             "misses": 4,
@@ -221,7 +236,7 @@ class TestResultCache:
             "hit_rate": 0.0,
         }
         rerun_cache = ResultCache(tmp_path)
-        run_sweep(grid, cache_dir=rerun_cache)
+        run_sweep(grid, ExecutionOptions(cache_dir=rerun_cache))
         snap = rerun_cache.stats.snapshot()
         assert snap["hits"] == 4
         assert snap["misses"] == 0
@@ -230,7 +245,7 @@ class TestResultCache:
 
     def test_failures_not_cached(self, tmp_path):
         grid = small_grid(power_states=(99,), block_sizes=(16 * KiB,), iodepths=(1,))
-        outcome = sweep_outcome(grid, cache_dir=tmp_path)
+        outcome = sweep_outcome(grid, ExecutionOptions(cache_dir=tmp_path))
         assert not outcome.ok
         assert list(tmp_path.glob("*.pkl")) == []
 
@@ -283,12 +298,15 @@ class TestResultCache:
         from repro.core.parallel import RetryPolicy
 
         grid = small_grid(block_sizes=(16 * KiB,), iodepths=(1,))
-        first = run_sweep(grid, cache_dir=tmp_path)
+        first = run_sweep(grid, ExecutionOptions(cache_dir=tmp_path))
         (entry,) = tmp_path.glob("*.pkl")
         entry.write_bytes(b"definitely not a pickle")
         cache = ResultCache(tmp_path)
         second = run_sweep(
-            grid, n_workers=2, cache_dir=cache, timeout_s=120.0, retries=2
+            grid,
+            ExecutionOptions(
+                n_workers=2, cache_dir=cache, timeout_s=120.0, retries=2
+            ),
         )
         point = next(iter(first))
         assert second[point].mean_power_w == first[point].mean_power_w
@@ -296,7 +314,7 @@ class TestResultCache:
         assert cache.stats.puts == 1
         # The rewritten entry is readable again.
         rerun = ResultCache(tmp_path)
-        third = run_sweep(grid, cache_dir=rerun)
+        third = run_sweep(grid, ExecutionOptions(cache_dir=rerun))
         assert rerun.stats.hits == 1
         assert third[point].mean_power_w == first[point].mean_power_w
 
@@ -342,7 +360,7 @@ class TestRunConfigs:
     def test_order_preserved_and_index_aligned(self):
         grid = small_grid()
         configs = [grid.config_for(p) for p in grid.points()]
-        outcomes = run_configs(configs, n_workers=2)
+        outcomes = run_configs(configs, ExecutionOptions(n_workers=2))
         assert len(outcomes) == len(configs)
         for config, outcome in zip(configs, outcomes):
             assert outcome.config == config
@@ -350,7 +368,7 @@ class TestRunConfigs:
     def test_mixed_failures_index_aligned(self):
         grid = small_grid(power_states=(0, 99), iodepths=(1,))
         configs = [grid.config_for(p) for p in grid.points()]
-        outcomes = run_configs(configs, n_workers=2)
+        outcomes = run_configs(configs, ExecutionOptions(n_workers=2))
         for config, outcome in zip(configs, outcomes):
             if config.power_state == 99:
                 assert isinstance(outcome, PointFailure)
@@ -366,7 +384,6 @@ class TestPooledProfiler:
     def test_pooled_profiles_merge_in_submission_order(self):
         import warnings
 
-        from repro.core.options import ExecutionOptions
         from repro.obs.profile import RunProfiler
 
         grid = small_grid()
@@ -386,7 +403,6 @@ class TestPooledProfiler:
         assert all(p.sim_events > 0 for p in profiler.points)
 
     def test_pooled_profiler_is_passive(self):
-        from repro.core.options import ExecutionOptions
         from repro.obs.profile import RunProfiler
 
         grid = small_grid()

@@ -12,6 +12,7 @@ import pytest
 
 from repro._units import KiB, MiB
 from repro.core import parallel
+from repro.core.options import ExecutionOptions
 from repro.core.parallel import (
     PointFailure,
     RetryPolicy,
@@ -95,7 +96,9 @@ class TestHungWorker:
         monkeypatch.setattr(parallel, "run_experiment", hang)
         policy = RetryPolicy(timeout_s=0.5, retries=1, backoff_base_s=0.01)
         start = time.monotonic()
-        (outcome,) = run_configs([quick_config()], n_workers=2, policy=policy)
+        (outcome,) = run_configs(
+            [quick_config()], ExecutionOptions(n_workers=2), policy=policy
+        )
         elapsed = time.monotonic() - start
         assert isinstance(outcome, PointFailure)
         assert outcome.error_type == "PointTimeoutError"
@@ -116,7 +119,7 @@ class TestHungWorker:
         policy = RetryPolicy(timeout_s=0.75, retries=0)
         healthy, hung = run_configs(
             [quick_config(iodepth=4), quick_config(iodepth=8)],
-            n_workers=2,
+            ExecutionOptions(n_workers=2),
             policy=policy,
         )
         assert isinstance(healthy, ExperimentResult)
@@ -126,19 +129,32 @@ class TestHungWorker:
 
 
 class TestWorkerCrash:
-    def test_hard_crash_survived_and_reported(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "telemetry", [False, True], ids=["no-telemetry", "telemetry"]
+    )
+    @pytest.mark.parametrize(
+        "policy",
+        [None, RetryPolicy(retries=1, backoff_base_s=0.01)],
+        ids=["no-policy", "retry"],
+    )
+    def test_hard_crash_survived_and_reported(
+        self, monkeypatch, policy, telemetry
+    ):
+        """A worker dying mid-point costs only that point, whatever the
+        policy and telemetry: the sibling's result is kept and the batch
+        is never re-run in the caller (which the crash would kill)."""
         real = parallel.run_experiment
 
-        def crash_on_deep(config):
+        def crash_on_deep(config, **kwargs):
+            # kwargs: telemetry runs pass the point's profiler along.
             if config.job.iodepth == 8:
                 os._exit(13)  # simulates segfault / OOM kill
-            return real(config)
+            return real(config, **kwargs)
 
         monkeypatch.setattr(parallel, "run_experiment", crash_on_deep)
-        policy = RetryPolicy(retries=1, backoff_base_s=0.01)
         healthy, crashed = run_configs(
             [quick_config(iodepth=4), quick_config(iodepth=8)],
-            n_workers=2,
+            ExecutionOptions(n_workers=2, telemetry=telemetry),
             policy=policy,
         )
         assert isinstance(healthy, ExperimentResult)
@@ -146,7 +162,7 @@ class TestWorkerCrash:
         assert isinstance(crashed, PointFailure)
         assert crashed.error_type == "WorkerCrashError"
         assert "died" in crashed.message
-        assert crashed.attempts == 2
+        assert crashed.attempts == (1 if policy is None else 2)
 
     def test_flaky_point_succeeds_on_retry(self, monkeypatch, tmp_path):
         marker = tmp_path / "first-attempt-done"
@@ -160,7 +176,9 @@ class TestWorkerCrash:
 
         monkeypatch.setattr(parallel, "run_experiment", flaky)
         policy = RetryPolicy(retries=2, backoff_base_s=0.01)
-        (outcome,) = run_configs([quick_config()], n_workers=1, policy=policy)
+        (outcome,) = run_configs(
+            [quick_config()], ExecutionOptions(n_workers=1), policy=policy
+        )
         assert isinstance(outcome, ExperimentResult)
         assert outcome.mean_power_w > 0
         # The retry reproduced the deterministic experiment exactly.
@@ -175,7 +193,9 @@ class TestWorkerCrash:
             power_state=99,
         )
         policy = RetryPolicy(retries=1, backoff_base_s=0.01)
-        (outcome,) = run_configs([bad], n_workers=1, policy=policy)
+        (outcome,) = run_configs(
+            [bad], ExecutionOptions(n_workers=1), policy=policy
+        )
         assert isinstance(outcome, PointFailure)
         assert outcome.error_type == "ValueError"
         assert outcome.attempts == 2
@@ -192,8 +212,10 @@ class TestResilientEquivalence:
             power_states=(0,),
             base_job=quick_config().job,
         )
-        plain = run_sweep(grid, n_workers=1)
-        resilient = run_sweep(grid, n_workers=2, timeout_s=120.0, retries=2)
+        plain = run_sweep(grid, ExecutionOptions(n_workers=1))
+        resilient = run_sweep(
+            grid, ExecutionOptions(n_workers=2, timeout_s=120.0, retries=2)
+        )
         assert list(resilient) == list(plain)
         for point, result in plain.items():
             other = resilient[point]
@@ -208,7 +230,9 @@ class TestResilientEquivalence:
         policy = RetryPolicy(timeout_s=60.0)
         with pytest.warns(RuntimeWarning, match="cannot be enforced"):
             (outcome,) = run_configs(
-                [quick_config()], n_workers=2, policy=policy, tracer=tracer
+                [quick_config()],
+                ExecutionOptions(n_workers=2, tracer=tracer),
+                policy=policy,
             )
         assert isinstance(outcome, ExperimentResult)
         assert tracer.events  # the run really was traced

@@ -9,14 +9,18 @@ Mirrors ``tests/policy/test_determinism.py`` for the fleet layer:
 2. ``repro.core`` never imports ``repro.fleet``: a non-fleet run (a
    plain experiment, a pooled batch) cannot even *load* the package,
    so single-device users pay nothing for the cluster layer.
+3. The fleet model has one home, :mod:`repro.fleet.model`, which imports
+   without warnings and backs the ``repro`` facade.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -99,15 +103,12 @@ class TestZeroImport:
         assert out.strip() == "clean"
 
     def test_core_sources_never_import_fleet_at_module_level(self):
-        """Only the deprecated ``repro.core.fleet`` alias may touch the
-        fleet package from inside repro.core; everything else in the
-        single-device layers must stay decoupled."""
+        """Nothing in the single-device layers touches the fleet package
+        at import time; they must stay decoupled."""
         src_root = Path(SRC) / "repro"
         offenders = []
         for layer in ("core", "devices", "sim", "policy", "obs"):
             for path in sorted((src_root / layer).glob("*.py")):
-                if layer == "core" and path.name == "fleet.py":
-                    continue  # the deprecation shim is the alias itself
                 tree = ast.parse(path.read_text())
                 for node in tree.body:  # module level only
                     names = []
@@ -118,3 +119,30 @@ class TestZeroImport:
                     if any(n.startswith("repro.fleet") for n in names):
                         offenders.append(f"{path}:{node.lineno}")
         assert not offenders, offenders
+
+
+class TestModuleHome:
+    def test_new_path_does_not_warn(self):
+        # Restore the original module object afterwards: a fresh import
+        # would otherwise give later tests a different FleetModel class
+        # than the one the facade captured at startup.
+        saved = {
+            name: module
+            for name, module in sys.modules.items()
+            if name.startswith("repro.fleet.model")
+        }
+        try:
+            for name in saved:
+                del sys.modules[name]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                module = importlib.import_module("repro.fleet.model")
+            assert hasattr(module, "FleetModel")
+        finally:
+            sys.modules.update(saved)
+
+    def test_facade_exports_come_from_the_new_home(self):
+        import repro
+        from repro.fleet.model import FleetModel
+
+        assert repro.FleetModel is FleetModel

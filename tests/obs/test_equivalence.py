@@ -15,6 +15,7 @@ from pathlib import Path
 
 from repro._units import KiB, MiB
 from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.core.options import ExecutionOptions
 from repro.core.sweep import SweepGrid, run_sweep
 from repro.iogen.spec import IoPattern, JobSpec
 from repro.obs.events import Tracer
@@ -85,7 +86,9 @@ class TestTracerOffEquivalence:
             seed=5,
         )
         plain = run_sweep(grid)
-        traced = run_sweep(grid, tracer=Tracer(), profiler=RunProfiler())
+        traced = run_sweep(
+            grid, ExecutionOptions(tracer=Tracer(), profiler=RunProfiler())
+        )
         assert list(traced) == list(plain)
         for point in plain:
             assert pickle.dumps(traced[point]) == pickle.dumps(plain[point])
