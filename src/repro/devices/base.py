@@ -6,6 +6,9 @@ and the workload engine need:
 - :meth:`StorageDevice.submit` -- asynchronous IO submission returning an
   event that fires with an :class:`IOResult`; :meth:`StorageDevice.
   submit_call` is its handler form (a callback instead of an event).
+  Both go through the device's one ``_submit`` and end in the shared
+  :meth:`StorageDevice._complete`, so the two forms deliver a result
+  from the same heap position.
 - power control entry points (``set_power_state``, ``enter_standby``,
   ``exit_standby``), each a process generator because transitions take
   simulated time.
@@ -19,12 +22,15 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
+from heapq import heappush
 
 from repro.faults.injector import NULL_INJECTOR
+from repro.obs.events import EventKind
 from repro.power.rail import PowerRail
 from repro.sim.engine import Engine, Event
+from repro.sim.process import drive_inline
 
-__all__ = ["IOKind", "IORequest", "IOResult", "StorageDevice"]
+__all__ = ["HostIO", "IOKind", "IORequest", "IOResult", "StorageDevice"]
 
 
 class IOKind(enum.Enum):
@@ -76,6 +82,20 @@ class IOResult:
         return self.complete_time - self.submit_time
 
 
+class HostIO:
+    """One host command while a device's handlers run it: ``done`` is
+    :meth:`StorageDevice.submit`'s event, else ``None`` and ``on_done``
+    is the :meth:`StorageDevice.submit_call` callback."""
+
+    __slots__ = ("request", "done", "on_done", "submit_time")
+
+    def __init__(self, request: IORequest, done, on_done) -> None:
+        self.request = request
+        self.done = done
+        self.on_done = on_done
+        self.submit_time = 0.0
+
+
 class StorageDevice(abc.ABC):
     """Common behaviour of all simulated drives."""
 
@@ -94,26 +114,67 @@ class StorageDevice(abc.ABC):
 
     # -- IO ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def submit(self, request: IORequest) -> Event:
         """Submit an IO; the returned event fires with an :class:`IOResult`."""
+        done = Event(self.engine)
+        self._submit(request, done, None)
+        return done
 
     def submit_call(self, request: IORequest, on_done) -> None:
         """Submit an IO; ``on_done(result)`` runs when it completes.
 
         Runs at the instant, and in the heap position, where a process
-        waiting on :meth:`submit`'s event would resume.  This default
-        hangs the callback on that event, so devices with a generator IO
-        path work unchanged; a device with a handler IO path overrides it
-        to push ``on_done`` as its completion entry directly.
+        waiting on :meth:`submit`'s event would resume.
         """
+        self._submit(request, None, on_done)
 
-        def deliver(event: Event) -> None:
-            if not event._ok:
-                raise event._value
-            on_done(event._value)
+    @abc.abstractmethod
+    def _submit(self, request: IORequest, done, on_done) -> None:
+        """Validate and start one IO; it ends in :meth:`_complete`."""
 
-        self.submit(request).add_callback(deliver)
+    def _accept(self, io: HostIO, then) -> None:
+        """Stamp and trace an IO at its start entry, pay any fault delay
+        (a cold generator, driven inline), then ``then(io)``."""
+        engine = self.engine
+        io.submit_time = engine._now
+        request = io.request
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.emit(
+                EventKind.IO_SUBMIT,
+                f"{self.name}.io",
+                kind=request.kind.value,
+                offset=request.offset,
+                nbytes=request.nbytes,
+            )
+        if self.faults.enabled:
+            drive_inline(
+                self.faults.io_delay(f"{self.name}.io", request.kind.value), then, io
+            )
+        else:
+            then(io)
+
+    def _complete(self, io: HostIO) -> None:
+        """Account and trace a finished IO, then deliver its result: the
+        event's entry, or an ``on_done`` entry in the same heap position."""
+        engine = self.engine
+        request = io.request
+        self.record_completion(request)
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.emit(
+                EventKind.IO_COMPLETE,
+                f"{self.name}.io",
+                kind=request.kind.value,
+                nbytes=request.nbytes,
+                latency_s=engine._now - io.submit_time,
+            )
+        result = IOResult(request, io.submit_time, engine._now)
+        if io.done is not None:
+            io.done.succeed(result)
+        else:
+            engine._seq += 1
+            heappush(engine._queue, (engine._now, engine._seq, io.on_done, result))
 
     @property
     @abc.abstractmethod

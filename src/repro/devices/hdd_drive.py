@@ -18,6 +18,10 @@ Power structure (paper Table 1's HDD, Seagate Exos 7E2000):
 The narrow active range (idle 3.76 W to peak ~5.3 W) and the expensive
 standby transition are both emergent from these parts, matching the paper's
 section 2 characterization of HDDs.
+
+The host IO path and the actuator run as heap handlers, one method per
+hop (DESIGN.md section 10); standby, spin-up waits and EPC recovery stay
+generators, reached through ``drive_inline``.
 """
 
 from __future__ import annotations
@@ -25,18 +29,20 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
 from itertools import islice
 from typing import Deque, Optional
 
 from repro._units import MiB
-from repro.devices.base import IOKind, IORequest, IOResult, StorageDevice
+from repro.devices.base import HostIO, IOKind, IORequest, StorageDevice
 from repro.devices.link import HostLink, LinkPowerTable
 from repro.hdd.cache import CachedWrite, WriteCache
 from repro.hdd.geometry import HddGeometry
 from repro.hdd.mechanics import RotationModel, SeekModel
 from repro.hdd.spindle import Spindle, SpindleConfig
 from repro.obs.events import EventKind
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
+from repro.sim.process import drive_inline
 
 __all__ = ["HddConfig", "IdleCondition", "SimulatedHDD"]
 
@@ -131,18 +137,14 @@ class HddConfig:
         )
 
 
-@dataclass(eq=False)
-class _PendingMediaOp:
-    """A queued media access awaiting the actuator.
+class _HddIO(HostIO):
+    """One host command; a read or write-through also queues for the media.
 
     ``place`` is the target's ``(radial fraction, angular offset)``,
     computed once at enqueue for the RPO cost.
     """
 
-    request: IORequest
-    done: Event
-    enqueued_at: float
-    place: tuple
+    __slots__ = ("place",)
 
 
 class SimulatedHDD(StorageDevice):
@@ -152,10 +154,16 @@ class SimulatedHDD(StorageDevice):
         super().__init__(engine, config.name, config.rail_voltage, faults=faults)
         self.config = config
         # Hot-path aliases: the RPO cost function runs once per queued
-        # candidate per actuator decision, so skip the config attribute
-        # chains there.
+        # candidate per actuator decision, and every hop reads a few
+        # config terms, so skip the config attribute chains there.
         self._geometry = config.geometry
         self._seek = config.seek
+        self._capacity_bytes = config.geometry.capacity_bytes
+        self._rpo_window = config.rpo_window
+        self._command_time_s = config.command_time_s
+        self._write_cache_enabled = config.write_cache_enabled
+        self._seek_power_w = config.seek_power_w
+        self._transfer_power_w = config.transfer_power_w
         self.rotation = RotationModel(config.geometry)
         self.spindle = Spindle(
             engine,
@@ -175,15 +183,18 @@ class SimulatedHDD(StorageDevice):
             name=f"{config.name}.link",
         )
         self.rail.set_draw("electronics", config.electronics_power_w)
-        self._media_queue: Deque[_PendingMediaOp] = deque()
+        self._media_queue: Deque[_HddIO] = deque()
         self._idle_condition = IdleCondition.IDLE_A
         self._head_byte = 0
         self._sequential_end: Optional[int] = None
-        self._work_waiter: Optional[Event] = None
         self._standby_requested = False
         self.media_ops_served = 0
         self.seek_time_total = 0.0
-        engine.process(self._actuator_loop())
+        self._ready_gate = self.spindle.ready_gate
+        # The actuator's start entry; idle, it has none until woken.
+        self._actuator_idle = False
+        engine._seq += 1
+        heappush(engine._queue, (engine._now, engine._seq, self._actuate, None))
 
     @property
     def capacity_bytes(self) -> int:
@@ -195,83 +206,82 @@ class SimulatedHDD(StorageDevice):
 
     # -- host-facing IO -----------------------------------------------------
 
-    def submit(self, request: IORequest) -> Event:
+    def _submit(self, request: IORequest, done, on_done) -> None:
         self.check_request(request)
-        done = Event(self.engine)
-        self.engine.process(self._io(request, done))
-        return done
-
-    def _io(self, request: IORequest, done: Event):
-        submit_time = self.engine.now
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.IO_SUBMIT,
-                f"{self.name}.io",
-                kind=request.kind.value,
-                offset=request.offset,
-                nbytes=request.nbytes,
-            )
-        self._standby_requested = False
-        if self.faults.enabled:
-            yield from self.faults.io_delay(f"{self.name}.io", request.kind.value)
-        if not self.spindle.is_ready:
-            # ATA semantics: any IO to a standby drive triggers spin-up,
-            # and the command (cached or not) is not accepted until the
-            # drive is ready -- the spin-up latency the paper warns about.
-            self.engine.process(self.spindle.spin_up())
-            yield self.spindle.ready_gate.wait_open()
-        yield self.engine.timeout(self.config.command_time_s)
-        if request.kind is IOKind.WRITE and self.config.write_cache_enabled:
-            yield from self.link.transfer(request.nbytes)
-            if tracer.enabled:
-                # A hit completes in DRAM at DMA speed; a miss parks the
-                # host behind the media drain until space frees up.
-                tracer.emit(
-                    EventKind.CACHE_HIT
-                    if self.cache.fits(request.nbytes)
-                    else EventKind.CACHE_MISS,
-                    f"{self.name}.wcache",
-                    nbytes=request.nbytes,
-                    used=self.cache.used_bytes,
-                )
-            while not self.cache.fits(request.nbytes):
-                yield self.cache.wait_for_space()
-            self.cache.put(
-                request.offset, request.nbytes, self._place(request.offset)
-            )
-            self._signal_work()
-            self.record_completion(request)
-            self._trace_complete(request, submit_time)
-            done.succeed(IOResult(request, submit_time, self.engine.now))
-            return
-        if request.kind is IOKind.WRITE:
-            # Write-through: host data must arrive before the media write.
-            yield from self.link.transfer(request.nbytes)
-        media_done = Event(self.engine)
-        self._media_queue.append(
-            _PendingMediaOp(
-                request, media_done, self.engine.now, self._place(request.offset)
-            )
+        engine = self.engine
+        engine._seq += 1
+        heappush(
+            engine._queue,
+            (engine._now, engine._seq, self._io_start, _HddIO(request, done, on_done)),
         )
-        self._signal_work()
-        yield media_done
-        if request.kind is IOKind.READ:
-            yield from self.link.transfer(request.nbytes)
-        self.record_completion(request)
-        self._trace_complete(request, submit_time)
-        done.succeed(IOResult(request, submit_time, self.engine.now))
 
-    def _trace_complete(self, request: IORequest, submit_time: float) -> None:
+    def _io_start(self, io: _HddIO) -> None:
+        self._standby_requested = False
+        self._accept(io, self._io_ready)
+
+    def _io_ready(self, io: _HddIO) -> None:
+        if not self.spindle.is_ready:
+            drive_inline(self._spin_up_wait(), self._io_command, io)
+        else:
+            self._io_command(io)
+
+    def _spin_up_wait(self):
+        """Generator: ATA semantics -- any IO to a standby drive triggers
+        spin-up, and the command (cached or not) is not accepted until the
+        drive is ready: the spin-up latency the paper warns about."""
+        self.engine.process(self.spindle.spin_up())
+        yield self._ready_gate.wait_open()
+
+    def _io_command(self, io: _HddIO) -> None:
+        self.engine.schedule(self._command_time_s, self._io_commanded, io)
+
+    def _io_commanded(self, io: _HddIO) -> None:
+        request = io.request
+        if request.kind is IOKind.READ:
+            self._media_enqueue(io)
+        elif self._write_cache_enabled:
+            self.link.transfer_call(request.nbytes, self._cache_write, io)
+        else:
+            # Write-through: host data must arrive before the media write.
+            self.link.transfer_call(request.nbytes, self._media_enqueue, io)
+
+    def _cache_write(self, io: _HddIO) -> None:
         tracer = self.engine.tracer
         if tracer.enabled:
+            # A hit completes in DRAM at DMA speed; a miss parks the host
+            # behind the media drain until space frees up.
+            nbytes = io.request.nbytes
             tracer.emit(
-                EventKind.IO_COMPLETE,
-                f"{self.name}.io",
-                kind=request.kind.value,
-                nbytes=request.nbytes,
-                latency_s=self.engine.now - submit_time,
+                EventKind.CACHE_HIT
+                if self.cache.fits(nbytes)
+                else EventKind.CACHE_MISS,
+                f"{self.name}.wcache",
+                nbytes=nbytes,
+                used=self.cache.used_bytes,
             )
+        self._cache_admit(io)
+
+    def _cache_admit(self, io: _HddIO) -> None:
+        request = io.request
+        cache = self.cache
+        if not cache.fits(request.nbytes):
+            cache.wait_for_space_call(self._cache_admit, io)
+            return
+        cache.put(request.offset, request.nbytes, self._place(request.offset))
+        self._signal_work()
+        self._complete(io)
+
+    def _media_enqueue(self, io: _HddIO) -> None:
+        io.place = self._place(io.request.offset)
+        self._media_queue.append(io)
+        self._signal_work()
+
+    def _media_done(self, io: _HddIO) -> None:
+        """The actuator finished this IO's media access."""
+        if io.request.kind is IOKind.READ:
+            self.link.transfer_call(io.request.nbytes, self._complete, io)
+        else:
+            self._complete(io)
 
     # -- EPC idle conditions ------------------------------------------------
 
@@ -348,56 +358,71 @@ class SimulatedHDD(StorageDevice):
         yield from self.spindle.spin_up()
 
     # -- the actuator -------------------------------------------------------------
+    #
+    # A loop of hops: idle until there is work, wait for the spindle,
+    # pick by RPO, pay any EPC recovery, seek, rotate, transfer.
 
     def _signal_work(self) -> None:
-        if self._work_waiter is not None:
-            waiter, self._work_waiter = self._work_waiter, None
-            waiter.succeed()
+        # One entry at this instant wakes the idle actuator.  Only the
+        # actuator removes work, so the woken _actuate finds some.
+        if self._actuator_idle:
+            self._actuator_idle = False
+            engine = self.engine
+            engine._seq += 1
+            heappush(engine._queue, (engine._now, engine._seq, self._actuate, None))
 
-    def _actuator_loop(self):
-        while True:
-            if not self._media_queue and self.cache.is_empty:
-                self._work_waiter = Event(self.engine)
-                yield self._work_waiter
-            yield self.spindle.ready_gate.wait_open()
-            served = yield from self._serve_one()
-            if served:
-                self.media_ops_served += 1
+    def _actuate(self, _arg=None) -> None:
+        if not self._media_queue and self.cache.is_empty:
+            self._actuator_idle = True
+        else:
+            self._ready_gate.wait_open_call(self._serve_one)
 
     def _place(self, offset: int) -> tuple:
         """``(radial fraction, angular offset)`` of a byte offset."""
         geometry = self._geometry
         return geometry.radial_fraction(offset), geometry.angular_offset(offset)
 
-    def _serve_one(self):
-        """Pick the cheapest pending media op by RPO and execute it.
+    def _pick(self):
+        """``(op, queue index, cost, seek)`` RPO serves next, or ``None``.
 
         Candidates are the leading ``rpo_window`` host media ops, then the
-        write cache's elevator window; the earliest of the cheapest wins.
-        A candidate's cost is its seek plus rotational wait from the head,
-        or zero for a sequential continuation of the last transfer.  No
-        cost is negative, so the scan stops at the first zero.
+        write cache's elevator window (a :class:`CachedWrite`; its index is
+        unused); the earliest of the cheapest wins.  A candidate's cost is
+        its seek plus rotational wait from the head, or zero for a
+        sequential continuation of the last transfer.  An op off the head's
+        radial position costs at least the (positive) settle time, so when
+        none at it precedes the continuation, the continuation is taken
+        unpriced.  Otherwise no cost is negative: the scan stops at the
+        first zero.
         """
-        now = self.engine._now
-        window = self.config.rpo_window
+        window = self._rpo_window
         sequential_end = self._sequential_end
         head = self._geometry.radial_fraction(self._head_byte)
+        queue = self._media_queue
+        if sequential_end is not None:
+            for index, io in enumerate(islice(queue, window)):
+                if io.request.offset == sequential_end:
+                    # The window call also moves the elevator.
+                    self.cache.window(window)
+                    return io, index, 0.0, 0.0
+                if io.place[0] == head:
+                    break
+        now = self.engine._now
         seek_time = self._seek.seek_time
         rotational_wait = self.rotation.rotational_wait
         best = None
         best_cost = 0.0
+        best_seek = 0.0
         best_index = 0
-        for index, op in enumerate(islice(self._media_queue, window)):
-            if op.request.offset == sequential_end:
-                cost = 0.0
+        for index, io in enumerate(islice(queue, window)):
+            if io.request.offset == sequential_end:
+                cost = seek = 0.0
             else:
-                radial, angle = op.place
-                seek = seek_time(
-                    abs(radial - head), op.request.kind is IOKind.WRITE
-                )
+                radial, angle = io.place
+                seek = seek_time(abs(radial - head), io.request.kind is IOKind.WRITE)
                 cost = seek + rotational_wait(now, seek, angle)
             if best is None or cost < best_cost:
-                best, best_cost, best_index = op, cost, index
+                best, best_cost, best_seek, best_index = io, cost, seek, index
                 if cost == 0.0:
                     break
         # Always taken: the window call also moves the elevator.
@@ -405,79 +430,91 @@ class SimulatedHDD(StorageDevice):
         if best is None or best_cost > 0.0:
             for entry in entries:
                 if entry.offset == sequential_end:
-                    cost = 0.0
+                    cost = seek = 0.0
                 else:
                     radial, angle = entry.place or self._place(entry.offset)
                     seek = seek_time(abs(radial - head), True)
                     cost = seek + rotational_wait(now, seek, angle)
                 if best is None or cost < best_cost:
-                    best, best_cost = entry, cost
+                    best, best_cost, best_seek = entry, cost, seek
                     if cost == 0.0:
                         break
         if best is None:
-            return False
-        if isinstance(best, CachedWrite):
-            yield from self._media_access(
-                best.offset, best.nbytes, IOKind.WRITE, best_cost
-            )
-            self.cache.remove(best)
-        else:
-            del self._media_queue[best_index]
-            request = best.request
-            yield from self._media_access(
-                request.offset, request.nbytes, request.kind, best_cost
-            )
-            best.done.succeed()
-        return True
+            return None
+        return best, best_index, best_cost, best_seek
 
-    def _media_access(self, offset: int, nbytes: int, kind: IOKind, positioning: float):
-        """Seek + rotational wait + media transfer, with power draws."""
+    def _serve_one(self, _arg) -> None:
+        """Pick the next media op and start its access.
+
+        The access is ``(op, offset, nbytes, positioning, seek part)``;
+        the pick's seek is still valid, since the head has not moved.
+        """
+        pick = self._pick()
+        if pick is None:
+            self._actuate()
+            return
+        op, index, positioning, seek = pick
+        if isinstance(op, CachedWrite):
+            offset, nbytes = op.offset, op.nbytes
+        else:
+            del self._media_queue[index]
+            offset, nbytes = op.request.offset, op.request.nbytes
+        access = (op, offset, nbytes, positioning, min(positioning, seek))
         recovery = self._epc_recovery_s()
         if recovery > 0:
-            if self.faults.enabled:
-                # Head reload can fail transiently; each stuck attempt
-                # re-pays the recovery latency.
-                stuck = self.faults.transition_stuck(f"{self.name}.epc", "epc")
-                for attempt in range(1, stuck + 1):
-                    self.faults.note_retry(
-                        "stuck_transition", f"{self.name}.epc", attempt
-                    )
-                    yield self.engine.timeout(recovery)
-            # Leave the EPC idle condition: reload heads (and re-spin for
-            # IDLE_C) before the access can proceed.
-            self.set_idle_condition(IdleCondition.IDLE_A)
-            yield self.engine.timeout(recovery)
-        if positioning > 0:
-            # Voice coil works during the seek portion; the model folds the
-            # (unpowered) rotational wait into the same interval at the
-            # blended cost already computed.
-            seek_part = min(
-                positioning,
-                self.config.seek.seek_time(
-                    abs(
-                        self.config.geometry.radial_fraction(offset)
-                        - self.config.geometry.radial_fraction(self._head_byte)
-                    ),
-                    is_write=(kind is IOKind.WRITE),
-                ),
-            )
-            if seek_part > 0:
-                self.rail.add_draw("voice_coil", self.config.seek_power_w)
-                try:
-                    yield self.engine.timeout(seek_part)
-                finally:
-                    self.rail.add_draw("voice_coil", -self.config.seek_power_w)
-            rot_wait = positioning - seek_part
-            if rot_wait > 0:
-                yield self.engine.timeout(rot_wait)
-        transfer = self.config.geometry.transfer_time(offset, nbytes)
-        self.rail.add_draw("channel", self.config.transfer_power_w)
-        try:
-            yield self.engine.timeout(transfer)
-        finally:
-            self.rail.add_draw("channel", -self.config.transfer_power_w)
+            drive_inline(self._epc_recovery(recovery), self._seek_op, access)
+        else:
+            self._seek_op(access)
+
+    def _epc_recovery(self, recovery: float):
+        """Generator: leave the EPC idle condition before the access."""
+        if self.faults.enabled:
+            # Head reload can fail transiently; each stuck attempt
+            # re-pays the recovery latency.
+            stuck = self.faults.transition_stuck(f"{self.name}.epc", "epc")
+            for attempt in range(1, stuck + 1):
+                self.faults.note_retry("stuck_transition", f"{self.name}.epc", attempt)
+                yield self.engine.timeout(recovery)
+        # Reload heads (and re-spin for IDLE_C) before the access.
+        self.set_idle_condition(IdleCondition.IDLE_A)
+        yield self.engine.timeout(recovery)
+
+    def _seek_op(self, access: tuple) -> None:
+        if access[4] > 0:
+            self.rail.add_draw("voice_coil", self._seek_power_w)
+            self.engine.schedule(access[4], self._seeked, access)
+        else:
+            self._rotate(access)
+
+    def _seeked(self, access: tuple) -> None:
+        self.rail.add_draw("voice_coil", -self._seek_power_w)
+        self._rotate(access)
+
+    def _rotate(self, access: tuple) -> None:
+        # The rotational wait is unpowered: the model folds it into the
+        # positioning interval at the blended cost already computed.
+        rot_wait = access[3] - access[4]
+        if rot_wait > 0:
+            self.engine.schedule(rot_wait, self._transfer, access)
+        else:
+            self._transfer(access)
+
+    def _transfer(self, access: tuple) -> None:
+        transfer = self._geometry.transfer_time(access[1], access[2])
+        self.rail.add_draw("channel", self._transfer_power_w)
+        self.engine.schedule(transfer, self._transferred, access)
+
+    def _transferred(self, access: tuple) -> None:
+        self.rail.add_draw("channel", -self._transfer_power_w)
+        op, offset, nbytes, positioning, _seek = access
         self.seek_time_total += positioning
-        self._head_byte = min(
-            offset + nbytes, self.config.geometry.capacity_bytes - 1
-        )
+        self._head_byte = min(offset + nbytes, self._capacity_bytes - 1)
         self._sequential_end = offset + nbytes
+        if isinstance(op, CachedWrite):
+            self.cache.remove(op)
+        else:
+            engine = self.engine
+            engine._seq += 1
+            heappush(engine._queue, (engine._now, engine._seq, self._media_done, op))
+        self.media_ops_served += 1
+        self._actuate()

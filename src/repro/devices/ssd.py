@@ -31,7 +31,7 @@ from heapq import heappush
 from typing import Optional
 
 from repro._units import MiB
-from repro.devices.base import IOKind, IORequest, IOResult, StorageDevice
+from repro.devices.base import HostIO, IOKind, IORequest, StorageDevice
 from repro.devices.link import HostLink, LinkPowerTable
 from repro.devices.power_states import NvmePowerState, PowerGovernor
 from repro.ftl.allocator import WriteAllocator
@@ -42,7 +42,7 @@ from repro.nand.die import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.ops import NandPower, NandTimings, OpKind
 from repro.obs.events import EventKind
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.process import drive_inline
 from repro.sim.resources import Gate, Resource
 from repro.sim.rng import RngStreams
@@ -53,16 +53,13 @@ _PHANTOM_HASH = 2654435761
 _PHANTOM_MOD = 2**32
 
 
-class _HostIO:
-    """One host command's state while its handlers run."""
+class _HostIO(HostIO):
+    """One host command, plus the page reads it still waits for."""
 
-    __slots__ = ("request", "done", "on_done", "submit_time", "pages_left")
+    __slots__ = ("pages_left",)
 
     def __init__(self, request: IORequest, done, on_done) -> None:
-        self.request = request
-        self.done = done
-        self.on_done = on_done
-        self.submit_time = 0.0
+        super().__init__(request, done, on_done)
         self.pages_left = 0
 
 
@@ -569,14 +566,6 @@ class SimulatedSSD(StorageDevice):
     # (fault delays, power-state wake, GC) is reached through
     # drive_inline with ``yield from`` semantics.
 
-    def submit(self, request: IORequest) -> Event:
-        done = Event(self.engine)
-        self._submit(request, done, None)
-        return done
-
-    def submit_call(self, request: IORequest, on_done) -> None:
-        self._submit(request, None, on_done)
-
     def _submit(self, request: IORequest, done, on_done) -> None:
         self.check_request(request)
         engine = self.engine
@@ -587,28 +576,9 @@ class SimulatedSSD(StorageDevice):
         )
 
     def _io_start(self, io: "_HostIO") -> None:
-        engine = self.engine
-        io.submit_time = engine._now
-        request = io.request
-        tracer = engine.tracer
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.IO_SUBMIT,
-                f"{self.name}.io",
-                kind=request.kind.value,
-                offset=request.offset,
-                nbytes=request.nbytes,
-            )
-        self._last_activity = io.submit_time
+        self._last_activity = self.engine._now
         self._inflight_ios += 1
-        if self.faults.enabled:
-            drive_inline(
-                self.faults.io_delay(f"{self.name}.io", request.kind.value),
-                self._io_wake,
-                io,
-            )
-        else:
-            self._io_wake(io)
+        self._accept(io, self._io_wake)
 
     def _io_wake(self, io: "_HostIO") -> None:
         """Leave a non-operational power state before taking a core."""
@@ -656,26 +626,9 @@ class SimulatedSSD(StorageDevice):
             self._io_finish(io)
 
     def _io_finish(self, io: "_HostIO") -> None:
-        engine = self.engine
         self._inflight_ios -= 1
-        self._last_activity = engine._now
-        request = io.request
-        self.record_completion(request)
-        tracer = engine.tracer
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.IO_COMPLETE,
-                f"{self.name}.io",
-                kind=request.kind.value,
-                nbytes=request.nbytes,
-                latency_s=engine._now - io.submit_time,
-            )
-        result = IOResult(request, io.submit_time, engine._now)
-        if io.done is not None:
-            io.done.succeed(result)
-        else:
-            engine._seq += 1
-            heappush(engine._queue, (engine._now, engine._seq, io.on_done, result))
+        self._last_activity = self.engine._now
+        self._complete(io)
 
     # -- read path ---------------------------------------------------------------
 

@@ -15,10 +15,11 @@ leading window to the device's RPO picker.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 
 __all__ = ["CachedWrite", "WriteCache"]
 
@@ -40,7 +41,7 @@ class WriteCache:
     """Bounded write-back cache with LBA-elevator ordering.
 
     ``put`` is non-blocking bookkeeping; when the cache is full the device
-    parks the writer on a space event (:meth:`wait_for_space`) that fires on
+    parks the writer with :meth:`wait_for_space_call`, which retries it on
     the next :meth:`remove`.
     """
 
@@ -51,7 +52,7 @@ class WriteCache:
         self.capacity_bytes = capacity_bytes
         self.used_bytes = 0
         self._entries: list[CachedWrite] = []  # kept sorted by offset
-        self._space_waiters: list[Event] = []
+        self._space_waiters: list[tuple] = []  # (handler, arg)
         self._sweep_pos = 0  # elevator position (index hint)
 
     def __len__(self) -> int:
@@ -74,11 +75,9 @@ class WriteCache:
         bisect.insort(self._entries, entry)
         self.used_bytes += nbytes
 
-    def wait_for_space(self) -> Event:
-        """Event that fires after the next entry is drained."""
-        event = Event(self.engine)
-        self._space_waiters.append(event)
-        return event
+    def wait_for_space_call(self, handler, arg=None) -> None:
+        """Run ``handler(arg)`` after the next entry is drained."""
+        self._space_waiters.append((handler, arg))
 
     def window(self, size: int) -> list[CachedWrite]:
         """The elevator's current lookahead window (up to ``size`` entries).
@@ -112,6 +111,18 @@ class WriteCache:
         del self._entries[index]
         self._sweep_pos = index
         self.used_bytes -= entry.nbytes
-        waiters, self._space_waiters = self._space_waiters, []
-        for event in waiters:
-            event.succeed()
+        if self._space_waiters:
+            # One entry retries every parked writer, oldest first: an
+            # entry per writer would be pushed back to back at this
+            # instant, so they would pop back to back too.
+            waiters, self._space_waiters = self._space_waiters, []
+            engine = self.engine
+            engine._seq += 1
+            heapq.heappush(
+                engine._queue, (engine._now, engine._seq, _retry_all, waiters)
+            )
+
+
+def _retry_all(waiters: list) -> None:
+    for handler, arg in waiters:
+        handler(arg)

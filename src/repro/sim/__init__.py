@@ -10,9 +10,9 @@ device simulation in this project:
 - :class:`~repro.sim.process.Process` -- generator-based coroutines that
   ``yield`` events to wait for them; :func:`~repro.sim.process.drive_inline`
   runs one from a handler with ``yield from`` semantics.
-- :mod:`~repro.sim.resources` -- FIFO resources (fixed and adjustable
-  capacity), stores, and gates used to model controllers, dies, buses and
-  power governors.
+- :mod:`~repro.sim.resources` -- FIFO resources and gates used to model
+  controllers, dies, buses and spin-up holds, each with an event form
+  for processes and a handler form for handler chains.
 - :class:`~repro.sim.trace.StepTrace` -- piecewise-constant time series used
   to record instantaneous power draw.
 - :class:`~repro.sim.rng.RngStreams` -- deterministic, named random streams.
@@ -28,17 +28,11 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import (
-    AdjustableResource,
-    Gate,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Gate, Resource
 from repro.sim.rng import RngStreams
 from repro.sim.trace import StepTrace
 
 __all__ = [
-    "AdjustableResource",
     "Engine",
     "Event",
     "Gate",
@@ -48,7 +42,6 @@ __all__ = [
     "RngStreams",
     "SimulationError",
     "StepTrace",
-    "Store",
     "StopEngine",
     "Timeout",
 ]

@@ -9,6 +9,7 @@ times (the ADC), time-weighted statistics, and energy integration.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,14 +94,21 @@ class StepTrace:
     # -- time-weighted statistics ------------------------------------------
 
     def _segments(self, t_start: float, t_end: float) -> tuple[np.ndarray, np.ndarray]:
-        """Durations and values of the step segments covering a window."""
+        """Durations and values of the step segments covering a window.
+
+        Converts only the window's slice of the (strictly increasing)
+        breakpoints: callers query short windows of long traces.
+        """
         if t_end <= t_start:
             raise ValueError("t_end must be after t_start")
-        times, values = self.breakpoints()
+        times = self._times
+        values = self._values
         # Clamp the window into the trace, extending the last value forward.
-        edges = np.concatenate(([t_start], times[(times > t_start) & (times < t_end)], [t_end]))
+        lo = bisect_right(times, t_start)
+        hi = bisect_left(times, t_end, lo)
+        edges = np.array([t_start, *times[lo:hi], t_end], float)
         durations = np.diff(edges)
-        seg_values = self.sample(edges[:-1])
+        seg_values = np.array([values[max(lo - 1, 0)], *values[lo:hi]], float)
         return durations, seg_values
 
     def integrate(self, t_start: float, t_end: float) -> float:

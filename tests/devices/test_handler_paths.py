@@ -1,11 +1,16 @@
 """Device-side handler primitives: governor admission, IO submission, buffer.
 
-The SSD data path runs as heap handlers that share the power governor
-with generator code (GC relocation, housekeeping bursts), submit IO
-through :meth:`~repro.devices.base.StorageDevice.submit_call`, and wake
-parked writers with one retry entry per buffer release.  These tests pin
-each of those seams against the generator behaviour they replace.
+The SSD and HDD data paths run as heap handlers.  The SSD's share the
+power governor with generator code (GC relocation, housekeeping bursts)
+and wake parked writers with one retry entry per buffer release; the
+HDD's reach spin-up and EPC recovery through the inline driver; both
+take IO through :meth:`~repro.devices.base.StorageDevice.submit_call`.
+These tests pin each of those seams against the generator behaviour
+they replace.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -13,6 +18,7 @@ from repro._units import KiB, MiB
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.devices.base import IOKind, IORequest
 from repro.devices.catalog import build_device
+from repro.devices.hdd_drive import IdleCondition
 from repro.devices.power_states import PowerGovernor
 from repro.devices.ssd import SimulatedSSD, _HostIO
 from repro.iogen.engine import FioJob
@@ -267,3 +273,66 @@ class TestHandlerPathExperiments:
         first, second = run_experiment(config), run_experiment(config)
         assert first.job.records == second.job.records
         assert first.true_mean_power_w == second.true_mean_power_w
+
+
+class TestHddColdPathsOnTheEngine:
+    """Standby, IO through the spin-up gate, then an EPC recovery.
+
+    The digest covers every IO's submit and completion time and every
+    rail breakpoint, recorded from the HDD's generator-process data path
+    before it moved onto heap handlers.
+    """
+
+    DIGEST = "350661322450fd47a98b45bc20223460056ff9e8403319c2400c51a7e3562b6f"
+
+    def test_standby_spin_up_and_idle_c_recovery_are_pinned(self):
+        engine = Engine()
+        device = build_device(engine, "hdd", rng=RngStreams(3))
+        done = []
+        submitted = []
+
+        def submit(kind, offset_mib, nbytes):
+            tag = len(submitted)
+            submitted.append(tag)
+            device.submit_call(
+                IORequest(kind, offset_mib * MiB, nbytes),
+                lambda result: done.append(
+                    (tag, result.submit_time, result.complete_time)
+                ),
+            )
+
+        # Cached writes complete before their media writes, so standby
+        # first has a cache to flush.
+        for offset in (3, 1, 7, 5):
+            submit(IOKind.WRITE, offset, 64 * KiB)
+        submit(IOKind.READ, 11, 64 * KiB)
+        _drain_until(engine, lambda: len(done) == 5)
+        assert not device.cache.is_empty
+        engine.run_until_complete(engine.process(device.enter_standby()))
+        assert device.is_standby and device.cache.is_empty
+
+        # IO to a standby drive spins it up and waits behind the gate.
+        submit(IOKind.READ, 2, 16 * KiB)
+        submit(IOKind.WRITE, 9, 16 * KiB)
+        _drain_until(engine, lambda: len(done) == 7)
+        assert device.spindle.spinups == 1 and not device.is_standby
+
+        # The next media access pays the IDLE_C recovery.
+        device.set_idle_condition(IdleCondition.IDLE_C)
+        for offset in (4, 6, 8):
+            submit(IOKind.READ, offset, 4 * KiB)
+        submit(IOKind.WRITE, 12, 4 * KiB)
+        _drain_until(engine, lambda: len(done) == 11)
+        _drain(engine)
+        assert device.idle_condition is IdleCondition.IDLE_A
+        assert device.cache.is_empty
+
+        trace = device.rail.trace
+        payload = [
+            [[tag, start.hex(), end.hex()] for tag, start, end in done],
+            [t.hex() for t in trace._times],
+            [v.hex() for v in trace._values],
+            device.media_ops_served,
+        ]
+        digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert digest == self.DIGEST

@@ -121,17 +121,17 @@ class TestWriteCache:
         cache = WriteCache(engine, capacity_bytes=4096)
         cache.put(0, 4096)
         woken = []
-
-        def waiter(eng):
-            yield cache.wait_for_space()
-            woken.append(eng.now)
-
-        engine.process(waiter(engine))
+        for tag in "ab":
+            cache.wait_for_space_call(
+                lambda tag: woken.append((tag, engine.now, cache.used_bytes)), tag
+            )
         engine.run(until=1.0)
         assert woken == []
         cache.remove(cache.window(1)[0])
+        assert woken == []  # woken by a heap entry, not synchronously
+        assert len(engine._queue) == 1  # one entry retries both, in order
         engine.run(until=1.0)
-        assert woken == [1.0]
+        assert woken == [("a", 1.0, 0), ("b", 1.0, 0)]
 
     def test_remove_missing_entry_rejected(self, engine):
         cache = WriteCache(engine, capacity_bytes=4096)

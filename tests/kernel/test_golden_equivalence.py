@@ -56,6 +56,21 @@ class TestGoldenEquivalence:
             "ssd2_traced_ps2",
         } <= stems
 
+    def test_covers_the_hdd_cold_paths(self):
+        """The HDD's handler path reaches write-through media writes,
+        writers parked on a full cache, IO-path faults, the sequential
+        continuation pick and EPC recovery; tracing is pinned too."""
+        stems = {p.stem for p in golden_result.GOLDEN_DIR.glob("*.json")}
+        assert {
+            "hdd_write_through",
+            "hdd_cache_full",
+            "hdd_faults_randread",
+            "hdd_faults_randwrite",
+            "hdd_seqread_4k_qd64",
+            "hdd_ladder_epc",
+            "hdd_traced",
+        } <= stems
+
     def test_every_named_case_has_a_fixture(self):
         """golden_names() and the committed fixture set must agree, so a
         new case cannot be added to the tool without committing its

@@ -13,7 +13,7 @@ import pytest
 
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.process import drive_inline
-from repro.sim.resources import AdjustableResource, Resource
+from repro.sim.resources import Gate, Resource
 
 
 def _drain(engine: Engine) -> None:
@@ -116,15 +116,41 @@ class TestResourceRequestCall:
         _drain(engine)
         assert granted == ["a", "b"]
 
-    def test_growing_capacity_grants_handler_waiters_in_order(self, engine):
-        resource = AdjustableResource(engine, capacity=1)
-        granted = []
-        for tag in "abc":
-            resource.request_call(granted.append, tag)
-        resource.set_capacity(3)
+
+class TestGateWaitOpenCall:
+    def test_handler_and_event_waiters_share_one_fifo(self, engine):
+        gate = Gate(engine, is_open=False)
+        order = []
+        gate.wait_open_call(order.append, "h0")
+        first = gate.wait_open()
+        first.add_callback(lambda e: order.append("g1"))
+        gate.wait_open_call(order.append, "h2")
+        gate.wait_open().add_callback(lambda e: order.append("g3"))
         _drain(engine)
-        assert granted == ["a", "b", "c"]
-        assert resource.in_use == 3
+        assert order == [] and not first.triggered
+        engine.schedule(1.0, lambda _arg: gate.open())
+        _drain(engine)
+        assert order == ["h0", "g1", "h2", "g3"] and engine.now == 1.0
+        assert gate.is_open and gate._waiters == []
+
+    def test_open_gate_is_an_entry_at_the_call_instant(self, engine):
+        gate = Gate(engine, is_open=True)
+        passed = []
+        gate.wait_open_call(passed.append, "a")
+        assert passed == []  # not synchronous: a heap entry at now
+        engine.step()
+        assert passed == ["a"] and engine.now == 0.0
+
+    def test_waiters_after_close_wait_for_the_next_open(self, engine):
+        gate = Gate(engine, is_open=True)
+        gate.close()
+        passed = []
+        gate.wait_open_call(passed.append, "late")
+        _drain(engine)
+        assert passed == []
+        gate.open()
+        _drain(engine)
+        assert passed == ["late"]
 
 
 def _sub(engine, log, tag):

@@ -1,9 +1,9 @@
-"""Unit tests for resources, stores and gates."""
+"""Unit tests for resources and gates."""
 
 import pytest
 
 from repro.sim.engine import SimulationError
-from repro.sim.resources import AdjustableResource, Gate, Resource, Store
+from repro.sim.resources import Gate, Resource
 from tests.conftest import drive
 
 
@@ -54,102 +54,6 @@ class TestResource:
         resource.request()
         assert resource.in_use == 1
         assert resource.queued == 2
-
-
-class TestAdjustableResource:
-    def test_growing_capacity_grants_waiters(self, engine):
-        resource = AdjustableResource(engine, capacity=1)
-        log = []
-        for tag in "ab":
-            engine.process(holder(engine, resource, 5.0, log, tag))
-        engine.run(until=1.0)
-        assert [t for k, t, __ in log if k == "start"] == ["a"]
-        resource.set_capacity(2)
-        engine.run(until=2.0)
-        assert [t for k, t, __ in log if k == "start"] == ["a", "b"]
-
-    def test_shrinking_does_not_preempt(self, engine):
-        resource = AdjustableResource(engine, capacity=2)
-        log = []
-        for tag in "ab":
-            engine.process(holder(engine, resource, 3.0, log, tag))
-        engine.run(until=1.0)
-        resource.set_capacity(1)
-        # Both holders keep running to completion.
-        engine.run(until=4.0)
-        assert sorted(t for k, t, __ in log if k == "end") == ["a", "b"]
-
-    def test_shrunk_capacity_blocks_new_grants_until_drained(self, engine):
-        resource = AdjustableResource(engine, capacity=2)
-        log = []
-        engine.process(holder(engine, resource, 2.0, log, "a"))
-        engine.process(holder(engine, resource, 4.0, log, "b"))
-        engine.run(until=1.0)
-        resource.set_capacity(1)
-        engine.process(holder(engine, resource, 1.0, log, "c"))
-        engine.run()
-        start_c = [t for k, tag, t in log if k == "start" and tag == "c"][0]
-        # c must wait until BOTH a (t=2) and b (t=4) release, since the
-        # capacity is now 1 and b alone saturates it.
-        assert start_c == 4.0
-
-
-class TestStore:
-    def test_put_get_fifo(self, engine):
-        store = Store(engine)
-        store.put(1)
-        store.put(2)
-        first = store.get()
-        second = store.get()
-        engine.run()
-        assert first.value == 1
-        assert second.value == 2
-
-    def test_get_blocks_until_put(self, engine):
-        store = Store(engine)
-        result = []
-
-        def getter(eng):
-            item = yield store.get()
-            result.append((item, eng.now))
-
-        def putter(eng):
-            yield eng.timeout(2.0)
-            yield store.put("late")
-
-        engine.process(getter(engine))
-        engine.process(putter(engine))
-        engine.run()
-        assert result == [("late", 2.0)]
-
-    def test_bounded_put_blocks_when_full(self, engine):
-        store = Store(engine, capacity=1)
-        times = []
-
-        def producer(eng):
-            for i in range(2):
-                yield store.put(i)
-                times.append(eng.now)
-
-        def consumer(eng):
-            yield eng.timeout(3.0)
-            yield store.get()
-
-        engine.process(producer(engine))
-        engine.process(consumer(engine))
-        engine.run()
-        assert times[0] == 0.0
-        assert times[1] == 3.0
-
-    def test_try_put_respects_capacity(self, engine):
-        store = Store(engine, capacity=1)
-        assert store.try_put("a")
-        assert not store.try_put("b")
-        assert len(store) == 1
-
-    def test_invalid_capacity(self, engine):
-        with pytest.raises(SimulationError):
-            Store(engine, capacity=0)
 
 
 class TestGate:

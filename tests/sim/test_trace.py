@@ -169,7 +169,42 @@ class TestRollingMeanMaxEquivalence:
             trace.rolling_mean_max(1.0, 5.0, 5.0, 1.0)
 
 
+def whole_array_segments(trace, t_start, t_end):
+    """Pre-windowing reference: convert every breakpoint, then mask."""
+    times, _values = trace.breakpoints()
+    edges = np.concatenate(
+        ([t_start], times[(times > t_start) & (times < t_end)], [t_end])
+    )
+    return np.diff(edges), trace.sample(edges[:-1])
+
+
 class TestStepTraceProperties:
+    @given(
+        step_traces(),
+        st.one_of(
+            st.floats(min_value=-2.0, max_value=12.0),
+            st.sampled_from([-1.0, 0.0, 0.01, 9.99, 10.0, 11.0]),
+        ),
+        st.floats(min_value=1e-6, max_value=4.0),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_windowed_queries_equal_the_whole_array_formula(
+        self, trace, t_start, width, on_breakpoint
+    ):
+        """integrate/mean/min/max over a window are bit-identical to the
+        formula that converts the whole trace: windows before the first
+        breakpoint, past the last, starting on one, or with none inside."""
+        if on_breakpoint:
+            t_start = trace._times[int(width * 1000) % len(trace)]
+        t_end = t_start + width
+        durations, values = whole_array_segments(trace, t_start, t_end)
+        integral = float(np.dot(durations, values))
+        assert trace.integrate(t_start, t_end) == integral
+        assert trace.mean(t_start, t_end) == integral / (t_end - t_start)
+        assert trace.min(t_start, t_end) == float(values.min())
+        assert trace.max(t_start, t_end) == float(values.max())
+
     @given(step_traces())
     @settings(max_examples=60, deadline=None)
     def test_integral_matches_dense_sampling(self, trace):

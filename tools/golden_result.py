@@ -202,19 +202,9 @@ def tiny_ssd_config(**overrides):
     return SsdConfig(**defaults)
 
 
-def cold_path_configs() -> dict:
-    """Runs that reach the control-plane paths the 8 MiB grid never does.
-
-    Garbage collection, APST doze and wake, housekeeping bursts sharing
-    dies and the governor with host flushes, every IO-path fault, and an
-    ALPM slumber wake.  Each stays well under a second of CPU.
-    """
-    import dataclasses
-
-    from repro._units import KiB, MiB
-    from repro.core.experiment import ExperimentConfig
-    from repro.devices.catalog import ssd_d7p5510
-    from repro.devices.link import LinkPowerMode
+def io_path_faults():
+    """The fault plan the faulted cold-path runs share: IO errors,
+    latency spikes, a thermal throttle and stuck transitions."""
     from repro.faults.plan import (
         FaultPlan,
         IoErrorSpec,
@@ -222,6 +212,35 @@ def cold_path_configs() -> dict:
         StuckTransitionSpec,
         ThermalThrottleSpec,
     )
+
+    return FaultPlan(
+        io_errors=IoErrorSpec(probability=0.05, retry_cost_s=2e-4),
+        latency_spikes=(
+            LatencySpikeSpec(
+                start_s=2e-3, duration_s=2e-3, extra_s=3e-4, repeat_every_s=8e-3
+            ),
+        ),
+        thermal_throttle=ThermalThrottleSpec(
+            start_s=4e-3, duration_s=5e-3, cap_scale=0.6
+        ),
+        stuck_transitions=StuckTransitionSpec(probability=1.0, max_stuck=2),
+    )
+
+
+def cold_path_configs() -> dict:
+    """Runs that reach the control-plane paths the 8 MiB grid never does.
+
+    Garbage collection, APST doze and wake, housekeeping bursts sharing
+    dies and the governor with host flushes, every IO-path fault, an
+    ALPM slumber wake, and the HDD's cold paths.  Each stays well under
+    a second of CPU.
+    """
+    import dataclasses
+
+    from repro._units import KiB, MiB
+    from repro.core.experiment import ExperimentConfig
+    from repro.devices.catalog import ssd_d7p5510
+    from repro.devices.link import LinkPowerMode
     from repro.iogen.spec import IoPattern, JobSpec
 
     def job(pattern, block_kib, iodepth, runtime_s, size_mib, **extra):
@@ -234,18 +253,7 @@ def cold_path_configs() -> dict:
             **extra,
         )
 
-    faults = FaultPlan(
-        io_errors=IoErrorSpec(probability=0.05, retry_cost_s=2e-4),
-        latency_spikes=(
-            LatencySpikeSpec(
-                start_s=2e-3, duration_s=2e-3, extra_s=3e-4, repeat_every_s=8e-3
-            ),
-        ),
-        thermal_throttle=ThermalThrottleSpec(
-            start_s=4e-3, duration_s=5e-3, cap_scale=0.6
-        ),
-        stuck_transitions=StuckTransitionSpec(probability=1.0, max_stuck=2),
-    )
+    faults = io_path_faults()
     return {
         "tiny_gc_randwrite": ExperimentConfig(
             device=tiny_ssd_config(),
@@ -289,31 +297,114 @@ def cold_path_configs() -> dict:
             alpm_mode=LinkPowerMode.SLUMBER,
             seed=7,
         ),
+        **hdd_cold_path_configs(),
     }
 
 
-def traced_config():
-    """The traced case: a capped ssd2 write whose event stream is pinned."""
+def hdd_cold_path_configs() -> dict:
+    """HDD runs past the 64 KiB QD8 grid points.
+
+    Write-through media writes, writers parked on a full write cache,
+    IO-path faults on both directions, sequential continuations at a
+    deep queue, and EPC idle conditions entered by the ladder policy,
+    whose recoveries the next media access pays (with stuck retries).
+    """
+    import dataclasses
+
     from repro._units import KiB, MiB
     from repro.core.experiment import ExperimentConfig
+    from repro.devices.catalog import hdd_exos_7e2000
+    from repro.faults.plan import FaultPlan, StuckTransitionSpec
+    from repro.iogen.spec import IoPattern, JobSpec
+    from repro.policy import BudgetSchedule, PolicySpec
+
+    def job(pattern, block_kib, iodepth, runtime_s=0.02, size_mib=8):
+        return JobSpec(
+            pattern=pattern,
+            block_size=block_kib * KiB,
+            iodepth=iodepth,
+            runtime_s=runtime_s,
+            size_limit_bytes=size_mib * MiB,
+        )
+
+    hdd = hdd_exos_7e2000()
+    faults = io_path_faults()
+    return {
+        "hdd_write_through": ExperimentConfig(
+            device=dataclasses.replace(hdd, write_cache_enabled=False),
+            job=job(IoPattern.RANDWRITE, 4, 8),
+            seed=7,
+        ),
+        "hdd_cache_full": ExperimentConfig(
+            device=dataclasses.replace(hdd, cache_bytes=256 * KiB),
+            job=job(IoPattern.RANDWRITE, 64, 32),
+            seed=7,
+        ),
+        "hdd_faults_randread": ExperimentConfig(
+            device="hdd",
+            job=job(IoPattern.RANDREAD, 64, 8, runtime_s=0.2),
+            faults=faults,
+            seed=7,
+        ),
+        "hdd_faults_randwrite": ExperimentConfig(
+            device="hdd", job=job(IoPattern.RANDWRITE, 64, 8), faults=faults, seed=7
+        ),
+        "hdd_seqread_4k_qd64": ExperimentConfig(
+            device="hdd", job=job(IoPattern.READ, 4, 64), seed=7
+        ),
+        "hdd_ladder_epc": ExperimentConfig(
+            device="hdd",
+            job=job(IoPattern.RANDREAD, 64, 2, runtime_s=0.03),
+            seed=7,
+            faults=FaultPlan(
+                stuck_transitions=StuckTransitionSpec(probability=0.5, max_stuck=2)
+            ),
+            policy=PolicySpec(
+                kind="ladder",
+                budget=BudgetSchedule.step(high_w=3.5, low_w=2.8, period_s=0.05),
+            ),
+        ),
+    }
+
+
+def traced_configs() -> dict:
+    """The traced cases, whose emitted event streams are pinned.
+
+    A capped ssd2 write, and an HDD write through a 256 KiB cache under
+    the IO-path fault plan (cache hits and misses, parked writers, fault
+    delays and retries).
+    """
+    import dataclasses
+
+    from repro._units import KiB, MiB
+    from repro.core.experiment import ExperimentConfig
+    from repro.devices.catalog import hdd_exos_7e2000
     from repro.iogen.spec import IoPattern, JobSpec
 
-    return ExperimentConfig(
-        device="ssd2",
-        job=JobSpec(
-            pattern=IoPattern.RANDWRITE,
-            block_size=64 * KiB,
-            iodepth=8,
-            runtime_s=0.01,
-            size_limit_bytes=4 * MiB,
-        ),
-        power_state=2,
-        seed=7,
+    job = JobSpec(
+        pattern=IoPattern.RANDWRITE,
+        block_size=64 * KiB,
+        iodepth=8,
+        runtime_s=0.01,
+        size_limit_bytes=4 * MiB,
     )
+    return {
+        "ssd2_traced_ps2": ExperimentConfig(
+            device="ssd2", job=job, power_state=2, seed=7
+        ),
+        "hdd_traced": ExperimentConfig(
+            device=dataclasses.replace(hdd_exos_7e2000(), cache_bytes=256 * KiB),
+            job=dataclasses.replace(
+                job, block_size=16 * KiB, iodepth=16, runtime_s=0.03
+            ),
+            faults=io_path_faults(),
+            seed=7,
+        ),
+    }
 
 
-def compute_traced_golden() -> object:
-    """The traced run's result plus a digest of every emitted event.
+def compute_traced_golden(name: str) -> object:
+    """A traced run's result plus a digest of every emitted event.
 
     The event stream (a few thousand events) is pinned by count, by a
     per-kind census and by a SHA-256 over its canonical flattening,
@@ -325,7 +416,7 @@ def compute_traced_golden() -> object:
     from repro.obs.events import Tracer
 
     tracer = Tracer()
-    result = run_experiment(traced_config(), tracer=tracer)
+    result = run_experiment(traced_configs()[name], tracer=tracer)
     events = tracer.events
     census: dict = {}
     for event in events:
@@ -375,8 +466,8 @@ def compute_fleet_golden() -> object:
 def compute_golden(name: str) -> object:
     if name == "fleet_tiny":
         return compute_fleet_golden()
-    if name == "ssd2_traced_ps2":
-        return compute_traced_golden()
+    if name in traced_configs():
+        return compute_traced_golden(name)
     from repro.core.experiment import run_experiment
 
     return flatten(run_experiment(golden_configs()[name]))
@@ -384,7 +475,7 @@ def compute_golden(name: str) -> object:
 
 def golden_names() -> list:
     """Every golden fixture name, experiment grid plus composite runs."""
-    return sorted(golden_configs()) + ["fleet_tiny", "ssd2_traced_ps2"]
+    return sorted(golden_configs()) + ["fleet_tiny"] + sorted(traced_configs())
 
 
 def main(argv=None) -> int:
