@@ -31,6 +31,7 @@ from repro.devices.catalog import build_device
 from repro.devices.ssd import SimulatedSSD
 from repro.iogen.arrivals import ArrivalProcess, LoadProfile, OpenLoopJob, OpenLoopResult
 from repro.iogen.spec import IoPattern
+from repro.iogen.stats import IoRecords
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
@@ -368,11 +369,8 @@ def run_demand_response(
         segment_power.append(power)
         compliance.append(power <= watts + 0.5)
 
-    merged_records = tuple(
-        record for job in jobs for record in job.records
-    )
     workload = OpenLoopResult(
-        records=merged_records,
+        records=IoRecords.concat(job.records.view() for job in jobs),
         offered=sum(j.offered for j in jobs),
         submitted=sum(j.submitted for j in jobs),
         shed=sum(j.shed for j in jobs),

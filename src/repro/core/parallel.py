@@ -286,6 +286,15 @@ class CacheStats:
         }
 
 
+#: Pickle layout of cached results, stamped into every entry's file name.
+#: Unpickling restores a result's fields without running ``__post_init__``,
+#: so an entry written under an older layout -- IO records as a tuple of
+#: ``IoRecord`` rather than an ``IoRecords`` view -- would load as a result
+#: the statistics code cannot read.  Entries under another stamp are never
+#: looked up: they miss, and the point is recomputed.
+RESULT_LAYOUT = "iocols1"
+
+
 class ResultCache:
     """Pickled :class:`ExperimentResult` per config content hash.
 
@@ -302,7 +311,7 @@ class ResultCache:
         self.stats = CacheStats()
 
     def path_for(self, config: ExperimentConfig) -> Path:
-        return self.root / f"{config_content_hash(config)}.pkl"
+        return self.root / f"{config_content_hash(config)}.{RESULT_LAYOUT}.pkl"
 
     def get(self, config: ExperimentConfig) -> Optional[ExperimentResult]:
         path = self.path_for(config)

@@ -46,7 +46,7 @@ from repro.devices.hdd_drive import HddConfig
 from repro.fleet.api import BudgetAllocator, DeviceView
 from repro.fleet.governor import ClusterGovernor
 from repro.fleet.workload import FrontEnd
-from repro.iogen.stats import LatencyStats
+from repro.iogen.stats import IoRecords, LatencyStats
 from repro.obs.aggregate import BucketedHistogram, SweepRollup, merge_snapshots
 from repro.policy.runtime import _hdd_range, _ssd_range
 from repro.policy.spec import BudgetSchedule, PolicySpec
@@ -329,10 +329,8 @@ def _policy_for(label: str, cap_w: float) -> PolicySpec:
 
 def _epoch_p99(results: Sequence[ExperimentResult]) -> float:
     """Exact fleet-wide p99 over every IO the epoch completed."""
-    latencies = [
-        record.latency for result in results for record in result.job.records
-    ]
-    if not latencies:
+    latencies = IoRecords.concat(result.job.records for result in results).latency
+    if not len(latencies):
         return 0.0
     return LatencyStats.from_latencies(latencies).p99
 
@@ -352,10 +350,9 @@ def _epoch_metrics(results: Sequence[ExperimentResult]) -> dict:
     for result in results:
         job = result.job
         ios += len(job.records)
-        nbytes += sum(r.nbytes for r in job.records)
+        nbytes += int(job.records.nbytes.sum())
         energy_j += result.true_mean_power_w * job.duration
-        for record in job.records:
-            histogram.observe(record.latency)
+        histogram.observe_many(job.records.latency)
     return {
         "fleet.ios": {"all": {"type": "counter", "value": ios}},
         "fleet.bytes": {"all": {"type": "counter", "value": nbytes}},

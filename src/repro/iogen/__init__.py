@@ -9,8 +9,9 @@ package reproduces that surface:
 - :mod:`~repro.iogen.patterns` -- offset generators.
 - :class:`~repro.iogen.engine.FioJob` -- the asynchronous submission engine
   that keeps ``iodepth`` IOs outstanding and records per-IO latency.
-- :mod:`~repro.iogen.stats` -- latency/throughput statistics with a warmup
-  window (steady-state reporting).
+- :mod:`~repro.iogen.stats` -- per-IO records kept as columns
+  (:class:`~repro.iogen.stats.IoRecords`) and latency/throughput
+  statistics with a warmup window (steady-state reporting).
 - :mod:`~repro.iogen.fio` -- a fio-flavoured command-line front end.
 """
 
@@ -18,12 +19,14 @@ from repro.iogen.engine import FioJob
 from repro.iogen.fio import format_job_result, parse_fio_args
 from repro.iogen.patterns import OffsetGenerator, RandomOffsets, SequentialOffsets
 from repro.iogen.spec import IoPattern, JobSpec
-from repro.iogen.stats import IoRecord, JobResult, LatencyStats
+from repro.iogen.stats import IoLog, IoRecord, IoRecords, JobResult, LatencyStats
 
 __all__ = [
     "FioJob",
+    "IoLog",
     "IoPattern",
     "IoRecord",
+    "IoRecords",
     "JobResult",
     "JobSpec",
     "LatencyStats",

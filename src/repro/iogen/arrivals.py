@@ -28,7 +28,7 @@ import numpy as np
 from repro.devices.base import IOKind, IORequest, StorageDevice
 from repro.iogen.patterns import OffsetGenerator, RandomOffsets, SequentialOffsets
 from repro.iogen.spec import IoPattern
-from repro.iogen.stats import IoRecord, LatencyStats
+from repro.iogen.stats import IoLog, IoRecords, LatencyStats
 from repro.sim.engine import Engine
 
 __all__ = ["ArrivalProcess", "LoadProfile", "OpenLoopJob", "OpenLoopResult"]
@@ -155,10 +155,13 @@ class OpenLoopResult:
             was reached -- the QoS failure signal.
     """
 
-    records: tuple[IoRecord, ...]
+    records: IoRecords
     offered: int
     submitted: int
     shed: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", IoRecords.from_records(self.records))
 
     @property
     def completion_fraction(self) -> float:
@@ -167,12 +170,12 @@ class OpenLoopResult:
     def latency_stats(self) -> LatencyStats:
         if not self.records:
             raise ValueError("no completions to summarize")
-        return LatencyStats.from_latencies([r.latency for r in self.records])
+        return LatencyStats.from_latencies(self.records.latency)
 
     def throughput_bps(self, duration: float) -> float:
         if duration <= 0:
             raise ValueError("duration must be positive")
-        return sum(r.nbytes for r in self.records) / duration
+        return int(self.records.nbytes.sum()) / duration
 
 
 class OpenLoopJob:
@@ -205,7 +208,7 @@ class OpenLoopJob:
         self.duration_s = duration_s
         self.max_outstanding = max_outstanding
         self._offsets = self._make_offsets(region_bytes, rng)
-        self.records: list[IoRecord] = []
+        self.records = IoLog()
         self.offered = 0
         self.submitted = 0
         self.shed = 0
@@ -256,13 +259,11 @@ class OpenLoopJob:
 
     def _complete(self, event, submit_time: float, nbytes: int) -> None:
         self._outstanding -= 1
-        self.records.append(
-            IoRecord(submit_time, event.value.complete_time, nbytes)
-        )
+        self.records.append(submit_time, event.value.complete_time, nbytes)
 
     def result(self) -> OpenLoopResult:
         return OpenLoopResult(
-            records=tuple(self.records),
+            records=self.records.view(),
             offered=self.offered,
             submitted=self.submitted,
             shed=self.shed,

@@ -21,7 +21,7 @@ import numpy as np
 from repro.devices.base import IOKind, IORequest, StorageDevice
 from repro.iogen.patterns import OffsetGenerator, RandomOffsets, SequentialOffsets
 from repro.iogen.spec import IoPattern, JobSpec
-from repro.iogen.stats import IoRecord, JobResult
+from repro.iogen.stats import IoLog, JobResult
 from repro.sim.engine import Engine, Event
 
 __all__ = ["FioJob"]
@@ -57,7 +57,7 @@ class FioJob:
                 f"{spec.region_offset + region_bytes}) exceeds device capacity"
             )
         self._offsets = self._make_offsets(spec, region_bytes, rng)
-        self.records: list[IoRecord] = []
+        self.records = IoLog()
         self._issued_bytes = 0
         self._start_time: Optional[float] = None
         self._end_time: Optional[float] = None
@@ -120,7 +120,9 @@ class FioJob:
         engine = self.engine
         submit_call = self.device.submit_call
         next_offset = self._offsets.next_offset
-        append_record = self.records.append
+        append_submit = self.records.submit_time.append
+        append_complete = self.records.complete_time.append
+        append_nbytes = self.records.nbytes.append
         block_size = spec.block_size
         size_limit = spec.size_limit_bytes
         host_overhead = spec.host_overhead_s
@@ -139,7 +141,9 @@ class FioJob:
                 done.succeed()
 
         def complete(result) -> None:
-            append_record(IoRecord(submit_time, result.complete_time, block_size))
+            append_submit(submit_time)
+            append_complete(result.complete_time)
+            append_nbytes(block_size)
             if host_overhead > 0:
                 engine.schedule(host_overhead, loop)
             else:
@@ -170,6 +174,6 @@ class FioJob:
             spec=self.spec,
             start_time=self._start_time,
             end_time=self._end_time,
-            records=tuple(self.records),
+            records=self.records.view(),
             measure_start=measure_start,
         )

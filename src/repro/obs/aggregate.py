@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["BucketedHistogram", "GroupStats", "SweepRollup", "merge_snapshots"]
 
 #: Default bucket upper bounds: 5 per decade, 1 microsecond to 100 s --
@@ -100,6 +102,24 @@ class BucketedHistogram:
         self.total += value
         self._min = min(self._min, value)
         self._max = max(self._max, value)
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` every value of a float array, in order.
+
+        Counts, min and max match the per-value loop exactly, and so does
+        ``total``: it is accumulated left to right (``np.cumsum``), not by
+        NumPy's pairwise sum, whose last bit can differ.
+        """
+        values = np.asarray(values, float)
+        if not len(values):
+            return
+        buckets = np.searchsorted(self.bounds, values, side="left")
+        added = np.bincount(buckets, minlength=len(self.counts))
+        self.counts = [c + int(n) for c, n in zip(self.counts, added)]
+        self.count += len(values)
+        self.total = float(np.cumsum(np.concatenate(([self.total], values)))[-1])
+        self._min = min(self._min, float(values.min()))
+        self._max = max(self._max, float(values.max()))
 
     @property
     def mean(self) -> float:
@@ -278,13 +298,12 @@ class SweepRollup:
             stats.points += 1
             job = result.job
             stats.ios += len(job.records)
-            stats.bytes += sum(r.nbytes for r in job.records)
+            stats.bytes += int(job.records.nbytes.sum())
             stats.sim_time_s += job.duration
             stats.energy_j += result.true_mean_power_w * job.duration
             stats.mean_power_w_sum += result.mean_power_w
             stats.throughput_mib_s_sum += result.throughput_mib_s
-            for record in job.records:
-                stats.latency.observe(record.latency)
+            stats.latency.observe_many(job.records.latency)
         return cls(group_by=tuple(group_by), groups=groups)
 
     def merge(self, other: "SweepRollup") -> "SweepRollup":

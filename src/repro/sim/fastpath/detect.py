@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.iogen.stats import ordered_sum
 from repro.sim.fastpath.options import FastpathOptions
 
 __all__ = ["StationarityDetector", "WindowStats"]
@@ -112,14 +113,8 @@ class StationarityDetector:
         if not _rel_close(n1 / w1, n2 / w2, opts.rate_rtol):
             return None
         records = job.records
-        lat1 = sum(
-            r.complete_time - r.submit_time
-            for r in records[c0.n_records : c1.n_records]
-        ) / n1
-        lat2 = sum(
-            r.complete_time - r.submit_time
-            for r in records[c1.n_records : c2.n_records]
-        ) / n2
+        lat1 = ordered_sum(records.view(c0.n_records, c1.n_records).latency) / n1
+        lat2 = ordered_sum(records.view(c1.n_records, c2.n_records).latency) / n2
         if not _rel_close(lat1, lat2, opts.latency_rtol):
             return None
         trace = self._rail.trace

@@ -99,7 +99,7 @@ def _run_with_splices(engine, device, job, master, opts) -> FastpathSummary:
     detector = StationarityDetector(job, device.rail, opts)
     splices = []
     fixups = []
-    records = job.records
+    completions = job.records.complete_time
     tracer = engine.tracer
     queue = engine._queue
     pop = heapq.heappop
@@ -113,7 +113,7 @@ def _run_with_splices(engine, device, job, master, opts) -> FastpathSummary:
             engine._now = when
             processed += 1
             handler(arg)
-            if len(records) < detector.next_probe_len:
+            if len(completions) < detector.next_probe_len:
                 continue
             if len(splices) >= opts.max_splices:
                 continue
@@ -141,7 +141,7 @@ def _run_with_splices(engine, device, job, master, opts) -> FastpathSummary:
                 )
     finally:
         engine.events_processed += processed
-    fixed = apply_fixups(records, fixups)
+    fixed = apply_fixups(job.records, fixups)
     assert fixed <= len(fixups) * job.spec.iodepth
     return FastpathSummary(
         engaged=bool(splices),

@@ -13,7 +13,8 @@ invariants make it safe:
 - The power trace is extended by tiling the template window's
   breakpoints, so the energy added is *exactly* ``N`` times the template
   window's integral (the ``fastpath_equivalence`` invariant).
-- IO records are tiled the same way, and the offset stream is advanced
+- IO records are tiled the same way (``np.tile`` over the template
+  window's columns), and the offset stream is advanced
   by the skipped submissions (:meth:`OffsetGenerator.skip`) so the
   resumed simulation draws exactly the offsets the slow path would have
   drawn at that point in the stream.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.iogen.stats import IoRecord
+from repro.iogen.stats import IoLog
 from repro.sim.fastpath.detect import WindowStats
 from repro.sim.fastpath.options import SpliceRecord
 
@@ -54,17 +55,20 @@ class Fixup:
     shift_s: float
 
 
-def apply_fixups(records: list, fixups: list[Fixup]) -> int:
-    """Rewrite stale in-flight submit times in place; returns count fixed."""
+def apply_fixups(records: IoLog, fixups: list[Fixup]) -> int:
+    """Rewrite stale in-flight submit times in place; returns count fixed.
+
+    One masked add per fixup, in splice order, on the submit column.
+    """
+    # A writable view of the live column: nothing may append while it is
+    # held, and it is dropped on return.
+    submit = np.frombuffer(records.submit_time, np.float64)
     fixed = 0
     for fixup in fixups:
-        for i in range(fixup.position, len(records)):
-            r = records[i]
-            if r.submit_time <= fixup.t_splice:
-                records[i] = IoRecord(
-                    r.submit_time + fixup.shift_s, r.complete_time, r.nbytes
-                )
-                fixed += 1
+        tail = submit[fixup.position :]
+        stale = tail <= fixup.t_splice
+        tail[stale] += fixup.shift_s
+        fixed += int(np.count_nonzero(stale))
     return fixed
 
 
@@ -107,13 +111,14 @@ def splice_windows(
     )
 
     # -- record replication ---------------------------------------------
-    template_records = job.records[stats.records_start : stats.records_end]
-    append = job.records.append
-    for k in range(1, n_windows + 1):
-        dt = k * window_s
-        for r in template_records:
-            append(IoRecord(r.submit_time + dt, r.complete_time + dt, r.nbytes))
-    records_added = n_windows * len(template_records)
+    template = job.records.view(stats.records_start, stats.records_end)
+    shifts = np.repeat(np.arange(1, n_windows + 1) * window_s, len(template))
+    job.records.extend(
+        np.tile(template.submit_time, n_windows) + shifts,
+        np.tile(template.complete_time, n_windows) + shifts,
+        np.tile(template.nbytes, n_windows),
+    )
+    records_added = n_windows * len(template)
 
     # -- submission-side bookkeeping ------------------------------------
     skipped_submissions = n_windows * stats.submissions
@@ -122,7 +127,7 @@ def splice_windows(
 
     # -- device counters -------------------------------------------------
     device.ios_completed += records_added
-    device.bytes_read += sum(r.nbytes for r in template_records) * n_windows
+    device.bytes_read += int(template.nbytes.sum()) * n_windows
     device._last_activity += shift
 
     # -- time jump --------------------------------------------------------
@@ -137,7 +142,7 @@ def splice_windows(
         t_to=t_splice + shift,
         window_s=window_s,
         n_windows=n_windows,
-        records_per_window=len(template_records),
+        records_per_window=len(template),
         records_added=records_added,
         energy_per_window_j=energy_per_window,
         energy_added_j=energy_added,

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.core.experiment import ExperimentResult
 from repro.devices.catalog import DEVICE_PRESETS, DeviceConfig
+from repro.iogen.stats import ordered_sum
 from repro.validate.envelope import power_envelope
 from repro.validate.report import Tolerances, Violation
 
@@ -77,17 +80,18 @@ def _check_window_sanity(result: ExperimentResult, tol: Tolerances):
             result.power.duration_s,
             0.0,
         )
-    for record in job.records:
-        if record.complete_time < record.submit_time:
-            yield Violation(
-                "window_sanity",
-                result.config.describe(),
-                f"IO completes at {record.complete_time!r} before its "
-                f"submission at {record.submit_time!r}",
-                record.latency,
-                0.0,
-            )
-            break  # one representative record is enough
+    records = job.records
+    backwards = np.flatnonzero(records.complete_time < records.submit_time)
+    if len(backwards):
+        record = records[int(backwards[0])]  # one representative
+        yield Violation(
+            "window_sanity",
+            result.config.describe(),
+            f"IO completes at {record.complete_time!r} before its "
+            f"submission at {record.submit_time!r}",
+            record.latency,
+            0.0,
+        )
 
 
 def _check_non_negative(result: ExperimentResult, tol: Tolerances):
@@ -209,21 +213,24 @@ def _check_littles_law(result: ExperimentResult, tol: Tolerances):
     job = result.job
     t0, t1 = job.measure_window
     window = t1 - t0
-    if window <= 0 or not job.records:
+    records = job.records
+    if window <= 0 or not records:
         return
-    measured = [r for r in job.records if r.complete_time >= t0]
-    if not measured:
+    latencies = records.latency[records.complete_time >= t0]
+    if not len(latencies):
         return
     # Left side: exact time-average of outstanding IOs over the window.
-    in_system = sum(
-        max(0.0, min(r.complete_time, t1) - max(r.submit_time, t0))
-        for r in job.records
+    in_system = ordered_sum(
+        np.maximum(
+            0.0,
+            np.minimum(records.complete_time, t1)
+            - np.maximum(records.submit_time, t0),
+        )
     )
     mean_outstanding = in_system / window
     # Right side: throughput x latency from the completed-in-window set.
-    latencies = [r.latency for r in measured]
-    rate_times_latency = sum(latencies) / window
-    edge_bound = job.spec.iodepth * max(latencies) / window
+    rate_times_latency = ordered_sum(latencies) / window
+    edge_bound = job.spec.iodepth * float(latencies.max()) / window
     slack = edge_bound + tol.littles_rel * max(
         mean_outstanding, rate_times_latency, 1e-9
     )
@@ -276,8 +283,7 @@ def _check_cap(result: ExperimentResult, tol: Tolerances):
 
 
 def _check_latency_ordering(result: ExperimentResult, tol: Tolerances):
-    job = result.job
-    if not [r for r in job.records if r.complete_time >= job.measure_start]:
+    if not result.job.ios_completed:
         return
     stats = result.latency()
     subject = result.config.describe()
@@ -543,8 +549,7 @@ def _check_slo(result: ExperimentResult, tol: Tolerances):
     slo = policy.spec.slo_p99_s
     if slo is None:
         return
-    job = result.job
-    if not [r for r in job.records if r.complete_time >= job.measure_start]:
+    if not result.job.ios_completed:
         return
     p99 = result.latency().p99
     if p99 > slo:

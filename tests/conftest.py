@@ -32,6 +32,28 @@ def engine() -> Engine:
     return Engine()
 
 
+# -- study results shared across test files ------------------------------
+#
+# A figure driver is deterministic from its scale, so each is run once per
+# session and shared by every test that only reads its result.
+
+
+@pytest.fixture(scope="session")
+def fig8_quick():
+    from repro.studies import fig8
+    from repro.studies.common import QUICK
+
+    return fig8.run(QUICK)
+
+
+@pytest.fixture(scope="session")
+def fig9_quick():
+    from repro.studies import fig9
+    from repro.studies.common import QUICK
+
+    return fig9.run(QUICK)
+
+
 @pytest.fixture
 def rngs() -> RngStreams:
     return RngStreams(seed=1234)

@@ -318,6 +318,36 @@ class TestResultCache:
         assert rerun.stats.hits == 1
         assert third[point].mean_power_w == first[point].mean_power_w
 
+    def test_entry_from_the_record_object_layout_misses(self, tmp_path):
+        """An entry pickled when a job's records were a tuple of
+        ``IoRecord`` is never served: unpickling skips ``__post_init__``,
+        so it would load with no record columns.  The sweep misses and
+        recomputes a correct result instead."""
+        import dataclasses
+        import pickle
+
+        from repro.iogen.stats import IoRecords
+
+        grid = small_grid(block_sizes=(16 * KiB,), iodepths=(1,))
+        point = next(iter(grid.points()))
+        config = grid.config_for(point)
+        fresh = parallel.run_experiment(config)
+        legacy_job = dataclasses.replace(fresh.job)
+        object.__setattr__(legacy_job, "records", tuple(fresh.job.records))
+        legacy = dataclasses.replace(fresh, job=legacy_job)
+        entry = tmp_path / f"{config_content_hash(config)}.pkl"
+        entry.write_bytes(pickle.dumps(legacy))
+        with pytest.raises(AttributeError):
+            pickle.loads(entry.read_bytes()).latency()
+
+        cache = ResultCache(tmp_path)
+        result = run_sweep(grid, ExecutionOptions(cache_dir=cache))[point]
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.puts) == (0, 1, 1)
+        assert isinstance(result.job.records, IoRecords)
+        assert result.job.records == fresh.job.records
+        assert result.latency() == fresh.latency()
+        assert cache.get(config).latency() == fresh.latency()
+
     def test_cache_roundtrip_api(self, tmp_path):
         grid = small_grid()
         config = grid.config_for(next(iter(grid.points())))

@@ -174,7 +174,7 @@ class TestBufferRelease:
     def test_one_retry_entry_equals_one_wakeup_per_writer(self):
         batched, dev_b, eng_b = self._run(SimulatedSSD)
         per_writer, dev_p, eng_p = self._run(_PerWriterWakeSSD)
-        assert batched.records == per_writer.records
+        assert batched.records.view() == per_writer.records.view()
         assert dev_b.rail.trace._times == dev_p.rail.trace._times
         assert dev_b.rail.trace._values == dev_p.rail.trace._values
         # The workload really parked writers behind the buffer...

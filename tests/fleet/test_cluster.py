@@ -8,10 +8,14 @@ from repro.core.report import build_report, render_markdown
 from repro.fleet.cluster import (
     DEFAULT_MIX,
     FleetSpec,
+    _epoch_metrics,
+    _epoch_p99,
     device_power_range,
     run_fleet,
 )
 from repro.fleet.model import FleetModel
+from repro.iogen.stats import LatencyStats
+from repro.obs.aggregate import BucketedHistogram
 from repro.studies import fleet_scale
 from repro.studies.common import StudyScale
 
@@ -68,6 +72,46 @@ class TestSpec:
         for label in DEFAULT_MIX:
             floor, ceiling = device_power_range(label)
             assert 0 < floor < ceiling
+
+
+class TestEpochAggregatesMatchTheRecordLoop:
+    """The columnar epoch aggregates against the per-record loops they
+    replaced, kept here as the reference."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        from repro.core.experiment import run_experiment
+        from repro.iogen.spec import IoPattern
+        from repro.studies.common import point_config
+
+        return [
+            run_experiment(point_config(device, pattern, 16 * 1024, 8, scale=TINY))
+            for device, pattern in (
+                ("ssd1", IoPattern.RANDWRITE),
+                ("ssd3", IoPattern.RANDREAD),
+            )
+        ]
+
+    def test_epoch_p99(self, results):
+        latencies = [
+            record.latency for result in results for record in result.job.records
+        ]
+        expected = LatencyStats.from_latencies(latencies).p99
+        assert _epoch_p99(results).hex() == expected.hex()
+        assert _epoch_p99([]) == 0.0
+
+    def test_epoch_metrics(self, results):
+        histogram = BucketedHistogram()
+        ios = nbytes = 0
+        for result in results:
+            for record in result.job.records:
+                ios += 1
+                nbytes += record.nbytes
+                histogram.observe(record.latency)
+        metrics = _epoch_metrics(results)
+        assert metrics["fleet.ios"]["all"]["value"] == ios
+        assert metrics["fleet.bytes"]["all"]["value"] == nbytes
+        assert metrics["fleet.latency_s"]["all"] == histogram.snapshot()
 
 
 class TestRunFleet:

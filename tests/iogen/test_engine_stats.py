@@ -84,7 +84,7 @@ class TestFioJob:
                 size_limit_bytes=2 * MiB,
             )
             job = run_job(eng, dev, spec, RngStreams(seed))
-            return tuple(r.complete_time for r in job.records)
+            return tuple(job.records.complete_time)
 
         assert checksum(3) == checksum(3)
         assert checksum(3) != checksum(4)

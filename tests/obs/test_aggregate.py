@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.obs.aggregate import (
@@ -130,6 +131,34 @@ class TestBucketedHistogram:
         assert clone.count == 0
         assert clone.bounds == DEFAULT_BOUNDS
 
+    def test_bulk_observe_is_bit_equal_to_the_per_sample_loop(self):
+        """Counts, total, min and max match observing one sample at a
+        time, across calls, including both edge buckets and values that
+        sit exactly on a bound."""
+        rng = np.random.default_rng(11)
+        chunks = [
+            rng.lognormal(-8.0, 3.0, 4000),  # spans every bucket
+            np.array([DEFAULT_BOUNDS[0], DEFAULT_BOUNDS[7], 1e-9, 500.0]),
+            np.array([]),
+            rng.uniform(1e-4, 2e-4, 1000),
+        ]
+        one_by_one, bulk = BucketedHistogram(), BucketedHistogram()
+        for chunk in chunks:
+            for value in chunk.tolist():
+                one_by_one.observe(value)
+            bulk.observe_many(chunk)
+        assert bulk.counts == one_by_one.counts
+        assert bulk.count == one_by_one.count
+        assert bulk.total.hex() == one_by_one.total.hex()
+        assert bulk.min.hex() == one_by_one.min.hex()
+        assert bulk.max.hex() == one_by_one.max.hex()
+        assert bulk.snapshot() == one_by_one.snapshot()
+        # The samples are ones where NumPy's pairwise sum would not do.
+        loop_total = 0.0
+        for value in chunks[0].tolist():
+            loop_total += value
+        assert float(np.sum(chunks[0])).hex() != loop_total.hex()
+
 
 @pytest.fixture(scope="module")
 def two_results():
@@ -157,6 +186,19 @@ class TestSweepRollup:
         assert stats.ios == sum(len(r.job.records) for r in two_results)
         assert stats.latency.count == stats.ios
         assert stats.energy_j > 0
+
+    def test_matches_the_per_record_loop(self, two_results):
+        """The columnar rollup equals the per-record loop it replaced."""
+        rollup = SweepRollup.from_results(two_results)
+        stats = rollup.groups[("ssd2", "None")]
+        reference = BucketedHistogram()
+        for result in two_results:
+            for record in result.job.records:
+                reference.observe(record.latency)
+        assert stats.latency.snapshot() == reference.snapshot()
+        assert stats.bytes == sum(
+            r.nbytes for result in two_results for r in result.job.records
+        )
 
     def test_accepts_mapping_like_sweep_results(self, two_results):
         keyed = {i: r for i, r in enumerate(two_results)}

@@ -14,18 +14,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro._units import KiB
-from repro.core.experiment import ExperimentConfig
+from repro._units import KiB, MiB
+from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.devices.catalog import DEVICE_PRESETS, build_device
 from repro.devices.link import LinkPowerMode
 from repro.iogen.patterns import RandomOffsets, SequentialOffsets
 from repro.iogen.spec import IoPattern, JobSpec
-from repro.iogen.stats import IoRecord
+from repro.iogen.stats import IoLog, IoRecord
 from repro.obs.events import Tracer
 from repro.sim.engine import Engine
+from repro.sim.fastpath import driver
 from repro.sim.fastpath.detect import StationarityDetector
 from repro.sim.fastpath.driver import splice_eligibility
 from repro.sim.fastpath.options import FastpathOptions, FastpathSummary
+from repro.sim.fastpath.splice import Fixup, apply_fixups
 from repro.sim.rng import RngStreams
 
 
@@ -122,7 +124,7 @@ class _RailStub:
 
 class _JobStub:
     def __init__(self, block_size=BLOCK):
-        self.records = []
+        self.records = IoLog()
         self._issued_bytes = 0
         self.spec = dataclasses.make_dataclass("Spec", ["block_size"])(
             block_size
@@ -132,9 +134,7 @@ class _JobStub:
         """Append n evenly spaced completions inside [t_start, t_start+1ms)."""
         for i in range(n):
             submit = t_start + i * (1e-3 / n)
-            self.records.append(
-                IoRecord(submit, submit + latency_s, self.spec.block_size)
-            )
+            self.records.append(submit, submit + latency_s, self.spec.block_size)
             self._issued_bytes += self.spec.block_size
 
 
@@ -232,6 +232,87 @@ class TestStationarityDetector:
         # Post-reset the detector must re-earn three checkpoints.
         assert self._steady(detector, job, probes=2, start=3e-3) is None
         assert self._steady(detector, job, probes=1, start=5e-3) is not None
+
+
+# -- in-flight fixups -----------------------------------------------------
+
+
+def _apply_fixups_loop(records, fixups):
+    """The per-record loop the masked add replaced: the reference."""
+    records = list(records)
+    fixed = 0
+    for fixup in fixups:
+        for i in range(fixup.position, len(records)):
+            r = records[i]
+            if r.submit_time <= fixup.t_splice:
+                records[i] = IoRecord(
+                    r.submit_time + fixup.shift_s, r.complete_time, r.nbytes
+                )
+                fixed += 1
+    return records, fixed
+
+
+def _columns(records):
+    return [
+        np.array([getattr(r, name) for r in records]).tobytes()
+        for name in ("submit_time", "complete_time", "nbytes")
+    ]
+
+
+class TestApplyFixups:
+    def test_masked_add_matches_the_record_loop_on_a_spliced_run(
+        self, monkeypatch
+    ):
+        seen = []
+        real = driver.apply_fixups
+
+        def spy(records, fixups):
+            before = records.view()
+            fixed = real(records, fixups)
+            seen.append((before, list(fixups), records.view(), fixed))
+            return fixed
+
+        monkeypatch.setattr(driver, "apply_fixups", spy)
+        result = run_experiment(
+            ExperimentConfig(
+                device="pm1743",
+                job=JobSpec(
+                    IoPattern.RANDREAD,
+                    block_size=BLOCK,
+                    iodepth=8,
+                    runtime_s=0.02,
+                    size_limit_bytes=256 * MiB,
+                ),
+                seed=7,
+                fastpath=FastpathOptions(window_records=8),
+            )
+        )
+        assert result.fastpath.engaged
+        ((before, fixups, after, fixed),) = seen
+        expected, expected_fixed = _apply_fixups_loop(before, fixups)
+        assert fixed == expected_fixed > 0
+        assert _columns(after) == _columns(expected)
+        assert result.job.records == after
+
+    def test_chained_fixups_match_the_record_loop(self):
+        """A later fixup sees the submit times an earlier one moved."""
+        log = IoLog()
+        for i in range(40):
+            log.append(i * 1e-4, i * 1e-4 + 3.3e-4, BLOCK)
+        fixups = [
+            Fixup(position=10, t_splice=1.5e-3, shift_s=2.5e-3),
+            # Overlaps the first: records 12-15 are tested on the submit
+            # times the first fixup gave them, so 13-15 stay put.
+            Fixup(position=12, t_splice=3.75e-3, shift_s=1.1e-3),
+        ]
+        expected, expected_fixed = _apply_fixups_loop(log.view(), fixups)
+        assert [r.submit_time > 4e-3 for r in expected[12:16]] == [
+            True, False, False, False
+        ]
+        assert apply_fixups(log, fixups) == expected_fixed
+        assert _columns(log.view()) == _columns(expected)
+        # The log is still growable once the fixups are applied.
+        log.append(1.0, 1.1, BLOCK)
 
 
 # -- eligibility gate ----------------------------------------------------

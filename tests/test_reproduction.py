@@ -11,7 +11,7 @@ import pytest
 
 from repro._units import KiB
 from repro.iogen.spec import IoPattern
-from repro.studies import fig10, fig4, fig7, fig9, table1
+from repro.studies import fig10, fig4, fig7, table1
 from repro.studies.common import QUICK, run_point
 
 
@@ -135,15 +135,15 @@ class TestFig8And9IoShaping:
         assert 0.15 <= power_saving <= 0.45  # paper: up to 30 %
         assert 0.30 <= throughput_loss <= 0.80  # paper: up to 50 %
 
-    def test_shallow_queue_saves_power_and_costs_throughput(self):
-        result = fig9.run(QUICK)
+    def test_shallow_queue_saves_power_and_costs_throughput(self, fig9_quick):
+        result = fig9_quick
         saving = result.power_saving_qd1("ssd2")
         fraction = result.throughput_fraction_qd1("ssd2")
         assert 0.20 <= saving <= 0.55  # paper: up to 40 %
         assert fraction <= 0.15  # paper: ~10 %
 
-    def test_power_monotone_in_queue_depth(self):
-        result = fig9.run(QUICK)
+    def test_power_monotone_in_queue_depth(self, fig9_quick):
+        result = fig9_quick
         series = result.power_w["ssd2"]
         assert series[0] == min(series)
         assert max(series) == pytest.approx(max(series[-2:]), rel=0.1)

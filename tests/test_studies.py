@@ -9,7 +9,7 @@ smallest grids.
 import pytest
 
 from repro.iogen.spec import IoPattern, PAPER_CHUNK_SIZES, PAPER_QUEUE_DEPTHS
-from repro.studies import claims, fig3, fig8, fig9, table1
+from repro.studies import claims, fig3, table1
 from repro.studies.common import QUICK
 
 pytestmark = pytest.mark.integration
@@ -57,26 +57,28 @@ class TestFig3Structure:
 
 
 class TestFig8Fig9Structure:
-    def test_fig8_series_complete(self):
-        result = fig8.run(QUICK)
+    """Reads the session's ``fig8_quick`` / ``fig9_quick`` (conftest)."""
+
+    def test_fig8_series_complete(self, fig8_quick):
+        result = fig8_quick
         for device in ("ssd1", "ssd2", "ssd3", "hdd"):
             assert len(result.power_w[device]) == len(PAPER_CHUNK_SIZES)
             assert len(result.throughput_mib[device]) == len(PAPER_CHUNK_SIZES)
 
-    def test_fig8_throughput_rises_with_chunk(self):
-        result = fig8.run(QUICK)
+    def test_fig8_throughput_rises_with_chunk(self, fig8_quick):
+        result = fig8_quick
         for device in ("ssd2", "hdd"):
             series = result.throughput_mib[device]
             assert series[-1] > series[0]
 
-    def test_fig9_series_complete(self):
-        result = fig9.run(QUICK)
+    def test_fig9_series_complete(self, fig9_quick):
+        result = fig9_quick
         assert result.iodepths == PAPER_QUEUE_DEPTHS
         for device in ("ssd1", "ssd2", "ssd3", "hdd"):
             assert len(result.power_w[device]) == len(PAPER_QUEUE_DEPTHS)
 
-    def test_fig9_throughput_rises_with_depth(self):
-        result = fig9.run(QUICK)
+    def test_fig9_throughput_rises_with_depth(self, fig9_quick):
+        result = fig9_quick
         for device in ("ssd1", "ssd2", "ssd3", "hdd"):
             series = result.throughput_mib[device]
             assert series[-1] >= series[0]

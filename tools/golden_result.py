@@ -40,11 +40,14 @@ def flatten(obj: object) -> object:
 
     Floats become ``float.hex()`` strings (bit-exact, including inf/nan);
     dataclasses become ``[type name, [(field, value)...]]`` pairs; numpy
-    arrays become lists of hex floats.  The encoding depends only on the
-    *values* a simulation produced, never on class layout, ``__slots__``,
-    dict ordering, or pickle protocol details.
+    arrays become lists of hex floats; an ``IoRecords`` view becomes the
+    sequence of ``IoRecord`` dataclasses it stands for.  The encoding
+    depends only on the *values* a simulation produced, never on class
+    layout, ``__slots__``, dict ordering, or pickle protocol details.
     """
     import numpy as np
+
+    from repro.iogen.stats import IoRecord, IoRecords
 
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
@@ -58,6 +61,20 @@ def flatten(obj: object) -> object:
             [
                 [f.name, flatten(getattr(obj, f.name))]
                 for f in dataclasses.fields(obj)
+            ],
+        ]
+    if isinstance(obj, IoRecords):
+        # Exactly as the tuple of IoRecord it stands for, read by column.
+        names = [f.name for f in dataclasses.fields(IoRecord)]
+        columns = [getattr(obj, name).tolist() for name in names]
+        return [
+            "seq",
+            [
+                [
+                    IoRecord.__name__,
+                    [[name, flatten(v)] for name, v in zip(names, row)],
+                ]
+                for row in zip(*columns)
             ],
         ]
     if isinstance(obj, np.ndarray):
