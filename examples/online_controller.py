@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""A live power-adaptive storage controller tracking a demand-response event.
+"""A live power-adaptive storage fleet tracking a demand-response event.
 
 The full closed loop the paper motivates, running on real simulated
 hardware: two D7-P5510s serve an open-loop random-write load; at t=200 ms
 the facility cuts the storage power budget by a third; at t=400 ms it
-restores it.  The controller measures fleet power off the device rails and
-walks NVMe power states to track the budget; the workload pays with queued
-and shed requests while the cut lasts.
+restores it.  Each drive's feedback controller measures its rail and moves
+its power cap to track an equal share of the fleet budget; the workload
+pays with queued and shed requests while the cut lasts.
 
-Run:  python examples/online_controller.py   (~20 s)
+Run:  python examples/online_controller.py
 """
 
-from repro.api import BudgetSignal, GiB, run_demand_response
+from repro.api import BudgetSchedule, GiB, run_demand_response
 
 
 def main() -> None:
@@ -20,13 +20,17 @@ def main() -> None:
         n_devices=2,
         offered_load_bps=int(4.8 * GiB),
         duration_s=0.6,
-        budget=BudgetSignal(((0.0, 30.0), (0.2, 20.5), (0.4, 30.0))),
+        budget=BudgetSchedule.step(30.0, 20.5, period_s=0.4),
     )
     print("budget tracking:")
     print(result.describe())
-    print("\ncontroller actions:")
-    for action in result.actions:
-        print(f"  {action}")
+    print("\nset points each device's controller commanded:")
+    for index, policy in enumerate(result.policies):
+        previous = None
+        for t, _budget, target, _measured in policy.samples:
+            if t < result.duration_s and target != previous:
+                print(f"  t={t * 1e3:6.1f} ms  device {index}: {target:5.2f} W")
+                previous = target
     stats = result.workload.latency_stats()
     print(
         f"\nworkload: {result.workload.offered} offered, "

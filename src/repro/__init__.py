@@ -24,221 +24,9 @@ full system inventory and EXPERIMENTS.md for the paper-versus-measured
 record of every table and figure.
 """
 
-from repro.api import (
-    AbsorptionResult,
-    ActuatorFaultSpec,
-    AdaptivePlan,
-    AdcConfig,
-    AlpmController,
-    AsymmetricPlan,
-    AsymmetricPlanner,
-    AtaPowerMode,
-    BucketedHistogram,
-    BudgetAllocator,
-    BudgetSchedule,
-    BudgetSignal,
-    BudgetSplit,
-    CheckpointJournal,
-    ClusterGovernor,
-    ControlAction,
-    ControllerConfig,
-    DEFAULT,
-    DEVICE_PRESETS,
-    DemandResponseResult,
-    DeviceView,
-    Engine,
-    EventKind,
-    ExecutionOptions,
-    ExperimentConfig,
-    ExperimentResult,
-    FaultInjector,
-    FaultPlan,
-    FaultSummary,
-    FeedbackBudgetPolicy,
-    FleetAllocation,
-    FleetModel,
-    FleetResult,
-    FleetSpec,
-    GiB,
-    HysteresisLadderPolicy,
-    IOKind,
-    IORequest,
-    IOResult,
-    InvariantViolationError,
-    IoPattern,
-    JobSpec,
-    KiB,
-    LinkPowerMode,
-    MeterConfig,
-    MetricsCollector,
-    MetricsRegistry,
-    MiB,
-    ModelPoint,
-    NullTracer,
-    NvmeCli,
-    OnlinePowerController,
-    PointFailure,
-    PointSpan,
-    PointState,
-    PolicySpec,
-    PolicySummary,
-    PowerAdaptivePlanner,
-    PowerMeter,
-    PowerThroughputModel,
-    ProgressUpdate,
-    QUICK,
-    RedirectionDecision,
-    RedirectionPolicy,
-    ResultCache,
-    RetryPolicy,
-    RngStreams,
-    RunLedger,
-    RunProfiler,
-    SensorFaultSpec,
-    SimEvent,
-    StandbyProfile,
-    StaticCapPolicy,
-    StorageDevice,
-    StudyScale,
-    SweepExecutionError,
-    SweepGrid,
-    SweepOutcome,
-    SweepPoint,
-    SweepRollup,
-    SweepTelemetry,
-    Tolerances,
-    Tracer,
-    ValidationReport,
-    Violation,
-    WatchdogSpec,
-    WorkerStats,
-    WriteAbsorptionScenario,
-    build_device,
-    build_model,
-    build_policy,
-    check_power_mode,
-    idle_immediate,
-    merge_snapshots,
-    parse_fault_plan,
-    render_fault_plan,
-    run_configs,
-    run_demand_response,
-    run_experiment,
-    run_fleet,
-    run_sweep,
-    standby_immediate,
-    sweep_outcome,
-    validate_outcome,
-    validate_result,
-)
+from repro import api
+from repro.api import *  # noqa: F403 -- the facade is repro.api.__all__
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "AbsorptionResult",
-    "ActuatorFaultSpec",
-    "AdaptivePlan",
-    "AdcConfig",
-    "AlpmController",
-    "AsymmetricPlan",
-    "AsymmetricPlanner",
-    "AtaPowerMode",
-    "BucketedHistogram",
-    "BudgetAllocator",
-    "BudgetSchedule",
-    "BudgetSignal",
-    "BudgetSplit",
-    "CheckpointJournal",
-    "ClusterGovernor",
-    "ControlAction",
-    "ControllerConfig",
-    "DEFAULT",
-    "DEVICE_PRESETS",
-    "DemandResponseResult",
-    "DeviceView",
-    "Engine",
-    "EventKind",
-    "ExecutionOptions",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSummary",
-    "FeedbackBudgetPolicy",
-    "FleetAllocation",
-    "FleetModel",
-    "FleetResult",
-    "FleetSpec",
-    "GiB",
-    "HysteresisLadderPolicy",
-    "IOKind",
-    "IORequest",
-    "IOResult",
-    "InvariantViolationError",
-    "IoPattern",
-    "JobSpec",
-    "KiB",
-    "LinkPowerMode",
-    "MeterConfig",
-    "MetricsCollector",
-    "MetricsRegistry",
-    "MiB",
-    "ModelPoint",
-    "NullTracer",
-    "NvmeCli",
-    "OnlinePowerController",
-    "PointFailure",
-    "PointSpan",
-    "PointState",
-    "PolicySpec",
-    "PolicySummary",
-    "PowerAdaptivePlanner",
-    "PowerMeter",
-    "PowerThroughputModel",
-    "ProgressUpdate",
-    "QUICK",
-    "RedirectionDecision",
-    "RedirectionPolicy",
-    "ResultCache",
-    "RetryPolicy",
-    "RngStreams",
-    "RunLedger",
-    "RunProfiler",
-    "SensorFaultSpec",
-    "SimEvent",
-    "StandbyProfile",
-    "StaticCapPolicy",
-    "StorageDevice",
-    "StudyScale",
-    "SweepExecutionError",
-    "SweepGrid",
-    "SweepOutcome",
-    "SweepPoint",
-    "SweepRollup",
-    "SweepTelemetry",
-    "Tolerances",
-    "Tracer",
-    "ValidationReport",
-    "Violation",
-    "WatchdogSpec",
-    "WorkerStats",
-    "WriteAbsorptionScenario",
-    "build_device",
-    "build_model",
-    "build_policy",
-    "check_power_mode",
-    "idle_immediate",
-    "merge_snapshots",
-    "parse_fault_plan",
-    "render_fault_plan",
-    "run_configs",
-    "run_demand_response",
-    "run_experiment",
-    "run_fleet",
-    "run_sweep",
-    "standby_immediate",
-    "sweep_outcome",
-    "validate_outcome",
-    "validate_result",
-    "__version__",
-]
+__all__ = [*api.__all__, "__version__"]

@@ -13,7 +13,7 @@ The surface in one screen::
         ExperimentConfig, run_experiment,          # one experiment
         SweepGrid, ExecutionOptions, run_sweep,    # a grid of them
         PowerThroughputModel,                      # fit the paper's model
-        OnlinePowerController, FleetModel,         # act on it
+        run_demand_response, FleetModel,           # act on it
         Tracer, MetricsCollector, RunProfiler,     # observe any of it
         FaultPlan,                                 # and break it on purpose
     )
@@ -23,14 +23,6 @@ from repro._units import GiB, KiB, MiB
 from repro.core.adaptive import AdaptivePlan, PowerAdaptivePlanner
 from repro.core.asymmetric import AsymmetricPlan, AsymmetricPlanner
 from repro.core.checkpoint import CheckpointJournal, PointState
-from repro.core.controller import (
-    BudgetSignal,
-    ControlAction,
-    ControllerConfig,
-    DemandResponseResult,
-    OnlinePowerController,
-    run_demand_response,
-)
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.core.ledger import RunLedger
 from repro.core.model import ModelPoint, PowerThroughputModel
@@ -113,6 +105,7 @@ from repro.sata.ata import (
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.studies.common import DEFAULT, QUICK, StudyScale
+from repro.studies.demand_response import DemandResponseResult, run_demand_response
 from repro.studies.fig10 import build_model
 from repro.validate import (
     InvariantViolationError,
@@ -135,12 +128,9 @@ __all__ = [
     "BucketedHistogram",
     "BudgetAllocator",
     "BudgetSchedule",
-    "BudgetSignal",
     "BudgetSplit",
     "CheckpointJournal",
     "ClusterGovernor",
-    "ControlAction",
-    "ControllerConfig",
     "DEFAULT",
     "DEVICE_PRESETS",
     "DemandResponseResult",
@@ -175,7 +165,6 @@ __all__ = [
     "ModelPoint",
     "NullTracer",
     "NvmeCli",
-    "OnlinePowerController",
     "PointFailure",
     "PointSpan",
     "PointState",

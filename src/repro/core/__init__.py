@@ -24,14 +24,15 @@ Everything in this package corresponds to sections 3.3 and 4 of the paper:
 Extensions past the paper's evaluation (its section-4 sketches, built):
 
 - :mod:`~repro.core.latency_model` -- the power-*latency* model.
-- :mod:`~repro.core.controller` -- an online feedback controller tracking
-  a time-varying power budget on live simulated devices.
 - :mod:`~repro.core.safety` -- breaker-safe staged rollout (section 4.1).
 - :mod:`~repro.core.interactions` -- CPU-throttle interaction analysis.
+
+The online controllers that track a time-varying power budget live in
+:mod:`repro.policy`; :mod:`repro.studies.demand_response` runs them on
+a live fleet.
 """
 
 from repro.core.adaptive import AdaptivePlan, PowerAdaptivePlanner
-from repro.core.controller import BudgetSignal, OnlinePowerController
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.core.latency_model import LatencyPoint, PowerLatencyModel
 from repro.core.model import ModelPoint, PowerThroughputModel
@@ -47,12 +48,10 @@ from repro.core.sweep import SweepGrid, SweepOutcome, run_sweep, sweep_outcome
 
 __all__ = [
     "AdaptivePlan",
-    "BudgetSignal",
     "ExperimentConfig",
     "ExperimentResult",
     "LatencyPoint",
     "ModelPoint",
-    "OnlinePowerController",
     "PointFailure",
     "PowerAdaptivePlanner",
     "PowerLatencyModel",

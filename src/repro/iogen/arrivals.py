@@ -8,11 +8,7 @@ that throttling a device visibly builds queues and latency -- the QoS
 signal the paper's section-4 policies trade against power.
 
 - :class:`ArrivalProcess`: deterministic-seeded inter-arrival generators
-  (constant-rate and Poisson), optionally modulated by a
-  :class:`LoadProfile`.
-- :class:`LoadProfile`: a piecewise-constant offered-load schedule in
-  bytes/second (step changes model demand-response events and diurnal
-  swings).
+  (constant-rate and Poisson) for one offered byte rate.
 - :class:`OpenLoopJob`: submits IOs at arrival instants regardless of
   completions (bounded by ``max_outstanding`` to model a finite client
   pool) and records per-IO latency including queueing.
@@ -21,7 +17,7 @@ signal the paper's section-4 policies trade against power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,82 +27,14 @@ from repro.iogen.spec import IoPattern
 from repro.iogen.stats import IoLog, IoRecords, LatencyStats
 from repro.sim.engine import Engine
 
-__all__ = ["ArrivalProcess", "LoadProfile", "OpenLoopJob", "OpenLoopResult"]
-
-
-@dataclass(frozen=True)
-class LoadProfile:
-    """Piecewise-constant offered load in bytes/second.
-
-    ``steps`` maps segment start times to rates; the first segment must
-    start at 0.  Example: a demand-response dip::
-
-        LoadProfile(((0.0, 2e9), (0.3, 2e9), (0.8, 2e9)))  # flat
-    """
-
-    steps: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("a load profile needs at least one segment")
-        times = [t for t, __ in self.steps]
-        if times[0] != 0.0:
-            raise ValueError("the first segment must start at time 0")
-        if times != sorted(times):
-            raise ValueError("segment starts must be ascending")
-        if any(rate < 0 for __, rate in self.steps):
-            raise ValueError("rates must be non-negative")
-
-    @classmethod
-    def constant(cls, rate_bps: float) -> "LoadProfile":
-        return cls(((0.0, rate_bps),))
-
-    @classmethod
-    def diurnal(
-        cls,
-        peak_bps: float,
-        trough_fraction: float = 0.3,
-        day_length_s: float = 1.0,
-        segments: int = 12,
-    ) -> "LoadProfile":
-        """A sinusoid-approximating day/night cycle (piecewise constant).
-
-        ``day_length_s`` compresses a 24-hour swing into simulated time;
-        the profile peaks mid-"day" and bottoms out at
-        ``trough_fraction * peak``.  This is the §1 medium-term variation
-        a power-adaptive system rides.
-        """
-        import math
-
-        if not 0 < trough_fraction <= 1:
-            raise ValueError("trough_fraction must be in (0, 1]")
-        if segments < 2 or day_length_s <= 0:
-            raise ValueError("need >= 2 segments and positive day length")
-        mid = (1 + trough_fraction) / 2
-        amplitude = (1 - trough_fraction) / 2
-        steps = []
-        for k in range(segments):
-            t = k * day_length_s / segments
-            phase = 2 * math.pi * (k + 0.5) / segments
-            level = mid - amplitude * math.cos(phase)
-            steps.append((t, peak_bps * level))
-        return cls(tuple(steps))
-
-    def rate_at(self, t: float) -> float:
-        """Offered load at time ``t`` (bytes/second)."""
-        rate = self.steps[0][1]
-        for start, segment_rate in self.steps:
-            if t < start:
-                break
-            rate = segment_rate
-        return rate
+__all__ = ["ArrivalProcess", "OpenLoopJob", "OpenLoopResult"]
 
 
 class ArrivalProcess:
-    """Generates request arrival instants for a byte-rate profile.
+    """Generates request arrival instants for a constant byte rate.
 
     Args:
-        profile: Offered load over time.
+        rate_bps: Offered load in bytes/second.
         request_bytes: Size of each request (rate / size = requests/s).
         poisson: Exponential inter-arrivals (memoryless clients) when
             ``True``; a deterministic equally-spaced stream otherwise.
@@ -115,31 +43,25 @@ class ArrivalProcess:
 
     def __init__(
         self,
-        profile: LoadProfile,
+        rate_bps: float,
         request_bytes: int,
         poisson: bool = True,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
+        if not rate_bps > 0:
+            raise ValueError("rate_bps must be positive")
         if request_bytes <= 0:
             raise ValueError("request_bytes must be positive")
-        self.profile = profile
         self.request_bytes = request_bytes
         self.poisson = poisson
+        self._mean_gap = request_bytes / rate_bps
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def next_gap(self, now: float) -> float:
-        """Inter-arrival gap starting from simulated time ``now``.
-
-        Returns ``inf`` while the profile's current rate is zero (the next
-        arrival would come only after a rate step; callers re-poll).
-        """
-        rate_bps = self.profile.rate_at(now)
-        if rate_bps <= 0:
-            return float("inf")
-        mean_gap = self.request_bytes / rate_bps
+    def next_gap(self) -> float:
+        """Seconds until the next arrival."""
         if not self.poisson:
-            return mean_gap
-        return float(self._rng.exponential(mean_gap))
+            return self._mean_gap
+        return float(self._rng.exponential(self._mean_gap))
 
 
 @dataclass(frozen=True)
@@ -231,13 +153,7 @@ class OpenLoopJob:
         start_time = self.engine.now
         deadline = start_time + self.duration_s
         while True:
-            gap = self.arrivals.next_gap(self.engine.now)
-            if gap == float("inf"):
-                # Idle segment: re-poll at the next profile step.
-                gap = 0.01
-                yield self.engine.timeout(gap)
-                continue
-            yield self.engine.timeout(gap)
+            yield self.engine.timeout(self.arrivals.next_gap())
             if self.engine.now >= deadline:
                 return
             self.offered += 1

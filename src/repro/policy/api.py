@@ -3,7 +3,7 @@
 The split of responsibilities:
 
 - The **runtime** (:mod:`repro.policy.runtime`) owns the device: it
-  senses (trailing rail-power mean, queue depth), packages a
+  senses (the trailing rail-power mean), packages a
   :class:`PolicyObservation`, and actuates whatever target the
   controller returns through the device's own mechanisms (NVMe
   power-state ceiling / governor cap for SSDs, EPC idle conditions for
@@ -40,14 +40,12 @@ class PolicyObservation:
         budget_w: The schedule's instantaneous budget at ``now``.
         target_w: The currently commanded target, or ``None`` before the
             first actuation.
-        inflight: IOs currently outstanding at the device.
     """
 
     now: float
     measured_w: float
     budget_w: float
     target_w: Optional[float]
-    inflight: int
 
 
 class PolicyAPI(Protocol):

@@ -264,7 +264,6 @@ class PolicyRuntime:
             measured_w=measured_w,
             budget_w=budget_w,
             target_w=self._target_w,
-            inflight=int(getattr(self.device, "_inflight_ios", 0)),
         )
         target_w = self.controller.decide(obs)
         self._decisions += 1

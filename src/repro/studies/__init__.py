@@ -24,6 +24,8 @@ fig9      Fig. 9 (rand-read power/throughput vs depth, all devices)
 fig10     Fig. 10 (power-throughput model + worked example)
 claims    headline claims of sections 1-3
 proportionality  footnote 1: proportionality vs adaptivity
+demand_response  §4's proposal, built: a fleet on repro.policy rides a
+                 budget dip (``run_demand_response``, no run/render)
 ======== ======================================================
 """
 

@@ -27,7 +27,7 @@ import numpy as np
 from repro._units import KiB
 from repro.core.reporting import ascii_series, format_table
 from repro.devices.catalog import build_device
-from repro.iogen.arrivals import ArrivalProcess, LoadProfile, OpenLoopJob
+from repro.iogen.arrivals import ArrivalProcess, OpenLoopJob
 from repro.iogen.spec import IoPattern
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
@@ -90,7 +90,7 @@ def _power_at_load(device: str, rate_bps: float, duration_s: float, seed: int) -
         engine,
         dev,
         ArrivalProcess(
-            LoadProfile.constant(rate_bps),
+            rate_bps,
             request_bytes=CHUNK,
             poisson=True,
             rng=rngs.get("arrivals"),

@@ -1,89 +1,48 @@
 """Tests for open-loop workload generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro._units import KiB, MiB
-from repro.iogen.arrivals import ArrivalProcess, LoadProfile, OpenLoopJob
+from repro.devices.ssd import SimulatedSSD
+from repro.iogen.arrivals import ArrivalProcess, OpenLoopJob
 from repro.iogen.spec import IoPattern
-
-
-class TestLoadProfile:
-    def test_constant(self):
-        profile = LoadProfile.constant(100.0)
-        assert profile.rate_at(0.0) == 100.0
-        assert profile.rate_at(99.0) == 100.0
-
-    def test_steps(self):
-        profile = LoadProfile(((0.0, 10.0), (1.0, 20.0), (2.0, 5.0)))
-        assert profile.rate_at(0.5) == 10.0
-        assert profile.rate_at(1.0) == 20.0
-        assert profile.rate_at(5.0) == 5.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LoadProfile(())
-        with pytest.raises(ValueError):
-            LoadProfile(((1.0, 10.0),))  # must start at 0
-        with pytest.raises(ValueError):
-            LoadProfile(((0.0, 10.0), (2.0, 1.0), (1.0, 1.0)))
-        with pytest.raises(ValueError):
-            LoadProfile(((0.0, -1.0),))
-
-    def test_diurnal_shape(self):
-        profile = LoadProfile.diurnal(
-            peak_bps=100.0, trough_fraction=0.2, day_length_s=1.0, segments=12
-        )
-        rates = [rate for __, rate in profile.steps]
-        # Bottoms out near the trough, peaks near the peak.
-        assert min(rates) == pytest.approx(100.0 * 0.2, rel=0.15)
-        assert max(rates) == pytest.approx(100.0, rel=0.15)
-        # Night -> day -> night: rises then falls.
-        peak_index = rates.index(max(rates))
-        assert 0 < peak_index < len(rates) - 1
-
-    def test_diurnal_validation(self):
-        with pytest.raises(ValueError):
-            LoadProfile.diurnal(100.0, trough_fraction=0.0)
-        with pytest.raises(ValueError):
-            LoadProfile.diurnal(100.0, segments=1)
+from repro.sim.engine import Engine
+from repro.sim.rng import RngStreams
+from tests.conftest import tiny_ssd_config
 
 
 class TestArrivalProcess:
     def test_deterministic_gaps(self):
-        arrivals = ArrivalProcess(
-            LoadProfile.constant(1000.0), request_bytes=100, poisson=False
-        )
-        assert arrivals.next_gap(0.0) == pytest.approx(0.1)
+        arrivals = ArrivalProcess(1000.0, request_bytes=100, poisson=False)
+        assert arrivals.next_gap() == pytest.approx(0.1)
 
     def test_poisson_mean_matches_rate(self):
         arrivals = ArrivalProcess(
-            LoadProfile.constant(1000.0),
+            1000.0,
             request_bytes=100,
             poisson=True,
             rng=np.random.default_rng(0),
         )
-        gaps = [arrivals.next_gap(0.0) for _ in range(5000)]
+        gaps = [arrivals.next_gap() for _ in range(5000)]
         assert np.mean(gaps) == pytest.approx(0.1, rel=0.05)
 
-    def test_zero_rate_returns_inf(self):
-        arrivals = ArrivalProcess(
-            LoadProfile(((0.0, 0.0), (1.0, 100.0))), request_bytes=10
-        )
-        assert arrivals.next_gap(0.5) == float("inf")
-        assert arrivals.next_gap(1.5) < float("inf")
+    @pytest.mark.parametrize("rate_bps", [0.0, -1.0])
+    def test_invalid_rate(self, rate_bps):
+        with pytest.raises(ValueError, match="rate_bps"):
+            ArrivalProcess(rate_bps, request_bytes=4096)
 
     def test_invalid_request_size(self):
         with pytest.raises(ValueError):
-            ArrivalProcess(LoadProfile.constant(1.0), request_bytes=0)
+            ArrivalProcess(1.0, request_bytes=0)
 
 
 class TestOpenLoopJob:
     def _run(self, engine, device, rate_bps, duration=0.05, max_outstanding=64):
         arrivals = ArrivalProcess(
-            LoadProfile.constant(rate_bps),
-            request_bytes=16 * KiB,
-            poisson=False,
+            rate_bps, request_bytes=16 * KiB, poisson=False
         )
         job = OpenLoopJob(
             engine,
@@ -120,11 +79,6 @@ class TestOpenLoopJob:
 
     def test_latency_includes_queueing(self, engine, tiny_ssd):
         light = self._run(engine, tiny_ssd, rate_bps=16 * MiB)
-        from repro.sim.engine import Engine
-        from repro.devices.ssd import SimulatedSSD
-        from repro.sim.rng import RngStreams
-        from tests.conftest import tiny_ssd_config
-
         heavy_engine = Engine()
         heavy_device = SimulatedSSD(
             heavy_engine, tiny_ssd_config(), rng=RngStreams(2)
@@ -133,8 +87,45 @@ class TestOpenLoopJob:
         assert heavy.latency_stats().p99 > light.latency_stats().p99
 
     def test_validation(self, engine, tiny_ssd):
-        arrivals = ArrivalProcess(LoadProfile.constant(1.0), request_bytes=4096)
+        arrivals = ArrivalProcess(1.0, request_bytes=4096)
         with pytest.raises(ValueError):
             OpenLoopJob(engine, tiny_ssd, arrivals, duration_s=0.0)
         with pytest.raises(ValueError):
             OpenLoopJob(engine, tiny_ssd, arrivals, max_outstanding=0)
+
+    def test_records_are_pinned(self):
+        """One Poisson job's three record columns, bit for bit, with the
+        client-pool cap shedding part of the offered load."""
+        engine = Engine()
+        device = SimulatedSSD(engine, tiny_ssd_config(), rng=RngStreams(3))
+        arrivals = ArrivalProcess(
+            300 * MiB,
+            request_bytes=16 * KiB,
+            poisson=True,
+            rng=np.random.default_rng(7),
+        )
+        job = OpenLoopJob(
+            engine,
+            device,
+            arrivals,
+            pattern=IoPattern.RANDWRITE,
+            duration_s=0.03,
+            max_outstanding=16,
+            rng=np.random.default_rng(0),
+        )
+        proc = job.start()
+        while proc.is_alive:
+            engine.step()
+        engine.run(until=engine.now + 0.01)
+        result = job.result()
+        digest = hashlib.sha256()
+        for column in (
+            result.records.submit_time,
+            result.records.complete_time,
+            result.records.nbytes,
+        ):
+            digest.update(column.tobytes())
+        assert (result.offered, result.submitted, result.shed) == (563, 468, 95)
+        assert digest.hexdigest() == (
+            "1e3f5730993ab3e11b225e6d3709272b2bbcb632137b3fd0d61062fb8ce44263"
+        )

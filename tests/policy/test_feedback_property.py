@@ -50,7 +50,6 @@ def test_command_never_exceeds_instantaneous_budget(
                 measured_w=measured_w,
                 budget_w=budget_w,
                 target_w=None if i == 0 else target,
-                inflight=0,
             )
         )
         # The clamp: floor-pinned when the budget dives below the floor,
@@ -73,7 +72,6 @@ def test_reset_erases_history(sequence):
                     measured_w=measured_w,
                     budget_w=budget_w,
                     target_w=None,
-                    inflight=0,
                 )
             )
         )
@@ -87,7 +85,6 @@ def test_reset_erases_history(sequence):
                     measured_w=measured_w,
                     budget_w=budget_w,
                     target_w=None,
-                    inflight=0,
                 )
             )
         )

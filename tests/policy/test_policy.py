@@ -25,13 +25,12 @@ from repro.policy.runtime import PolicyRuntime
 from tests.conftest import tiny_ssd_config
 
 
-def obs(budget_w, measured_w=0.0, now=0.0, target_w=None, inflight=0):
+def obs(budget_w, measured_w=0.0, now=0.0, target_w=None):
     return PolicyObservation(
         now=now,
         measured_w=measured_w,
         budget_w=budget_w,
         target_w=target_w,
-        inflight=inflight,
     )
 
 
@@ -152,6 +151,16 @@ class TestFeedbackBudgetPolicy:
         # Measured above budget: negative error pulls the target down.
         second = policy.decide(obs(budget_w=6.0, measured_w=8.0))
         assert second < first
+
+    def test_rises_when_budget_ample(self):
+        spec = spec_for("feedback")
+        policy = FeedbackBudgetPolicy(spec, 1.0, 10.0, ())
+        policy.reset()
+        first = policy.decide(obs(budget_w=2.0))
+        # The budget steps up and the device draws well under it: the
+        # positive error relaxes the target toward the new budget.
+        second = policy.decide(obs(budget_w=8.0, measured_w=1.0))
+        assert first < second <= 8.0
 
     def test_commanded_target_never_exceeds_budget(self):
         spec = spec_for("feedback")

@@ -4,8 +4,8 @@
 import surface.  ``PUBLIC_API`` below is the snapshot: adding or
 removing a public name without editing this list fails the suite, so
 the surface can only change deliberately.  To change it, change
-``repro/api.py`` *and* ``repro/__init__.py`` *and* this snapshot in the
-same commit, and say why in the commit message.
+``repro/api.py`` *and* this snapshot in the same commit, and say why in
+the commit message.
 
 The import lint half (``tools/check_api_surface.py``) keeps README code
 blocks and ``examples/`` honest about importing only these names.
@@ -35,12 +35,9 @@ PUBLIC_API = (
     "BucketedHistogram",
     "BudgetAllocator",
     "BudgetSchedule",
-    "BudgetSignal",
     "BudgetSplit",
     "CheckpointJournal",
     "ClusterGovernor",
-    "ControlAction",
-    "ControllerConfig",
     "DEFAULT",
     "DEVICE_PRESETS",
     "DemandResponseResult",
@@ -75,7 +72,6 @@ PUBLIC_API = (
     "ModelPoint",
     "NullTracer",
     "NvmeCli",
-    "OnlinePowerController",
     "PointFailure",
     "PointSpan",
     "PointState",
@@ -139,8 +135,7 @@ class TestSurfaceSnapshot:
         assert tuple(repro.api.__all__) == PUBLIC_API, (
             "repro.api.__all__ diverged from the PUBLIC_API snapshot in "
             "tests/test_api_surface.py; if the change is intentional, "
-            "update the snapshot (and repro/__init__.py) in the same "
-            "commit"
+            "update the snapshot in the same commit"
         )
 
     def test_top_level_mirrors_api(self):
@@ -172,7 +167,7 @@ class TestApiSurfaceLint:
 
     def _seed_tree(self, tmp_path, readme="", example=""):
         (tmp_path / "src" / "repro").mkdir(parents=True)
-        (tmp_path / "src" / "repro" / "__init__.py").write_text(
+        (tmp_path / "src" / "repro" / "api.py").write_text(
             '__all__ = ["run_experiment"]\n'
         )
         (tmp_path / "examples").mkdir()

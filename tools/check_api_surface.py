@@ -39,9 +39,7 @@ ALLOWED_MODULES = {"repro", "repro.api"}
 
 def _facade_names(root: Path) -> set[str]:
     """The facade's ``__all__``, read from source (no package import)."""
-    source = (root / "src" / "repro" / "__init__.py").read_text(
-        encoding="utf-8"
-    )
+    source = (root / "src" / "repro" / "api.py").read_text(encoding="utf-8")
     tree = ast.parse(source)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -52,7 +50,7 @@ def _facade_names(root: Path) -> set[str]:
                     for elt in node.value.elts  # type: ignore[attr-defined]
                     if isinstance(elt, ast.Constant)
                 }
-    raise AssertionError("src/repro/__init__.py has no literal __all__")
+    raise AssertionError("src/repro/api.py has no literal __all__")
 
 
 def _readme_blocks(readme: Path) -> Iterator[tuple[int, str]]:
