@@ -5,10 +5,10 @@ and the workload engine need:
 
 - :meth:`StorageDevice.submit` -- asynchronous IO submission returning an
   event that fires with an :class:`IOResult`; :meth:`StorageDevice.
-  submit_call` is its handler form (a callback instead of an event).
-  Both go through the device's one ``_submit`` and end in the shared
-  :meth:`StorageDevice._complete`, so the two forms deliver a result
-  from the same heap position.
+  submit_call` is its handler form (a callback, passed the completion
+  time, instead of an event).  Both go through the device's one
+  ``_submit`` and end in the shared :meth:`StorageDevice._complete`, so
+  the two forms deliver a result from the same queue position.
 - power control entry points (``set_power_state``, ``enter_standby``,
   ``exit_standby``), each a process generator because transitions take
   simulated time.
@@ -22,7 +22,6 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from heapq import heappush
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.obs.events import EventKind
@@ -99,9 +98,16 @@ class HostIO:
 class StorageDevice(abc.ABC):
     """Common behaviour of all simulated drives."""
 
+    #: Handler methods that per-IO entries and continuations name, bound
+    #: once per device: ``self._x`` would otherwise bind a fresh method
+    #: object at every push.
+    _handlers: tuple[str, ...] = ()
+
     def __init__(
         self, engine: Engine, name: str, rail_voltage: float, faults=None
     ) -> None:
+        for handler in self._handlers:
+            setattr(self, handler, getattr(self, handler))
         self.engine = engine
         self.name = name
         self.rail = PowerRail(engine, voltage=rail_voltage, name=f"{name}.rail")
@@ -121,9 +127,9 @@ class StorageDevice(abc.ABC):
         return done
 
     def submit_call(self, request: IORequest, on_done) -> None:
-        """Submit an IO; ``on_done(result)`` runs when it completes.
+        """Submit an IO; ``on_done(complete_time)`` runs when it completes.
 
-        Runs at the instant, and in the heap position, where a process
+        Runs at the instant, and in the queue position, where a process
         waiting on :meth:`submit`'s event would resume.
         """
         self._submit(request, None, on_done)
@@ -156,7 +162,7 @@ class StorageDevice(abc.ABC):
 
     def _complete(self, io: HostIO) -> None:
         """Account and trace a finished IO, then deliver its result: the
-        event's entry, or an ``on_done`` entry in the same heap position."""
+        event's entry, or an ``on_done`` entry in the same queue position."""
         engine = self.engine
         request = io.request
         self.record_completion(request)
@@ -169,12 +175,10 @@ class StorageDevice(abc.ABC):
                 nbytes=request.nbytes,
                 latency_s=engine._now - io.submit_time,
             )
-        result = IOResult(request, io.submit_time, engine._now)
         if io.done is not None:
-            io.done.succeed(result)
+            io.done.succeed(IOResult(request, io.submit_time, engine._now))
         else:
-            engine._seq += 1
-            heappush(engine._queue, (engine._now, engine._seq, io.on_done, result))
+            engine.call_soon(io.on_done, engine._now)
 
     @property
     @abc.abstractmethod

@@ -19,7 +19,7 @@ The narrow active range (idle 3.76 W to peak ~5.3 W) and the expensive
 standby transition are both emergent from these parts, matching the paper's
 section 2 characterization of HDDs.
 
-The host IO path and the actuator run as heap handlers, one method per
+The host IO path and the actuator run as engine handlers, one method per
 hop (DESIGN.md section 10); standby, spin-up waits and EPC recovery stay
 generators, reached through ``drive_inline``.
 """
@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappush
 from itertools import islice
 from typing import Deque, Optional
 
@@ -150,6 +149,12 @@ class _HddIO(HostIO):
 class SimulatedHDD(StorageDevice):
     """See module docstring."""
 
+    _handlers = (
+        "_io_start", "_io_ready", "_io_commanded", "_cache_write", "_media_enqueue",
+        "_media_done", "_complete", "_actuate", "_serve_one", "_seeked",
+        "_transfer", "_transferred",
+    )
+
     def __init__(self, engine: Engine, config: HddConfig, faults=None) -> None:
         super().__init__(engine, config.name, config.rail_voltage, faults=faults)
         self.config = config
@@ -193,8 +198,7 @@ class SimulatedHDD(StorageDevice):
         self._ready_gate = self.spindle.ready_gate
         # The actuator's start entry; idle, it has none until woken.
         self._actuator_idle = False
-        engine._seq += 1
-        heappush(engine._queue, (engine._now, engine._seq, self._actuate, None))
+        engine.call_soon(self._actuate)
 
     @property
     def capacity_bytes(self) -> int:
@@ -208,12 +212,7 @@ class SimulatedHDD(StorageDevice):
 
     def _submit(self, request: IORequest, done, on_done) -> None:
         self.check_request(request)
-        engine = self.engine
-        engine._seq += 1
-        heappush(
-            engine._queue,
-            (engine._now, engine._seq, self._io_start, _HddIO(request, done, on_done)),
-        )
+        self.engine.call_soon(self._io_start, _HddIO(request, done, on_done))
 
     def _io_start(self, io: _HddIO) -> None:
         self._standby_requested = False
@@ -367,9 +366,7 @@ class SimulatedHDD(StorageDevice):
         # actuator removes work, so the woken _actuate finds some.
         if self._actuator_idle:
             self._actuator_idle = False
-            engine = self.engine
-            engine._seq += 1
-            heappush(engine._queue, (engine._now, engine._seq, self._actuate, None))
+            self.engine.call_soon(self._actuate)
 
     def _actuate(self, _arg=None) -> None:
         if not self._media_queue and self.cache.is_empty:
@@ -513,8 +510,6 @@ class SimulatedHDD(StorageDevice):
         if isinstance(op, CachedWrite):
             self.cache.remove(op)
         else:
-            engine = self.engine
-            engine._seq += 1
-            heappush(engine._queue, (engine._now, engine._seq, self._media_done, op))
+            self.engine.call_soon(self._media_done, op)
         self.media_ops_served += 1
         self._actuate()

@@ -85,6 +85,9 @@ class HostLink:
         self._xfer_component = f"{name}.xfer"
         self._phy_component = f"{name}.phy"
         self.bytes_transferred = 0
+        # Bound once: every transfer's entries name them.
+        self._on_bus = self._on_bus
+        self._streamed = self._streamed
         self._apply_phy_power()
 
     def _apply_phy_power(self) -> None:
@@ -95,34 +98,13 @@ class HostLink:
     def transfer_time(self, nbytes: int) -> float:
         return nbytes / self.bandwidth
 
-    def transfer(self, nbytes: int):
-        """Process generator: move ``nbytes`` across the link.
-
-        Wakes the link out of a low-power mode first, paying its exit
-        latency.
-        """
-        yield self._bus.request()
-        try:
-            if self.mode is not LinkPowerMode.ACTIVE:
-                yield from self._wake()
-            rail = self.rail
-            component = self._xfer_component
-            power = self.transfer_power_w
-            rail.add_draw(component, power)
-            try:
-                yield self.engine.timeout(nbytes / self.bandwidth)
-                self.bytes_transferred += nbytes
-            finally:
-                rail.add_draw(component, -power)
-        finally:
-            self._bus.release()
-
     def transfer_call(self, nbytes: int, then, arg=None) -> None:
-        """Handler form of :meth:`transfer`: ``then(arg)`` runs once done.
+        """Move ``nbytes`` across the link, then call ``then(arg)``.
 
-        Pushes the entries :meth:`transfer` pushes under ``yield from``, at
-        the same moments, and calls ``then`` synchronously after the bus
-        release, exactly where the generator caller would resume.
+        Takes the bus (one entry at the grant), wakes the link out of a
+        low-power mode first, paying its exit latency, streams at link
+        bandwidth drawing transfer power (one entry at the stream's end),
+        releases the bus and calls ``then`` synchronously.
         """
         self._bus.request_call(self._on_bus, (nbytes, then, arg))
 

@@ -16,7 +16,6 @@ firmware's estimate of non-NAND power (idle + controller + interface).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Optional
@@ -172,9 +171,7 @@ class PowerGovernor:
             raise ValueError("op power must be non-negative")
         if not self._waiters and self._admissible(watts):
             self._grant(watts)
-            engine = self.engine
-            engine._seq += 1
-            heapq.heappush(engine._queue, (engine._now, engine._seq, handler, arg))
+            self.engine.call_soon(handler, arg)
         else:
             self._stall(watts)
             self._waiters.append((handler, arg, watts))
@@ -271,8 +268,4 @@ class PowerGovernor:
             if handler is None:
                 arg.succeed()
             else:
-                engine = self.engine
-                engine._seq += 1
-                heapq.heappush(
-                    engine._queue, (engine._now, engine._seq, handler, arg)
-                )
+                self.engine.call_soon(handler, arg)

@@ -27,7 +27,6 @@ Key behaviours the paper's measurements rest on, and where they live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappush
 from typing import Optional
 
 from repro._units import MiB
@@ -229,6 +228,14 @@ class SsdConfig:
 class SimulatedSSD(StorageDevice):
     """See module docstring for the architecture overview."""
 
+    _handlers = (
+        "_io_start", "_io_wake", "_on_core", "_on_command", "_write_buffer",
+        "_io_complete", "_io_finish", "_page_start", "_on_sense", "_on_sensed",
+        "_on_page_bus", "_on_page_moved", "_on_page_read", "_on_pages_read",
+        "_buffer_retry", "_program_start", "_on_program_die", "_on_program_bus",
+        "_on_program_moved", "_on_admitted", "_on_phase", "_on_programmed",
+    )
+
     def __init__(
         self,
         engine: Engine,
@@ -323,6 +330,7 @@ class SimulatedSSD(StorageDevice):
         # Hot-path config scalars, hoisted out of the chained dataclass
         # attribute lookups the per-IO handlers would otherwise repeat.
         self._page_size = config.geometry.page_size
+        self._total_pages = config.geometry.total_pages
         self._capacity_bytes = config.logical_pages * self._page_size
         self._logical_pages = config.logical_pages
         self._command_time_s = config.controller.command_time_s
@@ -559,7 +567,7 @@ class SimulatedSSD(StorageDevice):
 
     # -- IO front end --------------------------------------------------------
     #
-    # The per-IO path runs as heap handlers: each method below is one hop,
+    # The per-IO path runs as engine handlers: each method below is one hop,
     # named for the moment it runs.  A hop pushes exactly the entries a
     # generator process taking the same steps would push, in the same
     # order (the hop-faithful rules, DESIGN.md §10).  Cold generator code
@@ -568,12 +576,7 @@ class SimulatedSSD(StorageDevice):
 
     def _submit(self, request: IORequest, done, on_done) -> None:
         self.check_request(request)
-        engine = self.engine
-        engine._seq += 1
-        heappush(
-            engine._queue,
-            (engine._now, engine._seq, self._io_start, _HostIO(request, done, on_done)),
-        )
+        self.engine.call_soon(self._io_start, _HostIO(request, done, on_done))
 
     def _io_start(self, io: "_HostIO") -> None:
         self._last_activity = self.engine._now
@@ -593,12 +596,7 @@ class SimulatedSSD(StorageDevice):
 
     def _on_core(self, io: "_HostIO") -> None:
         self.rail.add_draw("ctrl.active", self._core_active_w)
-        engine = self.engine
-        engine._seq += 1
-        heappush(
-            engine._queue,
-            (engine._now + self._command_time_s, engine._seq, self._on_command, io),
-        )
+        self.engine.schedule(self._command_time_s, self._on_command, io)
 
     def _on_command(self, io: "_HostIO") -> None:
         self.rail.add_draw("ctrl.active", -self._core_active_w)
@@ -611,17 +609,7 @@ class SimulatedSSD(StorageDevice):
     def _io_complete(self, io: "_HostIO") -> None:
         """Pay the completion-posting time, then finish the IO."""
         if self._completion_time_s > 0:
-            engine = self.engine
-            engine._seq += 1
-            heappush(
-                engine._queue,
-                (
-                    engine._now + self._completion_time_s,
-                    engine._seq,
-                    self._io_finish,
-                    io,
-                ),
-            )
+            self.engine.schedule(self._completion_time_s, self._io_finish, io)
         else:
             self._io_finish(io)
 
@@ -639,69 +627,45 @@ class SimulatedSSD(StorageDevice):
         first = request.offset // page_size
         last = (request.end - 1) // page_size
         io.pages_left = last - first + 1
-        engine = self.engine
-        queue = engine._queue
+        call_soon = self.engine.call_soon
         for lpn in range(first, last + 1):
             page_start = lpn * page_size
             nbytes = min(request.end, page_start + page_size) - max(
                 request.offset, page_start
             )
-            engine._seq += 1
-            heappush(
-                queue,
-                (engine._now, engine._seq, self._page_start, _PageRead(io, lpn, nbytes)),
-            )
+            call_soon(self._page_start, _PageRead(io, lpn, nbytes))
 
     def _page_start(self, page: "_PageRead") -> None:
         ppn = self.page_map.lookup(page.lpn)
-        geometry = self.config.geometry
         if ppn is None:
             if not self.config.phantom_reads:
                 # Unmapped and no preconditioning emulation: zero-fill, only
                 # the controller/DMA cost applies (no NAND touch).
                 self._page_read(page)
                 return
-            ppn = (page.lpn * _PHANTOM_HASH) % _PHANTOM_MOD % geometry.total_pages
-        ppa = geometry.ppa_from_index(ppn)
+            ppn = (page.lpn * _PHANTOM_HASH) % _PHANTOM_MOD % self._total_pages
         # Reads are not power-governed (see module docstring): the die
         # senses, then the page crosses the channel bus, with the die held
         # throughout -- NandArray.execute's READ branch, one hop per entry.
-        array = self.array
-        die = array.dies[ppa.die_index(geometry)]
+        die, page.channel = self.array.locate(ppn)
         page.die = die
-        page.channel = array.channels[ppa.channel]
         die._server.request_call(self._on_sense, page)
 
     def _on_sense(self, page: "_PageRead") -> None:
         die = page.die
         self.rail.add_draw(die._component, self._read_w)
-        engine = self.engine
-        engine._seq += 1
-        heappush(
-            engine._queue,
-            (engine._now + self._read_time_s, engine._seq, self._on_sensed, page),
-        )
+        self.engine.schedule(self._read_time_s, self._on_sensed, page)
 
     def _on_sensed(self, page: "_PageRead") -> None:
         die = page.die
-        die.op_counts[OpKind.READ] += 1
+        die.reads += 1
         self.rail.add_draw(die._component, -self._read_w)
         page.channel._bus.request_call(self._on_page_bus, page)
 
     def _on_page_bus(self, page: "_PageRead") -> None:
         channel = page.channel
         self.rail.add_draw(channel._component, channel.transfer_power_w)
-        engine = self.engine
-        engine._seq += 1
-        heappush(
-            engine._queue,
-            (
-                engine._now + page.nbytes / channel.bandwidth,
-                engine._seq,
-                self._on_page_moved,
-                page,
-            ),
-        )
+        self.engine.schedule(page.nbytes / channel.bandwidth, self._on_page_moved, page)
 
     def _on_page_moved(self, page: "_PageRead") -> None:
         channel = page.channel
@@ -712,16 +676,12 @@ class SimulatedSSD(StorageDevice):
         self._page_read(page)
 
     def _page_read(self, page: "_PageRead") -> None:
-        engine = self.engine
-        engine._seq += 1
-        heappush(engine._queue, (engine._now, engine._seq, self._on_page_read, page.io))
+        self.engine.call_soon(self._on_page_read, page.io)
 
     def _on_page_read(self, io: "_HostIO") -> None:
         io.pages_left -= 1
         if io.pages_left == 0:
-            engine = self.engine
-            engine._seq += 1
-            heappush(engine._queue, (engine._now, engine._seq, self._on_pages_read, io))
+            self.engine.call_soon(self._on_pages_read, io)
 
     def _on_pages_read(self, io: "_HostIO") -> None:
         self.link.transfer_call(io.request.nbytes, self._io_complete, io)
@@ -756,12 +716,9 @@ class SimulatedSSD(StorageDevice):
         self._stage_mapped_lpns(request)
         page_size = self._page_size
         self._pending_program_bytes += nbytes
-        engine = self.engine
-        queue = engine._queue
         while self._pending_program_bytes >= page_size:
             self._pending_program_bytes -= page_size
-            engine._seq += 1
-            heappush(queue, (engine._now, engine._seq, self._program_start, _Program()))
+            self.engine.call_soon(self._program_start, _Program())
         # Residual bytes stay buffered until later writes complete the page.
         self._io_complete(io)
 
@@ -789,9 +746,7 @@ class SimulatedSSD(StorageDevice):
             self._buffer_used = 0
         if self._buffer_waiters:
             waiters, self._buffer_waiters = self._buffer_waiters, []
-            engine = self.engine
-            engine._seq += 1
-            heappush(engine._queue, (engine._now, engine._seq, self._buffer_retry, waiters))
+            self.engine.call_soon(self._buffer_retry, waiters)
 
     def _buffer_retry(self, waiters: list) -> None:
         for io in waiters:
@@ -814,7 +769,7 @@ class SimulatedSSD(StorageDevice):
     def _program_allocate(self, prog: "_Program") -> None:
         gc = self.gc
         try:
-            ppn, ppa = self.allocator.allocate()
+            ppn = self.allocator.allocate()
         except RuntimeError as exc:
             error = exc  # ``exc`` is unbound once this block ends
             relocated_before = gc.pages_relocated
@@ -843,10 +798,8 @@ class SimulatedSSD(StorageDevice):
         # NandArray.execute's PROGRAM branch, one hop per entry: hold the
         # die, move the page over the channel bus, pass governor
         # admission, then the die-busy phase.
-        array = self.array
-        die = array.dies[ppa.die_index(array.geometry)]
+        die, prog.channel = self.array.locate(ppn)
         prog.die = die
-        prog.channel = array.channels[ppa.channel]
         die._server.request_call(self._on_program_die, prog)
 
     def _on_program_die(self, prog: "_Program") -> None:
@@ -855,16 +808,8 @@ class SimulatedSSD(StorageDevice):
     def _on_program_bus(self, prog: "_Program") -> None:
         channel = prog.channel
         self.rail.add_draw(channel._component, channel.transfer_power_w)
-        engine = self.engine
-        engine._seq += 1
-        heappush(
-            engine._queue,
-            (
-                engine._now + self._page_size / channel.bandwidth,
-                engine._seq,
-                self._on_program_moved,
-                prog,
-            ),
+        self.engine.schedule(
+            self._page_size / channel.bandwidth, self._on_program_moved, prog
         )
 
     def _on_program_moved(self, prog: "_Program") -> None:
@@ -882,12 +827,7 @@ class SimulatedSSD(StorageDevice):
             self._program_phase(prog)
             return
         self.rail.add_draw(die._component, self._program_w)
-        engine = self.engine
-        engine._seq += 1
-        heappush(
-            engine._queue,
-            (engine._now + self._program_time_s, engine._seq, self._on_programmed, prog),
-        )
+        self.engine.schedule(self._program_time_s, self._on_programmed, prog)
 
     def _program_phase(self, prog: "_Program") -> None:
         """Start the next non-empty phase of a pulsed program, or finish.
@@ -900,15 +840,10 @@ class SimulatedSSD(StorageDevice):
             power_w, phase_time = _pulse_phase(die, prog)
             if phase_time > 0:
                 self.rail.add_draw(die._component, power_w)
-                engine = self.engine
-                engine._seq += 1
-                heappush(
-                    engine._queue,
-                    (engine._now + phase_time, engine._seq, self._on_phase, prog),
-                )
+                self.engine.schedule(phase_time, self._on_phase, prog)
                 return
             prog.phase += 1
-        die.op_counts[OpKind.PROGRAM] += 1
+        die.programs += 1
         self._program_done(prog)
 
     def _on_phase(self, prog: "_Program") -> None:
@@ -919,7 +854,7 @@ class SimulatedSSD(StorageDevice):
 
     def _on_programmed(self, prog: "_Program") -> None:
         die = prog.die
-        die.op_counts[OpKind.PROGRAM] += 1
+        die.programs += 1
         self.rail.add_draw(die._component, -self._program_w)
         self._program_done(prog)
 

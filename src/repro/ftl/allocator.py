@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Optional
 
-from repro.nand.geometry import NandGeometry, PhysicalPageAddress
+from repro.nand.geometry import NandGeometry
 
 __all__ = ["BlockInfo", "BlockState", "WriteAllocator"]
 
@@ -100,21 +100,15 @@ class WriteAllocator:
     def block_of_ppn(self, ppn: int) -> BlockInfo:
         return self.blocks[ppn // self.geometry.pages_per_block]
 
-    def ppa_of_allocation(self, block: BlockInfo, page_offset: int) -> PhysicalPageAddress:
-        ppn = block.block_id * self.geometry.pages_per_block + page_offset
-        return self.geometry.ppa_from_index(ppn)
-
     # -- allocation -----------------------------------------------------------
 
-    def allocate(
-        self, die_index: Optional[int] = None, for_gc: bool = False
-    ) -> tuple[int, PhysicalPageAddress]:
-        """Allocate the next physical page.
+    def allocate(self, die_index: Optional[int] = None, for_gc: bool = False) -> int:
+        """Allocate the next physical page and return its linear index (ppn).
 
-        Returns ``(ppn, ppa)``.  Without ``die_index`` the allocator rotates
-        round-robin across dies that still have space; with it, allocation
-        is pinned.  ``for_gc`` allocations (relocations) may dig into the
-        reserved block pool; host allocations may not.
+        Without ``die_index`` the allocator rotates round-robin across dies
+        that still have space; with it, allocation is pinned.  ``for_gc``
+        allocations (relocations) may dig into the reserved block pool;
+        host allocations may not.
 
         Raises:
             RuntimeError: If the chosen scope has no free space left --
@@ -139,8 +133,7 @@ class WriteAllocator:
         if block.next_page >= self.geometry.pages_per_block:
             block.state = BlockState.FULL
             self._open_per_die[die_index] = None
-        ppn = block.block_id * self.geometry.pages_per_block + page_offset
-        return ppn, self.geometry.ppa_from_index(ppn)
+        return block.block_id * self.geometry.pages_per_block + page_offset
 
     def _die_has_space(self, die_index: int, for_gc: bool = False) -> bool:
         if self._open_per_die[die_index] is not None:

@@ -139,10 +139,8 @@ class GarbageCollector:
                     # Page became stale after victim selection; nothing to move.
                     self.allocator.mark_invalid(src_ppn)
                     continue
-                dst_ppn, dst_ppa = self.allocator.allocate(for_gc=True)
-                relocators.append(
-                    engine.process(self._relocate(src_ppn, lpn, dst_ppn, dst_ppa))
-                )
+                dst_ppn = self.allocator.allocate(for_gc=True)
+                relocators.append(engine.process(self._relocate(src_ppn, lpn, dst_ppn)))
             if relocators:
                 yield engine.all_of(relocators)
             if block.valid:
@@ -168,10 +166,11 @@ class GarbageCollector:
                     free_blocks=self.allocator.free_blocks,
                 )
 
-    def _relocate(self, src_ppn: int, lpn: int, dst_ppn: int, dst_ppa):
+    def _relocate(self, src_ppn: int, lpn: int, dst_ppn: int):
         """Move one valid page; resolves races with concurrent host writes."""
         geometry = self.array.geometry
         src_ppa = geometry.ppa_from_index(src_ppn)
+        dst_ppa = geometry.ppa_from_index(dst_ppn)
         if self.faults.enabled:
             # Relocation reads hit the same media as host IO: a transient
             # error here stalls cleaning and backs up the write path.

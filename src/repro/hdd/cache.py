@@ -15,7 +15,6 @@ leading window to the device's RPO picker.
 from __future__ import annotations
 
 import bisect
-import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -116,11 +115,7 @@ class WriteCache:
             # entry per writer would be pushed back to back at this
             # instant, so they would pop back to back too.
             waiters, self._space_waiters = self._space_waiters, []
-            engine = self.engine
-            engine._seq += 1
-            heapq.heappush(
-                engine._queue, (engine._now, engine._seq, _retry_all, waiters)
-            )
+            self.engine.call_soon(_retry_all, waiters)
 
 
 def _retry_all(waiters: list) -> None:

@@ -6,10 +6,10 @@ configured queue depth (until a stop condition trips).  IOs are submitted
 directly to the device -- there is no page cache in the path, matching the
 paper's ``direct=1`` methodology.
 
-The worker loops are heap handlers over
+The worker loops are engine handlers over
 :meth:`~repro.devices.base.StorageDevice.submit_call`, not generator
 processes: each hop (worker start, IO completion, host-overhead pause)
-is one heap entry, pushed where the equivalent process would resume.
+is one engine entry, pushed where the equivalent process would resume.
 """
 
 from __future__ import annotations
@@ -140,9 +140,9 @@ class FioJob:
             else:
                 done.succeed()
 
-        def complete(result) -> None:
+        def complete(complete_time: float) -> None:
             append_submit(submit_time)
-            append_complete(result.complete_time)
+            append_complete(complete_time)
             append_nbytes(block_size)
             if host_overhead > 0:
                 engine.schedule(host_overhead, loop)

@@ -85,9 +85,27 @@ class NandDie:
         self._prog_p_rest = (
             draw * duration - self._prog_p_pulse * self._prog_t_pulse
         ) / (duration - self._prog_t_pulse)
-        self.op_counts: dict[OpKind, int] = {kind: 0 for kind in OpKind}
+        # Completed operations, one int per kind (see op_counts).
+        self.reads = self.programs = self.erases = 0
         if power.p_idle:
             rail.set_draw(self._component, power.p_idle)
+
+    @property
+    def op_counts(self) -> dict[OpKind, int]:
+        """Completed operations by kind."""
+        return {
+            OpKind.READ: self.reads,
+            OpKind.PROGRAM: self.programs,
+            OpKind.ERASE: self.erases,
+        }
+
+    def _count(self, kind: OpKind) -> None:
+        if kind is OpKind.READ:
+            self.reads += 1
+        elif kind is OpKind.PROGRAM:
+            self.programs += 1
+        else:
+            self.erases += 1
 
     @property
     def busy(self) -> bool:
@@ -118,7 +136,7 @@ class NandDie:
             rail.add_draw(component, draw)
             try:
                 yield self.engine.timeout(duration)
-                self.op_counts[kind] += 1
+                self._count(kind)
             finally:
                 rail.add_draw(component, -draw)
             return
@@ -139,7 +157,7 @@ class NandDie:
                 yield self.engine.timeout(phase_time)
             finally:
                 self.rail.add_draw(self._component, -power_w)
-        self.op_counts[kind] += 1
+        self.programs += 1
 
 
 class NandArray:
@@ -177,6 +195,9 @@ class NandArray:
             for i in range(geometry.total_dies)
         ]
         self._op_draw = {kind: power.draw(kind) for kind in OpKind}
+        self._total_pages = geometry.total_pages
+        self._pages_per_die = geometry.pages_per_die
+        self._dies_per_channel = geometry.dies_per_channel
         self.channels = [
             ChannelBus(
                 engine,
@@ -188,11 +209,14 @@ class NandArray:
             for c in range(geometry.channels)
         ]
 
-    def die_for(self, ppa: PhysicalPageAddress) -> NandDie:
-        return self.dies[ppa.die_index(self.geometry)]
-
-    def channel_for(self, ppa: PhysicalPageAddress) -> ChannelBus:
-        return self.channels[ppa.channel]
+    def locate(self, ppn: int) -> tuple[NandDie, ChannelBus]:
+        """Die and channel of linear page ``ppn``, without a
+        :class:`PhysicalPageAddress`: the canonical order puts each die's
+        pages, and each channel's dies, in one contiguous run."""
+        if not 0 <= ppn < self._total_pages:
+            raise ValueError(f"page index {ppn} out of range")
+        die = self.dies[ppn // self._pages_per_die]
+        return die, self.channels[die.index // self._dies_per_channel]
 
     @property
     def busy_dies(self) -> int:
@@ -260,14 +284,14 @@ class NandArray:
                                 yield engine.timeout(phase_time)
                             finally:
                                 rail.add_draw(component, -power_w)
-                        die.op_counts[kind] += 1
+                        die.programs += 1
                     else:
                         rail = die.rail
                         component = die._component
                         rail.add_draw(component, watts)
                         try:
                             yield self.engine.timeout(die._op_duration[kind])
-                            die.op_counts[kind] += 1
+                            die.programs += 1
                         finally:
                             rail.add_draw(component, -watts)
                 finally:
@@ -282,7 +306,7 @@ class NandArray:
                     rail.add_draw(component, watts)
                     try:
                         yield self.engine.timeout(die._op_duration[kind])
-                        die.op_counts[kind] += 1
+                        die.reads += 1
                     finally:
                         rail.add_draw(component, -watts)
                 finally:

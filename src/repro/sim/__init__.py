@@ -3,8 +3,9 @@
 A small, dependency-free, simpy-style engine used as the substrate for all
 device simulation in this project:
 
-- :class:`~repro.sim.engine.Engine` -- the simulated clock and one heap of
-  ``(time, seq, handler, arg)`` entries; hot paths schedule plain handlers.
+- :class:`~repro.sim.engine.Engine` -- the simulated clock, a heap of
+  future ``(time, seq, handler, arg)`` entries and a FIFO of entries due
+  now; hot paths schedule plain handlers.
 - :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout` --
   one-shot events processes can wait on.
 - :class:`~repro.sim.process.Process` -- generator-based coroutines that

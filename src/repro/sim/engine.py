@@ -1,19 +1,26 @@
 """Event loop and simulated clock.
 
-The engine keeps a priority queue of ``(time, sequence, handler, arg)``
-entries.  Popping an entry advances the clock to ``time`` and calls
-``handler(arg)``.  Hot data paths schedule plain handlers directly
-(:meth:`Engine.schedule`, :meth:`~repro.sim.resources.Resource.
-request_call`); an :class:`Event` is one handler among others -- its
-entry's handler runs the event's callbacks, which typically resume
-waiting :class:`~repro.sim.process.Process` coroutines.
+The engine keeps a priority queue of future ``(time, sequence, handler,
+arg)`` entries and a FIFO of ``(handler, arg)`` entries due now.  Popping
+an entry calls ``handler(arg)``; when the FIFO is empty, the clock first
+advances to the earliest heap entry, and every heap entry at that instant
+moves to the FIFO in sequence order.  Hot data paths push plain handlers
+directly (:meth:`Engine.schedule`, :meth:`Engine.call_soon`,
+:meth:`~repro.sim.resources.Resource.request_call`); an :class:`Event`
+is one handler among others -- its entry's handler runs the event's
+callbacks, which typically resume waiting
+:class:`~repro.sim.process.Process` coroutines.
 
 The kernel is deliberately minimal: events are one-shot, callbacks run in
-deterministic FIFO order, entries at one instant pop in push order (ties
-broken by a monotonically increasing sequence number, so the handler is
-never compared), and there is no wall-clock coupling.  Determinism
-matters here -- every experiment in the reproduction must be exactly
-repeatable from a seed.
+deterministic FIFO order, entries pop in ``(time, sequence)`` order (at
+one instant, in push order; the sequence number breaks heap ties, so the
+handler is never compared), and there is no wall-clock coupling.
+Determinism matters here -- every experiment in the reproduction must be
+exactly repeatable from a seed.
+
+Only this package touches the heap, the FIFO and the sequence counter
+(``tools/check_engine_heap.py``): a same-instant entry pushed onto the
+heap behind the FIFO's back would pop after later pushes.
 
 The engine also carries the simulation's :mod:`repro.obs` tracer so any
 component holding the engine can emit structured observability events
@@ -23,7 +30,8 @@ tracing is strictly passive and never alters scheduling.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.obs.events import NULL_TRACER
@@ -111,14 +119,10 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        # Pushed inline at the current instant: a zero delay needs no
-        # validation.
         if self._scheduled:
             raise SimulationError("event already scheduled")
         self._scheduled = True
-        engine = self.engine
-        engine._seq += 1
-        heapq.heappush(engine._queue, (engine._now, engine._seq, _fire, self))
+        self.engine._ready.append((_fire, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -132,9 +136,7 @@ class Event:
         if self._scheduled:
             raise SimulationError("event already scheduled")
         self._scheduled = True
-        engine = self.engine
-        engine._seq += 1
-        heapq.heappush(engine._queue, (engine._now, engine._seq, _fire, self))
+        self.engine._ready.append((_fire, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -163,20 +165,15 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        # Inlined Event.__init__ and the push: a freshly constructed event
-        # cannot already be scheduled and the delay was validated above.
+        # Inlined Event.__init__: a freshly constructed event cannot
+        # already be scheduled, and schedule() validates the delay.
         self.engine = engine
         self.callbacks = []
         self._value = value
         self._ok = True
         self._scheduled = True
         self.delay = delay
-        engine._seq += 1
-        heapq.heappush(
-            engine._queue, (engine._now + delay, engine._seq, _fire, self)
-        )
+        engine.schedule(delay, _fire, self)
 
 
 class AnyOf(Event):
@@ -244,8 +241,14 @@ class Engine:
 
     def __init__(self, tracer=None) -> None:
         self._now = 0.0
+        # Future entries, in (time, seq) order; every one lies after _now
+        # while _ready holds entries.
         self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
+        # Entries due at _now, in push order: the heap's entries at this
+        # instant (moved in seq order when the clock advanced), then every
+        # entry pushed at it since.
+        self._ready: deque[tuple[Callable[[Any], None], Any]] = deque()
         self.events_processed = 0
         # Kernel events an analytic fast-forward accounted for without
         # processing (see repro.sim.fastpath); the effective event rate
@@ -292,14 +295,24 @@ class Engine:
     ) -> None:
         """Call ``handler(arg)`` ``delay`` seconds from now.
 
-        The handler form of :meth:`timeout`: one heap entry, no
-        :class:`Event`, no callback list.  Entries at one instant run in
-        the order they were scheduled, interleaved with event entries.
+        The handler form of :meth:`timeout`: one entry, no :class:`Event`,
+        no callback list.  Entries at one instant run in the order they
+        were scheduled, interleaved with event entries.  A delay that
+        ``now + delay`` rounds away is due now, exactly like a zero one.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r}s in the past")
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, handler, arg))
+        when = self._now + delay
+        if when == self._now:
+            self._ready.append((handler, arg))
+        else:
+            self._seq += 1
+            heappush(self._queue, (when, self._seq, handler, arg))
+
+    def call_soon(self, handler: Callable[[Any], None], arg: Any = None) -> None:
+        """Call ``handler(arg)`` at the current instant: ``schedule(0.0, ...)``
+        without the delay check, after every entry already due now."""
+        self._ready.append((handler, arg))
 
     def call_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at absolute simulated ``time``.
@@ -318,19 +331,37 @@ class Engine:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._ready:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
+    def _advance(self) -> tuple[Callable[[Any], None], Any]:
+        """Move the clock to the earliest heap entry and return it.
+
+        The other heap entries at that instant move to the FIFO in ``seq``
+        order, so entries pushed while the returned one runs pop after
+        them: pop order stays ``(time, seq)``.  Call only with an empty
+        FIFO.
+        """
+        queue = self._queue
+        if not queue:
+            raise SimulationError("step() on an empty event queue")
+        when, _seq, handler, arg = heappop(queue)
+        self._now = when
+        while queue and queue[0][0] == when:
+            entry = heappop(queue)
+            self._ready.append((entry[2], entry[3]))
+        return handler, arg
+
     def step(self) -> None:
-        """Process exactly one heap entry (advancing the clock to it).
+        """Process exactly one entry (advancing the clock to it).
 
         A *failed* event that nothing is waiting on re-raises its exception
         here: errors never pass silently.  Failures with waiters are
         delivered to them instead (thrown into waiting processes).
         """
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _seq, handler, arg = heapq.heappop(self._queue)
-        self._now = when
+        ready = self._ready
+        handler, arg = ready.popleft() if ready else self._advance()
         self.events_processed += 1
         handler(arg)
 
@@ -343,15 +374,25 @@ class Engine:
         per-step method call and attribute lookups are measurable at
         millions of events per run.
         """
+        ready = self._ready
+        popleft = ready.popleft
+        append = ready.append
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         processed = 0
         try:
             while event._ok is None:
-                if not queue:
-                    raise SimulationError("step() on an empty event queue")
-                when, _seq, handler, arg = pop(queue)
-                self._now = when
+                if ready:
+                    handler, arg = popleft()
+                else:
+                    # Inlined _advance().
+                    if not queue:
+                        raise SimulationError("step() on an empty event queue")
+                    when, _seq, handler, arg = pop(queue)
+                    self._now = when
+                    while queue and queue[0][0] == when:
+                        entry = pop(queue)
+                        append((entry[2], entry[3]))
                 processed += 1
                 handler(arg)
         finally:
@@ -364,9 +405,11 @@ class Engine:
         if the next event lies beyond it, mirroring simpy semantics so that
         power-trace windows have exact, reproducible extents.
         """
+        ready = self._ready
+        queue = self._queue
         try:
             if until is None:
-                while self._queue:
+                while ready or queue:
                     self.step()
             else:
                 if until < self._now:
@@ -374,7 +417,7 @@ class Engine:
                         f"run(until={until!r}) is in the past "
                         f"(now={self._now!r})"
                     )
-                while self._queue and self._queue[0][0] <= until:
+                while ready or (queue and queue[0][0] <= until):
                     self.step()
                 self._now = until
         except StopEngine:

@@ -25,7 +25,7 @@ events behaviorally invisible.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop
 
 from repro.devices.ssd import SimulatedSSD
 from repro.obs.events import EventKind
@@ -94,30 +94,42 @@ def _run_with_splices(engine, device, job, master, opts) -> FastpathSummary:
     Identical event processing to ``Engine.run_until_complete`` -- the
     probe fires only *between* events, at instants where the next event
     lies strictly in the future (so no same-time cascade is in flight
-    and every in-flight IO is accounted in ``device._inflight_ios``).
+    and every in-flight IO is accounted in ``device._inflight_ios``):
+    the engine's FIFO of entries due now is empty and the heap holds
+    nothing at the current instant.
     """
     detector = StationarityDetector(job, device.rail, opts)
     splices = []
     fixups = []
     completions = job.records.complete_time
     tracer = engine.tracer
+    ready = engine._ready
+    popleft = ready.popleft
+    append = ready.append
     queue = engine._queue
-    pop = heapq.heappop
+    pop = heappop
     base_events = engine.events_processed
     processed = 0
     try:
         while master._ok is None:
-            if not queue:
-                raise SimulationError("step() on an empty event queue")
-            when, _seq, handler, arg = pop(queue)
-            engine._now = when
+            if ready:
+                handler, arg = popleft()
+            else:
+                # Inlined Engine._advance().
+                if not queue:
+                    raise SimulationError("step() on an empty event queue")
+                when, _seq, handler, arg = pop(queue)
+                engine._now = when
+                while queue and queue[0][0] == when:
+                    entry = pop(queue)
+                    append((entry[2], entry[3]))
             processed += 1
             handler(arg)
             if len(completions) < detector.next_probe_len:
                 continue
             if len(splices) >= opts.max_splices:
                 continue
-            if queue and queue[0][0] <= engine._now:
+            if ready or (queue and queue[0][0] <= engine._now):
                 continue  # same-time cascade still in flight
             stats = detector.probe(engine._now, base_events + processed)
             if stats is None:

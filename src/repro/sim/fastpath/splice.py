@@ -1,8 +1,9 @@
 """The analytic fast-forward: replicate a stationary window N times.
 
 Splicing is state surgery on a *live* simulation, performed only at a
-stable point (no pending event at the current instant).  Exact-shift
-invariants make it safe:
+stable point (no pending event at the current instant: the engine's
+FIFO of entries due now is empty).  Exact-shift invariants make it
+safe:
 
 - Shifting every pending heap entry by a constant ``N * W`` preserves
   both the heap property and the sequence tie-break, so the resumed
@@ -131,6 +132,7 @@ def splice_windows(
     device._last_activity += shift
 
     # -- time jump --------------------------------------------------------
+    assert not engine._ready, "splice_windows needs an empty FIFO (a stable point)"
     queue = engine._queue
     queue[:] = [(t + shift, seq, handler, arg) for t, seq, handler, arg in queue]
     engine._now = t_splice + shift

@@ -14,14 +14,13 @@ value, so processes can wait on each other::
         result = yield engine.process(child(engine))
         assert result == 42
 
-:func:`drive_inline` runs a generator from a heap handler with
+:func:`drive_inline` runs a generator from an engine handler with
 ``yield from`` semantics instead, so handler chains can reach cold
 generator code (GC, wake paths, fault delays) without a process.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Generator, Optional
 
 from repro.sim.engine import Engine, Event, SimulationError, _fire
@@ -72,8 +71,7 @@ class Process(Event):
         start = Event(engine)
         start._ok = True
         start._scheduled = True
-        engine._seq += 1
-        heapq.heappush(engine._queue, (engine._now, engine._seq, _fire, start))
+        engine._ready.append((_fire, start))
         start.callbacks.append(self._resume)
         self._waiting_on = start
 
@@ -184,7 +182,7 @@ def drive_inline(generator: Generator[Event, Any, Any], then, arg=None) -> None:
     The generator starts synchronously, inside the calling handler.  Each
     event it yields parks it exactly the way a process parks, and when it
     returns, ``then(arg)`` runs synchronously in the same engine step.  A
-    generator that never yields therefore costs no heap entry at all, and
+    generator that never yields therefore costs no engine entry at all, and
     one that does pushes exactly the entries it would push under
     ``yield from`` inside a process.  Spawning a process instead would add
     a start entry and a done entry, which reorders same-instant ties.

@@ -12,7 +12,6 @@ queue in one FIFO.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Deque
 
@@ -72,8 +71,7 @@ class Resource:
             event._ok = True
             event._value = self
             event._scheduled = True
-            engine._seq += 1
-            heapq.heappush(engine._queue, (engine._now, engine._seq, _fire, event))
+            engine._ready.append((_fire, event))
         else:
             self._waiters.append((None, event))
         return event
@@ -83,12 +81,12 @@ class Resource:
 
         The grant entry is pushed at the same moment :meth:`request` would
         push its granted event, so mixing both forms keeps one FIFO order.
+        Grants are due now: they go straight to the engine's FIFO (inlined
+        ``engine.call_soon``, several times per simulated IO).
         """
         if self.in_use < self._capacity:
             self.in_use += 1
-            engine = self.engine
-            engine._seq += 1
-            heapq.heappush(engine._queue, (engine._now, engine._seq, handler, arg))
+            self.engine._ready.append((handler, arg))
         else:
             self._waiters.append((handler, arg))
 
@@ -98,18 +96,13 @@ class Resource:
             raise SimulationError(f"{self.name}: release() without a holder")
         if self._waiters and self.in_use <= self._capacity:
             # Hand the unit straight to the next waiter: in_use is unchanged.
-            self._grant_next()
+            handler, arg = self._waiters.popleft()
+            if handler is None:
+                arg.succeed(self)
+            else:
+                self.engine._ready.append((handler, arg))
         else:
             self.in_use -= 1
-
-    def _grant_next(self) -> None:
-        handler, arg = self._waiters.popleft()
-        if handler is None:
-            arg.succeed(self)
-        else:
-            engine = self.engine
-            engine._seq += 1
-            heapq.heappush(engine._queue, (engine._now, engine._seq, handler, arg))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -155,24 +148,19 @@ class Gate:
         event's entry, so mixing both forms keeps one FIFO order.
         """
         if self._open:
-            engine = self.engine
-            engine._seq += 1
-            heapq.heappush(engine._queue, (engine._now, engine._seq, handler, arg))
+            self.engine._ready.append((handler, arg))
         else:
             self._waiters.append((handler, arg))
 
     def open(self) -> None:
         self._open = True
         waiters, self._waiters = self._waiters, []
-        engine = self.engine
+        ready = self.engine._ready
         for handler, arg in waiters:
             if handler is None:
                 arg.succeed()
             else:
-                engine._seq += 1
-                heapq.heappush(
-                    engine._queue, (engine._now, engine._seq, handler, arg)
-                )
+                ready.append((handler, arg))
 
     def close(self) -> None:
         self._open = False

@@ -29,11 +29,6 @@ from repro.sim.rng import RngStreams
 from tests.conftest import tiny_ssd_config
 
 
-def _drain(engine: Engine) -> None:
-    while engine._queue:
-        engine.step()
-
-
 class TestGovernorRequestCall:
     def test_handler_and_event_waiters_share_one_fifo(self, engine):
         gov = PowerGovernor(engine, baseline_w=0.0, cap_w=2.0)
@@ -43,13 +38,13 @@ class TestGovernorRequestCall:
         gov.request_call(2.0, granted.append, "h2")
         third = gov.request(2.0)
         assert gov.queued == 3 and gov.granted_ops == 1
-        _drain(engine)
+        engine.run()
         assert granted == ["h0"] and not first.triggered
 
         gov.release(2.0)
         assert first.triggered and gov.queued == 2
         gov.release(2.0)
-        _drain(engine)
+        engine.run()
         assert granted == ["h0", "h2"] and not third.triggered
         gov.release(2.0)
         assert third.triggered and gov.queued == 0
@@ -80,15 +75,22 @@ class TestGovernorRequestCall:
             gov.request_call(-1.0, lambda arg: None)
 
 
+def _pending(engine: Engine) -> int:
+    """Entries waiting to pop: the heap's and the FIFO's of entries due now."""
+    return len(engine._queue) + len(engine._ready)
+
+
 def _completions(device, engine, form, requests):
     """Completion (tag, submit, complete) tuples for one submission form."""
     done = []
     for tag, request in enumerate(requests):
         if form == "call":
+            # The device stamps an IO's submit time at its start entry,
+            # which runs at the submitting instant.
             device.submit_call(
                 request,
-                lambda result, tag=tag: done.append(
-                    (tag, result.submit_time, result.complete_time, engine.now)
+                lambda complete, tag=tag, submit=engine.now: done.append(
+                    (tag, submit, complete, engine.now)
                 ),
             )
         else:
@@ -189,11 +191,11 @@ class TestBufferRelease:
         admitted = []
         device._buffer_admit = lambda io: admitted.append(io)
         device._buffer_waiters = ["a", "b", "c"]
-        queued_before = len(engine._queue)
+        queued_before = _pending(engine)
         device._buffer_release(page)
         assert device._buffer_waiters == []
-        assert len(engine._queue) == queued_before + 1  # one entry for all
-        _drain(engine)
+        assert _pending(engine) == queued_before + 1  # one entry for all
+        engine.run()
         assert admitted == ["a", "b", "c"]
 
     def test_writers_that_still_do_not_fit_repark_in_order(self, engine):
@@ -242,7 +244,7 @@ class TestProgramAllocationRetry:
 
         device.allocator.allocate = flaky_allocate
         self._write_one_page(device)
-        _drain(engine)
+        engine.run()
         assert len(calls) == 2
         assert device.page_map.lookup(0) is not None
         assert sum(die.op_counts[OpKind.PROGRAM] for die in device.array.dies) == 1
@@ -253,7 +255,7 @@ class TestProgramAllocationRetry:
         device.allocator = _FullAllocator()
         self._write_one_page(device)
         with pytest.raises(RuntimeError, match="no free page"):
-            _drain(engine)
+            engine.run()
 
 
 class TestHandlerPathExperiments:
@@ -294,11 +296,10 @@ class TestHddColdPathsOnTheEngine:
         def submit(kind, offset_mib, nbytes):
             tag = len(submitted)
             submitted.append(tag)
+            submit_time = engine.now
             device.submit_call(
                 IORequest(kind, offset_mib * MiB, nbytes),
-                lambda result: done.append(
-                    (tag, result.submit_time, result.complete_time)
-                ),
+                lambda complete: done.append((tag, submit_time, complete)),
             )
 
         # Cached writes complete before their media writes, so standby
@@ -323,7 +324,7 @@ class TestHddColdPathsOnTheEngine:
             submit(IOKind.READ, offset, 4 * KiB)
         submit(IOKind.WRITE, 12, 4 * KiB)
         _drain_until(engine, lambda: len(done) == 11)
-        _drain(engine)
+        engine.run()
         assert device.idle_condition is IdleCondition.IDLE_A
         assert device.cache.is_empty
 

@@ -15,7 +15,6 @@ from repro.devices.ssd import SimulatedSSD
 from repro.power.rail import PowerRail
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-from tests.conftest import drive
 
 
 class TestHostLink:
@@ -27,11 +26,8 @@ class TestHostLink:
 
     def test_transfer_takes_bandwidth_time(self, engine):
         __, link = self._link(engine)
-
-        def xfer(eng):
-            yield from link.transfer(1_000_000)
-
-        drive(engine, engine.process(xfer(engine)))
+        link.transfer_call(1_000_000, lambda _arg: None)
+        engine.run()
         assert engine.now == pytest.approx(1e-3)
         assert link.bytes_transferred == 1_000_000
 
@@ -43,22 +39,16 @@ class TestHostLink:
             yield eng.timeout(0.5e-3)
             seen.append(rail.draw_of("l.xfer"))
 
-        def xfer(eng):
-            yield from link.transfer(1_000_000)
-
         engine.process(watcher(engine))
-        drive(engine, engine.process(xfer(engine)))
+        link.transfer_call(1_000_000, lambda _arg: None)
+        engine.run()
         assert seen == [pytest.approx(0.5)]
         assert rail.draw_of("l.xfer") == 0.0
 
     def test_transfers_serialize_on_bus(self, engine):
         __, link = self._link(engine)
-
-        def xfer(eng):
-            yield from link.transfer(1_000_000)
-
-        engine.process(xfer(engine))
-        engine.process(xfer(engine))
+        link.transfer_call(1_000_000, lambda _arg: None)
+        link.transfer_call(1_000_000, lambda _arg: None)
         engine.run()
         assert engine.now == pytest.approx(2e-3)
 
@@ -72,11 +62,8 @@ class TestHostLink:
         __, link = self._link(engine)
         link.set_mode(LinkPowerMode.SLUMBER)
         exit_latency = link.power_table.exit_latency_s[LinkPowerMode.SLUMBER]
-
-        def xfer(eng):
-            yield from link.transfer(1_000_000)
-
-        drive(engine, engine.process(xfer(engine)))
+        link.transfer_call(1_000_000, lambda _arg: None)
+        engine.run()
         assert engine.now == pytest.approx(exit_latency + 1e-3)
         assert link.mode is LinkPowerMode.ACTIVE
 

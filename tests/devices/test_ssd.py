@@ -4,7 +4,9 @@ import pytest
 
 from repro._units import KiB
 from repro.devices.base import IOKind, IORequest
+from repro.devices.catalog import DEVICE_PRESETS
 from repro.devices.ssd import SimulatedSSD
+from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from tests.conftest import drive, tiny_ssd_config
 
@@ -243,3 +245,36 @@ class TestBufferBackpressure:
             engine.step()
             peak = max(peak, device.buffer_used_bytes)
         assert peak == 64 * 1024
+
+
+class TestPageAddressing:
+    """The hot paths find a page's die and channel by integer division of
+    its linear index, not through a PhysicalPageAddress."""
+
+    @pytest.mark.parametrize("label", ["ssd1", "ssd2", "ssd3", "pm1743", "860evo", "tiny"])
+    def test_integer_die_and_channel_match_the_address(self, label):
+        config = tiny_ssd_config() if label == "tiny" else DEVICE_PRESETS[label]()
+        array = SimulatedSSD(Engine(), config, rng=RngStreams(0)).array
+        geometry = config.geometry
+        per_block = geometry.pages_per_block
+        for block in range(geometry.total_blocks):
+            for ppn in (block * per_block, (block + 1) * per_block - 1):
+                die, channel = array.locate(ppn)
+                ppa = geometry.ppa_from_index(ppn)
+                assert die.index == ppa.die_index(geometry)
+                assert channel.index == ppa.channel
+
+    @pytest.mark.parametrize("path", ["read", "program"])
+    @pytest.mark.parametrize("past_end", [False, True], ids=["negative", "past-end"])
+    def test_out_of_range_ppn_raises_on_the_hot_path(self, engine, path, past_end):
+        device = SimulatedSSD(engine, tiny_ssd_config(), rng=RngStreams(0))
+        ppn = device.config.geometry.total_pages if past_end else -1
+        page = device.config.geometry.page_size
+        if path == "read":
+            device.page_map.lookup = lambda lpn: ppn
+            device.submit(IORequest(IOKind.READ, 0, page))
+        else:
+            device.allocator.allocate = lambda: ppn
+            device.submit(IORequest(IOKind.WRITE, 0, page))
+        with pytest.raises(ValueError, match=f"page index {ppn} out of range"):
+            engine.run()

@@ -22,18 +22,21 @@ class TestAllocation:
 
     def test_allocations_rotate_across_dies(self):
         allocator = WriteAllocator(GEOMETRY)
-        dies = [allocator.allocate()[1].die_index(GEOMETRY) for _ in range(4)]
+        dies = [
+            GEOMETRY.ppa_from_index(allocator.allocate()).die_index(GEOMETRY)
+            for _ in range(4)
+        ]
         assert dies == [0, 1, 0, 1]
 
     def test_pinned_die_allocation(self):
         allocator = WriteAllocator(GEOMETRY)
         for _ in range(3):
-            __, ppa = allocator.allocate(die_index=1)
+            ppa = GEOMETRY.ppa_from_index(allocator.allocate(die_index=1))
             assert ppa.die_index(GEOMETRY) == 1
 
     def test_block_fills_then_moves_on(self):
         allocator = WriteAllocator(GEOMETRY)
-        ppns = [allocator.allocate(die_index=0)[0] for _ in range(5)]
+        ppns = [allocator.allocate(die_index=0) for _ in range(5)]
         first_block = allocator.block_of_ppn(ppns[0])
         assert first_block.state is BlockState.FULL
         assert allocator.block_of_ppn(ppns[4]).block_id != first_block.block_id
@@ -47,7 +50,7 @@ class TestAllocation:
 
     def test_allocated_pages_unique(self):
         allocator = WriteAllocator(GEOMETRY, gc_reserve_blocks=0)
-        ppns = {allocator.allocate()[0] for _ in range(GEOMETRY.total_pages)}
+        ppns = {allocator.allocate() for _ in range(GEOMETRY.total_pages)}
         assert len(ppns) == GEOMETRY.total_pages
 
     def test_host_allocation_stops_at_gc_reserve(self):
@@ -65,7 +68,7 @@ class TestAllocation:
         except RuntimeError:
             pass
         # The reserve is still available to relocations.
-        ppn, __ = allocator.allocate(for_gc=True)
+        ppn = allocator.allocate(for_gc=True)
         assert allocator.block_of_ppn(ppn).valid_count == 1
 
     def test_invalid_reserve_rejected(self):
@@ -78,18 +81,18 @@ class TestAllocation:
 class TestValidityAndErase:
     def test_new_page_valid(self):
         allocator = WriteAllocator(GEOMETRY)
-        ppn, __ = allocator.allocate()
+        ppn = allocator.allocate()
         assert allocator.block_of_ppn(ppn).valid_count == 1
 
     def test_mark_invalid(self):
         allocator = WriteAllocator(GEOMETRY)
-        ppn, __ = allocator.allocate()
+        ppn = allocator.allocate()
         allocator.mark_invalid(ppn)
         assert allocator.block_of_ppn(ppn).valid_count == 0
 
     def test_erase_returns_block_to_pool(self):
         allocator = WriteAllocator(GEOMETRY)
-        ppns = [allocator.allocate(die_index=0)[0] for _ in range(4)]
+        ppns = [allocator.allocate(die_index=0) for _ in range(4)]
         for ppn in ppns:
             allocator.mark_invalid(ppn)
         block = allocator.block_of_ppn(ppns[0])
@@ -100,21 +103,21 @@ class TestValidityAndErase:
 
     def test_erase_open_block_rejected(self):
         allocator = WriteAllocator(GEOMETRY)
-        ppn, __ = allocator.allocate()
+        ppn = allocator.allocate()
         block = allocator.block_of_ppn(ppn)
         with pytest.raises(ValueError):
             allocator.erase(block.block_id)
 
     def test_erase_with_valid_pages_rejected(self):
         allocator = WriteAllocator(GEOMETRY)
-        ppns = [allocator.allocate(die_index=0)[0] for _ in range(4)]
+        ppns = [allocator.allocate(die_index=0) for _ in range(4)]
         block = allocator.block_of_ppn(ppns[0])
         with pytest.raises(ValueError):
             allocator.erase(block.block_id)
 
     def test_victims_sorted_by_valid_count(self):
         allocator = WriteAllocator(GEOMETRY)
-        ppns = [allocator.allocate(die_index=0)[0] for _ in range(8)]
+        ppns = [allocator.allocate(die_index=0) for _ in range(8)]
         # First block: invalidate 3 of 4; second block: invalidate 1 of 4.
         for ppn in ppns[:3]:
             allocator.mark_invalid(ppn)
@@ -125,7 +128,7 @@ class TestValidityAndErase:
 
     def test_erased_block_is_reusable(self):
         allocator = WriteAllocator(GEOMETRY)
-        ppns = [allocator.allocate(die_index=0)[0] for _ in range(4)]
+        ppns = [allocator.allocate(die_index=0) for _ in range(4)]
         block_id = allocator.block_of_ppn(ppns[0]).block_id
         for ppn in ppns:
             allocator.mark_invalid(ppn)
@@ -134,7 +137,7 @@ class TestValidityAndErase:
         seen_blocks = set()
         while allocator.free_blocks_on_die(0) > 0 or True:
             try:
-                ppn, __ = allocator.allocate(die_index=0)
+                ppn = allocator.allocate(die_index=0)
             except RuntimeError:
                 break
             seen_blocks.add(allocator.block_of_ppn(ppn).block_id)

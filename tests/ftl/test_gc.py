@@ -48,7 +48,7 @@ def make_setup(engine, low=2, high=3):
 def fill_with_overwrites(allocator, page_map, n_writes, lpn_space=8):
     """Simulate host writes: bind LPNs round-robin, invalidating overwrites."""
     for i in range(n_writes):
-        ppn, __ = allocator.allocate()
+        ppn = allocator.allocate()
         stale = page_map.bind(i % lpn_space, ppn)
         if stale is not None:
             allocator.mark_invalid(stale)
@@ -116,7 +116,7 @@ class TestGarbageCollection:
         __, allocator, page_map, __, gc = make_setup(engine)
         # Unique LPNs: nothing is ever stale.
         for i in range(24):
-            ppn, __ = allocator.allocate()
+            ppn = allocator.allocate()
             page_map.bind(i, ppn)
         drive(engine, engine.process(gc.maybe_collect()))
         assert gc.blocks_erased == 0

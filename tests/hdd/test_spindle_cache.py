@@ -128,8 +128,9 @@ class TestWriteCache:
         engine.run(until=1.0)
         assert woken == []
         cache.remove(cache.window(1)[0])
-        assert woken == []  # woken by a heap entry, not synchronously
-        assert len(engine._queue) == 1  # one entry retries both, in order
+        assert woken == []  # woken by an entry, not synchronously
+        # One pending entry retries both, in order.
+        assert len(engine._queue) + len(engine._ready) == 1
         engine.run(until=1.0)
         assert woken == [("a", 1.0, 0), ("b", 1.0, 0)]
 

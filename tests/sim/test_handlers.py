@@ -1,31 +1,38 @@
-"""The handler form of the kernel: heap entries, shared FIFOs, inline driving.
+"""The handler form of the kernel: queue entries, shared FIFOs, inline driving.
 
-Hot device paths run as plain handlers on the same ``(time, seq, handler,
-arg)`` heap as events, and reach cold generator code through
+Hot device paths run as plain handlers on the same entries as events
+(future ones on the ``(time, seq, handler, arg)`` heap, ones due now in
+the engine's FIFO beside it), and reach cold generator code through
 :func:`~repro.sim.process.drive_inline`.  Exactness of the whole kernel
-rests on three properties pinned here: entries at one instant pop in
-push order whatever their kind, handler and generator waiters share one
-FIFO per resource, and the inline driver pops exactly what ``yield from``
-inside a process pops.
+rests on four properties pinned here: entries pop in the ``(time, seq)``
+order of a heap-only kernel, entries at one instant pop in push order
+whatever their kind, handler and generator waiters share one FIFO per
+resource, and the inline driver pops exactly what ``yield from`` inside
+a process pops.
 """
 
-import pytest
+import heapq
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro._units import KiB, MiB
+from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.iogen.spec import IoPattern, JobSpec
 from repro.sim.engine import Engine, SimulationError
+from repro.sim.fastpath.detect import StationarityDetector
+from repro.sim.fastpath.options import FastpathOptions
 from repro.sim.process import drive_inline
 from repro.sim.resources import Gate, Resource
-
-
-def _drain(engine: Engine) -> None:
-    while engine._queue:
-        engine.step()
 
 
 class TestScheduleEntries:
     def test_handler_receives_its_arg_at_the_delay(self, engine):
         seen = []
         engine.schedule(2.5, lambda arg: seen.append((engine.now, arg)), "x")
-        _drain(engine)
+        engine.run()
         assert seen == [(2.5, "x")]
 
     def test_negative_delay_rejected(self, engine):
@@ -43,7 +50,7 @@ class TestScheduleEntries:
         event.add_callback(lambda e: order.append("e2"))
         engine.schedule(0.0, lambda arg: event.succeed(), None)
         engine.schedule(1.0, order.append, "h3")
-        _drain(engine)
+        engine.run()
         # e2's entry is pushed at t=0 (when its trigger runs), so it pops
         # before every t=1 entry; the rest keep their push order.
         assert order == ["e2", "h1", "e1", "h2", "h3"]
@@ -57,7 +64,7 @@ class TestScheduleEntries:
 
         engine.schedule(0.0, first)
         engine.schedule(0.0, order.append, "second")
-        _drain(engine)
+        engine.run()
         assert order == ["first", "second", "pushed-by-first"]
 
     def test_run_until_processes_handler_entries(self, engine):
@@ -90,7 +97,7 @@ class TestResourceRequestCall:
         resource.request_call(hold, "h2")
         resource.request().add_callback(lambda e: hold("g3"))
         assert resource.in_use == 1 and resource.queued == 3
-        _drain(engine)
+        engine.run()
         assert order == [("h0", 0.0), ("g1", 1.0), ("h2", 2.0), ("g3", 3.0)]
         assert first.value is resource
         assert resource.in_use == 0 and resource.queued == 0
@@ -100,7 +107,7 @@ class TestResourceRequestCall:
         granted = []
         resource.request_call(granted.append, "a")
         assert resource.in_use == 1
-        assert granted == []  # not synchronous: a heap entry at now
+        assert granted == []  # not synchronous: an entry due now
         engine.step()
         assert granted == ["a"] and engine.now == 0.0
 
@@ -110,10 +117,10 @@ class TestResourceRequestCall:
         for tag in "abc":
             resource.request_call(granted.append, tag)
         assert resource.in_use == 1 and resource.queued == 2
-        _drain(engine)
+        engine.run()
         resource.release()  # hands the unit to b: in_use unchanged
         assert resource.in_use == 1 and resource.queued == 1
-        _drain(engine)
+        engine.run()
         assert granted == ["a", "b"]
 
 
@@ -126,10 +133,10 @@ class TestGateWaitOpenCall:
         first.add_callback(lambda e: order.append("g1"))
         gate.wait_open_call(order.append, "h2")
         gate.wait_open().add_callback(lambda e: order.append("g3"))
-        _drain(engine)
+        engine.run()
         assert order == [] and not first.triggered
         engine.schedule(1.0, lambda _arg: gate.open())
-        _drain(engine)
+        engine.run()
         assert order == ["h0", "g1", "h2", "g3"] and engine.now == 1.0
         assert gate.is_open and gate._waiters == []
 
@@ -137,7 +144,7 @@ class TestGateWaitOpenCall:
         gate = Gate(engine, is_open=True)
         passed = []
         gate.wait_open_call(passed.append, "a")
-        assert passed == []  # not synchronous: a heap entry at now
+        assert passed == []  # not synchronous: an entry due now
         engine.step()
         assert passed == ["a"] and engine.now == 0.0
 
@@ -146,10 +153,10 @@ class TestGateWaitOpenCall:
         gate.close()
         passed = []
         gate.wait_open_call(passed.append, "late")
-        _drain(engine)
+        engine.run()
         assert passed == []
         gate.open()
-        _drain(engine)
+        engine.run()
         assert passed == ["late"]
 
 
@@ -172,7 +179,7 @@ class TestDriveInline:
     def _pop_trace(self, engine):
         """Log the clock at every pop, so the two forms compare pop by pop."""
         trace = []
-        while engine._queue:
+        while engine.peek() != float("inf"):
             engine.step()
             trace.append(engine.now)
         return trace
@@ -220,12 +227,12 @@ class TestDriveInline:
             yield  # pragma: no cover - makes this a generator
 
         drive_inline(quiet(), log.append, "then")
-        assert log == ["ran", "then"] and not engine._queue
+        assert log == ["ran", "then"] and engine.peek() == float("inf")
 
     def test_already_processed_event_resumes_at_once(self, engine):
         done = engine.event()
         done.succeed("v")
-        _drain(engine)
+        engine.run()
         log = []
 
         def waits_on_done():
@@ -246,7 +253,7 @@ class TestDriveInline:
 
         drive_inline(catches(), log.append, "then")
         failing.fail(RuntimeError("boom"))
-        _drain(engine)
+        engine.run()
         assert log == ["boom", "then"]
 
     def test_generator_exception_propagates_out_of_the_loop(self, engine):
@@ -256,7 +263,7 @@ class TestDriveInline:
 
         drive_inline(broken(), lambda arg: None)
         with pytest.raises(ValueError, match="cold path failed"):
-            _drain(engine)
+            engine.run()
 
     def test_non_event_yield_rejected(self, engine):
         def bad():
@@ -264,3 +271,191 @@ class TestDriveInline:
 
         with pytest.raises(SimulationError):
             drive_inline(bad(), lambda arg: None)
+
+
+# -- the FIFO beside the heap ------------------------------------------
+
+
+class _PushAtNow:
+    """The reference kernel's stand-in for the FIFO: an entry the kernel's
+    own primitives append goes onto the heap at the current instant."""
+
+    def __init__(self, engine: Engine) -> None:
+        self._engine = engine
+
+    def append(self, entry) -> None:
+        engine = self._engine
+        engine._seq += 1
+        heapq.heappush(engine._queue, (engine._now, engine._seq, *entry))
+
+    def __len__(self) -> int:
+        return 0
+
+
+class _HeapOnlyEngine(Engine):
+    """The reference: every entry on one ``(time, seq)`` heap, popped one
+    at a time -- the kernel before entries due now got their own FIFO."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._ready = _PushAtNow(self)
+
+    def schedule(self, delay, handler, arg=None) -> None:
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay!r}s in the past")
+        self._seq += 1
+        heapq.heappush(self._queue, (self._now + delay, self._seq, handler, arg))
+
+    def call_soon(self, handler, arg=None) -> None:
+        self.schedule(0.0, handler, arg)
+
+    def step(self) -> None:
+        if not self._queue:
+            raise SimulationError("step() on an empty event queue")
+        when, _seq, handler, arg = heapq.heappop(self._queue)
+        self._now = when
+        self.events_processed += 1
+        handler(arg)
+
+    def run_until_complete(self, event) -> None:
+        while event._ok is None:
+            self.step()
+
+
+#: 1e-12 is a real delay at t = 0 but rounds away at t = 1e6.
+_DELAYS = st.sampled_from([0.0, 1e-12, 0.5, 1.0])
+
+
+def _actions(children):
+    kids = st.lists(children, max_size=3)
+    return st.one_of(
+        st.tuples(st.just("schedule"), _DELAYS, kids),
+        st.tuples(st.just("timeout"), _DELAYS, kids),
+        st.tuples(st.just("succeed"), kids),
+        st.tuples(st.just("request"), _DELAYS, kids),
+        st.tuples(st.just("wait"), kids),
+    )
+
+
+_ACTION = st.recursive(
+    st.sampled_from([("open",), ("close",)]), _actions, max_leaves=16
+)
+
+
+def _play(engine: Engine, program, start: float, drive: str) -> tuple:
+    """Run ``program`` from ``start`` and log ``(now, tag)`` per handler.
+
+    Each action pushes one entry whose handler logs its tag and runs the
+    action's children: a scheduled handler, a timeout's callback, a
+    succeeded event's callback, a resource grant (released ``hold``
+    later) or a gate waiter; ``open`` and ``close`` toggle the gate.
+    """
+    log = []
+    tags = itertools.count()
+    resource = Resource(engine, capacity=2)
+    gate = Gate(engine, is_open=False)
+
+    def run(actions) -> None:
+        for action in actions:
+            kind, tag = action[0], next(tags)
+            if kind == "schedule":
+                engine.schedule(action[1], fired, (tag, action[2]))
+            elif kind == "timeout":
+                entry = (tag, action[2])
+                engine.timeout(action[1]).add_callback(lambda e, x=entry: fired(x))
+            elif kind == "succeed":
+                entry = (tag, action[1])
+                event = engine.event()
+                event.add_callback(lambda e, x=entry: fired(x))
+                event.succeed()
+            elif kind == "request":
+                resource.request_call(granted, (tag, action[1], action[2]))
+            elif kind == "wait":
+                gate.wait_open_call(fired, (tag, action[1]))
+            elif kind == "open":
+                gate.open()
+            else:
+                gate.close()
+
+    def fired(entry) -> None:
+        log.append((engine.now, entry[0]))
+        run(entry[1])
+
+    def granted(entry) -> None:
+        tag, hold, kids = entry
+        log.append((engine.now, tag))
+        run(kids)
+        engine.schedule(hold, lambda _arg: resource.release())
+
+    engine.schedule(start, lambda _arg: run(program))
+    if drive == "run":
+        engine.run()
+    elif drive == "step":
+        while engine.peek() != float("inf"):
+            engine.step()
+    elif drive == "run_until":
+        for until in (start, start + 0.5, start + 1.25):
+            engine.run(until=until)
+        engine.run()
+    else:
+        done = engine.event()
+        engine.schedule(start + 1.0, lambda _arg: done.succeed())
+        engine.run_until_complete(done)
+        engine.run()
+    return log, engine.now, engine.events_processed
+
+
+class TestFifoBesideTheHeap:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        program=st.lists(_ACTION, min_size=1, max_size=6),
+        start=st.sampled_from([0.0, 1e6]),
+        drive=st.sampled_from(["run", "step", "run_until", "run_until_complete"]),
+    )
+    def test_pop_order_is_the_heap_only_kernels(self, program, start, drive):
+        assert _play(Engine(), program, start, drive) == _play(
+            _HeapOnlyEngine(), program, start, drive
+        )
+
+    def test_delay_that_rounds_away_is_due_now(self, engine):
+        order = []
+        engine.schedule(1e6, lambda _arg: engine.schedule(1e-12, order.append, "tiny"))
+        engine.schedule(1e6, lambda _arg: engine.call_soon(order.append, "soon"))
+        engine.run()
+        # Both are due at 1e6 and pop in push order, behind nothing later.
+        assert order == ["tiny", "soon"] and engine.now == 1e6
+
+    def test_fastpath_never_probes_while_the_fifo_holds_entries(
+        self, monkeypatch
+    ):
+        seen = []
+        real = StationarityDetector.probe
+
+        def spy(detector, now, events_processed):
+            engine = detector._job.engine
+            seen.append(
+                (len(engine._ready), engine.peek() > now, engine.now == now)
+            )
+            return real(detector, now, events_processed)
+
+        monkeypatch.setattr(StationarityDetector, "probe", spy)
+        # No host overhead: a completion resubmits at once, so the record
+        # that crosses a probe threshold leaves the next IO's start entry
+        # in the FIFO.
+        result = run_experiment(
+            ExperimentConfig(
+                device="pm1743",
+                job=JobSpec(
+                    IoPattern.RANDREAD,
+                    block_size=4 * KiB,
+                    iodepth=8,
+                    runtime_s=0.02,
+                    size_limit_bytes=256 * MiB,
+                    host_overhead_s=0.0,
+                ),
+                seed=7,
+                fastpath=FastpathOptions(window_records=8),
+            )
+        )
+        assert result.fastpath.engaged and len(seen) >= 3
+        assert set(seen) == {(0, True, True)}

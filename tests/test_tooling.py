@@ -7,6 +7,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import check_coverage  # noqa: E402
+import check_engine_heap  # noqa: E402
 import check_fault_rng  # noqa: E402
 import check_no_bare_except  # noqa: E402
 import check_no_bare_hash  # noqa: E402
@@ -194,6 +195,68 @@ class TestObsGuardsLint:
             "    self.emit(KIND, 'tracer', scope=scope)\n"
         )
         assert check_obs_guards.main([str(tmp_path)]) == 0
+
+
+class TestEngineHeapLint:
+    def test_src_repro_is_clean(self):
+        """Outside repro.sim, entries go through Engine.schedule and
+        Engine.call_soon: an inline push at ``now`` would land on the heap
+        behind the FIFO of entries due now and pop out of order."""
+        assert check_engine_heap.main([]) == 0
+
+    def _seed_tree(self, root: Path) -> None:
+        """A tree holding the legal uses: the kernel itself, and classes'
+        own ``self._seq`` counters and ``self._ready`` gates."""
+        sim = root / "sim"
+        sim.mkdir()
+        (sim / "engine.py").write_text(
+            "def schedule(self, when, handler, arg):\n"
+            "    self._seq += 1\n"
+            "    heappush(self._queue, (when, self._seq, handler, arg))\n"
+            "def drain(engine):\n"
+            "    while engine._ready or engine._queue:\n"
+            "        engine.step()\n"
+        )
+        obs = root / "obs"
+        obs.mkdir()
+        (obs / "events.py").write_text(
+            "class Tracer:\n"
+            "    def emit(self):\n"
+            "        self._seq = self._seq + 1\n"
+        )
+        (root / "ssd.py").write_text(
+            "class Ssd:\n"
+            "    def wake(self):\n"
+            "        self._ready.open()\n"
+            "        self.engine.call_soon(self._on_wake, None)\n"
+        )
+
+    def test_seeded_tree_of_legal_uses_is_clean(self, tmp_path):
+        self._seed_tree(tmp_path)
+        assert check_engine_heap.main([str(tmp_path)]) == 0
+
+    def test_detects_inline_push_outside_sim(self, tmp_path, capsys):
+        self._seed_tree(tmp_path)
+        devices = tmp_path / "devices"
+        devices.mkdir()
+        (devices / "bad.py").write_text(
+            "def submit(self, handler, arg):\n"
+            "    engine = self.engine\n"
+            "    engine._seq += 1\n"
+            "    heappush(engine._queue, (engine._now, engine._seq, handler, arg))\n"
+        )
+        assert check_engine_heap.main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "bad.py:3" in out and "bad.py:4" in out
+        assert "engine.py" not in out and "events.py" not in out
+
+    def test_detects_ready_fifo_access_through_an_attribute(self, tmp_path, capsys):
+        (tmp_path / "bad.py").write_text(
+            "def wake(self, handler):\n"
+            "    self.engine._ready.append((handler, None))\n"
+        )
+        assert check_engine_heap.main([str(tmp_path)]) == 1
+        assert "bad.py:2" in capsys.readouterr().out
 
 
 class TestFaultRngLint:
