@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Optional
 
 from repro.obs.events import EventKind
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import Engine, SimulationError
 
 __all__ = ["NvmePowerState", "PowerGovernor"]
 
@@ -103,8 +103,7 @@ class PowerGovernor:
         self._intended_cap_w = cap_w
         self.committed_w = 0.0
         self.granted_ops = 0
-        # One FIFO for both request forms: (handler, arg, watts), where a
-        # None handler marks a generator waiter whose arg is its Event.
+        # Queued requests in FIFO order: (handler, arg, watts).
         self._waiters: Deque[tuple] = deque()
         self.total_grants = 0
         self.total_stalls = 0
@@ -148,24 +147,12 @@ class PowerGovernor:
             return True  # never deadlock: one op always runs
         return self.committed_w + watts <= self.budget_w + 1e-12
 
-    def request(self, watts: float) -> Event:
-        """Event granting permission to draw ``watts`` (FIFO order)."""
-        if watts < 0:
-            raise ValueError("op power must be non-negative")
-        event = Event(self.engine)
-        if not self._waiters and self._admissible(watts):
-            self._grant(watts)
-            event.succeed()
-        else:
-            self._stall(watts)
-            self._waiters.append((None, event, watts))
-        return event
-
     def request_call(self, watts: float, handler, arg=None) -> None:
-        """Handler form of :meth:`request`: ``handler(arg)`` runs on grant.
+        """Ask for ``watts`` of op power; ``handler(arg)`` runs on grant.
 
-        Shares the FIFO with :meth:`request`; the grant entry is pushed
-        at the moment the granted event would be.
+        Grants are FIFO.  The grant is an entry due at the instant of
+        admission: at once when the request fits, else when a release or
+        a cap change admits it.
         """
         if watts < 0:
             raise ValueError("op power must be non-negative")
@@ -265,7 +252,4 @@ class PowerGovernor:
         while waiters and self._admissible(waiters[0][2]):
             handler, arg, watts = waiters.popleft()
             self._grant(watts, queued=True)
-            if handler is None:
-                arg.succeed()
-            else:
-                self.engine.call_soon(handler, arg)
+            self.engine.call_soon(handler, arg)

@@ -42,7 +42,7 @@ from repro.nand.geometry import NandGeometry
 from repro.nand.ops import NandPower, NandTimings, OpKind
 from repro.obs.events import EventKind
 from repro.sim.engine import Engine
-from repro.sim.process import drive_inline
+from repro.sim.process import drive_inline, wait_call
 from repro.sim.resources import Gate, Resource
 from repro.sim.rng import RngStreams
 
@@ -53,55 +53,17 @@ _PHANTOM_MOD = 2**32
 
 
 class _HostIO(HostIO):
-    """One host command, plus the page reads it still waits for."""
+    """One host command, plus the page reads it still waits for.
 
-    __slots__ = ("pages_left",)
+    A read starts one entry per page, all for this IO; they pop in page
+    order, so each takes the next page from ``next_lpn``.
+    """
+
+    __slots__ = ("pages_left", "next_lpn")
 
     def __init__(self, request: IORequest, done, on_done) -> None:
         super().__init__(request, done, on_done)
         self.pages_left = 0
-
-
-class _PageRead:
-    """One page of a host read: its die, channel and byte count."""
-
-    __slots__ = ("io", "lpn", "nbytes", "die", "channel")
-
-    def __init__(self, io: _HostIO, lpn: int, nbytes: int) -> None:
-        self.io = io
-        self.lpn = lpn
-        self.nbytes = nbytes
-
-
-class _Program:
-    """One page program of the write flush."""
-
-    __slots__ = ("die", "channel", "t_before", "phase")
-
-
-def _pulse_phase(die, prog: _Program) -> tuple:
-    """(power, duration) of a pulsed program's current phase."""
-    if prog.phase == 0:
-        return die._prog_p_rest, prog.t_before
-    if prog.phase == 1:
-        return die._prog_p_pulse, die._prog_t_pulse
-    return die._prog_p_rest, die._prog_span - prog.t_before
-
-
-class _GovernorAdapter:
-    """Adds an op's amortized transfer overhead to its committed power."""
-
-    __slots__ = ("governor", "extra_w")
-
-    def __init__(self, governor: PowerGovernor, extra_w: float) -> None:
-        self.governor = governor
-        self.extra_w = extra_w
-
-    def request(self, watts: float):
-        return self.governor.request(watts + self.extra_w)
-
-    def release(self, watts: float) -> None:
-        self.governor.release(watts + self.extra_w)
 
 
 @dataclass(frozen=True)
@@ -230,10 +192,9 @@ class SimulatedSSD(StorageDevice):
 
     _handlers = (
         "_io_start", "_io_wake", "_on_core", "_on_command", "_write_buffer",
-        "_io_complete", "_io_finish", "_page_start", "_on_sense", "_on_sensed",
-        "_on_page_bus", "_on_page_moved", "_on_page_read", "_on_pages_read",
-        "_buffer_retry", "_program_start", "_on_program_die", "_on_program_bus",
-        "_on_program_moved", "_on_admitted", "_on_phase", "_on_programmed",
+        "_io_complete", "_io_finish", "_page_start", "_page_read",
+        "_on_page_read", "_on_pages_read", "_buffer_retry", "_program_start",
+        "_program_done",
     )
 
     def __init__(
@@ -293,13 +254,24 @@ class SimulatedSSD(StorageDevice):
             other_power_fn=(self._non_nand_power if config.governor_feedback else None),
             headroom_w=config.governor_headroom_w,
         )
+
+        def committed_w(kind: OpKind) -> float:
+            # The goldens pin this float bit for bit: keep it as the op's
+            # draw plus its transfer extra, not _governed_op_power itself.
+            draw = config.nand_power.draw(kind)
+            return draw + (self._governed_op_power(kind) - draw)
+
+        # Programs and erases -- host flush, GC and housekeeping alike --
+        # pass the governor for their die-busy phase; reads never do.
+        self.array.set_governor(
+            self.governor, committed_w(OpKind.PROGRAM), committed_w(OpKind.ERASE)
+        )
         self.gc = GarbageCollector(
             self.array,
             self.allocator,
             self.page_map,
             config=effective_gc,
             wear=self.wear,
-            admission=self._admit_and_execute,
             name=f"{config.name}.gc",
             faults=self.faults,
         )
@@ -322,9 +294,6 @@ class SimulatedSSD(StorageDevice):
         self._maintenance_rr_die = 0
         self._last_activity = engine.now
         self._inflight_ios = 0
-        # Per-op governor bookkeeping is invariant over a run: precompute
-        # the committed-power extras and share one adapter per op kind so
-        # the flush path does no arithmetic or allocation per program.
         self._link_xfer_component = f"{config.name}.link.xfer"
         self._wave_avg_w = config.power_wave_w * config.power_wave_duty
         # Hot-path config scalars, hoisted out of the chained dataclass
@@ -337,23 +306,6 @@ class SimulatedSSD(StorageDevice):
         self._completion_time_s = config.controller.completion_time_s
         self._core_active_w = config.controller.core_active_power_w
         self._write_buffer_bytes = config.write_buffer_bytes
-        self._governor_adapters = {
-            kind: _GovernorAdapter(
-                self.governor,
-                extra_w=self._governed_op_power(kind) - config.nand_power.draw(kind),
-            )
-            for kind in (OpKind.PROGRAM, OpKind.ERASE)
-        }
-        op_draw = self.array._op_draw
-        self._read_w = op_draw[OpKind.READ]
-        self._read_time_s = config.timings.duration(OpKind.READ)
-        self._program_w = op_draw[OpKind.PROGRAM]
-        self._program_time_s = config.timings.duration(OpKind.PROGRAM)
-        # The committed power of a host program, exactly as the admission
-        # adapter computes it for the generator path.
-        self._program_commit_w = (
-            self._program_w + self._governor_adapters[OpKind.PROGRAM].extra_w
-        )
         self._apply_idle_draws()
         self._trace_power_state(None)  # baseline residency mark at t=0
         if config.maintenance_programs > 0 or config.maintenance_erases > 0:
@@ -572,7 +524,8 @@ class SimulatedSSD(StorageDevice):
     # generator process taking the same steps would push, in the same
     # order (the hop-faithful rules, DESIGN.md §10).  Cold generator code
     # (fault delays, power-state wake, GC) is reached through
-    # drive_inline with ``yield from`` semantics.
+    # drive_inline with ``yield from`` semantics.  Page reads and programs
+    # are the array's handler-form operations.
 
     def _submit(self, request: IORequest, done, on_done) -> None:
         self.check_request(request)
@@ -624,59 +577,33 @@ class SimulatedSSD(StorageDevice):
         """Start one page read per touched page; the IO waits for all."""
         request = io.request
         page_size = self._page_size
-        first = request.offset // page_size
-        last = (request.end - 1) // page_size
-        io.pages_left = last - first + 1
+        io.next_lpn = first = request.offset // page_size
+        io.pages_left = (request.end - 1) // page_size - first + 1
         call_soon = self.engine.call_soon
-        for lpn in range(first, last + 1):
-            page_start = lpn * page_size
-            nbytes = min(request.end, page_start + page_size) - max(
-                request.offset, page_start
-            )
-            call_soon(self._page_start, _PageRead(io, lpn, nbytes))
+        for _ in range(io.pages_left):
+            call_soon(self._page_start, io)
 
-    def _page_start(self, page: "_PageRead") -> None:
-        ppn = self.page_map.lookup(page.lpn)
+    def _page_start(self, io: "_HostIO") -> None:
+        lpn = io.next_lpn
+        io.next_lpn = lpn + 1
+        request = io.request
+        page_start = lpn * self._page_size
+        nbytes = min(request.end, page_start + self._page_size) - max(
+            request.offset, page_start
+        )
+        ppn = self.page_map.lookup(lpn)
         if ppn is None:
             if not self.config.phantom_reads:
                 # Unmapped and no preconditioning emulation: zero-fill, only
                 # the controller/DMA cost applies (no NAND touch).
-                self._page_read(page)
+                self._page_read(io)
                 return
-            ppn = (page.lpn * _PHANTOM_HASH) % _PHANTOM_MOD % self._total_pages
-        # Reads are not power-governed (see module docstring): the die
-        # senses, then the page crosses the channel bus, with the die held
-        # throughout -- NandArray.execute's READ branch, one hop per entry.
-        die, page.channel = self.array.locate(ppn)
-        page.die = die
-        die._server.request_call(self._on_sense, page)
+            ppn = (lpn * _PHANTOM_HASH) % _PHANTOM_MOD % self._total_pages
+        # Reads are not power-governed (see module docstring).
+        self.array.read_call(ppn, nbytes, self._page_read, io)
 
-    def _on_sense(self, page: "_PageRead") -> None:
-        die = page.die
-        self.rail.add_draw(die._component, self._read_w)
-        self.engine.schedule(self._read_time_s, self._on_sensed, page)
-
-    def _on_sensed(self, page: "_PageRead") -> None:
-        die = page.die
-        die.reads += 1
-        self.rail.add_draw(die._component, -self._read_w)
-        page.channel._bus.request_call(self._on_page_bus, page)
-
-    def _on_page_bus(self, page: "_PageRead") -> None:
-        channel = page.channel
-        self.rail.add_draw(channel._component, channel.transfer_power_w)
-        self.engine.schedule(page.nbytes / channel.bandwidth, self._on_page_moved, page)
-
-    def _on_page_moved(self, page: "_PageRead") -> None:
-        channel = page.channel
-        channel.bytes_transferred += page.nbytes
-        self.rail.add_draw(channel._component, -channel.transfer_power_w)
-        channel._bus.release()
-        page.die._server.release()
-        self._page_read(page)
-
-    def _page_read(self, page: "_PageRead") -> None:
-        self.engine.call_soon(self._on_page_read, page.io)
+    def _page_read(self, io: "_HostIO") -> None:
+        self.engine.call_soon(self._on_page_read, io)
 
     def _on_page_read(self, io: "_HostIO") -> None:
         io.pages_left -= 1
@@ -718,7 +645,7 @@ class SimulatedSSD(StorageDevice):
         self._pending_program_bytes += nbytes
         while self._pending_program_bytes >= page_size:
             self._pending_program_bytes -= page_size
-            self.engine.call_soon(self._program_start, _Program())
+            self.engine.call_soon(self._program_start, None)
         # Residual bytes stay buffered until later writes complete the page.
         self._io_complete(io)
 
@@ -752,7 +679,7 @@ class SimulatedSSD(StorageDevice):
         for io in waiters:
             self._buffer_admit(io)
 
-    def _program_start(self, prog: "_Program") -> None:
+    def _program_start(self, _: None) -> None:
         """Flush one page of buffered write data to NAND.
 
         Allocation retries with GC until a page is produced.  Many flushes
@@ -762,11 +689,11 @@ class SimulatedSSD(StorageDevice):
         (all data valid -- genuine capacity exhaustion) re-raises.
         """
         if self.gc.pressure:
-            drive_inline(self.gc.maybe_collect(), self._program_allocate, prog)
+            drive_inline(self.gc.maybe_collect(), self._program_allocate)
         else:
-            self._program_allocate(prog)
+            self._program_allocate(None)
 
-    def _program_allocate(self, prog: "_Program") -> None:
+    def _program_allocate(self, _: None) -> None:
         gc = self.gc
         try:
             ppn = self.allocator.allocate()
@@ -775,16 +702,16 @@ class SimulatedSSD(StorageDevice):
             relocated_before = gc.pages_relocated
             erased_before = gc.blocks_erased
 
-            def after_collect(prog: "_Program") -> None:
+            def after_collect(_: None) -> None:
                 made_progress = (
                     gc.blocks_erased > erased_before
                     or gc.pages_relocated > relocated_before
                 )
                 if not made_progress and self.allocator.free_blocks == 0:
                     raise error
-                self._program_start(prog)
+                self._program_start(None)
 
-            drive_inline(gc.maybe_collect(), after_collect, prog)
+            drive_inline(gc.maybe_collect(), after_collect)
             return
         if self._staged_lpns:
             lpn = self._staged_lpns.pop(0)
@@ -795,91 +722,13 @@ class SimulatedSSD(StorageDevice):
             # Sub-page log traffic: the page holds fragments that are not
             # tracked at map granularity; it is immediately reclaimable.
             self.allocator.mark_invalid(ppn)
-        # NandArray.execute's PROGRAM branch, one hop per entry: hold the
-        # die, move the page over the channel bus, pass governor
-        # admission, then the die-busy phase.
-        die, prog.channel = self.array.locate(ppn)
-        prog.die = die
-        die._server.request_call(self._on_program_die, prog)
+        self.array.program_call(ppn, self._program_done)
 
-    def _on_program_die(self, prog: "_Program") -> None:
-        prog.channel._bus.request_call(self._on_program_bus, prog)
-
-    def _on_program_bus(self, prog: "_Program") -> None:
-        channel = prog.channel
-        self.rail.add_draw(channel._component, channel.transfer_power_w)
-        self.engine.schedule(
-            self._page_size / channel.bandwidth, self._on_program_moved, prog
-        )
-
-    def _on_program_moved(self, prog: "_Program") -> None:
-        channel = prog.channel
-        channel.bytes_transferred += self._page_size
-        self.rail.add_draw(channel._component, -channel.transfer_power_w)
-        channel._bus.release()
-        self.governor.request_call(self._program_commit_w, self._on_admitted, prog)
-
-    def _on_admitted(self, prog: "_Program") -> None:
-        die = prog.die
-        if die._pulsed_programs:
-            prog.t_before = float(die._rng.uniform(0.0, die._prog_span))
-            prog.phase = 0
-            self._program_phase(prog)
-            return
-        self.rail.add_draw(die._component, self._program_w)
-        self.engine.schedule(self._program_time_s, self._on_programmed, prog)
-
-    def _program_phase(self, prog: "_Program") -> None:
-        """Start the next non-empty phase of a pulsed program, or finish.
-
-        Phases are (rest, pulse, rest) around a randomly placed pulse, as
-        in :meth:`repro.nand.die.NandDie.run_op`.
-        """
-        die = prog.die
-        while prog.phase < 3:
-            power_w, phase_time = _pulse_phase(die, prog)
-            if phase_time > 0:
-                self.rail.add_draw(die._component, power_w)
-                self.engine.schedule(phase_time, self._on_phase, prog)
-                return
-            prog.phase += 1
-        die.programs += 1
-        self._program_done(prog)
-
-    def _on_phase(self, prog: "_Program") -> None:
-        power_w, _ = _pulse_phase(prog.die, prog)
-        self.rail.add_draw(prog.die._component, -power_w)
-        prog.phase += 1
-        self._program_phase(prog)
-
-    def _on_programmed(self, prog: "_Program") -> None:
-        die = prog.die
-        die.programs += 1
-        self.rail.add_draw(die._component, -self._program_w)
-        self._program_done(prog)
-
-    def _program_done(self, prog: "_Program") -> None:
-        self.governor.release(self._program_commit_w)
-        prog.die._server.release()
+    def _program_done(self, _: None) -> None:
+        """The page is on NAND; its die and governor grant are released."""
         self.wear.record_nand_write(self._page_size)
         self._writes_since_maintenance += 1
         self._buffer_release(self._page_size)
-
-    # -- governor plumbing -----------------------------------------------------------
-
-    def _admit_and_execute(self, ppa, kind: OpKind):
-        """Run a NAND op, gated by the power governor for programs/erases.
-
-        The governor brackets only the die-busy phase (see
-        :meth:`repro.nand.die.NandArray.execute`); reads are never gated --
-        their draw fits under any operational cap (module docstring).
-        """
-        if kind is OpKind.READ:
-            yield from self.array.execute(ppa, kind)
-            return
-        yield from self.array.execute(
-            ppa, kind, admission=self._governor_adapters[kind]
-        )
 
     # -- housekeeping -------------------------------------------------------------------
 
@@ -900,11 +749,11 @@ class SimulatedSSD(StorageDevice):
                 continue
             self._writes_since_maintenance = 0
             workers = [
-                self.engine.process(self._maintenance_op(OpKind.PROGRAM))
+                self.engine.process(self._maintenance_op(self.array.program_call))
                 for _ in range(self.config.maintenance_programs)
             ]
             workers.extend(
-                self.engine.process(self._maintenance_op(OpKind.ERASE))
+                self.engine.process(self._maintenance_op(self.array.erase_call))
                 for _ in range(self.config.maintenance_erases)
             )
             yield self.engine.all_of(workers)
@@ -954,12 +803,12 @@ class SimulatedSSD(StorageDevice):
             yield self.engine.timeout(high_time * float(rng.uniform(0.8, 1.2)))
             self.rail.set_draw("nand.wave", 0.0)
 
-    def _maintenance_op(self, kind: OpKind):
+    def _maintenance_op(self, op_call):
+        """One housekeeping program or erase (``op_call`` is the array's
+        ``program_call`` or ``erase_call``), on the next die in turn."""
         geometry = self.config.geometry
         die = self._maintenance_rr_die
         self._maintenance_rr_die = (die + 1) % geometry.total_dies
         # Page 0 of block 0 on the chosen die stands in for the metadata
         # region; only its timing/power matter.
-        ppn = die * geometry.pages_per_die
-        ppa = geometry.ppa_from_index(ppn)
-        yield from self._admit_and_execute(ppa, kind)
+        yield wait_call(self.engine, op_call, die * geometry.pages_per_die)

@@ -6,25 +6,28 @@ picks the FULL block with the fewest valid pages, relocates those pages
 block and returns it to the pool, continuing until a high watermark is
 restored.
 
-GC work shares the same power governor as host IO in the SSD device model,
-so under a power cap GC competes with the host for the program budget --
-a second-order effect the paper's sustained-write measurements include
-implicitly.
+The collector's control loop is a cold generator; each relocation read,
+relocation program and erase is one of the array's handler-form page
+operations, the same ones host IO runs, waited on with
+:func:`~repro.sim.process.wait_call`.  So GC programs and erases pass
+whatever power governor the device wired into the array, and under a cap
+GC competes with the host for the program budget -- a second-order effect
+the paper's sustained-write measurements include implicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.allocator import WriteAllocator
 from repro.ftl.mapping import PageMap
 from repro.ftl.wear import WearTracker
 from repro.obs.events import EventKind
+from repro.sim.process import wait_call
 from repro.sim.resources import Resource
 from repro.nand.die import NandArray
-from repro.nand.ops import OpKind
 
 __all__ = ["GarbageCollector", "GcConfig"]
 
@@ -64,7 +67,6 @@ class GarbageCollector:
         page_map: PageMap,
         config: GcConfig | None = None,
         wear: Optional[WearTracker] = None,
-        admission: Optional[Callable[[OpKind], object]] = None,
         name: str = "gc",
         faults=None,
     ) -> None:
@@ -73,7 +75,6 @@ class GarbageCollector:
         self.page_map = page_map
         self.config = config or GcConfig()
         self.wear = wear
-        self._admission = admission
         self.name = name
         self.faults = faults if faults is not None else NULL_INJECTOR
         self.blocks_erased = 0
@@ -147,9 +148,8 @@ class GarbageCollector:
                 # Defensive: a page re-validated under us; leave the block for
                 # a later pass rather than erasing live data.
                 return
-            yield from self._admit_and_execute(
-                geometry.ppa_from_index(block_id * geometry.pages_per_block),
-                OpKind.ERASE,
+            yield wait_call(
+                engine, self.array.erase_call, block_id * geometry.pages_per_block
             )
             self.allocator.erase(block_id)
             self.blocks_erased += 1
@@ -168,17 +168,16 @@ class GarbageCollector:
 
     def _relocate(self, src_ppn: int, lpn: int, dst_ppn: int):
         """Move one valid page; resolves races with concurrent host writes."""
-        geometry = self.array.geometry
-        src_ppa = geometry.ppa_from_index(src_ppn)
-        dst_ppa = geometry.ppa_from_index(dst_ppn)
+        array = self.array
+        page_size = array.geometry.page_size
         if self.faults.enabled:
             # Relocation reads hit the same media as host IO: a transient
             # error here stalls cleaning and backs up the write path.
             yield from self.faults.io_delay(self.name, "relocate")
-        yield from self._admit_and_execute(src_ppa, OpKind.READ)
-        yield from self._admit_and_execute(dst_ppa, OpKind.PROGRAM)
+        yield wait_call(array.engine, array.read_call, src_ppn, page_size)
+        yield wait_call(array.engine, array.program_call, dst_ppn)
         if self.wear is not None:
-            self.wear.record_nand_write(geometry.page_size)
+            self.wear.record_nand_write(page_size)
         if self.page_map.lookup(lpn) == src_ppn:
             stale = self.page_map.bind(lpn, dst_ppn)
             if stale is not None:
@@ -188,10 +187,3 @@ class GarbageCollector:
             # The host overwrote the LPN mid-flight: the copy we just
             # programmed is already dead.
             self.allocator.mark_invalid(dst_ppn)
-
-    def _admit_and_execute(self, ppa, kind: OpKind):
-        """Run one op, passing through the device's power admission if set."""
-        if self._admission is None:
-            yield from self.array.execute(ppa, kind)
-        else:
-            yield from self._admission(ppa, kind)

@@ -10,8 +10,9 @@ Models the part of an SSD below the FTL:
   order of magnitude more power-hungry than reads, which is why power caps
   throttle writes but barely touch reads (paper Fig. 4).
 - :class:`~repro.nand.die.NandDie` / :class:`~repro.nand.die.NandArray` --
-  the die state machines that execute operations, drawing power on the
-  device rail while busy.
+  the die state machines, drawing power on the device rail while busy,
+  and the array's handler-form read, program and erase operations that
+  host IO, garbage collection and housekeeping all run.
 - :class:`~repro.nand.onfi.ChannelBus` -- the shared per-channel data bus
   whose transfer time couples IO size to service time.
 """

@@ -3,7 +3,9 @@
 Each flash channel is a shared bus between the controller and the dies
 hanging off it.  Page data must cross the bus once per operation (out for
 programs, in for reads), taking ``bytes / bandwidth`` during which the bus
-is held exclusively and the interface logic draws transfer power.
+is held exclusively and the interface logic draws transfer power.  The
+array's page operations (:class:`~repro.nand.die.NandArray`) hold the bus
+and draw that power; this class is the bus's state.
 
 The bus is what couples *IO size* to *power*: larger IOs keep channels
 streaming a larger fraction of the time, raising average interface power --
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
-from repro.power.rail import PowerRail
 
 __all__ = ["ChannelBus"]
 
@@ -26,12 +27,12 @@ class ChannelBus:
         bandwidth: Transfer rate in bytes/second (e.g. 1.2 GB/s for a
             modern ONFI/Toggle interface).
         transfer_power_w: Interface power drawn while a transfer streams.
+        bytes_transferred: Page data moved so far.
     """
 
     def __init__(
         self,
         engine: Engine,
-        rail: PowerRail,
         channel_index: int,
         bandwidth: float,
         transfer_power_w: float,
@@ -40,8 +41,6 @@ class ChannelBus:
             raise ValueError("channel bandwidth must be positive")
         if transfer_power_w < 0:
             raise ValueError("transfer power must be non-negative")
-        self.engine = engine
-        self.rail = rail
         self.index = channel_index
         self.bandwidth = bandwidth
         self.transfer_power_w = transfer_power_w
@@ -54,24 +53,6 @@ class ChannelBus:
         if nbytes < 0:
             raise ValueError("cannot transfer a negative byte count")
         return nbytes / self.bandwidth
-
-    def transfer(self, nbytes: int):
-        """Process generator: move ``nbytes`` across the bus.
-
-        Acquires the bus exclusively, draws transfer power for the duration,
-        then releases.  Intended for ``yield from`` inside a device process.
-        """
-        yield self._bus.request()
-        rail = self.rail
-        component = self._component
-        power = self.transfer_power_w
-        rail.add_draw(component, power)
-        try:
-            yield self.engine.timeout(nbytes / self.bandwidth)
-            self.bytes_transferred += nbytes
-        finally:
-            rail.add_draw(component, -power)
-            self._bus.release()
 
     @property
     def busy(self) -> bool:

@@ -10,7 +10,10 @@ device simulation in this project:
   one-shot events processes can wait on.
 - :class:`~repro.sim.process.Process` -- generator-based coroutines that
   ``yield`` events to wait for them; :func:`~repro.sim.process.drive_inline`
-  runs one from a handler with ``yield from`` semantics.
+  runs one from a handler with ``yield from`` semantics, and
+  :func:`~repro.sim.process.wait_call` is its mirror: an event, costing no
+  entry, for a generator to wait on a handler-form call (a NAND page
+  operation).
 - :mod:`~repro.sim.resources` -- FIFO resources and gates used to model
   controllers, dies, buses and spin-up holds, each with an event form
   for processes and a handler form for handler chains.
@@ -28,7 +31,7 @@ from repro.sim.engine import (
     StopEngine,
     Timeout,
 )
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 from repro.sim.resources import Gate, Resource
 from repro.sim.rng import RngStreams
 from repro.sim.trace import StepTrace
@@ -37,7 +40,6 @@ __all__ = [
     "Engine",
     "Event",
     "Gate",
-    "Interrupt",
     "Process",
     "Resource",
     "RngStreams",

@@ -17,6 +17,9 @@ value, so processes can wait on each other::
 :func:`drive_inline` runs a generator from an engine handler with
 ``yield from`` semantics instead, so handler chains can reach cold
 generator code (GC, wake paths, fault delays) without a process.
+:func:`wait_call` is its mirror: an event that generator code yields to
+wait on a handler-form call (a NAND page operation), resumed in the step
+that finishes the call.
 """
 
 from __future__ import annotations
@@ -25,19 +28,7 @@ from typing import Any, Generator, Optional
 
 from repro.sim.engine import Engine, Event, SimulationError, _fire
 
-__all__ = ["Interrupt", "Process", "drive_inline"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    Attributes:
-        cause: Arbitrary value describing why the interrupt happened.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Process", "drive_inline", "wait_call"]
 
 
 class Process(Event):
@@ -48,7 +39,7 @@ class Process(Event):
     the engine loop -- errors never pass silently.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -62,7 +53,6 @@ class Process(Event):
                 f"Process needs a generator, got {type(generator).__name__}"
             )
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off on the next engine step so creation order does not matter.
         # Inlined start.succeed() + add_callback: a fresh event cannot be
@@ -73,37 +63,15 @@ class Process(Event):
         start._scheduled = True
         engine._ready.append((_fire, start))
         start.callbacks.append(self._resume)
-        self._waiting_on = start
 
     @property
     def is_alive(self) -> bool:
         """Whether the generator can still run."""
         return self._ok is None
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a finished process is an error; check :attr:`is_alive`
-        first when the race is possible.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        waiting_on = self._waiting_on
-        self._waiting_on = None
-        if waiting_on is not None and waiting_on.callbacks is not None:
-            try:
-                waiting_on.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        # Deliver on a fresh immediate event to stay inside the engine loop.
-        wakeup = Event(self.engine)
-        wakeup.fail(Interrupt(cause))
-        wakeup.add_callback(self._resume)
-
     def _resume(self, event: Event) -> None:
         if self._ok is not None:  # finished; late wakeups are no-ops
             return
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -112,10 +80,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt:
-            raise SimulationError(
-                f"process {self.name!r} died of an unhandled Interrupt"
-            ) from None
         except BaseException as exc:
             # The generator raised (or re-raised a failure it was thrown):
             # fail the process event.  If something waits on this process
@@ -130,7 +94,6 @@ class Process(Event):
             )
         if target is self:
             raise SimulationError(f"process {self.name!r} waited on itself")
-        self._waiting_on = target
         # Inlined target.add_callback(self._resume): one method call per
         # yield adds up at millions of events per run.
         callbacks = target.callbacks
@@ -197,3 +160,27 @@ def drive_inline(generator: Generator[Event, Any, Any], then, arg=None) -> None:
         then(arg)
         return
     driver._park(target)
+
+
+def _finish(event: Event) -> None:
+    """The ``then`` of :func:`wait_call`: trigger ``event`` and run its
+    callbacks in the current step, without an entry of its own."""
+    event._ok = True
+    event._scheduled = True
+    _fire(event)
+
+
+def wait_call(engine: Engine, start, *args) -> Event:
+    """Run the handler-form call ``start(*args, then, arg)``; return an
+    event that fires when it calls ``then(arg)``.
+
+    The mirror of :func:`drive_inline`: generator code writes
+    ``yield wait_call(engine, array.erase_call, ppn)``.  When the call
+    finishes, the event's callbacks run synchronously inside that
+    handler, so a waiting process (or inline driver) resumes in the same
+    engine step -- exactly where ``yield from`` over a generator taking
+    the same steps resumed.  The event costs no engine entry.
+    """
+    event = Event(engine)
+    start(*args, _finish, event)
+    return event

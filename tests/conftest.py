@@ -27,6 +27,16 @@ def drive(engine: Engine, process) -> object:
     return process.value
 
 
+class Grant:
+    """A grant handler for ``PowerGovernor.request_call``: ``triggered``
+    once the grant's entry has run."""
+
+    triggered = False
+
+    def __call__(self, _arg) -> None:
+        self.triggered = True
+
+
 @pytest.fixture
 def engine() -> Engine:
     return Engine()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.devices.power_states import PowerGovernor
 from repro.sim.engine import Engine
+from tests.conftest import Grant
 
 
 @st.composite
@@ -51,7 +52,9 @@ class TestGovernorProperties:
                 committed_before = governor.committed_w
                 grants_before = governor.granted_ops
                 budget_before = governor.budget_w
-                event = governor.request(value)
+                event = Grant()
+                governor.request_call(value, event)
+                engine.run()
                 if event.triggered:
                     # Invariant 2 (admission-time): a grant either fit the
                     # budget or was the deadlock-avoidance sole grant.
@@ -67,6 +70,7 @@ class TestGovernorProperties:
             elif op == "release" and held:
                 watts = held.pop()
                 governor.release(watts)
+                engine.run()
                 # A release may have granted waiters; collect them.
                 still_waiting = []
                 for event, w in waiting:
@@ -77,6 +81,7 @@ class TestGovernorProperties:
                 waiting = still_waiting
             elif op == "set_cap":
                 governor.set_cap(value)
+                engine.run()
                 still_waiting = []
                 for event, w in waiting:
                     if event.triggered:
@@ -101,6 +106,7 @@ class TestGovernorProperties:
                 # per invariant 3, but guard against infinite loops.
                 raise AssertionError("stranded waiters")
             governor.release(held.pop())
+            engine.run()
             still_waiting = []
             for event, w in waiting:
                 if event.triggered:
@@ -121,19 +127,16 @@ class TestGovernorProperties:
         engine = Engine()
         governor = PowerGovernor(engine, baseline_w=0.0, cap_w=cap)
         order: list[int] = []
-        events = []
         for index, watts in enumerate(op_watts):
-            event = governor.request(watts)
-            event.add_callback(lambda e, i=index: order.append(i))
-            events.append((event, watts))
+            governor.request_call(watts, order.append, index)
         engine.run()
         # Release everything in grant order; record the sequence.
-        remaining = list(events)
-        while any(not e.triggered for e, __ in remaining):
-            for event, watts in list(remaining):
-                if event.triggered:
+        remaining = list(enumerate(op_watts))
+        while any(index not in order for index, __ in remaining):
+            for index, watts in list(remaining):
+                if index in order:
                     governor.release(watts)
-                    remaining.remove((event, watts))
+                    remaining.remove((index, watts))
                     break
             engine.run()
         assert order == sorted(order)

@@ -1,7 +1,8 @@
 """Device-side handler primitives: governor admission, IO submission, buffer.
 
-The SSD and HDD data paths run as heap handlers.  The SSD's share the
-power governor with generator code (GC relocation, housekeeping bursts)
+The SSD and HDD data paths run as heap handlers.  The SSD's page
+operations share the power governor with GC relocations and
+housekeeping bursts, which run the same handler-form array operations,
 and wake parked writers with one retry entry per buffer release; the
 HDD's reach spin-up and EPC recovery through the inline driver; both
 take IO through :meth:`~repro.devices.base.StorageDevice.submit_call`.
@@ -30,25 +31,6 @@ from tests.conftest import tiny_ssd_config
 
 
 class TestGovernorRequestCall:
-    def test_handler_and_event_waiters_share_one_fifo(self, engine):
-        gov = PowerGovernor(engine, baseline_w=0.0, cap_w=2.0)
-        granted = []
-        gov.request_call(2.0, granted.append, "h0")
-        first = gov.request(2.0)
-        gov.request_call(2.0, granted.append, "h2")
-        third = gov.request(2.0)
-        assert gov.queued == 3 and gov.granted_ops == 1
-        engine.run()
-        assert granted == ["h0"] and not first.triggered
-
-        gov.release(2.0)
-        assert first.triggered and gov.queued == 2
-        gov.release(2.0)
-        engine.run()
-        assert granted == ["h0", "h2"] and not third.triggered
-        gov.release(2.0)
-        assert third.triggered and gov.queued == 0
-
     def test_committed_power_accounting(self, engine):
         gov = PowerGovernor(engine, baseline_w=0.0, cap_w=3.0)
         gov.request_call(1.0, lambda arg: None)

@@ -1,5 +1,7 @@
 """Tests for the assembled SSD device model."""
 
+import gc
+
 import pytest
 
 from repro._units import KiB
@@ -278,3 +280,36 @@ class TestPageAddressing:
             device.submit(IORequest(IOKind.WRITE, 0, page))
         with pytest.raises(ValueError, match=f"page index {ppn} out of range"):
             engine.run()
+
+
+class _StoppedClock:
+    """Stands in for a finished run's engine: the rail reads only ``_now``."""
+
+    def __init__(self, now: float) -> None:
+        self._now = now
+
+
+class TestRunEnd:
+    def test_collecting_a_finished_run_leaves_its_rail_alone(self):
+        """A housekeeping burst still in flight when a run ends leaves
+        nothing that edits the rail once the run is garbage collected,
+        so the rail's edges never depend on when the collector runs."""
+        engine = Engine()
+        config = tiny_ssd_config(maintenance_programs=8, maintenance_interval_s=1e-3)
+        device = SimulatedSSD(engine, config, rng=RngStreams(0))
+        page = config.geometry.page_size
+        done = []
+        for index in range(4):
+            device.submit_call(IORequest(IOKind.WRITE, index * page, page), done.append)
+        # Stop 20 us into the first burst: programs are on the channel
+        # buses and in their die-busy phase.
+        engine.run(until=1e-3 + 20e-6)
+        assert len(done) == 4 and device.array.busy_dies == 8
+        rail = device.rail
+        rail.engine = _StoppedClock(engine.now)
+        draws = {name: rail.draw_of(name) for name in rail._draws}
+        times, values = list(rail.trace._times), list(rail.trace._values)
+        del engine, device
+        gc.collect()
+        assert {name: rail.draw_of(name) for name in rail._draws} == draws
+        assert rail.trace._times == times and rail.trace._values == values

@@ -7,6 +7,7 @@ from repro.nand.die import NandArray, NandDie
 from repro.nand.geometry import NandGeometry
 from repro.nand.ops import NandPower, NandTimings, OpKind
 from repro.power.rail import PowerRail
+from repro.sim.process import wait_call
 from tests.conftest import drive
 
 GEOMETRY = NandGeometry(
@@ -37,22 +38,17 @@ def make_array(engine, **kwargs):
 class TestDieOps:
     def test_program_takes_tprog_and_draws_power(self, engine):
         array = make_array(engine)
-        die = array.dies[0]
+        transfer = GEOMETRY.page_size / 1e9  # the page crosses the bus first
         seen = []
-
-        def prog(eng):
-            yield die.acquire()
-            eng.process(watcher(eng))
-            yield from die.run_op(OpKind.PROGRAM)
-            die.release()
-
-        def watcher(eng):
-            yield eng.timeout(TIMINGS.t_program / 2)
-            seen.append(array.rail.draw_of("die0"))
-
-        proc = engine.process(prog(engine))
-        drive(engine, proc)
-        assert engine.now == pytest.approx(TIMINGS.t_program)
+        done = []
+        array.program_call(0, done.append, "programmed")
+        engine.schedule(
+            transfer + TIMINGS.t_program / 2,
+            lambda _: seen.append(array.rail.draw_of("die0")),
+        )
+        engine.run()
+        assert done == ["programmed"]
+        assert engine.now == pytest.approx(transfer + TIMINGS.t_program)
         assert seen == [pytest.approx(POWER.p_program)]
         assert array.rail.draw_of("die0") == pytest.approx(0.0)
 
@@ -60,9 +56,9 @@ class TestDieOps:
         array = make_array(engine)
 
         def ops(eng):
-            yield from array.execute(GEOMETRY.ppa_from_index(0), OpKind.READ)
-            yield from array.execute(GEOMETRY.ppa_from_index(0), OpKind.PROGRAM)
-            yield from array.execute(GEOMETRY.ppa_from_index(0), OpKind.ERASE)
+            yield wait_call(eng, array.read_call, 0, GEOMETRY.page_size)
+            yield wait_call(eng, array.program_call, 0)
+            yield wait_call(eng, array.erase_call, 0)
 
         drive(engine, engine.process(ops(engine)))
         counts = array.op_counts()
@@ -72,26 +68,16 @@ class TestDieOps:
 
     def test_die_serializes_ops(self, engine):
         array = make_array(engine)
-        ppa = GEOMETRY.ppa_from_index(0)
-
-        def op(eng):
-            yield from array.execute(ppa, OpKind.ERASE)
-
         for _ in range(3):
-            engine.process(op(engine))
+            array.erase_call(0, lambda _: None)
         engine.run()
         # Three erases on one die must serialize: 3 * t_erase.
         assert engine.now == pytest.approx(3 * TIMINGS.t_erase)
 
     def test_different_dies_run_in_parallel(self, engine):
         array = make_array(engine)
-
-        def op(eng, die_index):
-            ppa = GEOMETRY.ppa_from_index(die_index * GEOMETRY.pages_per_die)
-            yield from array.execute(ppa, OpKind.ERASE)
-
         for die_index in range(4):
-            engine.process(op(engine, die_index))
+            array.erase_call(die_index * GEOMETRY.pages_per_die, lambda _: None)
         engine.run()
         assert engine.now == pytest.approx(TIMINGS.t_erase)
 
@@ -104,23 +90,17 @@ class TestDieOps:
                 self.grants = 0
                 self.releases = 0
 
-            def request(self, watts):
+            def request_call(self, watts, handler, arg):
                 self.grants += 1
-                event = engine.event()
-                event.succeed()
-                return event
+                engine.call_soon(handler, arg)
 
             def release(self, watts):
                 self.releases += 1
 
         recorder = Recorder()
-
-        def op(eng):
-            yield from array.execute(
-                GEOMETRY.ppa_from_index(0), OpKind.PROGRAM, admission=recorder
-            )
-
-        drive(engine, engine.process(op(engine)))
+        array.set_governor(recorder, program_w=0.5, erase_w=0.4)
+        array.program_call(0, lambda _: None)
+        engine.run()
         assert recorder.grants == 1
         assert recorder.releases == 1
 
@@ -130,11 +110,8 @@ class TestProgramPulse:
         rng = np.random.default_rng(0)
         array = make_array(engine, pulse_ratio=2.0, pulse_fraction=0.3, rng=rng)
         rail = array.rail
-
-        def op(eng):
-            yield from array.execute(GEOMETRY.ppa_from_index(0), OpKind.PROGRAM)
-
-        drive(engine, engine.process(op(engine)))
+        array.program_call(0, lambda _: None)
+        engine.run()
         # Integrate die power over the op (excluding channel transfer power).
         energy = rail.trace.integrate(0.0, engine.now)
         transfer_energy = 0.1 * (GEOMETRY.page_size / 1e9)
@@ -144,11 +121,8 @@ class TestProgramPulse:
     def test_pulse_reaches_peak_power(self, engine):
         rng = np.random.default_rng(0)
         array = make_array(engine, pulse_ratio=2.0, pulse_fraction=0.3, rng=rng)
-
-        def op(eng):
-            yield from array.execute(GEOMETRY.ppa_from_index(0), OpKind.PROGRAM)
-
-        drive(engine, engine.process(op(engine)))
+        array.program_call(0, lambda _: None)
+        engine.run()
         peak = array.rail.trace.max(0.0, engine.now)
         assert peak >= 2.0 * POWER.p_program
 
@@ -163,32 +137,25 @@ class TestProgramPulse:
 class TestChannel:
     def test_partial_page_read_transfers_fewer_bytes(self, engine):
         array = make_array(engine)
-
-        def op(eng):
-            yield from array.execute(GEOMETRY.ppa_from_index(0), OpKind.READ, nbytes=512)
-
-        drive(engine, engine.process(op(engine)))
+        array.read_call(0, 512, lambda _: None)
+        engine.run()
         assert array.channels[0].bytes_transferred == 512
         assert engine.now == pytest.approx(TIMINGS.t_read + 512 / 1e9)
 
     def test_channel_shared_by_dies(self, engine):
         array = make_array(engine)
-        # Dies 0 and 1 share channel 0 (dies_per_channel=2 in this layout
-        # means channel = ppa.channel; pick two PPAs on one channel).
-        ppa_a = GEOMETRY.ppa_from_index(0)
-        ppa_b = None
+        # Dies 0 and 1 share channel 0 (dies_per_channel=2 in this layout);
+        # pick two pages on one channel.
+        die_a, channel_a = array.locate(0)
+        ppn_b = None
         for index in range(GEOMETRY.total_pages):
-            candidate = GEOMETRY.ppa_from_index(index)
-            if candidate.channel == ppa_a.channel and candidate.die != ppa_a.die:
-                ppa_b = candidate
+            die, channel = array.locate(index)
+            if channel is channel_a and die is not die_a:
+                ppn_b = index
                 break
-        assert ppa_b is not None
-
-        def op(eng, ppa):
-            yield from array.execute(ppa, OpKind.PROGRAM)
-
-        engine.process(op(engine, ppa_a))
-        engine.process(op(engine, ppa_b))
+        assert ppn_b is not None
+        array.program_call(0, lambda _: None)
+        array.program_call(ppn_b, lambda _: None)
         engine.run()
         # Transfers serialize on the shared bus; programs then overlap.
         transfer = GEOMETRY.page_size / 1e9

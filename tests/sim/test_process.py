@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process, drive_inline, wait_call
 from tests.conftest import drive
 
 
@@ -100,49 +100,78 @@ class TestProcessErrors:
         assert drive(engine, proc) == "handled"
 
 
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, engine):
-        def sleeper(eng):
-            try:
-                yield eng.timeout(100.0)
-            except Interrupt as interrupt:
-                return interrupt.cause
+class TestWaitCall:
+    """Generator code waits on a handler-form call without an entry of
+    its own, exactly where ``yield from`` over the same steps resumed."""
 
-        proc = engine.process(sleeper(engine))
-        engine.run(until=1.0)
-        proc.interrupt(cause="wake up")
-        assert drive(engine, proc) == "wake up"
-        assert engine.now < 100.0
+    @staticmethod
+    def _after(engine, log):
+        """A handler-form call: ``then(arg)`` runs from an entry 1 s later."""
 
-    def test_interrupting_finished_process_raises(self, engine):
-        def quick(eng):
-            yield eng.timeout(0.1)
+        def start(tag, then, arg):
+            def finish(_):
+                log.append((tag, engine.now))
+                then(arg)
 
-        proc = engine.process(quick(engine))
-        engine.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
+            engine.schedule(1.0, finish)
 
-    def test_unhandled_interrupt_is_an_error(self, engine):
-        def sleeper(eng):
-            yield eng.timeout(100.0)
+        return start
 
-        proc = engine.process(sleeper(engine))
-        engine.run(until=1.0)
-        proc.interrupt()
-        with pytest.raises(SimulationError):
+    def test_process_resumes_in_the_finishing_step(self, engine):
+        log = []
+        start = self._after(engine, log)
+
+        def worker(eng):
+            value = yield wait_call(eng, start, "a")
+            log.append(("resumed", eng.now, eng.events_processed, value))
+
+        drive(engine, engine.process(worker(engine)))
+        # Entries: the process start, then the call's own entry.
+        assert log == [("a", 1.0), ("resumed", 1.0, 2, None)]
+
+    def test_matches_yield_from_over_the_same_steps(self):
+        def run(form):
+            engine = Engine()
+            log = []
+            start = self._after(engine, log)
+
+            def steps(tag):
+                yield engine.timeout(1.0)
+                log.append((tag, engine.now))
+
+            def worker(tag):
+                if form == "wait_call":
+                    yield wait_call(engine, start, tag)
+                else:
+                    yield from steps(tag)
+                log.append(("resumed", tag, engine.events_processed))
+
+            for tag in "abc":
+                engine.process(worker(tag))
             engine.run()
+            return log, engine.events_processed
 
-    def test_process_continues_after_handled_interrupt(self, engine):
-        def resilient(eng):
-            try:
-                yield eng.timeout(100.0)
-            except Interrupt:
-                pass
-            yield eng.timeout(1.0)
-            return eng.now
+        assert run("wait_call") == run("yield from")
 
-        proc = engine.process(resilient(engine))
-        engine.run(until=5.0)
-        proc.interrupt()
-        assert drive(engine, proc) == pytest.approx(6.0)
+    def test_inline_driver_resumes_in_the_finishing_step(self, engine):
+        log = []
+        start = self._after(engine, log)
+
+        def cold():
+            yield wait_call(engine, start, "a")
+            log.append(("resumed", engine.now, engine.events_processed))
+
+        drive_inline(cold(), log.append, "then")
+        engine.run()
+        assert log == [("a", 1.0), ("resumed", 1.0, 1), "then"]
+
+    def test_call_finished_before_the_yield(self, engine):
+        def start(then, arg):
+            then(arg)
+
+        def worker(eng):
+            yield wait_call(eng, start)
+            return eng.events_processed
+
+        # Only the process start entry runs before the worker returns.
+        assert drive(engine, engine.process(worker(engine))) == 1

@@ -205,8 +205,9 @@ class TestEngineHeapLint:
         assert check_engine_heap.main([]) == 0
 
     def _seed_tree(self, root: Path) -> None:
-        """A tree holding the legal uses: the kernel itself, and classes'
-        own ``self._seq`` counters and ``self._ready`` gates."""
+        """A tree holding the legal uses: the kernel itself, the NAND
+        array's page operations, and classes' own ``self._seq`` counters,
+        ``self._ready`` gates and ``self._bus`` links."""
         sim = root / "sim"
         sim.mkdir()
         (sim / "engine.py").write_text(
@@ -230,6 +231,21 @@ class TestEngineHeapLint:
             "        self._ready.open()\n"
             "        self.engine.call_soon(self._on_wake, None)\n"
         )
+        nand = root / "nand"
+        nand.mkdir()
+        (nand / "die.py").write_text(
+            "class NandArray:\n"
+            "    def _on_program_die(self, op):\n"
+            "        op.channel._bus.request_call(self._on_program_bus, op)\n"
+            "    def _on_program_admitted(self, op):\n"
+            "        span = op.die._prog_span\n"
+            "        op.die._server.release()\n"
+        )
+        (root / "link.py").write_text(
+            "class HostLink:\n"
+            "    def _streamed(self, xfer):\n"
+            "        self._bus.release()\n"
+        )
 
     def test_seeded_tree_of_legal_uses_is_clean(self, tmp_path):
         self._seed_tree(tmp_path)
@@ -249,6 +265,28 @@ class TestEngineHeapLint:
         out = capsys.readouterr().out
         assert "bad.py:3" in out and "bad.py:4" in out
         assert "engine.py" not in out and "events.py" not in out
+
+    def test_detects_nand_state_outside_nand(self, tmp_path, capsys):
+        """A device holding a die or a bus itself runs its own copy of
+        the array's page-operation sequence."""
+        self._seed_tree(tmp_path)
+        devices = tmp_path / "devices"
+        devices.mkdir()
+        (devices / "bad.py").write_text(
+            "def program(self, die, channel, prog):\n"
+            "    die._server.request_call(self._on_die, prog)\n"
+            "    channel._bus.release()\n"
+            "    power = die._prog_p_rest\n"
+            "    watts = self.array._op_draw\n"
+            "    pulsed = die._pulsed_programs\n"
+            "    duration = die._op_duration\n"
+        )
+        assert check_engine_heap.main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        for line in range(2, 8):
+            assert f"bad.py:{line}:" in out
+        assert "only repro.nand may touch _prog_p_rest" in out
+        assert "die.py" not in out and "link.py" not in out
 
     def test_detects_ready_fifo_access_through_an_attribute(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(

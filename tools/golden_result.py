@@ -277,6 +277,15 @@ def cold_path_configs() -> dict:
             job=job(IoPattern.RANDWRITE, 16, 16, 0.2, 64),
             seed=7,
         ),
+        # GC under a cap: pulsed relocation programs, fault delays inside
+        # relocations, and GC admissions that stall behind host flushes.
+        "tiny_gc_faults_ps2": ExperimentConfig(
+            device=tiny_ssd_config(program_pulse_ratio=1.2),
+            job=job(IoPattern.RANDWRITE, 16, 16, 0.2, 64),
+            power_state=2,
+            faults=faults,
+            seed=7,
+        ),
         "tiny_apst_randwrite": ExperimentConfig(
             device=tiny_ssd_config(apst_idle_timeout_s=2e-4),
             job=job(IoPattern.RANDWRITE, 16, 2, 0.03, 64, host_overhead_s=1e-3),
