@@ -280,7 +280,7 @@ def run_experiment(
     policy_runtime = None
     if config.policy is not None:
         # Lazy: runs without a policy must never load repro.policy (the
-        # overhead benchmark pins the inert path to bit-identity).
+        # policy row of benchmarks/zero_cost.py proves it).
         from repro.policy.runtime import PolicyRuntime
 
         policy_runtime = PolicyRuntime(engine, device, config.policy, rngs)

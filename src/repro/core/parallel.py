@@ -38,8 +38,8 @@ telemetry, live progress, or a run ledger was requested), workers ship a
 compact :class:`~repro.obs.profile.PointProfile` back over the pipe next
 to each outcome, and the parent folds queue/dispatch timestamps into
 per-point lifecycle spans.  The recorder is wall-clock only and strictly
-passive: results are bit-identical with and without it (the
-telemetry-overhead benchmark holds that line).  The same aux channel
+passive: results are bit-identical with and without it (the telemetry
+row of ``benchmarks/zero_cost.py`` holds that line).  The same aux channel
 lets a parent :class:`~repro.obs.profile.RunProfiler` see pool execution:
 per-worker profiles merge back in submission order instead of forcing
 the whole batch in-process.

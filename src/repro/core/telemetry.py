@@ -13,8 +13,8 @@ The model mirrors the obs layer's house rules:
 - **Strictly passive.**  Telemetry records wall-clock timestamps and
   counts around experiment execution; it never touches simulation state,
   RNG streams, or the result objects, so telemetered results pickle
-  bit-identical to untelemetered ones (the telemetry-overhead benchmark
-  asserts this).
+  bit-identical to untelemetered ones (the telemetry row of
+  ``benchmarks/zero_cost.py`` asserts this).
 - **Zero cost when off.**  Nothing here is imported or instantiated
   unless :class:`~repro.core.options.ExecutionOptions` asked for
   telemetry, a ledger, or progress reporting; the executor's default

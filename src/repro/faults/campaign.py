@@ -33,7 +33,7 @@ bit-reproducible across processes and ``PYTHONHASHSEED`` values.
 This module is imported only by the ``repro chaos`` CLI and
 :mod:`repro.studies.chaos_resilience` -- never by ``repro.faults``
 itself, so fault-injecting runs that don't campaign pay nothing for it
-(held by ``benchmarks/bench_chaos_overhead.py``).
+(held by the chaos row of ``benchmarks/zero_cost.py``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ or water down its commands.  This module is that seam:
 
 Both are identity transformations when their spec is ``None`` or
 all-default: same values, same engine interactions, no RNG draws --
-asserted bit-identical by ``benchmarks/bench_chaos_overhead.py``.  The
+asserted bit-identical by the chaos row of ``benchmarks/zero_cost.py``.  The
 only randomness (command drops) comes from the injector's keyed
 ``faults.<component>.actuator`` stream, drawn *only* when a positive
 drop probability is configured, so clean and inert runs never perturb

@@ -31,8 +31,8 @@ Taxonomy (one spec per mechanism):
   and retry (motor stiction / supply droop).
 - :class:`SensorFaultSpec` -- control-plane sensing faults: the policy's
   power meter reads with bias, gain error, quantization, stale-sample
-  lag, and dropout/freeze windows (only bites when the policy senses
-  through the meter path, ``PolicySpec(sense="meter")``).
+  lag, and dropout/freeze windows (a policy under a sensor spec always
+  senses through the meter path).
 - :class:`ActuatorFaultSpec` -- control-plane actuation faults: cap
   commands dropped, applied late, applied partially, or ignored outright
   after a stuck-at time.
@@ -271,12 +271,11 @@ def _window_active(
 class SensorFaultSpec:
     """Control-plane sensing faults on the policy's power-meter path.
 
-    Only consulted when a policy senses through the meter seam
-    (``PolicySpec(sense="meter")``); the legacy rail-trace path is
-    ground truth by construction and cannot be distorted.  An
-    all-default spec is the identity: readings pass through unchanged
-    and no RNG stream is ever touched (asserted bit-identical by
-    ``benchmarks/bench_chaos_overhead.py``).
+    A policy run whose plan carries this spec senses through the meter
+    seam (:class:`repro.faults.control.SensedPower`), whatever its
+    ``PolicySpec.sense``.  An all-default spec is the identity: readings
+    pass through unchanged and no RNG stream is ever touched (the chaos
+    row of ``benchmarks/zero_cost.py`` asserts it bit-identical).
 
     Attributes:
         bias_w: Additive offset on every reading (watts).
@@ -401,8 +400,8 @@ class FaultPlan:
 
     All fields default to "no such fault"; an all-default plan is inert
     (the injector built from it reports ``enabled = False`` and the run
-    is bit-identical to one with no injector at all -- asserted by
-    ``benchmarks/bench_fault_overhead.py``).
+    is bit-identical to one with no injector at all -- asserted by the
+    faults row of ``benchmarks/zero_cost.py``).
     """
 
     io_errors: Optional[IoErrorSpec] = None

@@ -4,9 +4,9 @@ Tracing and metrics (:mod:`repro.obs.events`, :mod:`repro.obs.metrics`)
 observe *simulated* time; this module observes the *simulator itself*:
 how long each sweep point took to run, how many kernel events it
 processed, and how the result cache behaved.  That is the telemetry a
-production deployment watches to know whether the hot path regressed --
-and what the observability-overhead benchmark reads to prove tracing
-stays within budget.
+production deployment watches to know whether the hot path regressed;
+the obs row of ``benchmarks/zero_cost.py`` attaches it beside a full
+tracer and holds the physics bit-identical.
 
 The profiler is fed by :func:`repro.core.experiment.run_experiment`
 (pass ``profiler=``) and by the in-process path of

@@ -3,8 +3,8 @@
 :class:`PolicyRuntime` is instantiated by
 :func:`repro.core.experiment.run_experiment` only when the config
 carries a :class:`~repro.policy.spec.PolicySpec` -- the import itself is
-lazy, so runs without a policy never touch this package (the
-``bench_policy_overhead`` gate holds that to bit-identity).
+lazy, so runs without a policy never touch this package (the policy
+row of ``benchmarks/zero_cost.py`` proves it).
 
 Determinism contract:
 
@@ -14,14 +14,13 @@ Determinism contract:
   intensity wave yet replay exactly from the seed.  The stream is only
   ever created here -- an inert run draws nothing and stays
   bit-identical to a build without this package.
-- Sensing is selected by ``PolicySpec.sense``.  The default,
-  ``"rail"``, reads the rail trace (ground truth) so controller
-  behaviour does not depend on meter part tolerance -- and is
-  bit-identical to every run before the seam existed.  ``"meter"``
-  senses through :class:`repro.faults.control.SensedPower`, the meter
-  path the fault plan's sensor spec can bias, freeze, or kill; a clean
-  meter computes the same trailing mean, so ``sense="meter"`` without
-  sensor faults changes no numbers either.
+- Sensing reads the rail trace (ground truth) directly, so controller
+  behaviour does not depend on meter part tolerance, unless
+  ``PolicySpec.sense`` is ``"meter"`` or the fault plan carries a
+  sensor spec.  Then it goes through
+  :class:`repro.faults.control.SensedPower`, the meter path that spec
+  can bias, freeze, or kill; a clean meter computes the same trailing
+  mean, so the meter path without sensor faults changes no numbers.
 - Actuation is skipped when the commanded target is unchanged.  This is
   not an optimisation: a redundant ``governor.set_cap`` still drains
   the admission queue against *live* power and would perturb grant
@@ -134,7 +133,7 @@ class PolicyRuntime:
         sensor_spec = plan.sensor if plan is not None else None
         actuator_spec = plan.actuator if plan is not None else None
         self._sensed = None
-        if spec.sense == "meter":
+        if spec.sense == "meter" or sensor_spec is not None:
             from repro.faults.control import SensedPower
 
             self._sensed = SensedPower(

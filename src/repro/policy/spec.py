@@ -209,10 +209,12 @@ class PolicySpec:
         sample_limit: Cap on retained ``(t, budget, target, measured)``
             samples; older samples are decimated by stride doubling.
         sense: Which sensing path the runtime uses.  ``"rail"`` (the
-            default) reads the rail trace directly -- the legacy path,
-            bit-identical to every pre-seam run.  ``"meter"`` senses
-            through :class:`repro.faults.control.SensedPower`, the seam
-            the fault plan's sensor spec distorts.
+            default) reads the rail trace directly, unless the fault
+            plan carries a sensor spec.  ``"meter"``, and any run with
+            a sensor spec, senses through
+            :class:`repro.faults.control.SensedPower`, the seam the
+            sensor spec distorts.  Without sensor faults both paths
+            read the same trailing mean.
         watchdog: Optional :class:`WatchdogSpec` arming the safe-mode
             watchdog.  ``None`` (the default) never imports the
             watchdog module.

@@ -24,8 +24,8 @@ The watchdog is pure bookkeeping over values the runtime already has --
 no RNG, no engine access, no tracer -- so it cannot perturb a run's
 event ordering; it only changes which cap gets commanded.  It is
 imported lazily by the runtime only when ``PolicySpec.watchdog`` is set
-(the ``bench_chaos_overhead`` gate holds the watchdog-off path to
-never-imported).
+(the chaos row of ``benchmarks/zero_cost.py`` proves the watchdog-off
+path never imports it).
 """
 
 from __future__ import annotations

@@ -24,13 +24,7 @@ device simulation in this project:
 Simulated time is a float in **seconds**.
 """
 
-from repro.sim.engine import (
-    Engine,
-    Event,
-    SimulationError,
-    StopEngine,
-    Timeout,
-)
+from repro.sim.engine import Engine, Event, SimulationError, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Gate, Resource
 from repro.sim.rng import RngStreams
@@ -45,6 +39,5 @@ __all__ = [
     "RngStreams",
     "SimulationError",
     "StepTrace",
-    "StopEngine",
     "Timeout",
 ]

@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional
 
 from repro.obs.events import NULL_TRACER
 
-__all__ = ["Engine", "Event", "SimulationError", "StopEngine", "Timeout"]
+__all__ = ["Engine", "Event", "SimulationError", "Timeout"]
 
 # Lazily bound Process class (engine <-> process import cycle); filled on
 # the first Engine.process() call instead of paying a sys.modules lookup
@@ -46,10 +46,6 @@ _PROCESS_CLS = None
 
 class SimulationError(Exception):
     """Raised for kernel misuse (scheduling in the past, double-trigger...)."""
-
-
-class StopEngine(Exception):
-    """Raised internally to stop :meth:`Engine.run` early."""
 
 
 def _fire(event: "Event") -> None:
@@ -176,27 +172,6 @@ class Timeout(Event):
         engine.schedule(delay, _fire, self)
 
 
-class AnyOf(Event):
-    """Fires when the first of ``events`` fires; value is that event."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: list[Event]) -> None:
-        super().__init__(engine)
-        if not events:
-            raise SimulationError("AnyOf needs at least one event")
-        for event in events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self._ok is not None:
-            return  # already fired on an earlier child
-        if event._ok:
-            self.succeed(event)
-        else:
-            self.fail(event._value)
-
-
 class AllOf(Event):
     """Fires when all ``events`` have fired; value is the list of values."""
 
@@ -271,10 +246,6 @@ class Engine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def any_of(self, events: list[Event]) -> AnyOf:
-        """Event that fires on the first of ``events``."""
-        return AnyOf(self, events)
 
     def all_of(self, events: list[Event]) -> AllOf:
         """Event that fires once every event in ``events`` has fired."""
@@ -407,22 +378,15 @@ class Engine:
         """
         ready = self._ready
         queue = self._queue
-        try:
-            if until is None:
-                while ready or queue:
-                    self.step()
-            else:
-                if until < self._now:
-                    raise SimulationError(
-                        f"run(until={until!r}) is in the past "
-                        f"(now={self._now!r})"
-                    )
-                while ready or (queue and queue[0][0] <= until):
-                    self.step()
-                self._now = until
-        except StopEngine:
-            pass
-
-    def stop(self) -> None:
-        """Stop :meth:`run` from inside a callback or process."""
-        raise StopEngine()
+        if until is None:
+            while ready or queue:
+                self.step()
+        else:
+            if until < self._now:
+                raise SimulationError(
+                    f"run(until={until!r}) is in the past "
+                    f"(now={self._now!r})"
+                )
+            while ready or (queue and queue[0][0] <= until):
+                self.step()
+            self._now = until

@@ -457,18 +457,18 @@ def _check_watchdog_liveness(result: ExperimentResult, tol: Tolerances):
     """An armed watchdog must notice a sensor dropout it can observe.
 
     Fires only when the run provably gave the watchdog a detectable
-    incident: meter-path sensing, a dropout window longer than the
-    staleness threshold, and enough of the window inside the run for
-    at least three (jittered) decision ticks to land past the
-    threshold.  Under those conditions zero trips means the watchdog is
-    not live.
+    incident: a sensor dropout window (any sensor spec routes sensing
+    through the meter) longer than the staleness threshold, and enough
+    of the window inside the run for at least three (jittered) decision
+    ticks to land past the threshold.  Under those conditions zero
+    trips means the watchdog is not live.
     """
     policy = getattr(result, "policy", None)
     if policy is None:
         return
     spec = policy.spec
     wd = getattr(spec, "watchdog", None)
-    if wd is None or getattr(spec, "sense", "rail") != "meter":
+    if wd is None:
         return
     plan = getattr(result.config, "faults", None)
     sensor = getattr(plan, "sensor", None) if plan is not None else None

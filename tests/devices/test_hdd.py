@@ -168,18 +168,22 @@ class TestRpoScheduling:
                 for o in rng.integers(0, device.capacity_bytes - 4096, size=48)
             ]
             t0 = eng.now
-            pending = []
-            index = 0
-            while index < len(offsets) or pending:
-                while index < len(offsets) and len(pending) < qd:
-                    pending.append(
-                        device.submit(IORequest(IOKind.READ, offsets[index], 4096))
-                    )
-                    index += 1
-                first = eng.any_of(pending)
-                while not first.processed:
-                    eng.step()
-                pending = [e for e in pending if not e.triggered]
-            return eng.now - t0
+            todo = iter(offsets)
+            finished = []
+
+            def issue(complete_time=None):
+                # Closed loop: each completion submits the next read, so
+                # qd reads stay in flight until the offsets run out.
+                if complete_time is not None:
+                    finished.append(complete_time)
+                offset = next(todo, None)
+                if offset is not None:
+                    device.submit_call(IORequest(IOKind.READ, offset, 4096), issue)
+
+            for _ in range(qd):
+                issue()
+            while len(finished) < len(offsets):
+                eng.step()
+            return max(finished) - t0
 
         assert run_batch(16) < run_batch(1) * 0.8

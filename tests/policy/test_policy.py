@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import types
 
@@ -11,6 +12,7 @@ from repro._units import KiB, MiB
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.devices.catalog import build_device
 from repro.devices.hdd_drive import IdleCondition
+from repro.faults import FaultPlan, SensorFaultSpec
 from repro.iogen.spec import IoPattern, JobSpec
 from repro.policy import (
     BudgetSchedule,
@@ -373,3 +375,42 @@ class TestEndToEnd:
     def test_config_describe_names_the_policy(self):
         config = _policy_config("ladder")
         assert "ladder[step" in config.describe()
+
+
+class TestSensorFaults:
+    def test_sensor_fault_bites_under_the_default_rail_sense(self):
+        """A sensor spec routes sensing through the meter seam whatever
+        ``sense`` says: a -3 W bias under the default ``sense="rail"``
+        reads exactly as under ``sense="meter"``, not fault-free."""
+        spec = PolicySpec(
+            kind="feedback",
+            budget=BudgetSchedule.step(high_w=14.0, low_w=10.0, period_s=0.025),
+            interval_s=1.5e-3,
+            window_s=3e-3,
+        )
+        config = ExperimentConfig(
+            device="ssd2",
+            job=JobSpec(
+                IoPattern.RANDWRITE,
+                block_size=256 * KiB,
+                iodepth=8,
+                runtime_s=0.05,
+                size_limit_bytes=32 * MiB,
+            ),
+            policy=spec,
+        )
+        biased = FaultPlan(sensor=SensorFaultSpec(bias_w=-3.0))
+        clean = run_experiment(config)
+        rail = run_experiment(dataclasses.replace(config, faults=biased))
+        meter = run_experiment(
+            dataclasses.replace(
+                config,
+                faults=biased,
+                policy=dataclasses.replace(spec, sense="meter"),
+            )
+        )
+
+        assert rail.faults.total == meter.faults.total > 0
+        assert rail.policy.samples == meter.policy.samples
+        measured_w = rail.policy.samples[-1][3]
+        assert measured_w == pytest.approx(clean.policy.samples[-1][3] - 3.0)

@@ -147,25 +147,8 @@ class TestEngineLoop:
         with pytest.raises(SimulationError):
             engine.call_at(0.5, lambda: None)
 
-    def test_stop_inside_callback_halts_run(self, engine):
-        engine.timeout(1.0).add_callback(lambda e: engine.stop())
-        engine.timeout(2.0)
-        engine.run()
-        assert engine.now == 1.0
-
 
 class TestCompositeEvents:
-    def test_any_of_fires_on_first(self, engine):
-        t1 = engine.timeout(1.0, value="fast")
-        t2 = engine.timeout(2.0, value="slow")
-        any_event = engine.any_of([t1, t2])
-        engine.run()
-        assert any_event.value is t1
-
-    def test_any_of_empty_rejected(self, engine):
-        with pytest.raises(SimulationError):
-            engine.any_of([])
-
     def test_all_of_collects_values_in_order(self, engine):
         t1 = engine.timeout(2.0, value="a")
         t2 = engine.timeout(1.0, value="b")
