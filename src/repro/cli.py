@@ -63,6 +63,7 @@ from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.devices.catalog import DEVICE_PRESETS
 from repro.iogen.spec import IoPattern, JobSpec
 from repro.policy.spec import POLICY_KINDS
+from repro.studies import DEFAULT, FIGURES, QUICK, reproduce
 
 __all__ = ["build_parser", "main"]
 
@@ -91,20 +92,6 @@ def _faults_arg(value: str):
         return parse_fault_plan(value)
     except FaultSpecError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-_FIGURES = (
-    "table1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "claims",
-)
 
 
 # -- shared flag groups ----------------------------------------------------
@@ -344,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         ],
     )
-    fig_p.add_argument("name", choices=_FIGURES)
+    fig_p.add_argument("name", choices=tuple(FIGURES))
 
     sub.add_parser(
         "validate",
@@ -839,26 +826,14 @@ class _progress_printer:
 
 
 def _cmd_figure(args: argparse.Namespace) -> str:
-    import importlib
-    import inspect
-
-    from repro.studies.common import DEFAULT, QUICK
-
-    module = importlib.import_module(f"repro.studies.{args.name}")
-    scale = QUICK if args.quick else DEFAULT
-    if args.name == "fig7":  # trace study: no scale parameter
-        return module.render(module.run())
-    kwargs = {}
-    if "n_workers" in inspect.signature(module.run).parameters:
-        kwargs["n_workers"] = args.workers
-    return module.render(module.run(scale, **kwargs))
+    return reproduce(args.name, QUICK if args.quick else DEFAULT, args.workers)
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     from repro.core.options import ExecutionOptions
     from repro.core.sweep import SweepGrid, sweep_outcome
     from repro.iogen.spec import IoPattern
-    from repro.studies.common import DEFAULT, QUICK, point_config
+    from repro.studies.common import point_config
     from repro.studies.fig10 import DEVICE_STATES, SWEEP_CHUNKS, SWEEP_DEPTHS
     from repro.validate import live_validate
     from repro.validate.strategies import PAPER_DEVICES
@@ -924,7 +899,6 @@ def _cmd_policy(args: argparse.Namespace) -> tuple[str, int]:
 
     from repro.core.parallel import ResultCache
     from repro.studies import policy_tracking
-    from repro.studies.common import DEFAULT, QUICK
 
     if args.resume and not args.cache:
         return (
@@ -957,7 +931,6 @@ def _cmd_chaos(args: argparse.Namespace) -> tuple[str, int]:
 
     from repro.core.parallel import ResultCache
     from repro.studies import chaos_resilience
-    from repro.studies.common import DEFAULT, QUICK
 
     controllers = None
     if args.controllers and "all" not in args.controllers:
@@ -985,7 +958,6 @@ def _cmd_fleet(args: argparse.Namespace) -> tuple[str, int]:
 
     from repro.core.parallel import ResultCache
     from repro.studies import fleet_scale
-    from repro.studies.common import DEFAULT, QUICK
 
     cache = ResultCache(args.cache) if args.cache else None
     ledger = Path(args.cache) / "ledger.jsonl" if args.cache else None
@@ -1039,7 +1011,6 @@ def _cmd_report(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_plan(args: argparse.Namespace) -> str:
-    from repro.studies.common import QUICK
     from repro.studies.fig10 import build_model
 
     model = build_model(args.device, scale=QUICK)

@@ -72,11 +72,11 @@ def _measure_device(label: str, runtime_s: float):
     return run_experiment(config)
 
 
-def run(trace_seconds: float = TRACE_SECONDS) -> Fig2Result:
+def run() -> Fig2Result:
     distributions: dict[str, PowerSummary] = {}
     trace = None
     for label in _DEVICES:
-        runtime = trace_seconds if label == "ssd1" else DISTRIBUTION_SECONDS
+        runtime = TRACE_SECONDS if label == "ssd1" else DISTRIBUTION_SECONDS
         result = _measure_device(label, runtime)
         assert result.trace is not None
         distributions[label] = result.power

@@ -66,10 +66,10 @@ def _settle_time(trace: PowerTrace, cmd_at: float, target_w: float) -> float:
     return float(times[last_outside + 1] - cmd_at)
 
 
-def _capture(seed: int, scenario: str) -> tuple[PowerTrace, float, float]:
+def _capture(scenario: str) -> tuple[PowerTrace, float, float]:
     """Run one transition scenario; returns (trace, level_before, level_after)."""
     engine = Engine()
-    rngs = RngStreams(seed)
+    rngs = RngStreams(0)
     device = build_device(engine, "860evo", rng=rngs)
     alpm = AlpmController(device)
     target = (
@@ -100,9 +100,9 @@ def _capture(seed: int, scenario: str) -> tuple[PowerTrace, float, float]:
     return trace, before, after
 
 
-def run(seed: int = 0) -> Fig7Result:
-    enter_trace, idle_w, slumber_w = _capture(seed, "enter")
-    exit_trace, __, idle_after = _capture(seed, "exit")
+def run() -> Fig7Result:
+    enter_trace, idle_w, slumber_w = _capture("enter")
+    exit_trace, __, idle_after = _capture("exit")
     return Fig7Result(
         enter_trace=enter_trace,
         exit_trace=exit_trace,

@@ -49,6 +49,14 @@ def engine() -> Engine:
 
 
 @pytest.fixture(scope="session")
+def fig2_result():
+    """Fig. 2 at its one, fixed size (~6 s): the study takes no scale."""
+    from repro.studies import fig2
+
+    return fig2.run()
+
+
+@pytest.fixture(scope="session")
 def fig8_quick():
     from repro.studies import fig8
     from repro.studies.common import QUICK

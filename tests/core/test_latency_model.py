@@ -43,6 +43,20 @@ class TestPowerLatencyModel:
         inflation = model.tail_inflation_of_power_cut(0.4)
         assert inflation == pytest.approx(10e-3 / 0.8e-3)
 
+    def test_tighter_budgets_raise_the_tail_floor(self, latency_points):
+        model = PowerLatencyModel("dev", latency_points)
+        floors = [
+            model.latency_cost_of_power_budget(model.max_power_w * share).p99_latency_s
+            for share in (1.0, 0.8, 0.6, 0.45)
+        ]
+        assert floors == sorted(floors)
+        assert len(set(floors)) > 1
+
+    def test_deeper_cuts_inflate_the_tail_more(self, latency_points):
+        model = PowerLatencyModel("dev", latency_points)
+        shallow = model.tail_inflation_of_power_cut(0.2)
+        assert model.tail_inflation_of_power_cut(0.4) > shallow > 1.0
+
     def test_no_inflation_without_cut(self, latency_points):
         model = PowerLatencyModel("dev", latency_points)
         assert model.tail_inflation_of_power_cut(0.0) == pytest.approx(1.0)

@@ -112,6 +112,10 @@ class TestTiering:
         direct, absorbed = results
         assert absorbed.burst_duration_s < direct.burst_duration_s / 10
 
+    def test_absorption_cuts_worst_latency_hundredfold(self, results):
+        direct, absorbed = results
+        assert absorbed.burst_latency.max < direct.burst_latency.max / 100
+
     def test_invalid_burst_rejected(self):
         with pytest.raises(ValueError):
             WriteAbsorptionScenario(burst_bytes=100, chunk_bytes=4096)

@@ -76,6 +76,12 @@ class TestRolloutPlanner:
         assert totals == sorted(totals)
         assert totals[-1] == 12
 
+    def test_every_stage_is_breaker_safe(self):
+        """Section 4.1: each rollout stage survives correlated failure."""
+        domains = [_domain(f"rack{i}", limit=130.0) for i in range(4)]
+        stages = RolloutPlanner(domains).plan(target_adaptive=16, stages=3)
+        assert all(stage.all_breakers_safe for stage in stages)
+
     def test_refuses_oversubscribed_domains(self):
         """A domain whose breaker cannot take all-max draw offers no safe
         capacity under the correlated-failure criterion."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro._units import KiB
 from repro.devices.base import IOKind, IORequest
-from repro.devices.catalog import hdd_exos_7e2000
+from repro.devices.catalog import build_device, hdd_exos_7e2000
 from repro.devices.hdd_drive import IdleCondition, SimulatedHDD
 from repro.devices.ssd import SimulatedSSD
 from repro.sata.epc import set_power_condition, standby_z
@@ -107,6 +107,38 @@ class TestEpcIdleConditions:
             dataclasses.replace(
                 hdd_exos_7e2000(), idle_b_savings_w=2.0, idle_c_savings_w=1.0
             )
+
+    def test_ladder_trades_power_for_recovery(self):
+        """Each deeper rung saves power and costs first-IO latency; the
+        ends sit at the paper's 3.76 W idle and 1.10 W standby."""
+
+        def rung(configure):
+            engine = Engine()
+            hdd = build_device(engine, "hdd")
+            configure(engine, hdd)
+            t0 = engine.now
+            engine.run(until=t0 + 0.5)
+            watts = hdd.rail.trace.mean(t0 + 0.2, t0 + 0.5)
+            done = hdd.submit(IORequest(IOKind.READ, 1 << 30, 4 * KiB))
+            while not done.processed:
+                engine.step()
+            return watts, done.value.latency
+
+        def standby(engine, hdd):
+            proc = engine.process(hdd.enter_standby())
+            while proc.is_alive:
+                engine.step()
+
+        watts, latencies = zip(
+            rung(lambda engine, hdd: None),
+            rung(lambda engine, hdd: hdd.set_idle_condition(IdleCondition.IDLE_B)),
+            rung(lambda engine, hdd: hdd.set_idle_condition(IdleCondition.IDLE_C)),
+            rung(standby),
+        )
+        assert list(watts) == sorted(watts, reverse=True)
+        assert list(latencies) == sorted(latencies)
+        assert watts[0] == pytest.approx(3.76, abs=0.05)
+        assert watts[-1] == pytest.approx(1.10, abs=0.05)
 
 
 class TestApst:

@@ -8,6 +8,10 @@ from repro._units import KiB
 from repro.devices.base import IOKind, IORequest
 from repro.devices.catalog import DEVICE_PRESETS
 from repro.devices.ssd import SimulatedSSD
+from repro.ftl.gc import GcConfig
+from repro.iogen.engine import FioJob
+from repro.iogen.spec import IoPattern, JobSpec
+from repro.nand.geometry import NandGeometry
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from tests.conftest import drive, tiny_ssd_config
@@ -313,3 +317,65 @@ class TestRunEnd:
         gc.collect()
         assert {name: rail.draw_of(name) for name in rail._draws} == draws
         assert rail.trace._times == times and rail.trace._values == values
+
+
+def _overwrite_four_times(power_state: int) -> dict:
+    """Random 16 KiB overwrites of 4x a small drive's logical capacity,
+    measured over the second half, when GC runs in steady state."""
+    engine = Engine()
+    config = tiny_ssd_config(
+        geometry=NandGeometry(
+            channels=4,
+            dies_per_channel=2,
+            planes_per_die=1,
+            blocks_per_plane=16,
+            pages_per_block=16,
+            page_size=16 * 1024,
+        ),
+        overprovision=0.28,
+        gc=GcConfig(low_watermark=12, high_watermark=20),
+    )
+    device = SimulatedSSD(engine, config, rng=RngStreams(3))
+    proc = engine.process(device.set_power_state(power_state))
+    while proc.is_alive:
+        engine.step()
+    job = FioJob(
+        engine,
+        device,
+        JobSpec(
+            IoPattern.RANDWRITE,
+            block_size=16 * KiB,
+            iodepth=16,
+            runtime_s=10.0,
+            size_limit_bytes=4 * device.capacity_bytes,
+        ),
+        rng=RngStreams(3).get("io"),
+    )
+    master = job.start()
+    while master.is_alive:
+        engine.step()
+    result = job.result(warmup_fraction=0.5)
+    t0, t1 = result.measure_window
+    return {
+        "throughput_mib_s": result.throughput_mib_s,
+        "power_w": device.rail.trace.mean(t0, t1),
+        "write_amplification": device.wear.write_amplification,
+        "blocks_erased": device.gc.blocks_erased,
+    }
+
+
+class TestSustainedOverwrite:
+    """GC competes with host writes for the same power-governed budget."""
+
+    @pytest.fixture(scope="class")
+    def phases(self):
+        return {ps: _overwrite_four_times(ps) for ps in (0, 2)}
+
+    def test_gc_runs_and_amplifies_writes(self, phases):
+        for phase in phases.values():
+            assert phase["blocks_erased"] > 0
+            assert phase["write_amplification"] > 1.1
+
+    def test_cap_still_binds_under_gc(self, phases):
+        assert phases[2]["throughput_mib_s"] < phases[0]["throughput_mib_s"]
+        assert phases[2]["power_w"] < phases[0]["power_w"]

@@ -136,7 +136,11 @@ class TestZeroCost:
             [sys.executable, "-c", ZERO_IMPORT_SCRIPT],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONPATH": SRC,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "clean"

@@ -169,7 +169,11 @@ class TestBitReproducibility:
                 [sys.executable, str(script)],
                 capture_output=True,
                 text=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                env={
+                    "PYTHONHASHSEED": hash_seed,
+                    "PATH": "/usr/bin:/bin",
+                    "PYTHONDONTWRITEBYTECODE": "1",
+                },
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout)

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.studies import FIGURES
 
 
 class TestParser:
@@ -25,6 +27,16 @@ class TestParser:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
+
+    def test_figure_choices_are_the_registry(self):
+        (subcommands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        figure = subcommands.choices["figure"]
+        (name,) = [action for action in figure._actions if action.dest == "name"]
+        assert list(name.choices) == list(FIGURES)
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_nonpositive_workers_rejected(self, bad, capsys):
@@ -376,6 +388,16 @@ class TestCommands:
     def test_figure_fig7(self, capsys):
         assert main(["figure", "fig7"]) == 0
         assert "860 EVO" in capsys.readouterr().out
+
+    @pytest.mark.integration
+    @pytest.mark.parametrize("flags", [[], ["--quick"]])
+    def test_figure_fig2_takes_no_scale(self, capsys, monkeypatch, fig2_result, flags):
+        """fig2's ``run`` takes no arguments; the CLI must call it so."""
+        from repro.studies import fig2
+
+        monkeypatch.setattr(fig2, "run", lambda: fig2_result)
+        assert main(["figure", "fig2", *flags]) == 0
+        assert "Figure 2a" in capsys.readouterr().out
 
     def test_policy_resume_requires_cache(self, capsys):
         assert main(["policy", "--resume"]) == 2

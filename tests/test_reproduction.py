@@ -10,8 +10,9 @@ decimals.
 import pytest
 
 from repro._units import KiB
+from repro.core.adaptive import PowerAdaptivePlanner
 from repro.iogen.spec import IoPattern
-from repro.studies import fig10, fig4, fig7, table1
+from repro.studies import fig10, fig4, fig6, fig7, proportionality, table1
 from repro.studies.common import QUICK, run_point
 
 
@@ -43,6 +44,13 @@ class TestTable1Ranges:
         assert nvme_span > hdd_span
 
 
+class TestFig2Variability:
+    """Fig. 2: millisecond sampling shows swings a 10 Hz view averages away."""
+
+    def test_full_rate_spread_dwarfs_the_10hz_view(self, fig2_result):
+        assert fig2_result.full_rate_spread > 4 * fig2_result.slow_rate_spread
+
+
 class TestFig4PowerCapAsymmetry:
     """Fig. 4: caps crush writes, leave reads alone."""
 
@@ -69,17 +77,26 @@ class TestFig4PowerCapAsymmetry:
 class TestFig5And6Latency:
     """Figs. 5/6: capped write latency inflates; read latency does not."""
 
-    def test_capped_write_latency_inflates_at_large_chunks(self):
-        l0 = run_point(
-            "ssd2", IoPattern.RANDWRITE, 1024 * KiB, 1,
-            power_state=0, scale=QUICK, latency_study=True,
-        ).latency()
-        l2 = run_point(
-            "ssd2", IoPattern.RANDWRITE, 1024 * KiB, 1,
-            power_state=2, scale=QUICK, latency_study=True,
-        ).latency()
+    @pytest.fixture(scope="class")
+    def large_chunk_writes(self):
+        """SSD2 1 MiB QD1 random-write latency at ps0 and at ps2."""
+        return [
+            run_point(
+                "ssd2", IoPattern.RANDWRITE, 1024 * KiB, 1,
+                power_state=ps, scale=QUICK, latency_study=True,
+            ).latency()
+            for ps in (0, 2)
+        ]
+
+    def test_capped_write_latency_inflates_at_large_chunks(self, large_chunk_writes):
+        l0, l2 = large_chunk_writes
         assert l2.mean / l0.mean > 1.5  # paper: up to ~2x
         assert l2.p99 / l0.p99 > 1.8  # paper: up to 6.19x
+
+    def test_worst_p99_inflation_exceeds_twofold(self, large_chunk_writes):
+        """Fig. 5b's worst chunk is at least as inflated as 1 MiB."""
+        l0, l2 = large_chunk_writes
+        assert l2.p99 / l0.p99 > 2.0
 
     def test_small_chunk_write_latency_unaffected(self):
         l0 = run_point(
@@ -101,6 +118,10 @@ class TestFig5And6Latency:
         ).latency()
         assert l2.mean / l0.mean == pytest.approx(1.0, abs=0.02)
         assert l2.p99 / l0.p99 == pytest.approx(1.0, abs=0.05)
+
+    def test_read_latency_flat_across_every_chunk(self):
+        """Fig. 6: no capped state moves any chunk's avg or p99 by 5 %."""
+        assert fig6.run(QUICK).worst_deviation < 0.05
 
 
 class TestFig7Standby:
@@ -134,6 +155,11 @@ class TestFig8And9IoShaping:
         throughput_loss = 1 - small.throughput_bps / large.throughput_bps
         assert 0.15 <= power_saving <= 0.45  # paper: up to 30 %
         assert 0.30 <= throughput_loss <= 0.80  # paper: up to 50 %
+
+    @pytest.mark.parametrize("device", ["ssd1", "ssd2"])
+    def test_fig8_small_chunks_trade_throughput_for_power(self, fig8_quick, device):
+        assert fig8_quick.power_saving_small_chunks(device) > 0.10
+        assert fig8_quick.throughput_loss_small_chunks(device) > 0.25
 
     def test_shallow_queue_saves_power_and_costs_throughput(self, fig9_quick):
         result = fig9_quick
@@ -187,6 +213,16 @@ class TestFig10Model:
         __, curtailed = ssd2_model.throughput_cost_of_power_cut(0.20)
         assert curtailed >= 0.2
 
+    def test_ssd1_power_cut_curtails_load(self):
+        """Section 3.3's worked example: SSD1 under a 20 % cut sheds load."""
+        model = fig10.build_model(
+            "ssd1",
+            scale=QUICK,
+            chunks=(256 * KiB, 2048 * KiB),
+            depths=(1, 64),
+        )
+        assert PowerAdaptivePlanner(model).plan_power_cut(0.20).curtailed_bps > 0
+
 
 class TestMeterAccuracy:
     """Section 3: the measurement system's <1 % relative error claim."""
@@ -195,3 +231,22 @@ class TestMeterAccuracy:
     def test_meter_error_below_one_percent(self, device):
         result = run_point(device, IoPattern.RANDWRITE, 256 * KiB, 64, scale=QUICK)
         assert result.meter_relative_error < 0.01
+
+
+class TestProportionality:
+    """Footnote 1: the devices are adaptive but weakly power proportional."""
+
+    @pytest.fixture(scope="class")
+    def curves(self):
+        return proportionality.run(QUICK)
+
+    def test_power_rises_with_load_above_an_idle_floor(self, curves):
+        for curve in curves:
+            assert curve.power_w[-1] > curve.power_w[0]
+            assert 0.2 <= curve.idle_fraction <= 0.95
+            assert 0.0 < curve.proportionality_index < 1.0
+
+    def test_hdd_least_proportional(self, curves):
+        """Constant rotation makes the HDD the least proportional device."""
+        indices = {curve.device: curve.proportionality_index for curve in curves}
+        assert indices["hdd"] == min(indices.values())

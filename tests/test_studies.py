@@ -1,4 +1,4 @@
-"""Structural tests for the figure drivers.
+"""Structural tests for the figure drivers and their registry.
 
 The heavyweight shape assertions live in tests/test_reproduction.py; these
 check that each driver produces complete, well-formed series and that the
@@ -6,13 +6,82 @@ renderers emit the paper's rows -- cheaply, via the QUICK scale and the
 smallest grids.
 """
 
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.iogen.spec import IoPattern, PAPER_CHUNK_SIZES, PAPER_QUEUE_DEPTHS
-from repro.studies import claims, fig3, table1
+from repro.studies import FIGURES, claims, fig3, fig6, reproduce, table1
 from repro.studies.common import QUICK
 
 pytestmark = pytest.mark.integration
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_bare():
+    return ()
+
+
+def _run_scaled(scale):
+    return (scale,)
+
+
+def _run_pooled(scale, n_workers):
+    return (scale, n_workers)
+
+
+class TestRegistry:
+    @pytest.mark.parametrize(
+        "run, expected",
+        [
+            (_run_bare, ()),
+            (_run_scaled, (QUICK,)),
+            (_run_pooled, (QUICK, 3)),
+        ],
+    )
+    def test_reproduce_passes_only_what_run_declares(self, monkeypatch, run, expected):
+        monkeypatch.setattr(fig6, "run", run)
+        monkeypatch.setattr(fig6, "render", repr)
+        assert reproduce("fig6", QUICK, n_workers=3) == repr(expected)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="fig99"):
+            reproduce("fig99")
+
+    def test_every_entry_is_a_study_module(self):
+        for name in FIGURES:
+            assert importlib.util.find_spec(f"repro.studies.{name}") is not None
+
+    def test_importing_the_cli_loads_only_the_facade_studies(self):
+        """The registry imports a study only when it is asked to run."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli; print(' '.join(sorted("
+                "m for m in sys.modules if m.startswith('repro.studies'))))",
+            ],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": SRC,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        # The facade (repro.api) re-exports run_demand_response and
+        # fig10's build_model; every other study stays unloaded.
+        assert proc.stdout.split() == [
+            "repro.studies",
+            "repro.studies.common",
+            "repro.studies.demand_response",
+            "repro.studies.fig10",
+        ]
 
 
 class TestTable1Structure:
@@ -50,6 +119,11 @@ class TestFig3Structure:
             assert result.power_w[(1, ps)][0] == pytest.approx(
                 result.power_w[(1, 0)][0], rel=0.05
             )
+
+    def test_caps_hold_at_qd64(self, result):
+        """The 12 W and 10 W caps hold, within the meter's noise."""
+        assert max(result.power_w[(64, 1)]) <= 12.0 + 0.15
+        assert max(result.power_w[(64, 2)]) <= 10.0 + 0.15
 
     def test_render(self, result):
         text = fig3.render(result)

@@ -1,29 +1,19 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md from full (DEFAULT-scale) study runs.
 
-Run:  python tools/generate_experiments_md.py
+Run:  PYTHONPATH=src python tools/generate_experiments_md.py
+
+One section per entry of ``repro.studies.FIGURES``, in its order.  The
+output does not depend on the core count or on ``PYTHONHASHSEED``, so
+CI regenerates the file and fails if it differs from the committed one.
 """
 
 from __future__ import annotations
 
-import inspect
 import io
 import time
 
-from repro.studies import (
-    claims,
-    proportionality,
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    table1,
-)
+from repro.studies import FIGURES, reproduce
 
 HEADER = """\
 # EXPERIMENTS -- paper versus measured
@@ -32,7 +22,7 @@ Every table and figure of *Can Storage Devices be Power Adaptive?*
 (HotStorage '24), regenerated by this repository's simulation at the
 default benchmark scale.  Regenerate with::
 
-    pytest benchmarks/ --benchmark-only -s        # pretty-printed
+    python -m repro figure <name>                 # one section
     python tools/generate_experiments_md.py       # rewrites this file
 
 Absolute magnitudes are calibrated against the paper's anchors; the point
@@ -46,7 +36,7 @@ next to the measured value.
 
 Sweep-backed studies (Table 1, Fig. 10, and ``repro sweep`` grids) fan
 their independent experiment points out across a process pool
-(``repro.core.parallel``; CLI flag ``--workers N``, ``0`` = all cores).
+(``repro.core.parallel``; CLI flag ``--workers N``, ``all`` = every core).
 Per-point seeds come from a stable ``blake2b`` digest of the point's
 coordinates -- never the builtin ``hash()``, which ``PYTHONHASHSEED``
 randomizes per process -- so every number in this file is bit-identical
@@ -57,34 +47,14 @@ overlapping grids only execute new points.
 
 """
 
-SECTIONS = [
-    ("Table 1 -- evaluated devices and measured power ranges", table1),
-    ("Figure 2 -- millisecond-scale power measurement", fig2),
-    ("Figure 3 -- SSD2 random-write power under power states", fig3),
-    ("Figure 4 -- SSD2 throughput under power states", fig4),
-    ("Figure 5 -- SSD2 random-write latency under power states (QD1)", fig5),
-    ("Figure 6 -- SSD2 random-read latency under power states (QD1)", fig6),
-    ("Figure 7 -- 860 EVO standby transitions", fig7),
-    ("Figure 8 -- random-write power/throughput vs chunk size", fig8),
-    ("Figure 9 -- random-read power/throughput vs queue depth", fig9),
-    ("Figure 10 -- the power-throughput model", fig10),
-    ("Headline claims (sections 1-3)", claims),
-    ("Extension: power proportionality vs adaptivity (footnote 1)", proportionality),
-]
-
 
 def main() -> None:
     out = io.StringIO()
     out.write(HEADER)
-    for title, module in SECTIONS:
+    for name, title in FIGURES.items():
         start = time.time()
-        kwargs = {}
-        if "n_workers" in inspect.signature(module.run).parameters:
-            kwargs["n_workers"] = None  # all cores; identical results
-        result = module.run(**kwargs)
-        rendered = module.render(result)
-        elapsed = time.time() - start
-        print(f"[{elapsed:7.1f}s] {title}")
+        rendered = reproduce(name, n_workers=None)  # all cores; identical results
+        print(f"[{time.time() - start:7.1f}s] {title}")
         out.write(f"## {title}\n\n```\n{rendered}\n```\n\n")
     out.write(
         "---\nGenerated by `tools/generate_experiments_md.py`; "
