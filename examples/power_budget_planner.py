@@ -13,7 +13,7 @@ to end, including a latency-SLO-constrained variant.
 Run:  python examples/power_budget_planner.py
 """
 
-from repro.api import GiB, KiB, PowerAdaptivePlanner, QUICK, build_model
+from repro.api import GiB, KiB, QUICK, build_model
 
 
 def main() -> None:
@@ -31,13 +31,12 @@ def main() -> None:
         f"{model.dynamic_range_fraction:.0%}\n"
     )
 
-    planner = PowerAdaptivePlanner(model)
     for cut in (0.10, 0.20, 0.30):
-        plan = planner.plan_power_cut(cut)
+        plan = model.plan_power_cut(cut)
         print(f"power cut {cut:.0%}: {plan.describe()}")
 
     print("\nwith a 5 ms p99 latency SLO:")
-    plan = planner.plan_power_cut(0.20, max_latency_p99_s=5e-3)
+    plan = model.plan_power_cut(0.20, max_latency_p99_s=5e-3)
     print(f"power cut 20%: {plan.describe()}")
 
     print(

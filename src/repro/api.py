@@ -20,12 +20,11 @@ The surface in one screen::
 """
 
 from repro._units import GiB, KiB, MiB
-from repro.core.adaptive import AdaptivePlan, PowerAdaptivePlanner
 from repro.core.asymmetric import AsymmetricPlan, AsymmetricPlanner
 from repro.core.checkpoint import CheckpointJournal, PointState
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.core.ledger import RunLedger
-from repro.core.model import ModelPoint, PowerThroughputModel
+from repro.core.model import AdaptivePlan, ModelPoint, PowerThroughputModel
 from repro.core.options import ExecutionOptions
 from repro.core.parallel import (
     PointFailure,
@@ -170,7 +169,6 @@ __all__ = [
     "PointState",
     "PolicySpec",
     "PolicySummary",
-    "PowerAdaptivePlanner",
     "PowerMeter",
     "PowerThroughputModel",
     "ProgressUpdate",

@@ -34,7 +34,8 @@ Ten subcommands cover the workflows a user of the artifact needs:
   verdicts) from the run ledger that ``sweep``, ``policy``, ``chaos``
   and ``fleet`` append beside their ``--cache`` directory;
 - ``plan`` -- fit a device's power-throughput model and plan a power cut
-  (the section-3.3 worked example).
+  (the section-3.3 worked example), exiting 1 when no configuration
+  fits the cut (and the optional p99 SLO).
 
 ``sweep --cache DIR`` additionally appends provenance records to
 ``DIR/ledger.jsonl`` (one per point plus a run summary) for ``repro
@@ -58,7 +59,6 @@ import argparse
 from typing import Optional, Sequence
 
 from repro._units import parse_size
-from repro.core.adaptive import PowerAdaptivePlanner
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.devices.catalog import DEVICE_PRESETS
 from repro.iogen.spec import IoPattern, JobSpec
@@ -83,6 +83,21 @@ def _workers_arg(value: str) -> Optional[int]:
             f"worker count must be >= 1 (or 'all'), got {workers}"
         )
     return workers
+
+
+def _cut_arg(value: str) -> float:
+    """Parse ``plan --cut``: a power-reduction fraction in [0, 1)."""
+    try:
+        cut = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction in [0, 1), got {value!r}"
+        ) from None
+    if not 0 <= cut < 1:
+        raise argparse.ArgumentTypeError(
+            f"power cut must be in [0, 1), got {value}"
+        )
+    return cut
 
 
 def _faults_arg(value: str):
@@ -546,7 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
     plan_p = sub.add_parser("plan", help="plan a power cut on a device model")
     plan_p.add_argument("--device", required=True, choices=sorted(DEVICE_PRESETS))
     plan_p.add_argument(
-        "--cut", type=float, default=0.2, help="power reduction fraction"
+        "--cut",
+        type=_cut_arg,
+        default=0.2,
+        help="power reduction fraction in [0, 1) (default 0.2)",
     )
     plan_p.add_argument(
         "--slo-p99-ms", type=float, default=None, help="latency SLO in ms"
@@ -1010,17 +1028,20 @@ def _cmd_report(args: argparse.Namespace) -> tuple[str, int]:
     return text, 0 if report["ok"] else 1
 
 
-def _cmd_plan(args: argparse.Namespace) -> str:
+def _cmd_plan(args: argparse.Namespace) -> tuple[str, int]:
     from repro.studies.fig10 import build_model
 
     model = build_model(args.device, scale=QUICK)
-    planner = PowerAdaptivePlanner(model)
     slo = None if args.slo_p99_ms is None else args.slo_p99_ms * 1e-3
-    plan = planner.plan_power_cut(args.cut, max_latency_p99_s=slo)
+    try:
+        plan = model.plan_power_cut(args.cut, max_latency_p99_s=slo)
+    except ValueError as exc:
+        return f"plan: {exc}", 1
     return (
         f"{args.device}: model of {len(model.points)} points, "
         f"peak {model.max_power_w:.2f} W\n"
-        f"power cut {args.cut:.0%}: {plan.describe()}"
+        f"power cut {args.cut:.0%}: {plan.describe()}",
+        0,
     )
 
 
@@ -1057,5 +1078,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(text)
         return code
     elif args.command == "plan":
-        print(_cmd_plan(args))
+        text, code = _cmd_plan(args)
+        print(text)
+        return code
     return 0

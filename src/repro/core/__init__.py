@@ -9,13 +9,12 @@ Everything in this package corresponds to sections 3.3 and 4 of the paper:
 - :mod:`~repro.core.parallel` -- worker-pool execution of experiment
   batches: deterministic ordering, per-point failure capture, an on-disk
   result cache keyed by config content hash.
-- :mod:`~repro.core.model` -- the per-device power-throughput model
-  (Fig. 10): normalized operating points, dynamic range, configuration
-  queries under power budgets.
-- :mod:`~repro.core.pareto` -- Pareto frontiers over operating points.
-- :mod:`~repro.core.adaptive` -- the single-device planner of the paper's
-  worked example (find a config meeting a power cut with minimal
-  throughput loss; compute curtailable best-effort load).
+- :mod:`~repro.core.model` -- the per-device operating-point model
+  (Fig. 10): normalized points carrying power, throughput and latency,
+  dynamic range, budget/floor/SLO queries, the power-throughput and
+  power-latency Pareto frontiers, and the planner of the paper's worked
+  example (find a config meeting a power cut with minimal throughput
+  loss; compute curtailable best-effort load).
 - :mod:`~repro.core.redirection` -- power-aware IO redirection (section 4).
 - :mod:`~repro.core.asymmetric` -- asymmetric read/write segregation.
 - :mod:`~repro.core.tiering` -- tiered write absorption during spin-up.
@@ -23,7 +22,8 @@ Everything in this package corresponds to sections 3.3 and 4 of the paper:
 
 Extensions past the paper's evaluation (its section-4 sketches, built):
 
-- :mod:`~repro.core.latency_model` -- the power-*latency* model.
+- the SLO queries and p99 frontier of :mod:`~repro.core.model` -- the
+  power-*latency* model.
 - :mod:`~repro.core.safety` -- breaker-safe staged rollout (section 4.1).
 - :mod:`~repro.core.interactions` -- CPU-throttle interaction analysis.
 
@@ -32,10 +32,8 @@ The online controllers that track a time-varying power budget live in
 a live fleet.
 """
 
-from repro.core.adaptive import AdaptivePlan, PowerAdaptivePlanner
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.core.latency_model import LatencyPoint, PowerLatencyModel
-from repro.core.model import ModelPoint, PowerThroughputModel
+from repro.core.model import AdaptivePlan, ModelPoint, PowerThroughputModel
 from repro.core.parallel import (
     PointFailure,
     ResultCache,
@@ -43,25 +41,20 @@ from repro.core.parallel import (
     config_content_hash,
     run_configs,
 )
-from repro.core.pareto import pareto_frontier
 from repro.core.sweep import SweepGrid, SweepOutcome, run_sweep, sweep_outcome
 
 __all__ = [
     "AdaptivePlan",
     "ExperimentConfig",
     "ExperimentResult",
-    "LatencyPoint",
     "ModelPoint",
     "PointFailure",
-    "PowerAdaptivePlanner",
-    "PowerLatencyModel",
     "PowerThroughputModel",
     "ResultCache",
     "SweepExecutionError",
     "SweepGrid",
     "SweepOutcome",
     "config_content_hash",
-    "pareto_frontier",
     "run_configs",
     "run_sweep",
     "sweep_outcome",

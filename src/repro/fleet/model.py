@@ -8,7 +8,8 @@ performance Pareto frontier of device configurations under a power budget."
 :class:`~repro.core.model.PowerThroughputModel` per device (devices may
 repeat -- a storage server with 16 identical SSDs is 16 entries) and
 
-- composes the fleet-level Pareto frontier,
+- composes the fleet-level Pareto frontier from each model's
+  :meth:`~repro.core.model.PowerThroughputModel.throughput_frontier`,
 - allocates a fleet power budget across devices by greedy marginal
   throughput-per-watt, which is optimal along the concave hull of each
   device's frontier.
@@ -26,7 +27,6 @@ from typing import Optional, Sequence
 
 from repro._units import mib_per_s
 from repro.core.model import ModelPoint, PowerThroughputModel
-from repro.core.pareto import pareto_frontier
 from repro.fleet.api import DeviceView
 
 __all__ = ["FleetAllocation", "FleetModel"]
@@ -38,29 +38,25 @@ class FleetAllocation:
 
     Attributes:
         assignments: Chosen operating point per device slot (same order as
-            the fleet's models); ``None`` means the device could not be
-            given any point under the budget (treated as its minimum-power
-            point by the power accounting).
+            the fleet's models).
         total_power_w / total_throughput_bps: Fleet sums.
     """
 
-    assignments: tuple[Optional[ModelPoint], ...]
+    assignments: tuple[ModelPoint, ...]
     total_power_w: float
     total_throughput_bps: float
 
     @property
     def caps_w(self) -> tuple[float, ...]:
-        """Per-slot power caps (the chosen point's draw; 0.0 for an
-        unassigned slot), satisfying the ``BudgetSplit`` half of the
+        """Per-slot power caps (the chosen point's draw), satisfying the
+        ``BudgetSplit`` half of the
         :class:`~repro.fleet.api.BudgetAllocator` contract."""
-        return tuple(
-            0.0 if a is None else a.power_w for a in self.assignments
-        )
+        return tuple(a.power_w for a in self.assignments)
 
     def describe(self) -> str:
-        active = sum(1 for a in self.assignments if a is not None)
+        slots = len(self.assignments)
         return (
-            f"{active}/{len(self.assignments)} devices configured, "
+            f"{slots}/{slots} devices configured, "
             f"{self.total_power_w:.1f} W, "
             f"{mib_per_s(self.total_throughput_bps):.0f} MiB/s"
         )
@@ -90,7 +86,7 @@ class FleetModel:
     # -- frontier composition ------------------------------------------------
 
     def device_frontiers(self) -> list[list[ModelPoint]]:
-        return [pareto_frontier(m.points) for m in self.models]
+        return [m.throughput_frontier() for m in self.models]
 
     def allocate(
         self,

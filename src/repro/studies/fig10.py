@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._units import GiB, KiB
-from repro.core.adaptive import AdaptivePlan, PowerAdaptivePlanner
 from repro.core.experiment import ExperimentResult
-from repro.core.model import ModelPoint, PowerThroughputModel
+from repro.core.model import AdaptivePlan, PowerThroughputModel
 from repro.core.options import ExecutionOptions
 from repro.core.parallel import PointFailure, SweepExecutionError, run_configs
 from repro.core.reporting import ascii_scatter, format_table
@@ -102,21 +101,13 @@ class Fig10Result:
     models: dict[str, PowerThroughputModel]
     ssd1_plan: AdaptivePlan
 
-    def dynamic_range(self, device: str) -> float:
-        return self.models[device].dynamic_range_fraction
-
-    def throughput_floor(self, device: str) -> float:
-        return self.models[device].min_normalized_throughput
-
 
 def run(scale: StudyScale = DEFAULT, n_workers: int | None = 1) -> Fig10Result:
     models = {
         device: build_model(device, scale=scale, n_workers=n_workers)
         for device in DEVICE_STATES
     }
-    planner = PowerAdaptivePlanner(models["ssd1"])
-    plan = planner.plan_power_cut(0.20)
-    return Fig10Result(models=models, ssd1_plan=plan)
+    return Fig10Result(models=models, ssd1_plan=models["ssd1"].plan_power_cut(0.20))
 
 
 def render(result: Fig10Result) -> str:
@@ -149,9 +140,10 @@ def render(result: Fig10Result) -> str:
             ),
         ),
         (
-            f"SSD2 dynamic range {result.dynamic_range('ssd2'):.1%} "
+            "SSD2 dynamic range "
+            f"{result.models['ssd2'].dynamic_range_fraction:.1%} "
             "(paper: 59.4%); HDD throughput floor "
-            f"{result.throughput_floor('hdd'):.1%} (paper: ~4%)"
+            f"{result.models['hdd'].min_normalized_throughput:.1%} (paper: ~4%)"
         ),
         (
             "Worked example (paper section 3.3) -- SSD1 under a 20% power "

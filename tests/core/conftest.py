@@ -1,7 +1,7 @@
 """Shared fixtures for the core-model suites.
 
 The analytic-model tests (policies, pareto, latency, fleet) all need
-small hand-built power/throughput models.  Those used to live as
+small hand-built operating-point models.  Those used to live as
 module-level constants in each file; they are immutable and identical
 for every test, so they belong here as session-scoped fixtures: built
 once, shared everywhere, and impossible to shadow or mutate by accident
@@ -14,7 +14,6 @@ constants moved.
 
 import pytest
 
-from repro.core.latency_model import LatencyPoint
 from repro.core.model import ModelPoint, PowerThroughputModel
 from repro.core.redirection import StandbyProfile
 from repro.core.sweep import SweepPoint
@@ -27,16 +26,17 @@ def _model_point(power, tput, latency=1e-3, bs=4096, qd=1, ps=None):
         power_w=power,
         throughput_bps=tput,
         latency_p99_s=latency,
+        latency_mean_s=latency,
     )
 
 
 def _latency_point(power, mean_lat, p99, tput=100e6):
-    return LatencyPoint(
+    return ModelPoint(
         SweepPoint(IoPattern.RANDWRITE, 4096, 1, None),
         power_w=power,
-        mean_latency_s=mean_lat,
-        p99_latency_s=p99,
         throughput_bps=tput,
+        latency_p99_s=p99,
+        latency_mean_s=mean_lat,
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the adaptive planner and the fleet allocator.
+"""Tests for the model's power-cut plans and the fleet allocator.
 
 The shared four-state device model is the session-scoped
 ``adaptive_model`` fixture in ``tests/core/conftest.py``; the local
@@ -7,10 +7,9 @@ The shared four-state device model is the session-scoped
 
 import pytest
 
-from repro.core.adaptive import PowerAdaptivePlanner
-from repro.fleet.model import FleetModel
 from repro.core.model import ModelPoint, PowerThroughputModel
 from repro.core.sweep import SweepPoint
+from repro.fleet.model import FleetModel
 from repro.iogen.spec import IoPattern
 
 
@@ -20,13 +19,13 @@ def mk(power, tput, latency=1e-3):
         power_w=power,
         throughput_bps=tput,
         latency_p99_s=latency,
+        latency_mean_s=latency,
     )
 
 
 class TestPlanner:
     def test_plan_power_cut(self, adaptive_model):
-        planner = PowerAdaptivePlanner(adaptive_model)
-        plan = planner.plan_power_cut(0.20)  # budget 9.6 W -> 8 W point
+        plan = adaptive_model.plan_power_cut(0.20)  # budget 9.6 W -> 8 W point
         assert plan.power_w == 8.0
         assert plan.throughput_bps == 600e6
         assert plan.curtailed_bps == pytest.approx(400e6)
@@ -34,29 +33,29 @@ class TestPlanner:
 
     def test_plan_budget_with_slo(self):
         points = [mk(5.0, 100e6, 1e-3), mk(8.0, 900e6, 100e-3)]
-        planner = PowerAdaptivePlanner(PowerThroughputModel("d", points))
-        plan = planner.plan_power_budget(10.0, max_latency_p99_s=10e-3)
+        model = PowerThroughputModel("d", points)
+        plan = model.plan_power_budget(10.0, max_latency_p99_s=10e-3)
         assert plan.throughput_bps == 100e6
 
     def test_impossible_budget_raises(self, adaptive_model):
-        planner = PowerAdaptivePlanner(adaptive_model)
         with pytest.raises(ValueError):
-            planner.plan_power_budget(1.0)
+            adaptive_model.plan_power_budget(1.0)
 
-    def test_required_power_for_load(self, adaptive_model):
-        planner = PowerAdaptivePlanner(adaptive_model)
-        plan = planner.required_power_for_load(700e6)
-        assert plan.power_w == 10.0
+    def test_cheapest_point_serving_a_load(self, adaptive_model):
+        assert adaptive_model.cheapest_at_throughput(700e6).power_w == 10.0
 
-    def test_unservable_load_raises(self, adaptive_model):
-        planner = PowerAdaptivePlanner(adaptive_model)
-        with pytest.raises(ValueError):
-            planner.required_power_for_load(5e9)
+    def test_unservable_load_has_no_point(self, adaptive_model):
+        assert adaptive_model.cheapest_at_throughput(5e9) is None
 
     def test_describe_mentions_curtailment(self, adaptive_model):
-        planner = PowerAdaptivePlanner(adaptive_model)
-        plan = planner.plan_power_cut(0.20)
+        plan = adaptive_model.plan_power_cut(0.20)
         assert "curtail" in plan.describe()
+
+    def test_describe_text(self, adaptive_model):
+        assert adaptive_model.plan_power_cut(0.20).describe() == (
+            "apply randwrite bs=4k qd=1: 8.00 W (-33% power), 572 MiB/s, "
+            "curtail 381 MiB/s best-effort"
+        )
 
 
 class TestFleet:

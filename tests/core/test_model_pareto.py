@@ -1,8 +1,9 @@
-"""Tests for the power-throughput model and Pareto frontiers.
+"""Tests for the operating-point model: throughput and Pareto queries.
 
 The shared five-point model lives in ``tests/core/conftest.py`` as the
 session-scoped ``pareto_points`` fixture; the local ``mk`` helper stays
-for hypothesis-generated and ad hoc points.
+for hypothesis-generated and ad hoc points.  The latency queries are in
+the power-latency suite beside this file.
 """
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import ModelPoint, PowerThroughputModel
-from repro.core.pareto import dominates, pareto_frontier
 from repro.core.sweep import SweepPoint
 from repro.iogen.spec import IoPattern
 
@@ -21,7 +21,16 @@ def mk(power, tput, latency=1e-3, bs=4096, qd=1, ps=None):
         power_w=power,
         throughput_bps=tput,
         latency_p99_s=latency,
+        latency_mean_s=latency,
     )
+
+
+def dominates(a, b, score=lambda p: p.throughput_bps):
+    """Whether ``a`` Pareto-dominates ``b``: no more power and no worse
+    ``score`` (higher is better), strictly better in at least one."""
+    no_worse = a.power_w <= b.power_w and score(a) >= score(b)
+    strictly_better = a.power_w < b.power_w or score(a) > score(b)
+    return no_worse and strictly_better
 
 
 class TestModelBasics:
@@ -78,15 +87,15 @@ class TestModelQueries:
 
     def test_worked_example_math(self, pareto_points):
         model = PowerThroughputModel("dev", pareto_points)
-        best, curtailed = model.throughput_cost_of_power_cut(0.2)
+        plan = model.plan_power_cut(0.2)
         # Budget 11.2 W -> the 10 W / 900 MB point; curtail 10%.
-        assert best.power_w == 10.0
-        assert curtailed == pytest.approx(0.1)
+        assert plan.target.power_w == 10.0
+        assert plan.curtailed_bps / model.max_throughput_bps == pytest.approx(0.1)
 
     def test_impossible_cut_raises(self, pareto_points):
         model = PowerThroughputModel("dev", pareto_points)
         with pytest.raises(ValueError):
-            model.throughput_cost_of_power_cut(0.99)
+            model.plan_power_cut(0.99)
 
 
 class TestPareto:
@@ -96,16 +105,14 @@ class TestPareto:
         assert not dominates(mk(5, 100), mk(5, 100))
 
     def test_frontier_drops_dominated(self, pareto_points):
-        frontier = pareto_frontier(pareto_points)
+        frontier = PowerThroughputModel("dev", pareto_points).throughput_frontier()
         powers = [p.power_w for p in frontier]
         assert 12.0 not in powers
         assert powers == sorted(powers)
 
-    def test_frontier_of_empty(self):
-        assert pareto_frontier([]) == []
-
+    @pytest.mark.parametrize("axis", ["throughput", "latency"])
     @given(
-        st.lists(
+        raw=st.lists(
             st.tuples(
                 st.floats(min_value=0.1, max_value=100.0),
                 st.floats(min_value=1.0, max_value=1e9),
@@ -115,18 +122,25 @@ class TestPareto:
         )
     )
     @settings(max_examples=80, deadline=None)
-    def test_frontier_properties(self, raw):
+    def test_frontier_properties(self, axis, raw):
         """Properties: frontier members are mutually non-dominating, and
-        every dropped point is dominated by some frontier member."""
-        points = [mk(p, t) for p, t in raw]
-        frontier = pareto_frontier(points)
+        every dropped point is dominated by some frontier member.  Each
+        axis varies one metric and holds the other fixed."""
+        if axis == "throughput":
+            points = [mk(p, v) for p, v in raw]
+            frontier = PowerThroughputModel("dev", points).throughput_frontier()
+            score = lambda p: p.throughput_bps  # noqa: E731
+        else:
+            points = [mk(p, 1e6, latency=v * 1e-9) for p, v in raw]
+            frontier = PowerThroughputModel("dev", points).latency_frontier()
+            score = lambda p: -p.latency_p99_s  # noqa: E731
         for a in frontier:
             for b in frontier:
                 if a is not b:
-                    assert not dominates(a, b)
+                    assert not dominates(a, b, score)
         for point in points:
             if point not in frontier:
-                assert any(dominates(f, point) for f in frontier)
+                assert any(dominates(f, point, score) for f in frontier)
 
     @given(
         st.lists(

@@ -106,7 +106,7 @@ class TestRolloutPlanner:
 def _model():
     def mk(power, tput):
         return ModelPoint(
-            SweepPoint(IoPattern.RANDWRITE, 4096, 1, None), power, tput, 1e-3
+            SweepPoint(IoPattern.RANDWRITE, 4096, 1, None), power, tput, 1e-3, 1e-3
         )
 
     return PowerThroughputModel(

@@ -16,6 +16,7 @@ def mk(power, tput):
         power_w=power,
         throughput_bps=tput,
         latency_p99_s=1e-3,
+        latency_mean_s=1e-3,
     )
 
 

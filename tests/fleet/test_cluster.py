@@ -182,12 +182,14 @@ class TestRunFleet:
                     power_w=floor,
                     throughput_bps=50e6,
                     latency_p99_s=1e-3,
+                    latency_mean_s=1e-3,
                 ),
                 ModelPoint(
                     SweepPoint(IoPattern.RANDWRITE, 4096, 8, None),
                     power_w=ceiling,
                     throughput_bps=400e6,
                     latency_p99_s=2e-3,
+                    latency_mean_s=2e-3,
                 ),
             ]
             return PowerThroughputModel(label, points)

@@ -77,7 +77,6 @@ PUBLIC_API = (
     "PointState",
     "PolicySpec",
     "PolicySummary",
-    "PowerAdaptivePlanner",
     "PowerMeter",
     "PowerThroughputModel",
     "ProgressUpdate",

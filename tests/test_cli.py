@@ -482,6 +482,62 @@ class TestCommands:
         assert "## Fleet" in out
         assert "harvested" in out
 
+    @pytest.fixture
+    def planned_model(self, monkeypatch):
+        """Stand a two-point model in for ``plan``'s sweep."""
+        from repro.core.model import ModelPoint, PowerThroughputModel
+        from repro.core.sweep import SweepPoint
+        from repro.iogen.spec import IoPattern
+        from repro.studies import fig10
+
+        def mk(power, tput, p99):
+            return ModelPoint(
+                SweepPoint(IoPattern.RANDWRITE, 4096, 1, None),
+                power, tput, p99, p99,
+            )
+
+        model = PowerThroughputModel(
+            "ssd1", [mk(5.0, 100e6, 1e-3), mk(10.0, 1000e6, 2e-3)]
+        )
+        monkeypatch.setattr(fig10, "build_model", lambda device, scale: model)
+        return model
+
+    @pytest.mark.parametrize(
+        "flags, code, out",
+        [
+            (
+                ["--cut", "0.2"],
+                0,
+                "ssd1: model of 2 points, peak 10.00 W\n"
+                "power cut 20%: apply randwrite bs=4k qd=1: 5.00 W "
+                "(-50% power), 95 MiB/s, curtail 858 MiB/s best-effort",
+            ),
+            (["--cut", "0.9"], 1, "plan: ssd1: no configuration fits 1.00 W"),
+            (
+                ["--cut", "0.2", "--slo-p99-ms", "0.001"],
+                1,
+                "plan: ssd1: no configuration fits 8.00 W with p99 <= 0.001 ms",
+            ),
+        ],
+    )
+    def test_plan_on_a_stub_model(self, capsys, planned_model, flags, code, out):
+        """A plan, or one ``plan:`` line and exit 1 when nothing fits."""
+        assert main(["plan", "--device", "ssd1", *flags]) == code
+        assert capsys.readouterr().out == out + "\n"
+
+    @pytest.mark.parametrize("bad", ["1.5", "-0.1", "1", "nan", "x"])
+    def test_plan_rejects_a_bad_cut_before_any_sweep(self, capsys, monkeypatch, bad):
+        from repro.studies import fig10
+
+        def no_sweep(device, scale):
+            raise AssertionError("swept before checking --cut")
+
+        monkeypatch.setattr(fig10, "build_model", no_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--device", "ssd1", "--cut", bad])
+        assert exc.value.code == 2
+        assert "[0, 1)" in capsys.readouterr().err
+
     @pytest.mark.integration
     def test_plan(self, capsys):
         assert main(["plan", "--device", "ssd1", "--cut", "0.2"]) == 0

@@ -10,7 +10,6 @@ decimals.
 import pytest
 
 from repro._units import KiB
-from repro.core.adaptive import PowerAdaptivePlanner
 from repro.iogen.spec import IoPattern
 from repro.studies import fig10, fig4, fig6, fig7, proportionality, table1
 from repro.studies.common import QUICK, run_point
@@ -210,8 +209,8 @@ class TestFig10Model:
 
     def test_worked_example_direction(self, ssd2_model):
         """A 20 % power cut costs a disproportionate throughput share."""
-        __, curtailed = ssd2_model.throughput_cost_of_power_cut(0.20)
-        assert curtailed >= 0.2
+        plan = ssd2_model.plan_power_cut(0.20)
+        assert plan.curtailed_bps / ssd2_model.max_throughput_bps >= 0.2
 
     def test_ssd1_power_cut_curtails_load(self):
         """Section 3.3's worked example: SSD1 under a 20 % cut sheds load."""
@@ -221,7 +220,7 @@ class TestFig10Model:
             chunks=(256 * KiB, 2048 * KiB),
             depths=(1, 64),
         )
-        assert PowerAdaptivePlanner(model).plan_power_cut(0.20).curtailed_bps > 0
+        assert model.plan_power_cut(0.20).curtailed_bps > 0
 
 
 class TestMeterAccuracy:

@@ -166,3 +166,33 @@ class TestClaims:
         ]
         failing = [c.claim_id for c in results if not c.holds]
         assert not failing, claims.render(results)
+
+    def test_model_sweeps_get_the_worker_count(self, monkeypatch):
+        """``reproduce`` hands ``n_workers`` to ``claims.run``, which
+        forwards it to both Fig. 10 model sweeps."""
+        from repro.core.model import ModelPoint, PowerThroughputModel
+        from repro.core.sweep import SweepPoint
+        from repro.studies import fig10
+
+        swept = []
+
+        def build_model(device, scale, n_workers=1):
+            swept.append((device, n_workers))
+            point = SweepPoint(IoPattern.RANDWRITE, 4096, 1, None)
+            return PowerThroughputModel(
+                device,
+                [
+                    ModelPoint(point, 4.0, 4e6, 1e-3, 1e-3),
+                    ModelPoint(point, 10.0, 100e6, 1e-3, 1e-3),
+                ],
+            )
+
+        stub = claims.Claim("C0", "stub", "-", "-", True)
+        monkeypatch.setattr(fig10, "build_model", build_model)
+        monkeypatch.setattr(claims, "_meter_error_claim", lambda: stub)
+        monkeypatch.setattr(claims, "_hdd_standby_claim", lambda: (stub, stub))
+        monkeypatch.setattr(claims, "_evo_claim", lambda: stub)
+        monkeypatch.setattr(claims, "_pm1743_claim", lambda scale: stub)
+        rendered = reproduce("claims", QUICK, n_workers=3)
+        assert swept == [("ssd2", 3), ("hdd", 3)]
+        assert "60.0%" in rendered and "4.0%" in rendered
