@@ -52,7 +52,7 @@ from repro.faults import (
     SensorFaultSpec,
 )
 from repro.iogen.spec import IoPattern, JobSpec
-from repro.obs import MetricsCollector, NullTracer, RunProfiler, Tracer
+from repro.obs import MetricsCollector, NullTracer, Tracer
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -147,16 +147,19 @@ def _write_off():
     return _physics(_plain(WRITE))
 
 
-# -- obs: tracer, metrics collector, profiler ----------------------------
+# -- obs: tracer, metrics collector, per-point cost record ---------------
 
 
-def _traced(make_tracer, profiler=None, least_events=(0, 0)):
+def _traced(make_tracer, telemetry=False, least_events=(0, 0)):
     prints = []
     for grid, least in zip((READ, WRITE), least_events):
         tracer = make_tracer()
-        outcome = _sweep(grid, tracer=tracer, profiler=profiler)
+        outcome = _sweep(grid, tracer=tracer, telemetry=telemetry)
         events = len(tracer.events) if tracer is not None else 0
         _expect(events >= least, f"{events} trace events, expected at least {least}")
+        if telemetry:
+            profiled = len(outcome.telemetry.profile.points)
+            _expect(profiled == 4, f"{profiled} of 4 points profiled")
         prints.append(_physics(outcome.results))
     return prints
 
@@ -172,9 +175,10 @@ def _full_tracer():
 
 
 def _obs_on():
-    """Every observer attached.  The write grid must stay event-dense
-    (governor and cache events on top of IO), or it stresses nothing."""
-    return _traced(_full_tracer, RunProfiler(), least_events=(1, 4001))
+    """Every observer attached, the per-point cost record included.  The
+    write grid must stay event-dense (governor and cache events on top
+    of IO), or it stresses nothing."""
+    return _traced(_full_tracer, telemetry=True, least_events=(1, 4001))
 
 
 # -- faults --------------------------------------------------------------
@@ -280,7 +284,8 @@ def _telemetry(**options):
         outcome = _sweep(READ, n_workers, **options)
         spans = outcome.telemetry
         _expect(
-            spans.points == spans.count("done") == 4 and spans.sim_events > 0,
+            spans.points == spans.count("done") == 4
+            and spans.profile.total_sim_events > 0,
             f"telemetry on {n_workers} worker(s) missed points",
         )
         _expect(

@@ -56,6 +56,7 @@ chrome format loads directly in Perfetto (https://ui.perfetto.dev).
 from __future__ import annotations
 
 import argparse
+import math
 from typing import Optional, Sequence
 
 from repro._units import parse_size
@@ -98,6 +99,19 @@ def _cut_arg(value: str) -> float:
             f"power cut must be in [0, 1), got {value}"
         )
     return cut
+
+
+def _slo_ms_arg(value: str) -> float:
+    """Parse ``plan --slo-p99-ms``: a finite, positive latency in ms."""
+    try:
+        slo_ms = float(value)
+    except ValueError:
+        slo_ms = math.nan
+    if not (math.isfinite(slo_ms) and slo_ms > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite, positive number of ms, got {value!r}"
+        )
+    return slo_ms
 
 
 def _faults_arg(value: str):
@@ -567,16 +581,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="power reduction fraction in [0, 1) (default 0.2)",
     )
     plan_p.add_argument(
-        "--slo-p99-ms", type=float, default=None, help="latency SLO in ms"
+        "--slo-p99-ms", type=_slo_ms_arg, default=None, help="latency SLO in ms"
     )
     return parser
 
 
 class _ObsSession:
-    """Tracer + metrics + profiler bundle behind --trace/--metrics."""
+    """Tracer + metrics bundle behind --trace/--metrics."""
 
     def __init__(self, args: argparse.Namespace) -> None:
-        from repro.obs import MetricsCollector, RunProfiler, Tracer
+        from repro.obs import MetricsCollector, Tracer
 
         self.trace_path = args.trace
         self.trace_format = args.trace_format
@@ -584,7 +598,6 @@ class _ObsSession:
         self.enabled = bool(self.trace_path or self.metrics_path)
         self.tracer = None
         self.collector = None
-        self.profiler = None
         if not self.enabled:
             return
         # Keep the event buffer only if a trace file was asked for.
@@ -592,10 +605,10 @@ class _ObsSession:
         if self.metrics_path:
             self.collector = MetricsCollector()
             self.tracer.subscribe(self.collector)
-            self.profiler = RunProfiler()
 
-    def export(self, cache=None) -> list[str]:
-        """Write the requested files; returns human summary lines."""
+    def export(self, cache=None, profiler=None) -> list[str]:
+        """Write the requested files, the metrics file's ``profile``
+        section from ``profiler``; returns human summary lines."""
         from repro.obs import (
             write_chrome_trace,
             write_events_jsonl,
@@ -617,12 +630,12 @@ class _ObsSession:
             write_metrics_json(
                 self.collector.snapshot(),
                 self.metrics_path,
-                profile=self.profiler.snapshot() if self.profiler else None,
+                profile=profiler.snapshot() if profiler is not None else None,
                 cache=cache.stats.snapshot() if cache is not None else None,
             )
             notes.append(f"metrics: -> {self.metrics_path}")
-            if self.profiler is not None and self.profiler.points:
-                notes.append(f"profile: {self.profiler.describe()}")
+            if profiler is not None and profiler.points:
+                notes.append(f"profile: {profiler.describe()}")
         return notes
 
 
@@ -650,6 +663,8 @@ def _cmd_devices() -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
+    from repro.obs import RunProfiler
+
     job = JobSpec(
         pattern=IoPattern(args.rw),
         block_size=parse_size(args.bs),
@@ -658,6 +673,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
         size_limit_bytes=parse_size(args.size),
     )
     obs = _ObsSession(args)
+    profiler = RunProfiler() if obs.metrics_path else None
     fastpath = _fastpath_options(args)
     result = run_experiment(
         ExperimentConfig(
@@ -669,7 +685,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
             fastpath=fastpath,
         ),
         tracer=obs.tracer,
-        profiler=obs.profiler,
+        profiler=profiler,
     )
     lines = [result.summary()]
     if result.faults is not None:
@@ -677,7 +693,7 @@ def _cmd_run(args: argparse.Namespace) -> str:
     if result.fastpath is not None:
         lines.append(f"fastpath: {result.fastpath.describe()}")
     if obs.enabled:
-        lines.extend(obs.export())
+        lines.extend(obs.export(profiler=profiler))
     return "\n".join(lines)
 
 
@@ -740,13 +756,14 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
                 n_workers=args.workers,
                 cache_dir=cache if cache is not None else None,
                 tracer=obs.tracer,
-                profiler=obs.profiler,
                 timeout_s=args.timeout,
                 retries=args.retries,
                 checkpoint=checkpoint,
                 resume=args.resume,
                 fastpath=_fastpath_options(args),
-                telemetry=bool(args.progress or ledger is not None),
+                telemetry=bool(
+                    args.progress or args.metrics or ledger is not None
+                ),
                 ledger=ledger,
                 progress=progress,
             ),
@@ -799,7 +816,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     if summary_notes:
         blocks.append("\n".join(summary_notes))
     if obs.enabled:
-        blocks.append("\n".join(obs.export(cache=cache)))
+        profiler = outcome.telemetry.profile if args.metrics else None
+        blocks.append("\n".join(obs.export(cache=cache, profiler=profiler)))
     return "\n\n".join(blocks), 0 if outcome.ok else 1
 
 

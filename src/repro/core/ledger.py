@@ -33,6 +33,8 @@ import json
 from pathlib import Path
 from typing import List, Optional, Union
 
+from repro.obs.profile import PointProfile
+
 __all__ = ["RunLedger", "point_record", "run_record"]
 
 #: Schema tag written into every record; bump when shapes change.
@@ -138,7 +140,8 @@ def point_record(config, outcome, span=None) -> dict:
             or :class:`~repro.core.parallel.PointFailure`.
         span: The point's executor-side
             :class:`~repro.core.telemetry.PointSpan`, when telemetry was
-            recording (supplies status, attempts, wall time, events/sec).
+            recording: it supplies status and attempts, and its profile
+            wall time, events/sec and kernel events (zeros without one).
     """
     # Imported here, not at module top: the ledger is itself imported
     # lazily by the executor, but keep the one-way dependency anyway.
@@ -157,13 +160,14 @@ def point_record(config, outcome, span=None) -> dict:
         "iodepth": job.iodepth,
     }
     if span is not None:
+        profile = span.profile or PointProfile(span.label, 0.0, 0, 0.0)
         record.update(
             {
                 "status": span.status,
                 "attempts": span.attempts,
-                "wall_s": span.run_s,
-                "events_per_s": span.events_per_second,
-                "sim_events": span.sim_events,
+                "wall_s": profile.wall_s,
+                "events_per_s": profile.events_per_second,
+                "sim_events": profile.sim_events,
             }
         )
     if isinstance(outcome, PointFailure):

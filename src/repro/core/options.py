@@ -2,8 +2,8 @@
 
 :class:`ExecutionOptions` is one frozen value object holding everything
 about *how* a batch of experiments executes -- worker count, result
-cache, tracing, profiling, per-point timeouts, retries, checkpointing,
-resume, telemetry -- and it travels through every layer as a unit:
+cache, tracing, per-point timeouts, retries, checkpointing, resume,
+telemetry -- and it travels through every layer as a unit:
 
     options = ExecutionOptions(n_workers=4, cache_dir="cache", retries=1)
     results = run_sweep(grid, options)
@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from repro.obs.events import Tracer
-from repro.obs.profile import RunProfiler
 
 __all__ = ["ExecutionOptions", "require_options"]
 
@@ -37,9 +36,6 @@ class ExecutionOptions:
             hit/miss statistics).  Cached points are not re-run.
         tracer: Optional :class:`~repro.obs.events.Tracer` recording
             mechanism events (forces in-process execution; passive).
-        profiler: Optional :class:`~repro.obs.profile.RunProfiler`
-            collecting per-point wall-clock cost (pool workers ship their
-            per-point profiles back to it).
         timeout_s: Per-attempt wall-clock budget for one point; a worker
             still running at the deadline is killed and the point retried
             or reported as a timeout failure.
@@ -69,7 +65,8 @@ class ExecutionOptions:
             ``None`` keeps the fastpath machinery entirely unloaded and
             every point bit-identical to a build without it.
         telemetry: Collect executor-side telemetry (per-point lifecycle
-            spans, worker utilization, cache effectiveness) into a
+            spans with each point's cost, worker utilization and cache
+            effectiveness) into a
             :class:`~repro.core.telemetry.SweepTelemetry` attached to
             the :class:`~repro.core.sweep.SweepOutcome`.  Wall-clock
             only and strictly passive: results are bit-identical with
@@ -90,7 +87,6 @@ class ExecutionOptions:
     n_workers: Optional[int] = 1
     cache_dir: Optional[Union[str, Path, object]] = None
     tracer: Optional[Tracer] = None
-    profiler: Optional[RunProfiler] = None
     timeout_s: Optional[float] = None
     retries: int = 0
     checkpoint: Optional[Union[str, Path]] = None

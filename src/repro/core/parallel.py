@@ -34,15 +34,13 @@ is bit-identical on both paths.
 
 Telemetry note: when a
 :class:`~repro.core.telemetry.TelemetryRecorder` rides along (sweep
-telemetry, live progress, or a run ledger was requested), workers ship a
-compact :class:`~repro.obs.profile.PointProfile` back over the pipe next
-to each outcome, and the parent folds queue/dispatch timestamps into
-per-point lifecycle spans.  The recorder is wall-clock only and strictly
-passive: results are bit-identical with and without it (the telemetry
-row of ``benchmarks/zero_cost.py`` holds that line).  The same aux channel
-lets a parent :class:`~repro.obs.profile.RunProfiler` see pool execution:
-per-worker profiles merge back in submission order instead of forcing
-the whole batch in-process.
+telemetry, live progress, or a run ledger was requested), both paths
+measure each point through :func:`_run_config`: pool workers ship the
+point's :class:`~repro.obs.profile.PointProfile` back over the pipe next
+to its outcome, and the parent hands it to the point's lifecycle span
+with the queue/dispatch timestamps.  The recorder is wall-clock only and
+strictly passive: results are bit-identical with and without it (the
+telemetry row of ``benchmarks/zero_cost.py`` holds that line).
 
 Determinism note: parallel execution only matches sequential execution
 because per-point seeds are *process-stable* (derived via
@@ -73,7 +71,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.core.checkpoint import CheckpointJournal, PointState
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.core.options import ExecutionOptions, require_options
-from repro.obs.profile import RunProfiler
+from repro.obs.profile import PointProfile, RunProfiler
 
 __all__ = [
     "CacheStats",
@@ -384,36 +382,32 @@ def resolve_workers(n_workers: Optional[int]) -> int:
 
 
 def _run_config(
-    config: ExperimentConfig, tracer=None, profiler=None
-) -> Union[ExperimentResult, PointFailure]:
-    """Worker entry point: never raises, so one point cannot kill a batch."""
+    config: ExperimentConfig, tracer=None, measure: bool = False
+) -> tuple[Union[ExperimentResult, PointFailure], Optional[PointProfile]]:
+    """Run one point on either path; never raises, so one point cannot
+    kill a batch.
+
+    Returns ``(outcome, profile)``.  With ``measure`` the profile is the
+    point's :class:`~repro.obs.profile.PointProfile` (``None`` when it
+    raised); profiling is passive, so the outcome is bit-identical either
+    way.
+    """
+    profiler = RunProfiler() if measure else None
     try:
         if tracer is None and profiler is None:
-            # Plain call when untraced: keeps the entry point compatible
+            # Plain call when unobserved: keeps the entry point compatible
             # with single-argument stand-ins for run_experiment.
-            return run_experiment(config)
-        return run_experiment(config, tracer=tracer, profiler=profiler)
+            outcome = run_experiment(config)
+        else:
+            outcome = run_experiment(config, tracer=tracer, profiler=profiler)
     except Exception as exc:  # noqa: BLE001 - captured by design
         return PointFailure(
             config=config,
             error_type=type(exc).__name__,
             message=str(exc),
             traceback=traceback.format_exc(),
-        )
-
-
-def _run_config_aux(config: ExperimentConfig):
-    """Worker entry point that also returns the point's wall-clock profile.
-
-    The aux channel exists for pool-side telemetry and profiler merging:
-    the :class:`~repro.obs.profile.PointProfile` is four scalars and a
-    label, cheap to pickle back over the pipe, and profiling is passive,
-    so the outcome is bit-identical to :func:`_run_config`'s.
-    """
-    profiler = RunProfiler()
-    outcome = _run_config(config, profiler=profiler)
-    profile = profiler.points[-1] if profiler.points else None
-    return outcome, profile
+        ), None
+    return outcome, profiler.points[-1] if measure else None
 
 
 @dataclass
@@ -455,14 +449,14 @@ def _journal_final(
 # -- owned worker pool ------------------------------------------------------
 
 
-def _pipe_worker_main(conn, collect_aux: bool = False) -> None:
+def _pipe_worker_main(conn, measure: bool = False) -> None:
     """Worker loop: receive ``(index, config)`` tasks, send outcomes back.
 
-    Replies are ``(index, outcome, aux)`` where ``aux`` is the point's
-    :class:`~repro.obs.profile.PointProfile` when ``collect_aux`` is set
-    (telemetry or a parent profiler asked for it) and ``None`` otherwise.
-    ``None`` is the shutdown sentinel.  A vanished parent (EOF/OSError
-    on the pipe) just ends the loop — the worker has nobody to report to.
+    Replies are ``(index, outcome, profile)``, with the point's
+    :class:`~repro.obs.profile.PointProfile` when ``measure`` is set
+    (telemetry asked for it) and ``None`` otherwise.  ``None`` is the
+    shutdown sentinel.  A vanished parent (EOF/OSError on the pipe) just
+    ends the loop — the worker has nobody to report to.
     """
     try:
         while True:
@@ -470,11 +464,7 @@ def _pipe_worker_main(conn, collect_aux: bool = False) -> None:
             if task is None:
                 return
             index, config = task
-            if collect_aux:
-                outcome, aux = _run_config_aux(config)
-            else:
-                outcome, aux = _run_config(config), None
-            conn.send((index, outcome, aux))
+            conn.send((index, *_run_config(config, measure=measure)))
     except (EOFError, OSError):
         return
 
@@ -482,10 +472,10 @@ def _pipe_worker_main(conn, collect_aux: bool = False) -> None:
 class _WorkerSlot:
     """One owned worker process and its command pipe."""
 
-    def __init__(self, ctx, collect_aux: bool = False, worker_id: int = 0) -> None:
+    def __init__(self, ctx, measure: bool = False, worker_id: int = 0) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
-            target=_pipe_worker_main, args=(child_conn, collect_aux), daemon=True
+            target=_pipe_worker_main, args=(child_conn, measure), daemon=True
         )
         self.process.start()
         child_conn.close()
@@ -521,10 +511,7 @@ def _run_resilient(
     journal: Optional[CheckpointJournal],
     cache: Optional["ResultCache"] = None,
     recorder=None,
-    collect_aux: bool = False,
-) -> Optional[
-    tuple[Dict[int, Union[ExperimentResult, PointFailure]], Dict[int, object]]
-]:
+) -> Optional[Dict[int, Union[ExperimentResult, PointFailure]]]:
     """Run points on an owned worker pool that can kill and re-dispatch.
 
     The loop keeps every worker busy while work remains, terminates
@@ -536,18 +523,14 @@ def _run_resilient(
     the caller can fall back to in-process execution; a failure after
     that point never re-runs the batch.
 
-    With ``collect_aux``, workers return a per-point
-    :class:`~repro.obs.profile.PointProfile` next to each outcome; the
-    profiles of final attempts come back in the second mapping (index ->
-    profile) so the caller can merge them into a parent profiler in
-    submission order.  ``recorder`` (a
-    :class:`~repro.core.telemetry.TelemetryRecorder`) is fed dispatch,
-    retry, worker-lifecycle and terminal events; both are wall-clock
-    only and never touch the outcomes.
+    ``recorder`` (a :class:`~repro.core.telemetry.TelemetryRecorder`)
+    is fed dispatch, retry, worker-lifecycle and terminal events, the
+    last with the final attempt's profile, which workers measure only
+    when it is present; it is wall-clock only and never touches the
+    outcomes.
     """
     ctx = multiprocessing.get_context("fork")
     results: Dict[int, Union[ExperimentResult, PointFailure]] = {}
-    profiles: Dict[int, object] = {}
     queue = deque(tasks)
     delayed: List[tuple[float, int, _Attempt]] = []  # (ready_at, tiebreak, task)
     tiebreak = 0
@@ -555,7 +538,7 @@ def _run_resilient(
 
     def new_slot() -> _WorkerSlot:
         nonlocal next_worker_id
-        slot = _WorkerSlot(ctx, collect_aux, worker_id=next_worker_id)
+        slot = _WorkerSlot(ctx, recorder is not None, worker_id=next_worker_id)
         next_worker_id += 1
         if recorder is not None:
             recorder.worker_spawned(slot.worker_id)
@@ -601,14 +584,10 @@ def _run_resilient(
         else:
             give_up(task, error, message)
 
-    def finish_if_final(task: _Attempt, aux=None) -> None:
-        """Telemetry/aux bookkeeping once a point reached a terminal state."""
-        if task.index not in results:
-            return
-        if aux is not None:
-            profiles[task.index] = aux
-        if recorder is not None:
-            recorder.point_finished(task.index, results[task.index], aux)
+    def finish_if_final(task: _Attempt, profile=None) -> None:
+        """Telemetry bookkeeping once a point reached a terminal state."""
+        if recorder is not None and task.index in results:
+            recorder.point_finished(task.index, results[task.index], profile)
 
     def credit_attempt(slot: _WorkerSlot, now: float) -> None:
         if recorder is not None and slot.dispatched_at is not None:
@@ -689,7 +668,7 @@ def _run_resilient(
                     continue
                 if slot.conn in ready:
                     try:
-                        index, outcome, aux = slot.conn.recv()
+                        index, outcome, profile = slot.conn.recv()
                     except (EOFError, OSError):
                         # Hard crash mid-point (segfault, OOM kill,
                         # os._exit): the pipe breaks before a result.
@@ -722,7 +701,7 @@ def _run_resilient(
                             outcome.message,
                             final=outcome,
                         )
-                        finish_if_final(task, aux)
+                        finish_if_final(task, profile)
                         continue
                     if cache is not None:
                         # Persist before journaling DONE: resume trusts
@@ -730,7 +709,7 @@ def _run_resilient(
                         cache.put(task.config, outcome)
                     results[index] = outcome
                     _journal_final(journal, task, outcome)
-                    finish_if_final(task, aux)
+                    finish_if_final(task, profile)
                 elif slot.deadline is not None and now >= slot.deadline:
                     slot.task = None
                     credit_attempt(slot, now)
@@ -752,7 +731,7 @@ def _run_resilient(
                 slot.kill()
             if recorder is not None:
                 recorder.worker_retired(slot.worker_id)
-    return results, profiles
+    return results
 
 
 def run_configs(
@@ -770,8 +749,8 @@ def run_configs(
             with this sequence regardless of worker completion order.
         options: An :class:`~repro.core.options.ExecutionOptions`
             (anything else raises :class:`TypeError`).  Its
-            ``n_workers``/``cache_dir``/``tracer``/``profiler`` fields map
-            onto the execution knobs documented there; ``timeout_s`` and
+            ``n_workers``/``cache_dir``/``tracer`` fields map onto the
+            execution knobs documented there; ``timeout_s`` and
             ``retries`` build a :class:`RetryPolicy` unless an explicit
             ``policy`` is given, and ``checkpoint``/``resume`` open a
             journal for the duration of the call unless an explicit
@@ -825,7 +804,6 @@ def run_configs(
             n_workers=opts.n_workers,
             cache=cache,
             tracer=opts.tracer,
-            profiler=opts.profiler,
             policy=policy,
             journal=journal,
             recorder=recorder,
@@ -848,24 +826,12 @@ def run_configs(
     return outcomes
 
 
-def _merge_profiles(profiler, aux_profiles) -> None:
-    """Fold worker-side point profiles into a parent profiler.
-
-    Called with profiles in submission order so a pooled run reports the
-    same profiler contents (up to timing noise) as an in-process run.
-    """
-    for aux in aux_profiles:
-        if aux is not None:
-            profiler.record(aux.label, aux.wall_s, aux.sim_events, aux.sim_time_s)
-
-
 def _run_pending_inprocess(
     pending: List[_Attempt],
     policy: Optional[RetryPolicy],
     journal: Optional[CheckpointJournal],
     cache: Optional[ResultCache],
     tracer,
-    profiler,
     recorder,
 ) -> List[Union[ExperimentResult, PointFailure]]:
     """Run the pending points in this process, in submission order.
@@ -880,18 +846,13 @@ def _run_pending_inprocess(
     for task in pending:
         if recorder is not None:
             recorder.point_dispatched(task.index)
-        point_profiler = profiler
-        if recorder is not None and profiler is None:
-            # Telemetry wants per-point run cost even when the caller
-            # did not ask for a profiler; profiling is passive, so the
-            # scratch profiler cannot change the outcome.
-            point_profiler = RunProfiler()
-        before = len(point_profiler.points) if point_profiler is not None else 0
         while True:
             task.attempt += 1
             if journal is not None:
                 journal.record(task.key, PointState.IN_FLIGHT, attempt=task.attempt)
-            outcome = _run_config(task.config, tracer=tracer, profiler=point_profiler)
+            outcome, profile = _run_config(
+                task.config, tracer, measure=recorder is not None
+            )
             if isinstance(outcome, ExperimentResult):
                 if cache is not None:
                     cache.put(task.config, outcome)
@@ -909,11 +870,6 @@ def _run_pending_inprocess(
             time.sleep(backoff_delay(task.key, task.attempt, policy))
         _journal_final(journal, task, outcome)
         if recorder is not None:
-            profile = (
-                point_profiler.points[-1]
-                if len(point_profiler.points) > before
-                else None
-            )
             recorder.point_finished(task.index, outcome, profile)
         fresh.append(outcome)
     return fresh
@@ -925,7 +881,6 @@ def _execute_configs(
     n_workers: Optional[int],
     cache: Optional[ResultCache],
     tracer,
-    profiler,
     policy: Optional[RetryPolicy],
     journal: Optional[CheckpointJournal],
     recorder=None,
@@ -936,10 +891,8 @@ def _execute_configs(
     (failures are never cached).  One worker, one pending point or a
     tracer runs in-process (tracer events cannot cross a process
     boundary in order); every other batch, and every resilient policy,
-    runs on the owned pool.  A profiler does not force in-process
-    execution: pool workers ship their per-point profiles back and the
-    parent merges them in submission order.  Results are identical on
-    both paths (that equivalence is under test).
+    runs on the owned pool.  Results are identical on both paths (that
+    equivalence is under test).
     """
     workers = resolve_workers(n_workers)
     outcomes: List[Union[ExperimentResult, PointFailure, None]] = [None] * len(configs)
@@ -979,19 +932,13 @@ def _execute_configs(
             journal,
             cache,
             recorder=recorder,
-            collect_aux=profiler is not None or recorder is not None,
         )
     if pooled is None:
         fresh = _run_pending_inprocess(
-            pending, policy, journal, cache, tracer, profiler, recorder
+            pending, policy, journal, cache, tracer, recorder
         )
     else:
-        by_index, aux_by_index = pooled
-        fresh = [by_index[task.index] for task in pending]
-        if profiler is not None:
-            _merge_profiles(
-                profiler, (aux_by_index.get(task.index) for task in pending)
-            )
+        fresh = [pooled[task.index] for task in pending]
     for task, outcome in zip(pending, fresh):
         outcomes[task.index] = outcome
     return outcomes  # type: ignore[return-value]

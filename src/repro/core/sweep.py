@@ -185,8 +185,8 @@ def sweep_outcome(
         grid: The sweep specification.
         options: An :class:`~repro.core.options.ExecutionOptions` bundling
             every execution setting: worker count, result cache, tracing,
-            profiling, per-point timeouts, retries, checkpointing and
-            resume.  Omit it for the defaults (one in-process worker, no
+            per-point timeouts, retries, checkpointing, resume and
+            telemetry.  Omit it for the defaults (one in-process worker, no
             cache); anything other than an ``ExecutionOptions`` raises
             :class:`TypeError`.  Results are identical for any worker
             count — points are independent and deterministic from their

@@ -19,10 +19,11 @@ The model mirrors the obs layer's house rules:
   unless :class:`~repro.core.options.ExecutionOptions` asked for
   telemetry, a ledger, or progress reporting; the executor's default
   paths carry a ``None`` recorder and pay one ``is not None`` test.
-- **Compact wire format.**  Pool workers ship one
-  :class:`~repro.obs.profile.PointProfile` per attempt back over the
-  existing pipe protocol -- four scalars and a label, not an event
-  stream.
+- **One cost record.**  Each span carries its point's
+  :class:`~repro.obs.profile.PointProfile`, measured the same way on
+  both executor paths; pool workers ship it back over the existing pipe
+  protocol beside each outcome -- four scalars and a label, not an event
+  stream.  :attr:`SweepTelemetry.profile` aggregates them.
 
 Vocabulary:
 
@@ -41,10 +42,10 @@ Vocabulary:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.obs.profile import PointProfile
+from repro.obs.profile import PointProfile, RunProfiler
 
 __all__ = [
     "PointSpan",
@@ -88,14 +89,12 @@ class PointSpan:
             ``timeout`` or ``crashed``.
         attempts: Dispatch count (> 1 means the point was retried).
         queue_wait_s: Enqueue to first dispatch (scheduling latency).
-        run_s: Worker-side wall time inside ``run_experiment`` for the
-            final attempt (0.0 when unknown, e.g. a crashed attempt).
         total_s: Enqueue to terminal outcome, parent-side (includes
             queueing, retries and backoff).
-        sim_events: Kernel events the final attempt processed.
-        sim_time_s: Final simulated clock of the final attempt.
         worker: Pool worker slot that ran the final attempt (``None``
             for in-process execution and cache hits).
+        profile: The final attempt's run cost inside ``run_experiment``
+            (``None`` for cache hits and attempts that did not finish).
     """
 
     index: int
@@ -104,18 +103,9 @@ class PointSpan:
     status: str
     attempts: int = 1
     queue_wait_s: float = 0.0
-    run_s: float = 0.0
     total_s: float = 0.0
-    sim_events: int = 0
-    sim_time_s: float = 0.0
     worker: Optional[int] = None
-
-    @property
-    def events_per_second(self) -> float:
-        """Simulator throughput of the final attempt (0 when unknown)."""
-        if self.run_s <= 0:
-            return 0.0
-        return self.sim_events / self.run_s
+    profile: Optional[PointProfile] = None
 
     def describe(self) -> str:
         extra = f" x{self.attempts}" if self.attempts > 1 else ""
@@ -217,21 +207,11 @@ class SweepTelemetry:
         return sum(max(0, span.attempts - 1) for span in self.spans)
 
     @property
-    def executed_wall_s(self) -> float:
-        """Worker-side seconds spent inside ``run_experiment``."""
-        return sum(span.run_s for span in self.spans)
-
-    @property
-    def sim_events(self) -> int:
-        return sum(span.sim_events for span in self.spans)
-
-    @property
-    def events_per_second(self) -> float:
-        """Aggregate simulator throughput over the executed points."""
-        wall = self.executed_wall_s
-        if wall <= 0:
-            return 0.0
-        return self.sim_events / wall
+    def profile(self) -> RunProfiler:
+        """The spans' run costs, in submission order, as one profiler."""
+        profiler = RunProfiler()
+        profiler.points = [s.profile for s in self.spans if s.profile is not None]
+        return profiler
 
     @property
     def mean_queue_wait_s(self) -> float:
@@ -249,9 +229,10 @@ class SweepTelemetry:
         return min(1.0, sum(w.busy_s for w in self.workers) / alive)
 
     def slowest(self, n: int = 5) -> Tuple[PointSpan, ...]:
-        """The ``n`` most expensive executed points by run time."""
-        executed = [s for s in self.spans if s.status != "cached"]
-        return tuple(sorted(executed, key=lambda s: -s.run_s)[:n])
+        """The ``n`` most expensive points by run time (cache hits and
+        unfinished attempts have no profile and are left out)."""
+        measured = [s for s in self.spans if s.profile is not None]
+        return tuple(sorted(measured, key=lambda s: -s.profile.wall_s)[:n])
 
     def incidents(self) -> Tuple[PointSpan, ...]:
         """Spans that retried, timed out, crashed, or failed."""
@@ -272,31 +253,10 @@ class SweepTelemetry:
         field-wise (hit_rate is recomputed).
         """
         offset = max((s.index for s in self.spans), default=-1) + 1
-        shifted = tuple(
-            PointSpan(
-                index=s.index + offset,
-                key=s.key,
-                label=s.label,
-                status=s.status,
-                attempts=s.attempts,
-                queue_wait_s=s.queue_wait_s,
-                run_s=s.run_s,
-                total_s=s.total_s,
-                sim_events=s.sim_events,
-                sim_time_s=s.sim_time_s,
-                worker=s.worker,
-            )
-            for s in other.spans
-        )
+        shifted = tuple(replace(s, index=s.index + offset) for s in other.spans)
         worker_offset = max((w.worker for w in self.workers), default=-1) + 1
         shifted_workers = tuple(
-            WorkerStats(
-                worker=w.worker + worker_offset,
-                attempts=w.attempts,
-                busy_s=w.busy_s,
-                alive_s=w.alive_s,
-            )
-            for w in other.workers
+            replace(w, worker=w.worker + worker_offset) for w in other.workers
         )
         cache = None
         if self.cache is not None or other.cache is not None:
@@ -324,14 +284,15 @@ class SweepTelemetry:
             for status in POINT_STATUSES
             if self.count(status)
         }
+        profile = self.profile
         return {
             "points": self.points,
             "by_status": by_status,
             "retries": self.retries,
             "wall_s": self.wall_s,
-            "executed_wall_s": self.executed_wall_s,
-            "sim_events": self.sim_events,
-            "events_per_second": self.events_per_second,
+            "executed_wall_s": profile.total_wall_s,
+            "sim_events": profile.total_sim_events,
+            "events_per_second": profile.events_per_second,
             "mean_queue_wait_s": self.mean_queue_wait_s,
             "utilization": self.utilization,
             "workers": [
@@ -353,7 +314,7 @@ class SweepTelemetry:
             f"{self.points} point(s)",
             f"{self.count('cached')} cached",
             f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}",
-            f"{self.events_per_second:,.0f} ev/s",
+            f"{self.profile.events_per_second:,.0f} ev/s",
         ]
         if self.workers:
             parts.append(f"pool util {self.utilization:.0%}")
@@ -443,8 +404,7 @@ class TelemetryRecorder:
         record = self._points[index]
         record.status = point_status(outcome)
         record.finished_at = self._clock()
-        if profile is not None:
-            record.profile = profile
+        record.profile = profile
         attempts = getattr(outcome, "attempts", None)
         if attempts is not None:
             record.attempts = max(record.attempts, attempts)
@@ -496,7 +456,6 @@ class TelemetryRecorder:
         record = self._points.get(index)
         if record is None or record.status is None:
             return None
-        profile = record.profile
         dispatched = (
             record.dispatched_at
             if record.dispatched_at is not None
@@ -514,11 +473,9 @@ class TelemetryRecorder:
             status=record.status,
             attempts=max(1, record.attempts) if record.status != "cached" else 1,
             queue_wait_s=max(0.0, dispatched - record.enqueued_at),
-            run_s=profile.wall_s if profile is not None else 0.0,
             total_s=max(0.0, finished - record.enqueued_at),
-            sim_events=profile.sim_events if profile is not None else 0,
-            sim_time_s=profile.sim_time_s if profile is not None else 0.0,
             worker=record.worker,
+            profile=record.profile,
         )
 
     def finalize(self, cache=None) -> SweepTelemetry:

@@ -2,23 +2,25 @@
 
 Tracing and metrics (:mod:`repro.obs.events`, :mod:`repro.obs.metrics`)
 observe *simulated* time; this module observes the *simulator itself*:
-how long each sweep point took to run, how many kernel events it
-processed, and how the result cache behaved.  That is the telemetry a
-production deployment watches to know whether the hot path regressed;
-the obs row of ``benchmarks/zero_cost.py`` attaches it beside a full
-tracer and holds the physics bit-identical.
+how long each experiment took to run and how many kernel events it
+processed or fast-forwarded.  :class:`PointProfile` is the one per-point
+cost record, and :meth:`RunProfiler.clock` the one clock it is read
+from (perfbench swaps in its reference clock there).
 
-The profiler is fed by :func:`repro.core.experiment.run_experiment`
-(pass ``profiler=``) and by the in-process path of
-:func:`repro.core.parallel.run_configs`; it is wall-clock-only and never
-touches simulation state, so profiling is as passive as tracing.
+:func:`repro.core.experiment.run_experiment` fills a profiler passed as
+``profiler=`` (``repro run --metrics`` does).  A sweep run with
+executor telemetry measures every point the same way, on either
+executor path, and keeps its profile on the point's
+:class:`~repro.core.telemetry.PointSpan`;
+:attr:`~repro.core.telemetry.SweepTelemetry.profile` gathers them into
+one :class:`RunProfiler`.  Profiling is wall-clock-only and never
+touches simulation state, so it is as passive as tracing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["PointProfile", "RunProfiler"]
 
@@ -118,10 +120,6 @@ class RunProfiler:
             self.total_sim_events + self.total_sim_events_fast_forwarded
         ) / wall
 
-    def slowest(self, n: int = 5) -> list[PointProfile]:
-        """The ``n`` most expensive points by wall time."""
-        return sorted(self.points, key=lambda p: -p.wall_s)[:n]
-
     def snapshot(self) -> dict:
         """JSON-ready summary for :func:`repro.obs.export.write_metrics_json`."""
         return {
@@ -159,18 +157,3 @@ class RunProfiler:
                 f"({self.effective_events_per_second:,.0f} effective ev/s)"
             )
         return text
-
-
-def maybe_record(
-    profiler: Optional[RunProfiler],
-    label: str,
-    wall_s: float,
-    sim_events: int,
-    sim_time_s: float,
-    sim_events_fast_forwarded: int = 0,
-) -> None:
-    """Record into ``profiler`` if one is present (runner convenience)."""
-    if profiler is not None:
-        profiler.record(
-            label, wall_s, sim_events, sim_time_s, sim_events_fast_forwarded
-        )

@@ -47,7 +47,7 @@ class TestExecutionOptions:
         assert opts.n_workers == 1
         assert opts.cache_dir is None
         assert opts.tracer is None
-        assert opts.profiler is None
+        assert opts.telemetry is False
         assert opts.timeout_s is None
         assert opts.retries == 0
         assert opts.checkpoint is None

@@ -83,11 +83,13 @@ class TestPointRecord:
 
     def test_span_supplies_execution_fields(self, quick_result):
         from repro.core.telemetry import PointSpan
+        from repro.obs.profile import PointProfile
 
         config, result = quick_result
+        profile = PointProfile(config.describe(), wall_s=0.5,
+                               sim_events=1000, sim_time_s=0.01)
         span = PointSpan(index=0, key="k", label=config.describe(),
-                         status="done", attempts=2, run_s=0.5,
-                         sim_events=1000)
+                         status="done", attempts=2, profile=profile)
         record = point_record(config, result, span=span)
         assert record["key"] == "k"
         assert record["attempts"] == 2

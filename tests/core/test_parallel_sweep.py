@@ -407,39 +407,33 @@ class TestRunConfigs:
 
 
 class TestPooledProfiler:
-    """The profiler works *across* the process pool: per-worker point
-    profiles ship back over the pipe and merge into the parent profiler
-    in submission order (it used to silently force in-process)."""
+    """Per-point run costs work *across* the process pool: each worker
+    ships its point's profile back over the pipe onto the point's
+    telemetry span, in submission order (profiling once forced the
+    whole batch in-process)."""
 
     def test_pooled_profiles_merge_in_submission_order(self):
         import warnings
 
-        from repro.obs.profile import RunProfiler
-
         grid = small_grid()
         configs = [grid.config_for(p) for p in grid.points()]
-        profiler = RunProfiler()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any fallback warning fails
-            outcomes = run_configs(
-                configs,
-                ExecutionOptions(n_workers=2, profiler=profiler),
+            outcome = sweep_outcome(
+                grid, ExecutionOptions(n_workers=2, telemetry=True)
             )
-        assert len(outcomes) == len(configs)
-        assert [p.label for p in profiler.points] == [
-            c.describe() for c in configs
-        ]
-        assert all(p.wall_s > 0 for p in profiler.points)
-        assert all(p.sim_events > 0 for p in profiler.points)
+        profiles = [span.profile for span in outcome.telemetry.spans]
+        assert len(outcome.results) == len(configs)
+        assert [p.label for p in profiles] == [c.describe() for c in configs]
+        assert all(p.wall_s > 0 for p in profiles)
+        assert all(p.sim_events > 0 for p in profiles)
 
     def test_pooled_profiler_is_passive(self):
-        from repro.obs.profile import RunProfiler
-
         grid = small_grid()
         configs = [grid.config_for(p) for p in grid.points()]
         plain = run_configs(configs, ExecutionOptions(n_workers=2))
         profiled = run_configs(
-            configs, ExecutionOptions(n_workers=2, profiler=RunProfiler())
+            configs, ExecutionOptions(n_workers=2, telemetry=True)
         )
         for a, b in zip(plain, profiled):
             assert a.mean_power_w == b.mean_power_w

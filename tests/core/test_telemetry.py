@@ -14,6 +14,7 @@ from repro.core.telemetry import (
     point_status,
 )
 from repro.iogen.spec import IoPattern, JobSpec
+from repro.obs.profile import PointProfile
 
 
 class FakeClock:
@@ -94,7 +95,7 @@ class TestRecorderLifecycle:
         span = recorder.span(0)
         assert span.status == "cached"
         assert span.attempts == 1
-        assert span.run_s == 0.0
+        assert span.profile is None
 
     def test_unfinished_point_has_no_span(self):
         recorder = TelemetryRecorder(clock=FakeClock())
@@ -165,10 +166,14 @@ class TestProgress:
 
 def _span(index, status="done", attempts=1, run_s=1.0, sim_events=100,
           worker=None):
+    profile = (
+        None
+        if status == "cached"
+        else PointProfile(f"pt{index}", run_s, sim_events, sim_time_s=0.01)
+    )
     return PointSpan(
         index=index, key=f"k{index}", label=f"pt{index}", status=status,
-        attempts=attempts, run_s=run_s, total_s=run_s,
-        sim_events=sim_events, worker=worker,
+        attempts=attempts, total_s=run_s, worker=worker, profile=profile,
     )
 
 
@@ -186,8 +191,8 @@ class TestSweepTelemetry:
         assert telemetry.count("done") == 1
         assert telemetry.count("cached") == 1
         assert telemetry.retries == 2
-        assert telemetry.sim_events == 200
-        assert telemetry.events_per_second == pytest.approx(100.0)
+        assert telemetry.profile.total_sim_events == 200
+        assert telemetry.profile.events_per_second == pytest.approx(100.0)
         assert [s.index for s in telemetry.incidents()] == [2]
 
     def test_slowest_excludes_cache_hits(self):
@@ -272,8 +277,8 @@ class TestSweepIntegration:
         telemetry = telemetered.telemetry
         assert telemetry.points == 2
         assert telemetry.count("done") == 2
-        assert telemetry.sim_events > 0
-        assert all(s.run_s > 0 for s in telemetry.spans)
+        assert telemetry.profile.total_sim_events > 0
+        assert all(s.profile.wall_s > 0 for s in telemetry.spans)
         for point, result in plain.results.items():
             other = telemetered.results[point]
             assert other.mean_power_w == result.mean_power_w
@@ -287,7 +292,7 @@ class TestSweepIntegration:
         second = sweep_outcome(_tiny_grid(), opts)
         assert second.telemetry.count("cached") == 2
         assert second.telemetry.cache["hits"] == 2
-        assert second.telemetry.executed_wall_s == 0.0
+        assert second.telemetry.profile.total_wall_s == 0.0
 
     def test_progress_callback_via_options(self):
         updates = []

@@ -87,7 +87,7 @@ class TestTracerOffEquivalence:
         )
         plain = run_sweep(grid)
         traced = run_sweep(
-            grid, ExecutionOptions(tracer=Tracer(), profiler=RunProfiler())
+            grid, ExecutionOptions(tracer=Tracer(), telemetry=True)
         )
         assert list(traced) == list(plain)
         for point in plain:

@@ -538,6 +538,19 @@ class TestCommands:
         assert exc.value.code == 2
         assert "[0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf", "x"])
+    def test_plan_rejects_a_bad_slo_before_any_sweep(self, capsys, monkeypatch, bad):
+        from repro.studies import fig10
+
+        def no_sweep(device, scale):
+            raise AssertionError("swept before checking --slo-p99-ms")
+
+        monkeypatch.setattr(fig10, "build_model", no_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--device", "ssd1", "--cut", "0.2", "--slo-p99-ms", bad])
+        assert exc.value.code == 2
+        assert "finite, positive number of ms" in capsys.readouterr().err
+
     @pytest.mark.integration
     def test_plan(self, capsys):
         assert main(["plan", "--device", "ssd1", "--cut", "0.2"]) == 0
