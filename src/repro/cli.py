@@ -702,7 +702,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
 
     from repro.core.checkpoint import CheckpointJournal
     from repro.core.options import ExecutionOptions
-    from repro.core.parallel import ResultCache
+    from repro.core.parallel import ResultCache, resolve_workers
     from repro.core.reporting import format_table
     from repro.core.sweep import SweepGrid, sweep_outcome
     from repro.iogen.spec import (
@@ -808,6 +808,16 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         )
     if outcome.telemetry is not None:
         summary_notes.append(f"executor: {outcome.telemetry.describe()}")
+    if (
+        obs.enabled
+        and resolve_workers(args.workers) > 1
+        and len(outcome.results) + len(outcome.failures) > 1
+    ):
+        summary_notes.append(
+            "workers: --trace and --metrics run the points in this process "
+            "(their events cannot cross from a worker process), so "
+            f"--workers {args.workers or 'all'} went unused"
+        )
     if ledger is not None:
         summary_notes.append(
             f"ledger: -> {ledger} (render with `repro report --cache "

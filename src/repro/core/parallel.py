@@ -890,8 +890,9 @@ def _execute_configs(
     ``cache`` reads/writes results keyed by :func:`config_content_hash`
     (failures are never cached).  One worker, one pending point or a
     tracer runs in-process (tracer events cannot cross a process
-    boundary in order); every other batch, and every resilient policy,
-    runs on the owned pool.  Results are identical on both paths (that
+    boundary in order; a tracer warns when that keeps a batch off the
+    pool); every other batch, and every resilient policy, runs on the
+    owned pool.  Results are identical on both paths (that
     equivalence is under test).
     """
     workers = resolve_workers(n_workers)
@@ -921,6 +922,14 @@ def _execute_configs(
                 "tracing forces in-process execution; per-point "
                 "timeouts cannot be enforced without a worker "
                 "process to kill",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        if workers > 1 and len(pending) > 1:
+            warnings.warn(
+                f"tracing forces in-process execution: {len(pending)} points "
+                f"run in this process, not on {workers} workers (tracer "
+                "events cannot cross a process boundary in order)",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -37,7 +37,7 @@ class IOKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IORequest:
     """One host IO.
 
@@ -51,15 +51,27 @@ class IORequest:
     offset: int
     nbytes: int
 
-    def __post_init__(self) -> None:
-        if self.offset < 0:
+    def __init__(self, kind: IOKind, offset: int, nbytes: int) -> None:
+        # Written out (init=False): the fio workers build one request per
+        # simulated IO, and the generated __init__ (three
+        # object.__setattr__ calls, then __post_init__) costs about twice
+        # what setting the slots through their descriptors does.
+        if offset < 0:
             raise ValueError("offset must be non-negative")
-        if self.nbytes <= 0:
+        if nbytes <= 0:
             raise ValueError("nbytes must be positive")
+        _set_kind(self, kind)
+        _set_offset(self, offset)
+        _set_nbytes(self, nbytes)
 
     @property
     def end(self) -> int:
         return self.offset + self.nbytes
+
+
+_set_kind = IORequest.kind.__set__
+_set_offset = IORequest.offset.__set__
+_set_nbytes = IORequest.nbytes.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +177,11 @@ class StorageDevice(abc.ABC):
         event's entry, or an ``on_done`` entry in the same queue position."""
         engine = self.engine
         request = io.request
-        self.record_completion(request)
+        self.ios_completed += 1
+        if request.kind is IOKind.READ:
+            self.bytes_read += request.nbytes
+        else:
+            self.bytes_written += request.nbytes
         tracer = engine.tracer
         if tracer.enabled:
             tracer.emit(
@@ -213,15 +229,6 @@ class StorageDevice(abc.ABC):
         """Process generator: return to the active/idle state."""
         raise NotImplementedError(f"{self.name} has no standby mode")
         yield  # pragma: no cover
-
-    # -- accounting -------------------------------------------------------------
-
-    def record_completion(self, request: IORequest) -> None:
-        self.ios_completed += 1
-        if request.kind is IOKind.READ:
-            self.bytes_read += request.nbytes
-        else:
-            self.bytes_written += request.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

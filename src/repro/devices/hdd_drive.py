@@ -211,7 +211,8 @@ class SimulatedHDD(StorageDevice):
     # -- host-facing IO -----------------------------------------------------
 
     def _submit(self, request: IORequest, done, on_done) -> None:
-        self.check_request(request)
+        if request.offset + request.nbytes > self._capacity_bytes:
+            self.check_request(request)  # raises, naming the range
         self.engine.call_soon(self._io_start, _HddIO(request, done, on_done))
 
     def _io_start(self, io: _HddIO) -> None:

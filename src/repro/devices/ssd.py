@@ -62,7 +62,12 @@ class _HostIO(HostIO):
     __slots__ = ("pages_left", "next_lpn")
 
     def __init__(self, request: IORequest, done, on_done) -> None:
-        super().__init__(request, done, on_done)
+        # HostIO's fields, set here: a super().__init__ call per IO costs
+        # more than the four stores.
+        self.request = request
+        self.done = done
+        self.on_done = on_done
+        self.submit_time = 0.0
         self.pages_left = 0
 
 
@@ -296,6 +301,9 @@ class SimulatedSSD(StorageDevice):
         self._inflight_ios = 0
         self._link_xfer_component = f"{config.name}.link.xfer"
         self._wave_avg_w = config.power_wave_w * config.power_wave_duty
+        # _non_nand_power's last value and the rail's draw_changes it saw.
+        self._budget_stamp = -1
+        self._budget_other_w = 0.0
         # Hot-path config scalars, hoisted out of the chained dataclass
         # attribute lookups the per-IO handlers would otherwise repeat.
         self._page_size = config.geometry.page_size
@@ -363,7 +371,12 @@ class SimulatedSSD(StorageDevice):
         regime where a cap binds -- and merely conservative below it.
         """
         rail = self.rail
-        return (
+        if rail.draw_changes == self._budget_stamp:
+            # No draw moved since the last admission check (a third of
+            # them on the mechanism sweep): the same value again.
+            return self._budget_other_w
+        self._budget_stamp = rail.draw_changes
+        self._budget_other_w = other = (
             rail.total_watts
             - rail.draw_of_prefix("die")
             - rail.draw_of_prefix("chan")
@@ -371,6 +384,7 @@ class SimulatedSSD(StorageDevice):
             - rail.draw_of(self._link_xfer_component)
             + self._wave_avg_w
         )
+        return other
 
     def _governed_op_power(self, kind: OpKind) -> float:
         """Effective committed power of one governed array operation.
@@ -528,7 +542,8 @@ class SimulatedSSD(StorageDevice):
     # are the array's handler-form operations.
 
     def _submit(self, request: IORequest, done, on_done) -> None:
-        self.check_request(request)
+        if request.offset + request.nbytes > self._capacity_bytes:
+            self.check_request(request)  # raises, naming the range
         self.engine.call_soon(self._io_start, _HostIO(request, done, on_done))
 
     def _io_start(self, io: "_HostIO") -> None:
@@ -541,7 +556,7 @@ class SimulatedSSD(StorageDevice):
         if self._resident is not None and not self._resident.operational:
             drive_inline(self._wake(), self._io_command, io)
         else:
-            self._io_command(io)
+            self.cores.request_call(self._on_core, io)
 
     def _io_command(self, io: "_HostIO") -> None:
         """Occupy a controller core for the command, drawing core power."""
@@ -578,7 +593,7 @@ class SimulatedSSD(StorageDevice):
         request = io.request
         page_size = self._page_size
         io.next_lpn = first = request.offset // page_size
-        io.pages_left = (request.end - 1) // page_size - first + 1
+        io.pages_left = (request.offset + request.nbytes - 1) // page_size - first + 1
         call_soon = self.engine.call_soon
         for _ in range(io.pages_left):
             call_soon(self._page_start, io)
@@ -587,9 +602,10 @@ class SimulatedSSD(StorageDevice):
         lpn = io.next_lpn
         io.next_lpn = lpn + 1
         request = io.request
+        offset = request.offset
         page_start = lpn * self._page_size
-        nbytes = min(request.end, page_start + self._page_size) - max(
-            request.offset, page_start
+        nbytes = min(offset + request.nbytes, page_start + self._page_size) - max(
+            offset, page_start
         )
         ppn = self.page_map.lookup(lpn)
         if ppn is None:
@@ -640,24 +656,20 @@ class SimulatedSSD(StorageDevice):
             return
         self._buffer_used += nbytes
         self.wear.record_host_write(nbytes)
-        self._stage_mapped_lpns(request)
+        # Stage the LPNs this write fully covers for mapping updates.
         page_size = self._page_size
+        offset = request.offset
+        logical_pages = self._logical_pages
+        staged = self._staged_lpns
+        for lpn in range(-(-offset // page_size), (offset + nbytes) // page_size):
+            if lpn < logical_pages:
+                staged.append(lpn)
         self._pending_program_bytes += nbytes
         while self._pending_program_bytes >= page_size:
             self._pending_program_bytes -= page_size
             self.engine.call_soon(self._program_start, None)
         # Residual bytes stay buffered until later writes complete the page.
         self._io_complete(io)
-
-    def _stage_mapped_lpns(self, request: IORequest) -> None:
-        """Queue LPNs fully covered by this write for mapping updates."""
-        page_size = self._page_size
-        first_full = -(-request.offset // page_size)  # ceil div
-        last_full = request.end // page_size  # exclusive
-        logical_pages = self._logical_pages
-        for lpn in range(first_full, last_full):
-            if lpn < logical_pages:
-                self._staged_lpns.append(lpn)
 
     def _buffer_release(self, nbytes: int) -> None:
         """Free buffer space and retry every parked writer, oldest first.

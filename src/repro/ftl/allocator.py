@@ -68,15 +68,13 @@ class WriteAllocator:
         self.geometry = geometry
         self.gc_reserve_blocks = gc_reserve_blocks
         # block_id enumerates (die, plane, block) in order, so ids are
-        # contiguous per die: die d owns [d * bpd, (d + 1) * bpd).  Bulk
-        # construction from ranges replaces the triple nested loop -- the
-        # allocator is rebuilt for every experiment, which made __init__
-        # itself a measurable slice of short benchmark runs.
+        # contiguous per die: die d owns [d * bpd, (d + 1) * bpd).  A
+        # block's BlockInfo is made when the block is first opened (None
+        # until then): the allocator is rebuilt for every experiment, and
+        # a short run opens few of its thousands of blocks.
         blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
-        self.blocks: list[BlockInfo] = [
-            BlockInfo(block_id, block_id // blocks_per_die)
-            for block_id in range(geometry.total_blocks)
-        ]
+        self._blocks_per_die = blocks_per_die
+        self.blocks: list[Optional[BlockInfo]] = [None] * geometry.total_blocks
         self._free_per_die: list[Deque[int]] = [
             deque(range(die * blocks_per_die, (die + 1) * blocks_per_die))
             for die in range(geometry.total_dies)
@@ -98,7 +96,14 @@ class WriteAllocator:
         return len(self._free_per_die[die_index])
 
     def block_of_ppn(self, ppn: int) -> BlockInfo:
-        return self.blocks[ppn // self.geometry.pages_per_block]
+        return self._block(ppn // self.geometry.pages_per_block)
+
+    def _block(self, block_id: int) -> BlockInfo:
+        block = self.blocks[block_id]
+        if block is None:
+            block = BlockInfo(block_id, block_id // self._blocks_per_die)
+            self.blocks[block_id] = block
+        return block
 
     # -- allocation -----------------------------------------------------------
 
@@ -115,9 +120,10 @@ class WriteAllocator:
                 the device-level caller must run garbage collection first.
         """
         if die_index is None:
-            for _ in range(self.geometry.total_dies):
+            total_dies = self.geometry.total_dies
+            for _ in range(total_dies):
                 candidate = self._rr_die
-                self._rr_die = (self._rr_die + 1) % self.geometry.total_dies
+                self._rr_die = (candidate + 1) % total_dies
                 if self._die_has_space(candidate, for_gc):
                     die_index = candidate
                     break
@@ -140,7 +146,7 @@ class WriteAllocator:
             return True
         if not self._free_per_die[die_index]:
             return False
-        return for_gc or self.free_blocks > self.gc_reserve_blocks
+        return for_gc or self._free_total > self.gc_reserve_blocks
 
     def _open_block(self, die_index: int) -> BlockInfo:
         open_id = self._open_per_die[die_index]
@@ -150,7 +156,7 @@ class WriteAllocator:
             raise RuntimeError(f"die {die_index} has no free blocks")
         block_id = self._free_per_die[die_index].popleft()
         self._free_total -= 1
-        block = self.blocks[block_id]
+        block = self._block(block_id)
         if block.state is not BlockState.FREE:
             raise AssertionError(f"block {block_id} in free list but {block.state}")
         block.state = BlockState.OPEN
@@ -163,13 +169,14 @@ class WriteAllocator:
 
     def mark_invalid(self, ppn: int) -> None:
         """Mark a physical page stale (after an overwrite or TRIM)."""
-        block = self.block_of_ppn(ppn)
-        page_offset = ppn % self.geometry.pages_per_block
-        block.valid.discard(page_offset)
+        pages_per_block = self.geometry.pages_per_block
+        block = self.blocks[ppn // pages_per_block]
+        if block is not None:  # a never-opened block holds no valid page
+            block.valid.discard(ppn % pages_per_block)
 
     def erase(self, block_id: int) -> None:
         """Return a FULL block with no valid pages to the free pool."""
-        block = self.blocks[block_id]
+        block = self._block(block_id)
         if block.state is BlockState.OPEN:
             raise ValueError(f"cannot erase open block {block_id}")
         if block.valid:
@@ -182,7 +189,9 @@ class WriteAllocator:
         self._free_total += 1
 
     def victim_candidates(self) -> list[BlockInfo]:
-        """FULL blocks, cheapest victims (fewest valid pages) first."""
-        fulls = [b for b in self.blocks if b.state is BlockState.FULL]
+        """FULL blocks, cheapest victims (fewest valid pages) first; ties
+        stay in block-id order."""
+        full = BlockState.FULL
+        fulls = [b for b in self.blocks if b is not None and b.state is full]
         fulls.sort(key=lambda b: b.valid_count)
         return fulls

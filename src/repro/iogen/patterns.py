@@ -67,7 +67,8 @@ class RandomOffsets(OffsetGenerator):
     """Uniformly random aligned offsets (with replacement, like fio's default).
 
     Draws slots in batches from the supplied numpy generator to amortize
-    RNG overhead across the millions of IOs a sweep issues.
+    RNG overhead across the millions of IOs a sweep issues, and turns each
+    batch into a list of byte offsets at once.
     """
 
     _BATCH = 4096
@@ -81,18 +82,21 @@ class RandomOffsets(OffsetGenerator):
     ) -> None:
         super().__init__(region_offset, region_bytes, block_size)
         self._rng = rng
-        self._batch: np.ndarray = np.empty(0, dtype=np.int64)
+        self._batch: list[int] = []
+        self._cursor = 0
+
+    def _draw_batch(self) -> None:
+        slots = self._rng.integers(0, self.slots, size=self._BATCH, dtype=np.int64)
+        self._batch = (self.region_offset + slots * self.block_size).tolist()
         self._cursor = 0
 
     def next_offset(self) -> int:
-        if self._cursor >= len(self._batch):
-            self._batch = self._rng.integers(
-                0, self.slots, size=self._BATCH, dtype=np.int64
-            )
-            self._cursor = 0
-        slot = int(self._batch[self._cursor])
-        self._cursor += 1
-        return self.region_offset + slot * self.block_size
+        cursor = self._cursor
+        if cursor >= len(self._batch):
+            self._draw_batch()
+            cursor = 0
+        self._cursor = cursor + 1
+        return self._batch[cursor]
 
     def skip(self, n: int) -> None:
         # Mirrors n next_offset() calls exactly: the same batches are
@@ -103,10 +107,7 @@ class RandomOffsets(OffsetGenerator):
         while n > 0:
             available = len(self._batch) - self._cursor
             if available == 0:
-                self._batch = self._rng.integers(
-                    0, self.slots, size=self._BATCH, dtype=np.int64
-                )
-                self._cursor = 0
+                self._draw_batch()
                 continue
             take = available if available < n else n
             self._cursor += take

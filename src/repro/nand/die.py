@@ -34,6 +34,9 @@ from repro.sim.resources import Resource
 
 __all__ = ["NandArray", "NandDie"]
 
+#: Pulse placements drawn per batch (see ``NandArray._on_program_admitted``).
+_PLACEMENT_BATCH = 256
+
 
 class NandDie:
     """One flash die: a single-server queue with op-dependent service.
@@ -196,6 +199,9 @@ class NandArray:
         self._erase_s = timings.duration(OpKind.ERASE)
         self._governor = None
         self._program_commit_w = self._erase_commit_w = 0.0
+        # Pulse placements drawn ahead, next one last (see
+        # _on_program_admitted).
+        self._placements: list[float] = []
 
     def set_governor(self, governor, program_w: float, erase_w: float) -> None:
         """Admit every program and erase through ``governor``.
@@ -319,7 +325,17 @@ class NandArray:
     def _on_program_admitted(self, op: _PageOp) -> None:
         die = op.die
         if die._pulsed_programs:
-            op.t_before = float(die._rng.uniform(0.0, die._prog_span))
+            placements = self._placements
+            if not placements:
+                # Every die of the array shares one rng (the SSD's
+                # ``{name}.nand`` stream) and one placement span, and pulse
+                # placement is the stream's only consumer: a batch drawn
+                # ahead hands each program the value a scalar
+                # ``uniform(0.0, span)`` draw at its admission would.
+                placements = self._placements = die._rng.uniform(
+                    0.0, die._prog_span, size=_PLACEMENT_BATCH
+                ).tolist()[::-1]
+            op.t_before = placements.pop()
             op.phase = 0
             self._program_phase(op)
             return

@@ -10,12 +10,21 @@ simulated measurement chain then observes through the shunt resistor.
 
 from __future__ import annotations
 
-from typing import Optional
+import operator
+from typing import Callable, Optional
 
 from repro.sim.engine import Engine
 from repro.sim.trace import StepTrace
 
 __all__ = ["PowerRail"]
+
+
+def _values_getter(keys: list[str]) -> Callable[[dict], tuple]:
+    """``d -> tuple(d[k] for k in keys)``, as one C call where it can be
+    (``itemgetter`` returns a bare value for one key and takes none)."""
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)
+    return lambda d: tuple(map(d.__getitem__, keys))
 
 
 class PowerRail:
@@ -36,12 +45,16 @@ class PowerRail:
         self.name = name
         self._draws: dict[str, float] = {}
         self._total = 0.0
-        # Memoized prefix -> matching component names (insertion order).
-        # The component set only ever grows, so each cached list stays
-        # valid until a new component appears; the count stamp detects
-        # that cheaply.  Governor feedback reads prefix sums on every
-        # admission decision, which made the naive scan a sweep hot spot.
-        self._prefix_members: dict[str, list[str]] = {}
+        #: Count of draw changes so far: a reader that caches a value
+        #: derived from the draws recomputes it only when this moved.
+        self.draw_changes = 0
+        # Memoized prefix -> getter of the matching components' draws, in
+        # insertion order (the order each first drew non-zero power).  The
+        # component set only ever grows, so each getter stays valid until
+        # a new component appears; the count stamp detects that cheaply.
+        # Governor feedback reads prefix sums on every admission decision,
+        # which made the naive scan a sweep hot spot.
+        self._prefix_getters: dict[str, Callable[[dict], tuple]] = {}
         self._prefix_stamp = 0
         # Optional per-component shadow accounting (energy-conservation
         # validation).  None by default: the hot path pays one load +
@@ -86,6 +99,7 @@ class PowerRail:
         if watts == previous:
             return
         draws[component] = watts
+        self.draw_changes += 1
         total = self._total + (watts - previous)
         # Guard against float drift accumulating into tiny negatives.
         if -1e-9 < total < 0:
@@ -130,6 +144,7 @@ class PowerRail:
         if watts == previous:
             return
         draws[component] = watts
+        self.draw_changes += 1
         total = self._total + (watts - previous)
         if -1e-9 < total < 0:
             total = 0.0
@@ -168,18 +183,18 @@ class PowerRail:
         """
         draws = self._draws
         if len(draws) != self._prefix_stamp:
-            self._prefix_members.clear()
+            self._prefix_getters.clear()
             self._prefix_stamp = len(draws)
-        members = self._prefix_members.get(prefix)
-        if members is None:
+        getter = self._prefix_getters.get(prefix)
+        if getter is None:
             # Insertion order, exactly like scanning draws.items(): the
             # cached path must sum the same floats in the same order so
             # results stay bit-identical to the naive scan.
             members = [name for name in draws if name.startswith(prefix)]
-            self._prefix_members[prefix] = members
-        # map() keeps the same left-to-right float additions as the naive
-        # scan without a generator frame per element.
-        return sum(map(draws.__getitem__, members))
+            getter = self._prefix_getters[prefix] = _values_getter(members)
+        # One C call gathers the draws; sum() then makes the same
+        # left-to-right float additions as the naive scan.
+        return sum(getter(draws))
 
     def mean_power(self, t_start: Optional[float] = None, t_end: Optional[float] = None) -> float:
         """Ground-truth time-weighted mean power over a window.

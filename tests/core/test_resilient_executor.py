@@ -236,3 +236,15 @@ class TestResilientEquivalence:
             )
         assert isinstance(outcome, ExperimentResult)
         assert tracer.events  # the run really was traced
+
+    def test_tracing_a_pooled_batch_warns_and_runs_in_process(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer(keep_events=True)
+        with pytest.warns(RuntimeWarning, match="2 points run in this process"):
+            outcomes = run_configs(
+                [quick_config(), quick_config(iodepth=8)],
+                ExecutionOptions(n_workers=2, tracer=tracer),
+            )
+        assert all(isinstance(o, ExperimentResult) for o in outcomes)
+        assert tracer.events  # both points ran in this process, traced

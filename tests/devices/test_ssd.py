@@ -3,6 +3,8 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._units import KiB
 from repro.devices.base import IOKind, IORequest
@@ -317,6 +319,94 @@ class TestRunEnd:
         gc.collect()
         assert {name: rail.draw_of(name) for name in rail._draws} == draws
         assert rail.trace._times == times and rail.trace._values == values
+
+
+def _scanned_budget(device) -> float:
+    """``_non_nand_power`` by a scan of the rail's component names, in
+    insertion order: ``total - sum(die) - sum(chan) - sum(wave) - link +
+    wave_avg``."""
+    rail = device.rail
+    draws = rail.components()
+
+    def scan(prefix):
+        return sum([watts for name, watts in draws.items() if name.startswith(prefix)])
+
+    return (
+        rail.total_watts
+        - scan("die")
+        - scan("chan")
+        - scan("nand.wave")
+        - draws.get(f"{device.name}.link.xfer", 0.0)
+        + device._wave_avg_w
+    )
+
+
+# Dies, channels, the wave and the link, other components, and names that
+# first draw during the test (one per prefix, one matching none).
+_BUDGET_COMPONENTS = (
+    "die0", "die3", "die7", "chan0.xfer", "chan2.xfer", "nand.wave",
+    "tiny.link.xfer", "ctrl.active", "dram",
+    "die_spare", "chan9.xfer", "nand.wave.extra", "misc",
+)
+_BUDGET_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("set"),
+            st.sampled_from(_BUDGET_COMPONENTS),
+            st.floats(0.0, 4.0, allow_nan=False),
+        ),
+        st.tuples(
+            st.just("add"),
+            st.sampled_from(_BUDGET_COMPONENTS),
+            st.floats(0.0, 2.0, allow_nan=False),
+        ),
+        st.tuples(st.just("zero"), st.sampled_from(_BUDGET_COMPONENTS)),
+        st.tuples(st.just("query")),
+    ),
+    max_size=60,
+)
+
+
+class TestAdmissionBudget:
+    """The governor's budget input equals the name scan it replaced, bit
+    for bit, through draw changes, first draws and repeated queries."""
+
+    @staticmethod
+    def _device():
+        return SimulatedSSD(
+            Engine(), tiny_ssd_config(power_wave_w=0.5), rng=RngStreams(0)
+        )
+
+    def test_repeated_query_and_first_draw(self):
+        device = self._device()
+        rail = device.rail
+        rail.add_draw("die0", 0.3)
+        rail.add_draw("chan1.xfer", 0.2)
+        first = device._non_nand_power()
+        # No draw changes in between (nor does re-setting a draw).
+        rail.set_draw("die0", 0.3)
+        assert device._non_nand_power().hex() == first.hex()
+        assert first.hex() == _scanned_budget(device).hex()
+        # A component's first draw, then a query right after it.
+        rail.add_draw("die_spare", 0.7)
+        assert device._non_nand_power().hex() == _scanned_budget(device).hex()
+        rail.set_draw("nand.wave", 0.11)
+        assert device._non_nand_power().hex() == _scanned_budget(device).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_BUDGET_OPS)
+    def test_budget_equals_the_name_scan(self, ops):
+        device = self._device()
+        rail = device.rail
+        for op in ops + [("query",)]:
+            if op[0] == "set":
+                rail.set_draw(op[1], op[2])
+            elif op[0] == "add":
+                rail.add_draw(op[1], op[2])
+            elif op[0] == "zero":
+                rail.add_draw(op[1], -rail.draw_of(op[1]))
+            else:
+                assert device._non_nand_power().hex() == _scanned_budget(device).hex()
 
 
 def _overwrite_four_times(power_state: int) -> dict:

@@ -1,8 +1,10 @@
 """Tests for log-structured write allocation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ftl.allocator import BlockState, WriteAllocator
+from repro.ftl.allocator import BlockInfo, BlockState, WriteAllocator
 from repro.nand.geometry import NandGeometry
 
 GEOMETRY = NandGeometry(
@@ -142,3 +144,103 @@ class TestValidityAndErase:
                 break
             seen_blocks.add(allocator.block_of_ppn(ppn).block_id)
         assert block_id in seen_blocks
+
+
+class _EagerAllocator(WriteAllocator):
+    """The reference: every block's BlockInfo made up front, as the
+    allocator did before it made each one when the block first opens."""
+
+    def __init__(self, geometry, gc_reserve_blocks=2):
+        super().__init__(geometry, gc_reserve_blocks)
+        blocks_per_die = geometry.planes_per_die * geometry.blocks_per_plane
+        self.blocks = [
+            BlockInfo(block_id, block_id // blocks_per_die)
+            for block_id in range(geometry.total_blocks)
+        ]
+
+
+LAZY_GEOMETRY = NandGeometry(
+    channels=2,
+    dies_per_channel=2,
+    planes_per_die=1,
+    blocks_per_plane=3,
+    pages_per_block=2,
+    page_size=4096,
+)
+
+_OPS = st.lists(
+    st.one_of(
+        # Round-robin (None) or pinned allocation, host or GC.
+        st.tuples(
+            st.just("allocate"),
+            st.none() | st.integers(0, LAZY_GEOMETRY.total_dies - 1),
+            st.booleans(),
+        ),
+        # Invalidate an allocated page (by index), or any page.
+        st.tuples(st.just("invalidate_allocated"), st.integers(0, 1000)),
+        st.tuples(
+            st.just("invalidate"), st.integers(0, LAZY_GEOMETRY.total_pages - 1)
+        ),
+        # Erase an empty FULL block (by index), or any block.
+        st.tuples(st.just("erase_empty"), st.integers(0, 1000)),
+        st.tuples(
+            st.just("erase"), st.integers(0, LAZY_GEOMETRY.total_blocks - 1)
+        ),
+        st.tuples(st.just("victims")),
+    ),
+    max_size=80,
+)
+
+
+def _apply(allocator, op, allocated, empties):
+    """Run one op; return what it returned or raised, comparably."""
+    kind = op[0]
+    try:
+        if kind == "allocate":
+            return allocator.allocate(die_index=op[1], for_gc=op[2])
+        if kind == "invalidate_allocated":
+            allocator.mark_invalid(allocated[op[1] % len(allocated)])
+        elif kind == "invalidate":
+            allocator.mark_invalid(op[1])
+        elif kind == "erase_empty":
+            allocator.erase(empties[op[1] % len(empties)])
+        elif kind == "erase":
+            allocator.erase(op[1])
+        else:
+            return [(b.block_id, b.valid_count) for b in allocator.victim_candidates()]
+    except (RuntimeError, ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestLazyBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, reserve=st.integers(0, 3))
+    def test_lazy_allocator_matches_eager(self, ops, reserve):
+        lazy = WriteAllocator(LAZY_GEOMETRY, gc_reserve_blocks=reserve)
+        eager = _EagerAllocator(LAZY_GEOMETRY, gc_reserve_blocks=reserve)
+        allocated = []
+        for op in ops:
+            empties = [
+                b.block_id for b in eager.victim_candidates() if b.valid_count == 0
+            ]
+            if (op[0] == "invalidate_allocated" and not allocated) or (
+                op[0] == "erase_empty" and not empties
+            ):
+                continue
+            expected = _apply(eager, op, allocated, empties)
+            assert _apply(lazy, op, allocated, empties) == expected, op
+            if op[0] == "allocate" and isinstance(expected, int):
+                allocated.append(expected)
+            assert lazy.free_blocks == eager.free_blocks
+        assert [
+            (b.block_id, b.valid_count) for b in lazy.victim_candidates()
+        ] == [(b.block_id, b.valid_count) for b in eager.victim_candidates()]
+
+    def test_blocks_are_made_when_first_opened(self):
+        allocator = WriteAllocator(GEOMETRY)
+        assert allocator.blocks == [None] * GEOMETRY.total_blocks
+        ppn = allocator.allocate()
+        opened = [b for b in allocator.blocks if b is not None]
+        assert [b.block_id for b in opened] == [allocator.block_of_ppn(ppn).block_id]
+        assert allocator.victim_candidates() == []

@@ -134,6 +134,48 @@ class TestProgramPulse:
             NandDie(engine, rail, 0, TIMINGS, POWER, pulse_ratio=2.0, pulse_fraction=0.9)
 
 
+class TestPulsePlacementBatch:
+    def test_batched_placements_equal_per_program_draws(self, engine):
+        from repro.devices.catalog import ssd_pm1743
+        from repro.nand.die import _PLACEMENT_BATCH
+
+        config = ssd_pm1743()
+        geometry = config.geometry
+        array = NandArray(
+            engine,
+            PowerRail(engine),
+            geometry,
+            config.timings,
+            config.nand_power,
+            channel_bandwidth=config.channel_bandwidth,
+            channel_transfer_power_w=config.channel_transfer_power_w,
+            pulse_ratio=config.program_pulse_ratio,
+            pulse_fraction=config.program_pulse_fraction,
+            rng=np.random.default_rng(11),
+        )
+        # Each pulsed program's placement, in admission (= draw) order.
+        placements = []
+        program_phase = array._program_phase
+
+        def record(op):
+            if op.phase == 0:
+                placements.append(op.t_before)
+            program_phase(op)
+
+        array._program_phase = record
+        programs = 2 * _PLACEMENT_BATCH + 37
+        for i in range(programs):
+            die, page = i % geometry.total_dies, i // geometry.total_dies
+            array.program_call(die * geometry.pages_per_die + page, lambda _: None)
+        engine.run()
+        assert sum(die.programs for die in array.dies) == programs
+        span = array.dies[0]._prog_span
+        scalar = np.random.default_rng(11)
+        assert [t.hex() for t in placements] == [
+            float(scalar.uniform(0.0, span)).hex() for _ in range(programs)
+        ]
+
+
 class TestChannel:
     def test_partial_page_read_transfers_fewer_bytes(self, engine):
         array = make_array(engine)

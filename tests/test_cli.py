@@ -343,6 +343,19 @@ class TestCommands:
         completed = payload["metrics"]["io.completed"]
         assert sum(v["value"] for v in completed.values()) > 0
 
+    def test_traced_sweep_says_its_points_ran_in_process(self, capsys, tmp_path):
+        argv = [
+            "sweep", "--device", "ssd3", "--rw", "randread", "--bs", "16k",
+            "--iodepth", "1", "--iodepth", "8", "--workers", "2",
+            "--runtime", "0.01", "--size", "1M",
+            "--metrics", str(tmp_path / "m.json"),
+        ]
+        with pytest.warns(RuntimeWarning, match="2 points run in this process"):
+            assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "workers: --trace and --metrics run the points in this process" in out
+        assert "--workers 2 went unused" in out
+
     def test_sweep_chrome_trace_round_trip(self, capsys, tmp_path):
         trace = tmp_path / "sweep.trace.json"
         metrics = tmp_path / "sweep.metrics.json"
