@@ -29,7 +29,6 @@ from repro.core.options import ExecutionOptions
 from repro.core.parallel import (
     PointFailure,
     ResultCache,
-    RetryPolicy,
     SweepExecutionError,
     run_configs,
 )
@@ -176,7 +175,6 @@ __all__ = [
     "RedirectionDecision",
     "RedirectionPolicy",
     "ResultCache",
-    "RetryPolicy",
     "RngStreams",
     "RunLedger",
     "RunProfiler",

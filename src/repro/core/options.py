@@ -43,8 +43,9 @@ class ExecutionOptions:
         checkpoint: Path of a
             :class:`~repro.core.checkpoint.CheckpointJournal` recording
             point lifecycle.
-        resume: Continue an interrupted sweep; requires both
-            ``cache_dir`` and ``checkpoint``.
+        resume: Continue an interrupted sweep: the checkpoint journal
+            is appended to, not truncated.  A sweep also requires
+            ``cache_dir`` and ``checkpoint`` with it.
         validate: Run the :mod:`repro.validate` invariant checkers over
             the completed results.  :func:`~repro.core.sweep.sweep_outcome`
             attaches the report to the outcome;

@@ -6,41 +6,44 @@ points out across worker processes must (and does) reproduce the
 sequential results bit for bit.  This module provides the execution
 substrate the sweep layer, the figure studies and the CLI share:
 
-- :func:`run_configs` — run a batch of :class:`ExperimentConfig` across
-  ``n_workers`` processes, preserving submission order in the returned
-  list no matter which worker finishes first;
+- :func:`run_configs` — run a batch of :class:`ExperimentConfig` as one
+  :class:`~repro.core.options.ExecutionOptions` says, preserving
+  submission order in the returned list no matter which worker finishes
+  first;
 - :class:`PointFailure` — per-point error capture: one failing point
   reports its config and exception instead of killing the whole batch;
 - :class:`ResultCache` — an optional on-disk cache keyed by a stable
   content hash of the config, so re-runs of overlapping grids skip
-  already-computed points;
-- :class:`RetryPolicy` — resilient execution: per-point wall-clock
-  timeouts, bounded retries with exponential backoff and deterministic
-  jitter.
+  already-computed points.
 
-A batch runs on one of two paths.  One worker, one pending point or a
-tracer runs in-process (tracer events cannot cross a process boundary in
-order).  Every other batch runs on an owned pool of forked workers, each
-connected by a pipe: a worker still running at its deadline is
-``terminate()``-d and replaced, and a worker that dies mid-point (segfault,
-OOM kill, ``os._exit``) costs only that point, which is retried or
-reported as a :class:`WorkerCrashError` failure while its siblings'
-results are kept.  A :class:`RetryPolicy` with a timeout or retries uses
-the pool even at one worker, since only a separate process can be killed.
+Every attempt at a point is recorded by one object per batch,
+:class:`_Books`: it counts the attempt, journals it, writes a success to
+the cache, spends the retry budget (``ExecutionOptions.retries``, with
+the deterministic backoff of :func:`backoff_delay`) and feeds the
+telemetry recorder.  Two transports run the attempts.  A tracer keeps a
+batch in this process (tracer events cannot cross a process boundary in
+order), and so do one worker or one pending point unless the batch has
+a timeout or retries (only a separate process can be killed).  Every
+other batch runs on an owned pool of forked workers, each connected by
+a pipe: a worker still running at its deadline is ``terminate()``-d and
+replaced, and a worker that dies mid-point (segfault, OOM kill,
+``os._exit``) costs only that attempt, which is retried or reported as a
+:class:`WorkerCrashError` failure while its siblings' results are kept.
 If the pool's first workers cannot be spawned, the batch warns and runs
-in-process instead.  Retry scheduling (backoff, jitter) is wall-clock
-only and never touches simulation state, so every point that completes
-is bit-identical on both paths.
+in-process instead.
+Retry scheduling is wall-clock only and never touches simulation state,
+so every point that completes is bit-identical on both transports, and
+both keep the same books.
 
 Telemetry note: when a
 :class:`~repro.core.telemetry.TelemetryRecorder` rides along (sweep
-telemetry, live progress, or a run ledger was requested), both paths
-measure each point through :func:`_run_config`: pool workers ship the
-point's :class:`~repro.obs.profile.PointProfile` back over the pipe next
-to its outcome, and the parent hands it to the point's lifecycle span
-with the queue/dispatch timestamps.  The recorder is wall-clock only and
-strictly passive: results are bit-identical with and without it (the
-telemetry row of ``benchmarks/zero_cost.py`` holds that line).
+telemetry, live progress, or a run ledger was requested), both
+transports measure each point through :func:`_run_config`: pool workers
+ship the point's :class:`~repro.obs.profile.PointProfile` back over the
+pipe next to its outcome, and the books hand it to the point's lifecycle
+span.  The recorder is wall-clock only and strictly passive: results are
+bit-identical with and without it (the telemetry row of
+``benchmarks/zero_cost.py`` holds that line).
 
 Determinism note: parallel execution only matches sequential execution
 because per-point seeds are *process-stable* (derived via
@@ -56,9 +59,11 @@ import enum
 import functools
 import hashlib
 import heapq
+import itertools
 import multiprocessing
 import os
 import pickle
+import sys
 import time
 import traceback
 import warnings
@@ -66,7 +71,7 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.core.checkpoint import CheckpointJournal, PointState
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
@@ -78,12 +83,12 @@ __all__ = [
     "PointFailure",
     "PointTimeoutError",
     "ResultCache",
-    "RetryPolicy",
     "SweepExecutionError",
     "WorkerCrashError",
     "backoff_delay",
     "config_content_hash",
     "resolve_workers",
+    "results_or_raise",
     "run_configs",
 ]
 
@@ -130,7 +135,7 @@ def config_content_hash(config: ExperimentConfig) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
-# -- retry policy -----------------------------------------------------------
+# -- retries ----------------------------------------------------------------
 
 
 class PointTimeoutError(RuntimeError):
@@ -141,65 +146,30 @@ class WorkerCrashError(RuntimeError):
     """A worker process died (segfault, OOM kill, ``os._exit``) mid-point."""
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the executor survives slow, flaky, and crashing points.
-
-    Attributes:
-        timeout_s: Per-attempt wall-clock budget; a worker still running
-            at its deadline is terminated and the attempt counts as a
-            failure.  ``None`` disables timeouts.
-        retries: Extra attempts after the first failure (so a point runs
-            at most ``1 + retries`` times).
-        backoff_base_s: Delay before retry 1; doubles per retry.
-        backoff_cap_s: Upper bound on any single backoff delay.
-        jitter: Fractional spread added to each delay, derived
-            deterministically from the point's content hash and attempt
-            number — re-running a sweep re-produces the same schedule,
-            while distinct points still decorrelate.
-    """
-
-    timeout_s: Optional[float] = None
-    retries: int = 0
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive or None")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
-
-    @property
-    def resilient(self) -> bool:
-        """Whether this policy needs the owned pool even at one worker.
-
-        Only a separate process can be killed at a deadline or retried
-        after a crash, so a timeout or retries rule out in-process runs.
-        """
-        return self.timeout_s is not None or self.retries > 0
+#: Delay before retry 1; it doubles per retry up to :data:`BACKOFF_CAP_S`.
+BACKOFF_BASE_S = 0.05
+#: Upper bound on any single backoff delay, before jitter.
+BACKOFF_CAP_S = 2.0
+#: Fractional spread added to each delay.
+BACKOFF_JITTER = 0.25
 
 
-def backoff_delay(key: str, attempt: int, policy: RetryPolicy) -> float:
+def backoff_delay(key: str, attempt: int) -> float:
     """Deterministic exponential-backoff delay before retry ``attempt``.
 
     Jitter comes from a keyed digest of ``(key, attempt)`` rather than a
     live RNG: the retry schedule is part of the run's reproducible
-    behaviour, not a source of noise.
+    behaviour, not a source of noise, while distinct points still
+    decorrelate.
     """
     if attempt < 1:
         raise ValueError("attempt is 1-based")
-    base = min(policy.backoff_cap_s, policy.backoff_base_s * 2 ** (attempt - 1))
+    base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (attempt - 1))
     digest = hashlib.blake2b(
         f"{key}:{attempt}".encode("utf-8"), digest_size=8
     ).digest()
     frac = int.from_bytes(digest, "big") / 2**64
-    return base * (1.0 + policy.jitter * frac)
+    return base * (1.0 + BACKOFF_JITTER * frac)
 
 
 # -- failure capture --------------------------------------------------------
@@ -211,7 +181,8 @@ class PointFailure:
 
     Attributes:
         attempts: How many times the executor ran the point before
-            giving up (1 unless a :class:`RetryPolicy` allowed retries).
+            giving up (1 unless ``ExecutionOptions.retries`` allowed
+            retries).
     """
 
     config: ExperimentConfig
@@ -249,6 +220,17 @@ class SweepExecutionError(RuntimeError):
         super().__init__(
             f"{len(self.failures)} sweep point(s) failed:\n" + "\n".join(lines)
         )
+
+
+def results_or_raise(
+    outcomes: Sequence[Union[ExperimentResult, PointFailure]],
+) -> List[ExperimentResult]:
+    """A batch's outcomes as results, or :class:`SweepExecutionError` if
+    any point failed: for callers that need every point of a batch."""
+    failures = [o for o in outcomes if isinstance(o, PointFailure)]
+    if failures:
+        raise SweepExecutionError(failures)
+    return list(outcomes)
 
 
 # -- on-disk result cache ---------------------------------------------------
@@ -384,8 +366,8 @@ def resolve_workers(n_workers: Optional[int]) -> int:
 def _run_config(
     config: ExperimentConfig, tracer=None, measure: bool = False
 ) -> tuple[Union[ExperimentResult, PointFailure], Optional[PointProfile]]:
-    """Run one point on either path; never raises, so one point cannot
-    kill a batch.
+    """Run one point on either transport; never raises, so one point
+    cannot kill a batch.
 
     Returns ``(outcome, profile)``.  With ``measure`` the profile is the
     point's :class:`~repro.obs.profile.PointProfile` (``None`` when it
@@ -428,43 +410,131 @@ class _Attempt:
         return config_content_hash(self.config)
 
 
-def _journal_final(
-    journal: Optional[CheckpointJournal],
-    task: _Attempt,
-    outcome: Union[ExperimentResult, PointFailure],
-) -> None:
-    if journal is None:
-        return
-    if isinstance(outcome, PointFailure):
-        journal.record(
-            task.key,
-            PointState.EXHAUSTED,
-            attempt=task.attempt,
-            detail=outcome.describe(),
-        )
-    else:
-        journal.record(task.key, PointState.DONE, attempt=task.attempt)
+@dataclass
+class _Books:
+    """The one record of a batch's attempts, whichever transport ran them.
+
+    Both transports bracket every attempt with :meth:`start` and
+    :meth:`finish`; nothing else journals, caches or reports an executed
+    point.
+    """
+
+    outcomes: List[Union[ExperimentResult, PointFailure, None]]
+    retries: int
+    journal: Optional[CheckpointJournal]
+    cache: Optional[ResultCache]
+    recorder: object  # a TelemetryRecorder, or None
+
+    def start(self, task: _Attempt, worker: Optional[int] = None) -> None:
+        """Count an attempt that is now running (on ``worker``, if pooled)."""
+        task.attempt += 1
+        if self.journal is not None:
+            self.journal.record(task.key, PointState.IN_FLIGHT, attempt=task.attempt)
+        if self.recorder is not None:
+            self.recorder.point_dispatched(task.index, worker=worker)
+
+    def finish(
+        self,
+        task: _Attempt,
+        outcome: Union[ExperimentResult, PointFailure],
+        profile: Optional[PointProfile] = None,
+    ) -> Optional[float]:
+        """Record an attempt's outcome.
+
+        Returns the backoff delay before the point's next attempt while
+        the retry budget lasts, else ``None``: the outcome is final.
+        """
+        journal = self.journal
+        if isinstance(outcome, PointFailure):
+            outcome = dataclasses.replace(outcome, attempts=task.attempt)
+            if journal is not None:
+                journal.record(
+                    task.key,
+                    PointState.FAILED,
+                    attempt=task.attempt,
+                    detail=f"{outcome.error_type}: {outcome.message}",
+                )
+            if task.attempt <= self.retries:
+                return backoff_delay(task.key, task.attempt)
+            if journal is not None:
+                journal.record(
+                    task.key,
+                    PointState.EXHAUSTED,
+                    attempt=task.attempt,
+                    detail=outcome.describe(),
+                )
+        else:
+            if self.cache is not None:
+                # Persist before journaling DONE: resume trusts DONE to
+                # mean the result is on disk.
+                self.cache.put(task.config, outcome)
+            if journal is not None:
+                journal.record(task.key, PointState.DONE, attempt=task.attempt)
+        self.outcomes[task.index] = outcome
+        if self.recorder is not None:
+            self.recorder.point_finished(task.index, outcome, profile)
+        return None
+
+
+#: Source files whose frames a warning skips to reach the caller.
+_EXECUTOR_FILES = frozenset(
+    os.path.join(os.path.dirname(__file__), name)
+    for name in ("parallel.py", "sweep.py")
+)
+
+
+def _warn(message: str) -> None:
+    """Raise a ``RuntimeWarning`` at the executor's caller.
+
+    The warning names the first stack frame outside this module and
+    :mod:`repro.core.sweep`, whichever entry point led here.
+    """
+    frame = sys._getframe(1)
+    level = 2
+    while frame is not None and frame.f_code.co_filename in _EXECUTOR_FILES:
+        frame = frame.f_back
+        level += 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
+# -- in-process transport ---------------------------------------------------
+
+
+def _run_inprocess(tasks: List[_Attempt], tracer, books: _Books) -> None:
+    """Run the points in this process, in submission order.
+
+    A point's retries run back to back after their backoff; a timeout
+    cannot apply (there is no worker to kill).
+    """
+    measure = books.recorder is not None
+    for task in tasks:
+        while True:
+            books.start(task)
+            outcome, profile = _run_config(task.config, tracer, measure)
+            delay = books.finish(task, outcome, profile)
+            if delay is None:
+                break
+            time.sleep(delay)
 
 
 # -- owned worker pool ------------------------------------------------------
 
 
 def _pipe_worker_main(conn, measure: bool = False) -> None:
-    """Worker loop: receive ``(index, config)`` tasks, send outcomes back.
+    """Worker loop: receive configs, send ``(outcome, profile)`` back.
 
-    Replies are ``(index, outcome, profile)``, with the point's
-    :class:`~repro.obs.profile.PointProfile` when ``measure`` is set
-    (telemetry asked for it) and ``None`` otherwise.  ``None`` is the
-    shutdown sentinel.  A vanished parent (EOF/OSError on the pipe) just
-    ends the loop — the worker has nobody to report to.
+    The profile is the point's :class:`~repro.obs.profile.PointProfile`
+    when ``measure`` is set (telemetry asked for it) and ``None``
+    otherwise.  ``None`` is the shutdown sentinel.  A vanished parent
+    (EOF/OSError on the pipe) just ends the loop — the worker has nobody
+    to report to.
     """
     try:
         while True:
-            task = conn.recv()
-            if task is None:
+            config = conn.recv()
+            if config is None:
                 return
-            index, config = task
-            conn.send((index, *_run_config(config, measure=measure)))
+            conn.send(_run_config(config, measure=measure))
     except (EOFError, OSError):
         return
 
@@ -489,7 +559,7 @@ class _WorkerSlot:
         return self.task is not None
 
     def dispatch(self, task: _Attempt, timeout_s: Optional[float]) -> None:
-        self.conn.send((task.index, task.config))
+        self.conn.send(task.config)
         self.task = task
         self.dispatched_at = time.monotonic()
         self.deadline = (
@@ -504,119 +574,79 @@ class _WorkerSlot:
         self.process.join(timeout=5.0)
 
 
-def _run_resilient(
+def _run_pool(
     tasks: List[_Attempt],
     workers: int,
-    policy: RetryPolicy,
-    journal: Optional[CheckpointJournal],
-    cache: Optional["ResultCache"] = None,
-    recorder=None,
-) -> Optional[Dict[int, Union[ExperimentResult, PointFailure]]]:
-    """Run points on an owned worker pool that can kill and re-dispatch.
+    timeout_s: Optional[float],
+    books: _Books,
+) -> bool:
+    """Run the points on an owned worker pool that can kill and re-dispatch.
 
-    The loop keeps every worker busy while work remains, terminates
-    workers that blow their per-attempt deadline, treats a dead pipe as
-    a worker crash, and re-queues failed attempts (after their backoff
-    delay) until the retry budget is spent.  Worker loss of any kind is
-    survived by spawning a replacement.  Returns ``None``, having run
+    The pool does only transport work: it keeps every worker busy while
+    work remains, terminates workers that blow their per-attempt
+    deadline, treats a dead pipe as a worker crash, replaces every lost
+    worker, and holds each retry until its backoff has passed.  A
+    crash or a timeout is a :class:`PointFailure` like any other, and
+    every attempt goes through ``books``.  Returns ``False``, having run
     nothing, when the first workers cannot be spawned (``OSError``), so
     the caller can fall back to in-process execution; a failure after
     that point never re-runs the batch.
-
-    ``recorder`` (a :class:`~repro.core.telemetry.TelemetryRecorder`)
-    is fed dispatch, retry, worker-lifecycle and terminal events, the
-    last with the final attempt's profile, which workers measure only
-    when it is present; it is wall-clock only and never touches the
-    outcomes.
     """
     ctx = multiprocessing.get_context("fork")
-    results: Dict[int, Union[ExperimentResult, PointFailure]] = {}
+    recorder = books.recorder
     queue = deque(tasks)
     delayed: List[tuple[float, int, _Attempt]] = []  # (ready_at, tiebreak, task)
-    tiebreak = 0
-    next_worker_id = 0
-
-    def new_slot() -> _WorkerSlot:
-        nonlocal next_worker_id
-        slot = _WorkerSlot(ctx, recorder is not None, worker_id=next_worker_id)
-        next_worker_id += 1
-        if recorder is not None:
-            recorder.worker_spawned(slot.worker_id)
-        return slot
-
+    tiebreak = itertools.count()
+    worker_ids = itertools.count()
     pool: List[_WorkerSlot] = []
 
-    def give_up(task: _Attempt, error: str, message: str) -> None:
-        failure = PointFailure(
-            config=task.config,
-            error_type=error,
-            message=message,
-            traceback="",
-            attempts=task.attempt,
-        )
-        results[task.index] = failure
-        _journal_final(journal, task, failure)
+    def spawn() -> None:
+        slot = _WorkerSlot(ctx, recorder is not None, worker_id=next(worker_ids))
+        pool.append(slot)
+        if recorder is not None:
+            recorder.worker_spawned(slot.worker_id)
 
-    def retry_or_give_up(
-        task: _Attempt,
-        error: str,
-        message: str,
-        final: Optional[PointFailure] = None,
-    ) -> None:
-        nonlocal tiebreak
-        if journal is not None:
-            journal.record(
-                task.key,
-                PointState.FAILED,
-                attempt=task.attempt,
-                detail=f"{error}: {message}",
-            )
-        if task.attempt <= policy.retries:
-            ready_at = time.monotonic() + backoff_delay(
-                task.key, task.attempt, policy
-            )
-            tiebreak += 1
-            heapq.heappush(delayed, (ready_at, tiebreak, task))
-        elif final is not None:
-            # Keep the captured failure (it carries the real traceback).
-            results[task.index] = final
-            _journal_final(journal, task, final)
-        else:
-            give_up(task, error, message)
-
-    def finish_if_final(task: _Attempt, profile=None) -> None:
-        """Telemetry bookkeeping once a point reached a terminal state."""
-        if recorder is not None and task.index in results:
-            recorder.point_finished(task.index, results[task.index], profile)
-
-    def credit_attempt(slot: _WorkerSlot, now: float) -> None:
-        if recorder is not None and slot.dispatched_at is not None:
-            recorder.worker_attempt(slot.worker_id, now - slot.dispatched_at)
-
-    def replace_worker(slot: _WorkerSlot) -> None:
+    def retire(slot: _WorkerSlot) -> None:
         slot.kill()
         if recorder is not None:
             recorder.worker_retired(slot.worker_id)
+
+    def replace(slot: _WorkerSlot) -> None:
+        retire(slot)
         pool.remove(slot)
         outstanding = len(queue) + len(delayed) + sum(s.busy for s in pool)
         if outstanding > len(pool):
-            pool.append(new_slot())
+            spawn()
+
+    def finish(slot: _WorkerSlot, now: float, outcome, profile=None) -> None:
+        task, slot.task = slot.task, None
+        if recorder is not None:
+            recorder.worker_attempt(slot.worker_id, now - slot.dispatched_at)
+        delay = books.finish(task, outcome, profile)
+        if delay is not None:
+            ready_at = time.monotonic() + delay
+            heapq.heappush(delayed, (ready_at, next(tiebreak), task))
+
+    def lose(slot: _WorkerSlot, now: float, error: type, message: str) -> None:
+        # The attempt fails with its worker.  Queue any retry *before*
+        # replacing the worker, so the replacement head-count sees it.
+        failure = PointFailure(slot.task.config, error.__name__, message, "")
+        finish(slot, now, failure)
+        replace(slot)
 
     try:
         try:
             for _ in range(min(workers, len(tasks))):
-                pool.append(new_slot())
+                spawn()
         except OSError as exc:
             # Platforms without usable fork/pipe primitives degrade to
             # in-process execution rather than failing the sweep.  No
             # point has been dispatched yet, so nothing runs twice.
-            warnings.warn(
+            _warn(
                 f"process pool unavailable ({exc!r}); "
-                "falling back to in-process execution",
-                RuntimeWarning,
-                stacklevel=3,
+                "falling back to in-process execution"
             )
-            return None
+            return False
         while queue or delayed or any(slot.busy for slot in pool):
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
@@ -624,27 +654,20 @@ def _run_resilient(
             # Self-heal: never spin with queued work and no worker to take
             # it (every slot may have been killed since the last pass).
             if queue and all(slot.busy for slot in pool) and len(pool) < workers:
-                pool.append(new_slot())
+                spawn()
             for slot in pool:
                 if slot.busy or not queue:
                     continue
                 task = queue.popleft()
-                task.attempt += 1
-                if journal is not None:
-                    journal.record(
-                        task.key, PointState.IN_FLIGHT, attempt=task.attempt
-                    )
                 try:
-                    slot.dispatch(task, policy.timeout_s)
-                    if recorder is not None:
-                        recorder.point_dispatched(task.index, worker=slot.worker_id)
-                except (BrokenPipeError, OSError):
+                    slot.dispatch(task, timeout_s)
+                except OSError:
                     # The worker died between tasks; the attempt never
                     # started, so re-queue it uncharged.
-                    task.attempt -= 1
                     queue.appendleft(task)
-                    replace_worker(slot)
+                    replace(slot)
                     break
+                books.start(task, worker=slot.worker_id)
             busy = [slot for slot in pool if slot.busy]
             if not busy:
                 if delayed and not queue:
@@ -663,153 +686,115 @@ def _run_resilient(
             ready = _connection_wait([slot.conn for slot in busy], timeout)
             now = time.monotonic()
             for slot in busy:
-                task = slot.task
-                if task is None:
-                    continue
                 if slot.conn in ready:
                     try:
-                        index, outcome, profile = slot.conn.recv()
+                        outcome, profile = slot.conn.recv()
                     except (EOFError, OSError):
                         # Hard crash mid-point (segfault, OOM kill,
                         # os._exit): the pipe breaks before a result.
-                        # Queue the retry *before* replacing the worker so
-                        # the replacement head-count sees the pending work.
-                        slot.task = None
-                        credit_attempt(slot, now)
-                        retry_or_give_up(
-                            task,
-                            WorkerCrashError.__name__,
-                            "worker process died mid-experiment",
-                        )
-                        finish_if_final(task)
-                        replace_worker(slot)
+                        lose(slot, now, WorkerCrashError,
+                             "worker process died mid-experiment")
                         continue
-                    slot.task = None
-                    slot.deadline = None
-                    credit_attempt(slot, now)
-                    if isinstance(outcome, PointFailure):
-                        # An in-experiment exception spends a retry like a
-                        # timeout or crash does (the docstring's "alike"):
-                        # usually it replays deterministically to the same
-                        # raise, but env-dependent failures can recover.
-                        outcome = dataclasses.replace(
-                            outcome, attempts=task.attempt
-                        )
-                        retry_or_give_up(
-                            task,
-                            outcome.error_type,
-                            outcome.message,
-                            final=outcome,
-                        )
-                        finish_if_final(task, profile)
-                        continue
-                    if cache is not None:
-                        # Persist before journaling DONE: resume trusts
-                        # DONE to mean the result is on disk.
-                        cache.put(task.config, outcome)
-                    results[index] = outcome
-                    _journal_final(journal, task, outcome)
-                    finish_if_final(task, profile)
+                    finish(slot, now, outcome, profile)
                 elif slot.deadline is not None and now >= slot.deadline:
-                    slot.task = None
-                    credit_attempt(slot, now)
-                    retry_or_give_up(
-                        task,
-                        PointTimeoutError.__name__,
-                        f"exceeded {policy.timeout_s:g}s wall-clock budget",
-                    )
-                    finish_if_final(task)
-                    replace_worker(slot)
+                    lose(slot, now, PointTimeoutError,
+                         f"exceeded {timeout_s:g}s wall-clock budget")
     finally:
         for slot in pool:
-            if slot.busy:
-                slot.kill()
-            else:
+            if not slot.busy:
                 with contextlib.suppress(OSError, ValueError):
                     slot.conn.send(None)
                 slot.process.join(timeout=1.0)
-                slot.kill()
-            if recorder is not None:
-                recorder.worker_retired(slot.worker_id)
-    return results
+            retire(slot)
+    return True
+
+
+# -- batches ----------------------------------------------------------------
 
 
 def run_configs(
     configs: Sequence[ExperimentConfig],
     options: ExecutionOptions = ExecutionOptions(),
-    *,
-    policy: Optional[RetryPolicy] = None,
-    journal: Optional[CheckpointJournal] = None,
-    recorder=None,
 ) -> List[Union[ExperimentResult, PointFailure]]:
     """Run experiments, optionally across processes, preserving order.
 
     Args:
         configs: Experiments to run; the returned list is index-aligned
             with this sequence regardless of worker completion order.
-        options: An :class:`~repro.core.options.ExecutionOptions`
-            (anything else raises :class:`TypeError`).  Its
-            ``n_workers``/``cache_dir``/``tracer`` fields map onto the
-            execution knobs documented there; ``timeout_s`` and
-            ``retries`` build a :class:`RetryPolicy` unless an explicit
-            ``policy`` is given, and ``checkpoint``/``resume`` open a
-            journal for the duration of the call unless an explicit
-            ``journal`` is given.
-        policy: Optional :class:`RetryPolicy`.  A resilient policy
-            (timeout or retries) runs points on the owned worker pool even
-            at one worker, so a hung worker can be terminated at its
-            deadline and failed attempts re-dispatched after a
-            deterministic backoff.
-        journal: Optional open :class:`CheckpointJournal` recording each
-            point's lifecycle (keyed by :func:`config_content_hash`), so
-            an interrupted sweep can be resumed and audited.
-        recorder: Optional
-            :class:`~repro.core.telemetry.TelemetryRecorder` fed the
-            executor's lifecycle events (one recorder per batch: spans
-            are keyed by submission index).  When ``options`` requests
-            telemetry, progress, or a ledger and no recorder is passed,
-            one is created for the duration of the call.
+        options: An :class:`~repro.core.options.ExecutionOptions`, the
+            one description of how the batch runs (anything else raises
+            :class:`TypeError`).  A timeout or retries run the points on
+            the owned worker pool even at one worker, so a hung worker
+            can be terminated at its deadline and failed attempts
+            re-dispatched after a deterministic backoff; ``checkpoint``
+            journals each point's lifecycle (keyed by
+            :func:`config_content_hash`), appending to the journal when
+            ``resume`` is set, so an interrupted sweep can be resumed and
+            audited.
 
     Returns:
         One :class:`ExperimentResult` or :class:`PointFailure` per config.
     """
     opts = require_options("run_configs", options)
-    if policy is None and (opts.timeout_s is not None or opts.retries):
-        policy = RetryPolicy(timeout_s=opts.timeout_s, retries=opts.retries)
-    own_journal = journal is None and opts.checkpoint is not None
-    if own_journal:
-        journal = CheckpointJournal(opts.checkpoint)
-        journal.open(fresh=not opts.resume)
-    if recorder is None and (
-        opts.telemetry or opts.progress is not None or opts.ledger is not None
-    ):
-        # Imported lazily: the default (telemetry-off) path never pays
-        # for the telemetry module.
-        from repro.core.telemetry import TelemetryRecorder
+    return _run_batch(configs, opts, _recorder_for(opts))
 
-        recorder = TelemetryRecorder()
-    if recorder is not None:
-        if recorder.total is None:
-            recorder.total = len(configs)
-        if opts.progress is not None and recorder.on_progress is None:
-            recorder.on_progress = opts.progress
+
+def _recorder_for(opts: ExecutionOptions):
+    """A :class:`~repro.core.telemetry.TelemetryRecorder` when ``opts``
+    asks for telemetry, progress or a ledger; else ``None``."""
+    if not (opts.telemetry or opts.progress is not None or opts.ledger is not None):
+        return None
+    # Imported lazily: the default (telemetry-off) path never pays for
+    # the telemetry module.
+    from repro.core.telemetry import TelemetryRecorder
+
+    recorder = TelemetryRecorder()
+    recorder.on_progress = opts.progress
+    return recorder
+
+
+def _run_batch(
+    configs: Sequence[ExperimentConfig], opts: ExecutionOptions, recorder
+) -> List[Union[ExperimentResult, PointFailure]]:
+    """The engine behind :func:`run_configs`, feeding ``recorder`` (one
+    per batch: spans are keyed by submission index) when it is given.
+
+    Cached points are served from the cache (failures are never cached);
+    the rest run on the transport :func:`_execute` picks.
+    """
+    configs = list(configs)
     if isinstance(opts.cache_dir, ResultCache):
         cache: Optional[ResultCache] = opts.cache_dir
     else:
         cache = ResultCache(opts.cache_dir) if opts.cache_dir is not None else None
-    configs = list(configs)
+    if recorder is not None:
+        recorder.total = len(configs)
+    journal = None
+    if opts.checkpoint is not None:
+        journal = CheckpointJournal(opts.checkpoint)
+        journal.open(fresh=not opts.resume)
+    outcomes: List[Union[ExperimentResult, PointFailure, None]] = [None] * len(configs)
     try:
-        outcomes = _execute_configs(
-            configs,
-            n_workers=opts.n_workers,
-            cache=cache,
-            tracer=opts.tracer,
-            policy=policy,
-            journal=journal,
-            recorder=recorder,
-        )
+        pending: List[_Attempt] = []
+        for index, config in enumerate(configs):
+            task = _Attempt(index, config)
+            cached = cache.get(config) if cache is not None else None
+            if cached is not None:
+                outcomes[index] = cached
+                if recorder is not None:
+                    recorder.point_cached(index, task.key, config.describe())
+                if journal is not None:
+                    journal.record(task.key, PointState.DONE, detail="cached")
+            else:
+                if recorder is not None:
+                    recorder.point_enqueued(index, task.key, config.describe())
+                pending.append(task)
+        if pending:
+            _execute(
+                pending, opts, _Books(outcomes, opts.retries, journal, cache, recorder)
+            )
     finally:
-        if own_journal:
+        if journal is not None:
             journal.close()
     if opts.ledger is not None:
         from repro.core.ledger import RunLedger, point_record
@@ -823,131 +808,33 @@ def run_configs(
             ledger.append(
                 point_record(config, outcome, span=recorder.span(index))
             )
-    return outcomes
+    return outcomes  # type: ignore[return-value]
 
 
-def _run_pending_inprocess(
-    pending: List[_Attempt],
-    policy: Optional[RetryPolicy],
-    journal: Optional[CheckpointJournal],
-    cache: Optional[ResultCache],
-    tracer,
-    recorder,
-) -> List[Union[ExperimentResult, PointFailure]]:
-    """Run the pending points in this process, in submission order.
+def _execute(pending: List[_Attempt], opts: ExecutionOptions, books: _Books) -> None:
+    """Run the pending points on the transport the batch needs.
 
-    The policy's retries apply; its timeout cannot (there is no worker
-    to kill).  The cache write happens *before* the DONE journal record
-    so a crash between the two can never leave a "done" point without
-    its result -- resume trusts the journal's DONE to mean "persisted".
+    A tracer runs them in this process, and warns when that keeps the
+    batch off the pool.  Several workers and points, a timeout or
+    retries need the pool; everything else, and a pool that cannot
+    spawn, runs in this process.  Results are identical on both
+    transports (that equivalence is under test).
     """
-    attempts_allowed = 1 + (policy.retries if policy is not None else 0)
-    fresh: List[Union[ExperimentResult, PointFailure]] = []
-    for task in pending:
-        if recorder is not None:
-            recorder.point_dispatched(task.index)
-        while True:
-            task.attempt += 1
-            if journal is not None:
-                journal.record(task.key, PointState.IN_FLIGHT, attempt=task.attempt)
-            outcome, profile = _run_config(
-                task.config, tracer, measure=recorder is not None
+    workers = resolve_workers(opts.n_workers)
+    spread = workers > 1 and len(pending) > 1
+    if opts.tracer is not None:
+        if opts.timeout_s is not None:
+            _warn(
+                "tracing forces in-process execution; per-point timeouts "
+                "cannot be enforced without a worker process to kill"
             )
-            if isinstance(outcome, ExperimentResult):
-                if cache is not None:
-                    cache.put(task.config, outcome)
-                break
-            outcome = dataclasses.replace(outcome, attempts=task.attempt)
-            if task.attempt == attempts_allowed:
-                break
-            if journal is not None:
-                journal.record(
-                    task.key,
-                    PointState.FAILED,
-                    attempt=task.attempt,
-                    detail=outcome.describe(),
-                )
-            time.sleep(backoff_delay(task.key, task.attempt, policy))
-        _journal_final(journal, task, outcome)
-        if recorder is not None:
-            recorder.point_finished(task.index, outcome, profile)
-        fresh.append(outcome)
-    return fresh
-
-
-def _execute_configs(
-    configs: List[ExperimentConfig],
-    *,
-    n_workers: Optional[int],
-    cache: Optional[ResultCache],
-    tracer,
-    policy: Optional[RetryPolicy],
-    journal: Optional[CheckpointJournal],
-    recorder=None,
-) -> List[Union[ExperimentResult, PointFailure]]:
-    """The execution engine behind :func:`run_configs` (resolved knobs).
-
-    ``cache`` reads/writes results keyed by :func:`config_content_hash`
-    (failures are never cached).  One worker, one pending point or a
-    tracer runs in-process (tracer events cannot cross a process
-    boundary in order; a tracer warns when that keeps a batch off the
-    pool); every other batch, and every resilient policy, runs on the
-    owned pool.  Results are identical on both paths (that
-    equivalence is under test).
-    """
-    workers = resolve_workers(n_workers)
-    outcomes: List[Union[ExperimentResult, PointFailure, None]] = [None] * len(configs)
-    pending: List[_Attempt] = []
-    for index, config in enumerate(configs):
-        task = _Attempt(index, config)
-        cached = cache.get(config) if cache is not None else None
-        if cached is not None:
-            outcomes[index] = cached
-            if recorder is not None:
-                recorder.point_cached(index, task.key, config.describe())
-            if journal is not None:
-                journal.record(task.key, PointState.DONE, detail="cached")
-        else:
-            if recorder is not None:
-                recorder.point_enqueued(index, task.key, config.describe())
-            pending.append(task)
-    if not pending:
-        return outcomes  # type: ignore[return-value]
-
-    resilient = policy is not None and policy.resilient
-    pooled = None
-    if tracer is not None:
-        if resilient and policy.timeout_s is not None:
-            warnings.warn(
-                "tracing forces in-process execution; per-point "
-                "timeouts cannot be enforced without a worker "
-                "process to kill",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if workers > 1 and len(pending) > 1:
-            warnings.warn(
+        if spread:
+            _warn(
                 f"tracing forces in-process execution: {len(pending)} points "
                 f"run in this process, not on {workers} workers (tracer "
-                "events cannot cross a process boundary in order)",
-                RuntimeWarning,
-                stacklevel=2,
+                "events cannot cross a process boundary in order)"
             )
-    elif resilient or (workers > 1 and len(pending) > 1):
-        pooled = _run_resilient(
-            pending,
-            workers,
-            policy if policy is not None else RetryPolicy(),
-            journal,
-            cache,
-            recorder=recorder,
-        )
-    if pooled is None:
-        fresh = _run_pending_inprocess(
-            pending, policy, journal, cache, tracer, recorder
-        )
-    else:
-        fresh = [pooled[task.index] for task in pending]
-    for task, outcome in zip(pending, fresh):
-        outcomes[task.index] = outcome
-    return outcomes  # type: ignore[return-value]
+    elif spread or opts.timeout_s is not None or opts.retries:
+        if _run_pool(pending, workers, opts.timeout_s, books):
+            return
+    _run_inprocess(pending, opts.tracer, books)

@@ -21,7 +21,8 @@ from repro.core.parallel import (
     PointFailure,
     ResultCache,
     SweepExecutionError,
-    run_configs,
+    _recorder_for,
+    _run_batch,
 )
 from repro.iogen.spec import (
     IoPattern,
@@ -201,25 +202,19 @@ def sweep_outcome(
         )
     if opts.resume and opts.checkpoint is None:
         raise ValueError("resume requires a checkpoint journal path")
-    recorder = None
+    # The sweep keeps the batch's recorder: its spans become the
+    # outcome's telemetry and the run record.
+    recorder = _recorder_for(opts)
     cache = None
-    if opts.telemetry or opts.progress is not None or opts.ledger is not None:
-        # Imported lazily: telemetry is opt-in and the common path never
-        # pays for (or even imports) it.
-        from repro.core.telemetry import TelemetryRecorder
-
-        recorder = TelemetryRecorder()
-        if opts.progress is not None:
-            recorder.on_progress = opts.progress
-        if opts.cache_dir is not None:
-            # Resolve the cache here so its hit/miss statistics survive
-            # into the telemetry snapshot after run_configs returns.
-            cache = (
-                opts.cache_dir
-                if isinstance(opts.cache_dir, ResultCache)
-                else ResultCache(opts.cache_dir)
-            )
-            opts = opts.evolve(cache_dir=cache)
+    if recorder is not None and opts.cache_dir is not None:
+        # Resolve the cache here so its hit/miss statistics survive into
+        # the telemetry snapshot after the batch returns.
+        cache = (
+            opts.cache_dir
+            if isinstance(opts.cache_dir, ResultCache)
+            else ResultCache(opts.cache_dir)
+        )
+        opts = opts.evolve(cache_dir=cache)
     points = list(grid.points())
     configs = [grid.config_for(point) for point in points]
     if opts.policy is not None:
@@ -233,7 +228,7 @@ def sweep_outcome(
         # each config so pool workers see them and config_content_hash
         # keeps accelerated and exact runs apart in the cache.
         configs = [replace(config, fastpath=opts.fastpath) for config in configs]
-    outcomes = run_configs(configs, opts, recorder=recorder)
+    outcomes = _run_batch(configs, opts, recorder)
     results: dict[SweepPoint, ExperimentResult] = {}
     failures: dict[SweepPoint, PointFailure] = {}
     for point, outcome in zip(points, outcomes):

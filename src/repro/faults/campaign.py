@@ -43,7 +43,7 @@ from typing import Optional
 
 from repro.core.experiment import run_experiment
 from repro.core.options import ExecutionOptions
-from repro.core.parallel import PointFailure, SweepExecutionError, run_configs
+from repro.core.parallel import results_or_raise, run_configs
 from repro.faults.spec import parse_fault_plan, render_fault_plan
 from repro.iogen.spec import IoPattern
 from repro.policy import POLICY_KINDS, PolicySpec, WatchdogSpec
@@ -355,11 +355,9 @@ def run_campaign(
         )
         for device in devices
     ]
-    outcomes = run_configs(baseline_configs, options)
-    failures = [o for o in outcomes if isinstance(o, PointFailure)]
-    if failures:
-        raise SweepExecutionError(failures)
-    baselines = dict(zip(devices, outcomes))
+    baselines = dict(
+        zip(devices, results_or_raise(run_configs(baseline_configs, options)))
+    )
 
     specs = {
         (device, controller): _spec_with_seams(
@@ -378,11 +376,9 @@ def run_campaign(
     reference_configs = [
         replace(baselines[d].config, policy=specs[(d, c)]) for d, c in pairs
     ]
-    outcomes = run_configs(reference_configs, options)
-    failures = [o for o in outcomes if isinstance(o, PointFailure)]
-    if failures:
-        raise SweepExecutionError(failures)
-    references = dict(zip(pairs, outcomes))
+    references = dict(
+        zip(pairs, results_or_raise(run_configs(reference_configs, options)))
+    )
 
     # Phase 3: enumerate, sample, and run the fault grid.
     vocabularies = {
@@ -412,10 +408,7 @@ def run_campaign(
         )
         for cell in cells
     ]
-    outcomes = run_configs(cell_configs, options)
-    failures = [o for o in outcomes if isinstance(o, PointFailure)]
-    if failures:
-        raise SweepExecutionError(failures)
+    outcomes = results_or_raise(run_configs(cell_configs, options))
 
     # Phase 4: validate every faulted run, shrink every violator.
     def harvest(device: str, result) -> float:

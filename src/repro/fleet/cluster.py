@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.core.options import ExecutionOptions
-from repro.core.parallel import PointFailure, SweepExecutionError, run_configs
+from repro.core.parallel import results_or_raise, run_configs
 from repro.devices.catalog import DEVICE_PRESETS
 from repro.devices.hdd_drive import HddConfig
 from repro.fleet.api import BudgetAllocator, DeviceView
@@ -491,12 +491,6 @@ def run_fleet(
     def job(slot: int, epoch: int):
         return front.job_for(slot, epoch, epochs, scale, spec.devices[slot])
 
-    def check_failures(outcomes):
-        failures = [o for o in outcomes if isinstance(o, PointFailure)]
-        if failures:
-            raise SweepExecutionError(failures)
-        return outcomes
-
     # -- baseline phase: every (slot, epoch), one pool batch -------------
     baseline_configs = [
         ExperimentConfig(
@@ -508,7 +502,7 @@ def run_fleet(
         for epoch in range(epochs)
         for slot in range(n)
     ]
-    baseline_flat = check_failures(run_configs(baseline_configs, options))
+    baseline_flat = results_or_raise(run_configs(baseline_configs, options))
     baseline: list[list[ExperimentResult]] = [
         list(baseline_flat[epoch * n : (epoch + 1) * n])
         for epoch in range(epochs)
@@ -550,7 +544,7 @@ def run_fleet(
             )
             for i in range(n)
         ]
-        results = list(check_failures(run_configs(configs, options)))
+        results = results_or_raise(run_configs(configs, options))
         record = FleetEpoch(
             index=epoch,
             budget_w=budget_w,

@@ -177,8 +177,10 @@ class WriteAllocator:
     def erase(self, block_id: int) -> None:
         """Return a FULL block with no valid pages to the free pool."""
         block = self._block(block_id)
-        if block.state is BlockState.OPEN:
-            raise ValueError(f"cannot erase open block {block_id}")
+        if block.state is not BlockState.FULL:
+            raise ValueError(
+                f"cannot erase {block.state.value} block {block_id}"
+            )
         if block.valid:
             raise ValueError(
                 f"block {block_id} still has {block.valid_count} valid pages"

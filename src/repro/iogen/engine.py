@@ -103,12 +103,6 @@ class FioJob:
             raise RuntimeError("job has not started")
         return self._start_time + self.spec.runtime_s
 
-    def _stop(self) -> bool:
-        return (
-            self.engine.now >= self.deadline
-            or self._issued_bytes >= self.spec.size_limit_bytes
-        )
-
     def _worker(self):
         """One submit loop: returns its loop handler and its done event.
 

@@ -23,7 +23,7 @@ from repro._units import GiB, KiB
 from repro.core.experiment import ExperimentResult
 from repro.core.model import AdaptivePlan, PowerThroughputModel
 from repro.core.options import ExecutionOptions
-from repro.core.parallel import PointFailure, SweepExecutionError, run_configs
+from repro.core.parallel import results_or_raise, run_configs
 from repro.core.reporting import ascii_scatter, format_table
 from repro.core.sweep import SweepPoint
 from repro.iogen.spec import IoPattern
@@ -81,10 +81,9 @@ def build_model(
         ],
         ExecutionOptions(n_workers=n_workers),
     )
-    failures = [o for o in outcomes if isinstance(o, PointFailure)]
-    if failures:
-        raise SweepExecutionError(failures)
-    results: dict[SweepPoint, ExperimentResult] = dict(zip(points, outcomes))
+    results: dict[SweepPoint, ExperimentResult] = dict(
+        zip(points, results_or_raise(outcomes))
+    )
     return PowerThroughputModel.from_sweep(device, results)
 
 

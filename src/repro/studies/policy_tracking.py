@@ -31,10 +31,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro._units import KiB
-from repro.core.checkpoint import CheckpointJournal
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.core.options import ExecutionOptions
-from repro.core.parallel import PointFailure, SweepExecutionError, run_configs
+from repro.core.parallel import results_or_raise, run_configs
 from repro.core.reporting import format_table
 from repro.faults.plan import FaultPlan
 from repro.iogen.spec import IoPattern
@@ -166,45 +165,34 @@ def run(
 
         ledger = ledger if isinstance(ledger, RunLedger) else RunLedger(ledger)
     options = ExecutionOptions(
-        n_workers=n_workers, cache_dir=cache_dir, ledger=ledger
+        n_workers=n_workers,
+        cache_dir=cache_dir,
+        checkpoint=checkpoint,
+        resume=resume,
+        ledger=ledger,
     )
-    journal = None
-    if checkpoint is not None:
-        journal = CheckpointJournal(checkpoint)
-        journal.open(fresh=not resume)
-    try:
-        baseline_configs = [
-            point_config(
-                device, _PATTERN, _BLOCK_SIZE, _IODEPTH,
-                scale=scale, seed=seed,
-            )
-            for device in devices
-        ]
-        outcomes = run_configs(baseline_configs, options, journal=journal)
-        failures = [o for o in outcomes if isinstance(o, PointFailure)]
-        if failures:
-            raise SweepExecutionError(failures)
-        baselines: dict[str, ExperimentResult] = dict(zip(devices, outcomes))
-
-        pairs = [(device, kind) for device in devices for kind in policies]
-        policy_configs: list[ExperimentConfig] = []
-        for device, kind in pairs:
-            spec = spec_for(
-                device, kind, baselines[device].true_mean_power_w, scale
-            )
-            policy_configs.append(
-                replace(baselines[device].config, policy=spec, faults=faults)
-            )
-        outcomes = run_configs(policy_configs, options, journal=journal)
-        failures = [o for o in outcomes if isinstance(o, PointFailure)]
-        if failures:
-            raise SweepExecutionError(failures)
-        results: dict[tuple[str, str], ExperimentResult] = dict(
-            zip(pairs, outcomes)
+    baseline_configs = [
+        point_config(
+            device, _PATTERN, _BLOCK_SIZE, _IODEPTH, scale=scale, seed=seed
         )
-    finally:
-        if journal is not None:
-            journal.close()
+        for device in devices
+    ]
+    baselines: dict[str, ExperimentResult] = dict(
+        zip(devices, results_or_raise(run_configs(baseline_configs, options)))
+    )
+
+    pairs = [(device, kind) for device in devices for kind in policies]
+    policy_configs: list[ExperimentConfig] = []
+    for device, kind in pairs:
+        spec = spec_for(device, kind, baselines[device].true_mean_power_w, scale)
+        policy_configs.append(
+            replace(baselines[device].config, policy=spec, faults=faults)
+        )
+    # Phase 2 appends to the journal phase 1 opened.
+    outcomes = run_configs(policy_configs, options.evolve(resume=True))
+    results: dict[tuple[str, str], ExperimentResult] = dict(
+        zip(pairs, results_or_raise(outcomes))
+    )
 
     everything = list(baselines.values()) + list(results.values())
     violations = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro._units import KiB
 from repro.core.options import ExecutionOptions
-from repro.core.parallel import PointFailure, SweepExecutionError, run_configs
+from repro.core.parallel import results_or_raise, run_configs
 from repro.devices.catalog import build_device
 from repro.iogen.spec import IoPattern
 from repro.power.meter import MeterConfig, PowerMeter
@@ -91,11 +91,8 @@ def run(
         ],
         ExecutionOptions(n_workers=n_workers),
     )
-    failures = [o for o in outcomes if isinstance(o, PointFailure)]
-    if failures:
-        raise SweepExecutionError(failures)
     max_w: dict[str, float] = {label: 0.0 for label in labels}
-    for (label, __), result in zip(probes, outcomes):
+    for (label, __), result in zip(probes, results_or_raise(outcomes)):
         max_w[label] = max(max_w[label], result.power.max_w)
 
     rows = []

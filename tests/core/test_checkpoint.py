@@ -128,15 +128,8 @@ class TestJournaledExecution:
 
         monkeypatch.setattr(parallel, "run_experiment", interrupt_second)
         path = tmp_path / "ck.jsonl"
-        journal = CheckpointJournal(path)
-        journal.open(fresh=True)
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                run_configs(
-                    configs, ExecutionOptions(n_workers=1), journal=journal
-                )
-        finally:
-            journal.close()
+        with pytest.raises(KeyboardInterrupt):
+            run_configs(configs, ExecutionOptions(n_workers=1, checkpoint=path))
         entries = CheckpointJournal.load(path)
         states = [entry.state for entry in entries.values()]
         assert states.count(PointState.DONE) == 1

@@ -295,8 +295,6 @@ class TestResultCache:
     def test_corrupt_entry_recomputed_under_retry_policy(self, tmp_path):
         """Cache corruption plus a retry policy: the point recomputes on
         the resilient pool and the rewritten entry is valid."""
-        from repro.core.parallel import RetryPolicy
-
         grid = small_grid(block_sizes=(16 * KiB,), iodepths=(1,))
         first = run_sweep(grid, ExecutionOptions(cache_dir=tmp_path))
         (entry,) = tmp_path.glob("*.pkl")

@@ -5,8 +5,10 @@ The resilient pool owns its worker processes (fork start method), so a
 children -- the tests stand in hung/crashing experiments for real ones.
 """
 
+import json
 import os
 import time
+import warnings
 
 import pytest
 
@@ -15,13 +17,14 @@ from repro.core import parallel
 from repro.core.options import ExecutionOptions
 from repro.core.parallel import (
     PointFailure,
-    RetryPolicy,
     backoff_delay,
     run_configs,
 )
 from repro.core.experiment import ExperimentConfig, ExperimentResult
-from repro.core.sweep import SweepGrid, run_sweep
+from repro.core.ledger import RunLedger
+from repro.core.sweep import SweepGrid, run_sweep, sweep_outcome
 from repro.iogen.spec import IoPattern, JobSpec
+from repro.obs import Tracer
 from tests.conftest import tiny_ssd_config
 
 
@@ -39,53 +42,39 @@ def quick_config(iodepth=4):
     )
 
 
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="timeout_s"):
-            RetryPolicy(timeout_s=0.0)
-        with pytest.raises(ValueError, match="retries"):
-            RetryPolicy(retries=-1)
-        with pytest.raises(ValueError, match="backoff"):
-            RetryPolicy(backoff_base_s=-0.1)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=-0.5)
-
-    def test_resilient_property(self):
-        assert not RetryPolicy().resilient
-        assert RetryPolicy(timeout_s=5.0).resilient
-        assert RetryPolicy(retries=1).resilient
+def always_failing_config():
+    """The tiny SSD has no power state 99: every attempt raises."""
+    return ExperimentConfig(
+        device=tiny_ssd_config(), job=quick_config().job, power_state=99
+    )
 
 
 class TestBackoffDelay:
-    POLICY = RetryPolicy(backoff_base_s=0.1, backoff_cap_s=1.0, jitter=0.25)
-
     def test_deterministic_per_key_and_attempt(self):
-        assert backoff_delay("abc", 1, self.POLICY) == backoff_delay(
-            "abc", 1, self.POLICY
-        )
-        assert backoff_delay("abc", 1, self.POLICY) != backoff_delay(
-            "abc", 2, self.POLICY
-        )
-        assert backoff_delay("abc", 1, self.POLICY) != backoff_delay(
-            "xyz", 1, self.POLICY
-        )
+        assert backoff_delay("abc", 1) == backoff_delay("abc", 1)
+        assert backoff_delay("abc", 1) != backoff_delay("abc", 2)
+        assert backoff_delay("abc", 1) != backoff_delay("xyz", 1)
 
-    def test_exponential_growth_with_cap(self):
-        no_jitter = RetryPolicy(backoff_base_s=0.1, backoff_cap_s=0.35, jitter=0.0)
-        assert backoff_delay("k", 1, no_jitter) == pytest.approx(0.1)
-        assert backoff_delay("k", 2, no_jitter) == pytest.approx(0.2)
-        assert backoff_delay("k", 3, no_jitter) == pytest.approx(0.35)  # capped
-        assert backoff_delay("k", 9, no_jitter) == pytest.approx(0.35)
+    def test_exponential_growth_with_cap(self, monkeypatch):
+        monkeypatch.setattr(parallel, "BACKOFF_BASE_S", 0.1)
+        monkeypatch.setattr(parallel, "BACKOFF_CAP_S", 0.35)
+        monkeypatch.setattr(parallel, "BACKOFF_JITTER", 0.0)
+        assert backoff_delay("k", 1) == pytest.approx(0.1)
+        assert backoff_delay("k", 2) == pytest.approx(0.2)
+        assert backoff_delay("k", 3) == pytest.approx(0.35)  # capped
+        assert backoff_delay("k", 9) == pytest.approx(0.35)
 
     def test_jitter_bounded(self):
-        for attempt in (1, 2, 3):
-            delay = backoff_delay("key", attempt, self.POLICY)
-            base = min(1.0, 0.1 * 2 ** (attempt - 1))
+        # The schedule `repro sweep --retries` runs: 0.05 s doubling to a
+        # 2 s cap, plus up to 25 % jitter.
+        for attempt in (1, 2, 3, 8):
+            delay = backoff_delay("key", attempt)
+            base = min(2.0, 0.05 * 2 ** (attempt - 1))
             assert base <= delay <= base * 1.25
 
     def test_attempt_is_one_based(self):
         with pytest.raises(ValueError, match="1-based"):
-            backoff_delay("k", 0, self.POLICY)
+            backoff_delay("k", 0)
 
 
 class TestHungWorker:
@@ -94,10 +83,10 @@ class TestHungWorker:
             time.sleep(60)
 
         monkeypatch.setattr(parallel, "run_experiment", hang)
-        policy = RetryPolicy(timeout_s=0.5, retries=1, backoff_base_s=0.01)
         start = time.monotonic()
         (outcome,) = run_configs(
-            [quick_config()], ExecutionOptions(n_workers=2), policy=policy
+            [quick_config()],
+            ExecutionOptions(n_workers=2, timeout_s=0.5, retries=1),
         )
         elapsed = time.monotonic() - start
         assert isinstance(outcome, PointFailure)
@@ -116,11 +105,9 @@ class TestHungWorker:
             return real(config)
 
         monkeypatch.setattr(parallel, "run_experiment", selective_hang)
-        policy = RetryPolicy(timeout_s=0.75, retries=0)
         healthy, hung = run_configs(
             [quick_config(iodepth=4), quick_config(iodepth=8)],
-            ExecutionOptions(n_workers=2),
-            policy=policy,
+            ExecutionOptions(n_workers=2, timeout_s=0.75),
         )
         assert isinstance(healthy, ExperimentResult)
         assert healthy.mean_power_w > 0
@@ -132,17 +119,14 @@ class TestWorkerCrash:
     @pytest.mark.parametrize(
         "telemetry", [False, True], ids=["no-telemetry", "telemetry"]
     )
-    @pytest.mark.parametrize(
-        "policy",
-        [None, RetryPolicy(retries=1, backoff_base_s=0.01)],
-        ids=["no-policy", "retry"],
-    )
+    @pytest.mark.parametrize("retries", [0, 1], ids=["no-policy", "retry"])
     def test_hard_crash_survived_and_reported(
-        self, monkeypatch, policy, telemetry
+        self, monkeypatch, retries, telemetry
     ):
-        """A worker dying mid-point costs only that point, whatever the
-        policy and telemetry: the sibling's result is kept and the batch
-        is never re-run in the caller (which the crash would kill)."""
+        """A worker dying mid-point costs only that point, with or
+        without retries and telemetry: the sibling's result is kept and
+        the batch is never re-run in the caller (which the crash would
+        kill)."""
         real = parallel.run_experiment
 
         def crash_on_deep(config, **kwargs):
@@ -154,15 +138,14 @@ class TestWorkerCrash:
         monkeypatch.setattr(parallel, "run_experiment", crash_on_deep)
         healthy, crashed = run_configs(
             [quick_config(iodepth=4), quick_config(iodepth=8)],
-            ExecutionOptions(n_workers=2, telemetry=telemetry),
-            policy=policy,
+            ExecutionOptions(n_workers=2, telemetry=telemetry, retries=retries),
         )
         assert isinstance(healthy, ExperimentResult)
         assert healthy.mean_power_w > 0
         assert isinstance(crashed, PointFailure)
         assert crashed.error_type == "WorkerCrashError"
         assert "died" in crashed.message
-        assert crashed.attempts == (1 if policy is None else 2)
+        assert crashed.attempts == 1 + retries
 
     def test_flaky_point_succeeds_on_retry(self, monkeypatch, tmp_path):
         marker = tmp_path / "first-attempt-done"
@@ -175,9 +158,8 @@ class TestWorkerCrash:
             return real(config)
 
         monkeypatch.setattr(parallel, "run_experiment", flaky)
-        policy = RetryPolicy(retries=2, backoff_base_s=0.01)
         (outcome,) = run_configs(
-            [quick_config()], ExecutionOptions(n_workers=1), policy=policy
+            [quick_config()], ExecutionOptions(n_workers=1, retries=2)
         )
         assert isinstance(outcome, ExperimentResult)
         assert outcome.mean_power_w > 0
@@ -187,14 +169,8 @@ class TestWorkerCrash:
         assert outcome.throughput_bps == reference.throughput_bps
 
     def test_deterministic_exception_exhausts_retries(self):
-        bad = ExperimentConfig(
-            device=tiny_ssd_config(),
-            job=quick_config().job,
-            power_state=99,
-        )
-        policy = RetryPolicy(retries=1, backoff_base_s=0.01)
         (outcome,) = run_configs(
-            [bad], ExecutionOptions(n_workers=1), policy=policy
+            [always_failing_config()], ExecutionOptions(n_workers=1, retries=1)
         )
         assert isinstance(outcome, PointFailure)
         assert outcome.error_type == "ValueError"
@@ -224,22 +200,16 @@ class TestResilientEquivalence:
             assert other.true_mean_power_w == result.true_mean_power_w
 
     def test_tracing_with_timeout_warns_and_runs_in_process(self):
-        from repro.obs import Tracer
-
         tracer = Tracer(keep_events=True)
-        policy = RetryPolicy(timeout_s=60.0)
         with pytest.warns(RuntimeWarning, match="cannot be enforced"):
             (outcome,) = run_configs(
                 [quick_config()],
-                ExecutionOptions(n_workers=2, tracer=tracer),
-                policy=policy,
+                ExecutionOptions(n_workers=2, tracer=tracer, timeout_s=60.0),
             )
         assert isinstance(outcome, ExperimentResult)
         assert tracer.events  # the run really was traced
 
     def test_tracing_a_pooled_batch_warns_and_runs_in_process(self):
-        from repro.obs import Tracer
-
         tracer = Tracer(keep_events=True)
         with pytest.warns(RuntimeWarning, match="2 points run in this process"):
             outcomes = run_configs(
@@ -248,3 +218,121 @@ class TestResilientEquivalence:
             )
         assert all(isinstance(o, ExperimentResult) for o in outcomes)
         assert tracer.events  # both points ran in this process, traced
+
+
+class TestBothTransportsKeepTheSameBooks:
+    """One point with one retry, a checkpoint and a ledger, run once in
+    this process (a tracer keeps it there) and once on the pool: both
+    transports journal the same lines and count the same attempts."""
+
+    TRANSPORTS = ("in-process", "pool")
+
+    def _run(self, config, transport, tmp_path):
+        root = tmp_path / transport
+        options = ExecutionOptions(
+            n_workers=2,
+            tracer=Tracer() if transport == "in-process" else None,
+            retries=1,
+            checkpoint=root / "ck.jsonl",
+            ledger=root / "ledger.jsonl",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no transport fallback
+            (outcome,) = run_configs([config], options)
+        journal = [
+            json.loads(line)
+            for line in (root / "ck.jsonl").read_text().splitlines()
+        ]
+        (record,) = [
+            r for r in RunLedger.load(root / "ledger.jsonl") if r["rec"] == "point"
+        ]
+        return outcome, journal, record
+
+    def test_always_failing_point(self, tmp_path):
+        runs = [
+            self._run(always_failing_config(), transport, tmp_path)
+            for transport in self.TRANSPORTS
+        ]
+        (inproc, inproc_journal, _), (pooled, pool_journal, _) = runs
+        assert inproc_journal == pool_journal
+        assert [(e["state"], e["attempt"]) for e in pool_journal] == [
+            ("in_flight", 1), ("failed", 1),
+            ("in_flight", 2), ("failed", 2), ("exhausted", 2),
+        ]
+        assert pool_journal[1]["detail"] == (
+            "ValueError: tiny has no power state 99"
+        )
+        assert isinstance(inproc, PointFailure)
+        assert isinstance(pooled, PointFailure)
+        assert inproc.attempts == pooled.attempts == 2
+
+    def test_flaky_point(self, monkeypatch, tmp_path):
+        real = parallel.run_experiment
+        state = {}
+
+        def flaky(config, **kwargs):
+            # kwargs: the tracer and the point's profiler ride along.
+            if not state["marker"].exists():
+                state["marker"].write_text("failing this attempt")
+                raise RuntimeError("flaky host")
+            return real(config, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_experiment", flaky)
+        runs = []
+        for transport in self.TRANSPORTS:
+            # Set before the pool forks, so its worker sees it too.
+            state["marker"] = tmp_path / f"{transport}-failed-once"
+            runs.append(self._run(quick_config(), transport, tmp_path))
+        (inproc, inproc_journal, inproc_record), (pooled, pool_journal, pool_record) = runs
+        assert isinstance(inproc, ExperimentResult)
+        assert isinstance(pooled, ExperimentResult)
+        assert inproc.mean_power_w == pooled.mean_power_w
+        assert inproc_journal == pool_journal
+        assert [e["state"] for e in pool_journal] == [
+            "in_flight", "failed", "in_flight", "done",
+        ]
+        assert inproc_record["attempts"] == pool_record["attempts"] == 2
+
+
+class TestWarningsNameTheCaller:
+    """Executor warnings point at the line that called the executor,
+    whichever entry point it called, not at the executor itself."""
+
+    @staticmethod
+    def _grid():
+        return SweepGrid(
+            device=tiny_ssd_config(),
+            patterns=(IoPattern.RANDREAD,),
+            block_sizes=(16 * KiB,),
+            iodepths=(1, 8),
+            power_states=(0,),
+            base_job=quick_config().job,
+        )
+
+    ENTRY_POINTS = {
+        "run_configs": lambda grid, options: run_configs(
+            [grid.config_for(point) for point in grid.points()], options
+        ),
+        "sweep_outcome": lambda grid, options: sweep_outcome(grid, options),
+        "run_sweep": lambda grid, options: run_sweep(grid, options),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "cause", ["traced-batch", "traced-timeout", "no-pool"]
+    )
+    def test_warning_names_this_file(self, entry, cause, monkeypatch):
+        options = ExecutionOptions(n_workers=2)
+        if cause == "traced-batch":
+            options = options.evolve(tracer=Tracer())
+        elif cause == "traced-timeout":
+            options = options.evolve(n_workers=1, tracer=Tracer(), timeout_s=60.0)
+        else:
+            def broken_spawn(*args, **kwargs):
+                raise OSError("no semaphores on this platform")
+
+            monkeypatch.setattr(parallel, "_WorkerSlot", broken_spawn)
+        with pytest.warns(RuntimeWarning) as caught:
+            self.ENTRY_POINTS[entry](self._grid(), options)
+        assert caught
+        assert {w.filename for w in caught} == {__file__}

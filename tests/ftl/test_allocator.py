@@ -110,6 +110,23 @@ class TestValidityAndErase:
         with pytest.raises(ValueError):
             allocator.erase(block.block_id)
 
+    def test_erase_free_block_rejected(self):
+        """A FREE block is already in the pool: erasing it again would
+        list it twice, and a later allocation would take it while FULL."""
+        allocator = WriteAllocator(GEOMETRY)
+        before = allocator.free_blocks
+        with pytest.raises(ValueError, match="free block 0"):
+            allocator.erase(0)
+        assert allocator.free_blocks == before
+        ppns = [allocator.allocate(die_index=0) for _ in range(4)]
+        for ppn in ppns:
+            allocator.mark_invalid(ppn)
+        block = allocator.block_of_ppn(ppns[0])
+        allocator.erase(block.block_id)
+        with pytest.raises(ValueError, match="free block"):
+            allocator.erase(block.block_id)
+        assert allocator.free_blocks == before
+
     def test_erase_with_valid_pages_rejected(self):
         allocator = WriteAllocator(GEOMETRY)
         ppns = [allocator.allocate(die_index=0) for _ in range(4)]

@@ -84,7 +84,6 @@ PUBLIC_API = (
     "RedirectionDecision",
     "RedirectionPolicy",
     "ResultCache",
-    "RetryPolicy",
     "RngStreams",
     "RunLedger",
     "RunProfiler",

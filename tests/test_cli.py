@@ -456,6 +456,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "violation" in out
 
+    def test_policy_journals_both_phases(self, capsys, tmp_path):
+        """The baseline and the policy run each end ``done`` in the one
+        journal: the policy phase appends to the file the baseline phase
+        opened instead of truncating it."""
+        from repro.core.checkpoint import CheckpointJournal, PointState
+
+        argv = [
+            "policy", "--device", "ssd3", "--policy", "static", "--quick",
+            "--cache", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        entries = CheckpointJournal.load(tmp_path / "checkpoint.jsonl")
+        # One point per phase: the ssd3 baseline and its static-policy run.
+        assert len(entries) == 2
+        assert all(e.state is PointState.DONE for e in entries.values())
+
     def test_fleet_quick_validates_clean(self, capsys):
         code = main(
             ["fleet", "--devices", "3", "--epochs", "2", "--tenants", "6",
