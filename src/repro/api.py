@@ -21,7 +21,6 @@ The surface in one screen::
 
 from repro._units import GiB, KiB, MiB
 from repro.core.asymmetric import AsymmetricPlan, AsymmetricPlanner
-from repro.core.checkpoint import CheckpointJournal, PointState
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.core.ledger import RunLedger
 from repro.core.model import AdaptivePlan, ModelPoint, PowerThroughputModel
@@ -127,7 +126,6 @@ __all__ = [
     "BudgetAllocator",
     "BudgetSchedule",
     "BudgetSplit",
-    "CheckpointJournal",
     "ClusterGovernor",
     "DEFAULT",
     "DEVICE_PRESETS",
@@ -165,7 +163,6 @@ __all__ = [
     "NvmeCli",
     "PointFailure",
     "PointSpan",
-    "PointState",
     "PolicySpec",
     "PolicySummary",
     "PowerMeter",

@@ -6,9 +6,9 @@ Ten subcommands cover the workflows a user of the artifact needs:
 - ``run`` -- one experiment with fio-style options (the paper's inner
   measurement loop);
 - ``sweep`` -- a mechanism grid on one device, fanned out across worker
-  processes (``--workers``), with an optional on-disk result cache,
-  resilience controls (``--timeout``, ``--retries``) and checkpointed
-  resume (``--resume``);
+  processes (``--workers``), with an optional on-disk result cache and
+  resilience controls (``--timeout``, ``--retries``); re-running it over
+  the same ``--cache`` recomputes only the points the cache lacks;
 - ``figure`` -- regenerate a paper table/figure and print its rows;
 - ``validate`` -- audit the physics invariants (energy conservation,
   power envelopes, Little's law, monotonicity contracts) over a
@@ -37,10 +37,12 @@ Ten subcommands cover the workflows a user of the artifact needs:
   (the section-3.3 worked example), exiting 1 when no configuration
   fits the cut (and the optional p99 SLO).
 
-``sweep --cache DIR`` additionally appends provenance records to
-``DIR/ledger.jsonl`` (one per point plus a run summary) for ``repro
-report``, and ``sweep --progress`` paints a live done/ETA line on
-stderr.  Both observe a finished result; neither changes it.
+``sweep --cache DIR`` additionally appends to the run ledger
+``DIR/ledger.jsonl`` for ``repro report``: one record whenever a point's
+attempt starts or ends, one per point and a run summary.  ``repro
+report`` counts the points an interrupted run left mid-attempt, and
+``sweep --progress`` paints a live done/ETA line on stderr.  Both
+observe the run; neither changes a result.
 
 ``run`` and ``sweep`` accept ``--faults SPEC`` for deterministic fault
 injection (see :func:`repro.faults.parse_fault_plan` for the grammar,
@@ -208,28 +210,24 @@ def _device_parent(help_text: str) -> argparse.ArgumentParser:
     return parent
 
 
-def _resilience_parent(
-    resume_help: str, *, pool_controls: bool = False
-) -> argparse.ArgumentParser:
+def _resilience_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("resilience")
-    if pool_controls:
-        group.add_argument(
-            "--timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="wall-clock budget per point attempt; hung workers are "
-            "killed and the point retried",
-        )
-        group.add_argument(
-            "--retries",
-            type=int,
-            default=0,
-            help="extra attempts per failing point (timeouts, crashes, "
-            "exceptions)",
-        )
-    group.add_argument("--resume", action="store_true", help=resume_help)
+    group.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="wall-clock budget per point attempt; hung workers are "
+        "killed and the point retried",
+    )
+    group.add_argument(
+        "--retries",
+        type=int,
+        default=0,
+        help="extra attempts per failing point (timeouts, crashes, "
+        "exceptions)",
+    )
     return parent
 
 
@@ -308,11 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "inject faults into every point, e.g. 'io_error:p=0.01'"
             ),
             _fastpath_parent(),
-            _resilience_parent(
-                "continue an interrupted sweep: requires --cache; completed "
-                "points are skipped via the cache and checkpoint journal",
-                pool_controls=True,
-            ),
+            _resilience_parent(),
             _obs_parent(),
         ],
     )
@@ -410,9 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "clean), e.g. 'governor:at=0.02'"
             ),
             _cache_parent(),
-            _resilience_parent(
-                "continue an interrupted study: requires --cache"
-            ),
         ],
     )
     policy_p.add_argument(
@@ -700,7 +691,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     from pathlib import Path
 
-    from repro.core.checkpoint import CheckpointJournal
     from repro.core.options import ExecutionOptions
     from repro.core.parallel import ResultCache, resolve_workers
     from repro.core.reporting import format_table
@@ -711,12 +701,6 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         PAPER_QUEUE_DEPTHS,
     )
 
-    if args.resume and not args.cache:
-        return (
-            "sweep: --resume requires --cache (completed points are "
-            "skipped via their cached results)",
-            2,
-        )
     patterns = tuple(
         IoPattern(rw) for rw in (args.rw or ["randwrite"])
     )
@@ -740,15 +724,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     )
     obs = _ObsSession(args)
     cache = ResultCache(args.cache) if args.cache else None
-    checkpoint = Path(args.cache) / "checkpoint.jsonl" if args.cache else None
     ledger = Path(args.cache) / "ledger.jsonl" if args.cache else None
     progress = _progress_printer() if args.progress else None
-    notes = []
-    if args.resume and checkpoint is not None:
-        entries = CheckpointJournal.load(checkpoint)
-        notes.append(
-            f"resuming from {checkpoint}: {CheckpointJournal.summarize(entries)}"
-        )
     try:
         outcome = sweep_outcome(
             grid,
@@ -758,8 +735,6 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
                 tracer=obs.tracer,
                 timeout_s=args.timeout,
                 retries=args.retries,
-                checkpoint=checkpoint,
-                resume=args.resume,
                 fastpath=_fastpath_options(args),
                 telemetry=bool(
                     args.progress or args.metrics or ledger is not None
@@ -780,16 +755,13 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         ]
         for point, result in outcome.results.items()
     ]
-    blocks = []
-    if notes:
-        blocks.append("\n".join(notes))
-    blocks.append(
+    blocks = [
         format_table(
             ["Point", "Mean W", "MiB/s", "p99 us"],
             rows,
             title=f"Sweep of {args.device}: {len(rows)} points.",
         )
-    )
+    ]
     if outcome.failures:
         blocks.append(
             f"{len(outcome.failures)} point(s) FAILED:\n"
@@ -946,14 +918,7 @@ def _cmd_policy(args: argparse.Namespace) -> tuple[str, int]:
     from repro.core.parallel import ResultCache
     from repro.studies import policy_tracking
 
-    if args.resume and not args.cache:
-        return (
-            "policy: --resume requires --cache (completed points are "
-            "skipped via their cached results)",
-            2,
-        )
     cache = ResultCache(args.cache) if args.cache else None
-    checkpoint = Path(args.cache) / "checkpoint.jsonl" if args.cache else None
     ledger = Path(args.cache) / "ledger.jsonl" if args.cache else None
     result = policy_tracking.run(
         scale=QUICK if args.quick else DEFAULT,
@@ -963,8 +928,6 @@ def _cmd_policy(args: argparse.Namespace) -> tuple[str, int]:
         policies=tuple(args.policy) if args.policy else POLICY_KINDS,
         faults=args.faults,
         cache_dir=cache,
-        checkpoint=checkpoint,
-        resume=args.resume,
         ledger=ledger,
     )
     # Validation runs post-hoc over the *returned* results, cache hits
@@ -976,6 +939,7 @@ def _cmd_chaos(args: argparse.Namespace) -> tuple[str, int]:
     from pathlib import Path
 
     from repro.core.parallel import ResultCache
+    from repro.faults.campaign import run_campaign
     from repro.studies import chaos_resilience
 
     controllers = None
@@ -983,7 +947,7 @@ def _cmd_chaos(args: argparse.Namespace) -> tuple[str, int]:
         controllers = tuple(dict.fromkeys(args.controllers))
     cache = ResultCache(args.cache) if args.cache else None
     ledger = Path(args.cache) / "ledger.jsonl" if args.cache else None
-    result = chaos_resilience.run(
+    result = run_campaign(
         scale=QUICK if args.quick else DEFAULT,
         n_workers=args.workers,
         seed=args.seed,

@@ -1,54 +1,70 @@
-"""Run ledger: durable provenance for sweep executions.
+"""Run ledger: the executor's one log, and durable provenance for sweeps.
 
 The :class:`~repro.core.parallel.ResultCache` answers "what was this
-point's result?"; the :class:`~repro.core.checkpoint.CheckpointJournal`
-answers "where was the sweep when it died?".  Neither answers the
-questions a measurement study gets asked months later: *which* seeds and
-config hashes produced a figure, how long each point took, whether the
-validation suite signed off, what the fault plan and policy actually did.
-The ledger answers those.  It is an append-only JSONL file living beside
-the result cache, written as points complete and runs finish, and read
-back by ``repro report`` -- across sessions, resumes, and overlapping
-sweeps, because append-only means history is never rewritten.
+point's result?".  It cannot say where a batch was when it died, nor
+answer the questions a measurement study gets asked months later:
+*which* seeds and config hashes produced a figure, how long each point
+took, whether the validation suite signed off, what the fault plan and
+policy actually did.  The ledger answers those.  It is an append-only
+JSONL file living beside the result cache, written as attempts start
+and end, batches return and runs finish, and read back by ``repro
+report`` -- across sessions, re-runs and overlapping sweeps, because
+append-only means history is never rewritten.
 
-Two record shapes share the stream, discriminated by ``"rec"``:
+Four record shapes share the stream, discriminated by ``"rec"``:
 
+- ``attempt`` -- one attempt at a point changing state, written by the
+  executor the moment it happens: config content hash, attempt number
+  (1-based) and state.  An attempt starts ``in_flight`` and ends
+  ``failed`` (detail ``"ErrorType: message"``), ``exhausted`` once the
+  retry budget is spent (detail: the failure's description) or ``done``
+  (written after the result is in the cache).  A cache hit gets none.
+  A point whose last attempt record is ``in_flight`` was cut off
+  mid-attempt, or is still running; re-running the same command over
+  the same cache finishes it.
 - ``point`` -- one executed (or cache-served) point: config content hash,
   seed, device, terminal status, attempts, wall seconds and events/sec
   (from executor telemetry), and a compact result summary (power,
-  throughput, tail latency, fault and policy accounting).
+  throughput, tail latency, fault and policy accounting).  A batch
+  writes its point records once it returns, in submission order.
 - ``run`` -- one orchestrated batch finishing: point-status census,
   cache-effectiveness snapshot, executor summary, and the validation
   verdict.  ``repro report`` segments the stream on these.
+- ``fleet`` -- one governor epoch of a fleet run: budget, allocated
+  caps, deficit, measured and baseline power and p99.
 
-Like the checkpoint journal, the format is torn-line tolerant: a crashed
-writer leaves at most one garbage tail line, and :meth:`RunLedger.load`
-skips anything unparsable -- provenance must be readable precisely after
-the crashes it exists to survive.
+The format is torn-line tolerant: a crashed writer leaves at most one
+garbage tail line, and :meth:`RunLedger.load` skips anything
+unparsable -- provenance must be readable precisely after the crashes
+it exists to survive.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.obs.profile import PointProfile
 
-__all__ = ["RunLedger", "point_record", "run_record"]
+__all__ = ["RunLedger", "last_attempts", "point_record", "run_record"]
 
 #: Schema tag written into every record; bump when shapes change.
 LEDGER_VERSION = 1
+
+#: The states an ``attempt`` record can carry.
+ATTEMPT_STATES = ("in_flight", "failed", "exhausted", "done")
 
 
 class RunLedger:
     """Append-only JSONL provenance log.
 
     Each :meth:`append` opens, writes one line, and closes: records are
-    written at most a few times a second (per point completion), so the
-    simplicity and crash-durability of open-append-close beat a held
-    file handle -- and concurrent sweeps appending to one ledger
-    interleave whole lines (O_APPEND), never corrupt each other.
+    written at most a few times a second per worker (two per attempt,
+    one per point), so the simplicity and crash-durability of
+    open-append-close beat a held file handle -- and concurrent sweeps
+    appending to one ledger interleave whole lines (O_APPEND), never
+    corrupt each other.
 
     >>> import tempfile
     >>> path = Path(tempfile.mkdtemp()) / "ledger.jsonl"
@@ -69,12 +85,22 @@ class RunLedger:
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
+    def append_attempt(
+        self, key: str, state: str, attempt: int, detail: str = ""
+    ) -> None:
+        """Append one ``attempt`` record: attempt number ``attempt`` at the
+        point ``key`` has reached ``state``, one of :data:`ATTEMPT_STATES`."""
+        record = {"rec": "attempt", "key": key, "state": state, "attempt": attempt}
+        if detail:
+            record["detail"] = detail
+        self.append(record)
+
     @staticmethod
     def load(path: Union[str, Path]) -> List[dict]:
         """Every parsable record, oldest first; ``[]`` if absent.
 
-        Corrupt or truncated lines are skipped, not raised (same
-        contract as :meth:`CheckpointJournal.load`).
+        Corrupt or truncated lines (the torn tail of an interrupted
+        writer) are skipped, not raised.
         """
         path = Path(path)
         if not path.exists():
@@ -92,6 +118,30 @@ class RunLedger:
                 if isinstance(raw, dict) and "rec" in raw:
                     records.append(raw)
         return records
+
+
+def last_attempts(records: Iterable[dict]) -> Dict[str, dict]:
+    """The last ``attempt`` record per point key, in ledger order.
+
+    An attempt record with an unknown state is skipped, as a torn line
+    is: it cannot say where its point stands.
+
+    >>> last_attempts([
+    ...     {"rec": "attempt", "key": "a", "state": "in_flight", "attempt": 1},
+    ...     {"rec": "attempt", "key": "a", "state": "done", "attempt": 1},
+    ... ])["a"]["state"]
+    'done'
+    """
+    last: Dict[str, dict] = {}
+    for record in records:
+        key = record.get("key")
+        if (
+            record.get("rec") == "attempt"
+            and isinstance(key, str)
+            and record.get("state") in ATTEMPT_STATES
+        ):
+            last[key] = record
+    return last
 
 
 def _result_summary(result) -> dict:

@@ -2,14 +2,16 @@
 
 :class:`ExecutionOptions` is one frozen value object holding everything
 about *how* a batch of experiments executes -- worker count, result
-cache, tracing, per-point timeouts, retries, checkpointing, resume,
-telemetry -- and it travels through every layer as a unit:
+cache, tracing, per-point timeouts, retries, telemetry, the run ledger
+-- and it travels through every layer as a unit:
 
     options = ExecutionOptions(n_workers=4, cache_dir="cache", retries=1)
     results = run_sweep(grid, options)
 
 Every public entry point takes it as its ``options`` argument and
-rejects anything else by name (:func:`require_options`).
+rejects anything else by name (:func:`require_options`).  Re-running a
+batch over the same ``cache_dir`` resumes it: every point the cache
+holds is skipped, whether or not the first run was interrupted.
 """
 
 from __future__ import annotations
@@ -40,12 +42,6 @@ class ExecutionOptions:
             still running at the deadline is killed and the point retried
             or reported as a timeout failure.
         retries: Extra attempts per failing point.
-        checkpoint: Path of a
-            :class:`~repro.core.checkpoint.CheckpointJournal` recording
-            point lifecycle.
-        resume: Continue an interrupted sweep: the checkpoint journal
-            is appended to, not truncated.  A sweep also requires
-            ``cache_dir`` and ``checkpoint`` with it.
         validate: Run the :mod:`repro.validate` invariant checkers over
             the completed results.  :func:`~repro.core.sweep.sweep_outcome`
             attaches the report to the outcome;
@@ -75,10 +71,13 @@ class ExecutionOptions:
             imported when this is off.
         ledger: Path of (or an open
             :class:`~repro.core.ledger.RunLedger` for) an append-only
-            JSONL provenance log: one record per executed point (config
-            hash, seed, status, wall time, events/sec, result summary)
-            plus one per run (validation verdict, cache stats, executor
-            summary), surviving across sessions and resumes.
+            JSONL log, the executor's only one: an ``attempt`` record
+            whenever an attempt at a point starts or ends, written as it
+            happens, one ``point`` record per point once the batch
+            returns (config hash, seed, status, wall time, events/sec,
+            result summary), plus one per run (validation verdict, cache
+            stats, executor summary), surviving across sessions and
+            re-runs.
         progress: Optional callback receiving a
             :class:`~repro.core.telemetry.ProgressUpdate` after every
             point reaches a terminal state -- the hook behind the CLI's
@@ -90,8 +89,6 @@ class ExecutionOptions:
     tracer: Optional[Tracer] = None
     timeout_s: Optional[float] = None
     retries: int = 0
-    checkpoint: Optional[Union[str, Path]] = None
-    resume: bool = False
     validate: bool = False
     policy: Optional[object] = None
     fastpath: Optional[object] = None

@@ -17,20 +17,20 @@ substrate the sweep layer, the figure studies and the CLI share:
   already-computed points.
 
 Every attempt at a point is recorded by one object per batch,
-:class:`_Books`: it counts the attempt, journals it, writes a success to
-the cache, spends the retry budget (``ExecutionOptions.retries``, with
-the deterministic backoff of :func:`backoff_delay`) and feeds the
-telemetry recorder.  Two transports run the attempts.  A tracer keeps a
-batch in this process (tracer events cannot cross a process boundary in
-order), and so do one worker or one pending point unless the batch has
-a timeout or retries (only a separate process can be killed).  Every
-other batch runs on an owned pool of forked workers, each connected by
-a pipe: a worker still running at its deadline is ``terminate()``-d and
-replaced, and a worker that dies mid-point (segfault, OOM kill,
-``os._exit``) costs only that attempt, which is retried or reported as a
-:class:`WorkerCrashError` failure while its siblings' results are kept.
-If the pool's first workers cannot be spawned, the batch warns and runs
-in-process instead.
+:class:`_Books`: it counts the attempt, logs it to the run ledger as it
+starts and ends, writes a success to the cache, spends the retry budget
+(``ExecutionOptions.retries``, with the deterministic backoff of
+:func:`backoff_delay`) and feeds the telemetry recorder.  Two transports
+run the attempts.  A tracer keeps a batch in this process (tracer events
+cannot cross a process boundary in order), and so do one worker or one
+pending point unless the batch has a timeout or retries (only a
+separate process can be killed).  Every other batch runs on an owned
+pool of forked workers, each connected by a pipe: a worker still running
+at its deadline is ``terminate()``-d and replaced, and a worker that
+dies mid-point (segfault, OOM kill, ``os._exit``) costs only that
+attempt, which is retried or reported as a :class:`WorkerCrashError`
+failure while its siblings' results are kept.  If the pool's first
+workers cannot be spawned, the batch warns and runs in-process instead.
 Retry scheduling is wall-clock only and never touches simulation state,
 so every point that completes is bit-identical on both transports, and
 both keep the same books.
@@ -73,7 +73,6 @@ from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.core.checkpoint import CheckpointJournal, PointState
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.core.options import ExecutionOptions, require_options
 from repro.obs.profile import PointProfile, RunProfiler
@@ -321,10 +320,10 @@ class ResultCache:
             with open(tmp, "wb") as fh:
                 pickle.dump(result, fh)
                 fh.flush()
-                # Entries must survive the very crashes --resume exists
-                # for; without the fsync the rename can land while the
-                # data blocks are still unwritten, leaving a truncated
-                # "committed" entry after power loss.
+                # Entries must survive the very crashes a re-run over the
+                # cache recovers from; without the fsync the rename can
+                # land while the data blocks are still unwritten, leaving
+                # a truncated "committed" entry after power loss.
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
@@ -404,7 +403,7 @@ class _Attempt:
     def key(self) -> str:
         """The point's :func:`config_content_hash`, hashed on first read.
 
-        Only a journal, the telemetry recorder and a retry backoff read
+        Only a ledger, the telemetry recorder and a retry backoff read
         it; a plain batch never pays for hashing its configs.
         """
         return config_content_hash(self.config)
@@ -415,21 +414,25 @@ class _Books:
     """The one record of a batch's attempts, whichever transport ran them.
 
     Both transports bracket every attempt with :meth:`start` and
-    :meth:`finish`; nothing else journals, caches or reports an executed
+    :meth:`finish`; nothing else logs, caches or reports an executed
     point.
     """
 
     outcomes: List[Union[ExperimentResult, PointFailure, None]]
     retries: int
-    journal: Optional[CheckpointJournal]
+    ledger: object  # a RunLedger, or None
     cache: Optional[ResultCache]
     recorder: object  # a TelemetryRecorder, or None
+
+    def _log(self, task: _Attempt, state: str, detail: str = "") -> None:
+        """Append the attempt's new state to the ledger, if there is one."""
+        if self.ledger is not None:
+            self.ledger.append_attempt(task.key, state, task.attempt, detail)
 
     def start(self, task: _Attempt, worker: Optional[int] = None) -> None:
         """Count an attempt that is now running (on ``worker``, if pooled)."""
         task.attempt += 1
-        if self.journal is not None:
-            self.journal.record(task.key, PointState.IN_FLIGHT, attempt=task.attempt)
+        self._log(task, "in_flight")
         if self.recorder is not None:
             self.recorder.point_dispatched(task.index, worker=worker)
 
@@ -444,32 +447,18 @@ class _Books:
         Returns the backoff delay before the point's next attempt while
         the retry budget lasts, else ``None``: the outcome is final.
         """
-        journal = self.journal
         if isinstance(outcome, PointFailure):
             outcome = dataclasses.replace(outcome, attempts=task.attempt)
-            if journal is not None:
-                journal.record(
-                    task.key,
-                    PointState.FAILED,
-                    attempt=task.attempt,
-                    detail=f"{outcome.error_type}: {outcome.message}",
-                )
+            self._log(task, "failed", f"{outcome.error_type}: {outcome.message}")
             if task.attempt <= self.retries:
                 return backoff_delay(task.key, task.attempt)
-            if journal is not None:
-                journal.record(
-                    task.key,
-                    PointState.EXHAUSTED,
-                    attempt=task.attempt,
-                    detail=outcome.describe(),
-                )
+            self._log(task, "exhausted", outcome.describe())
         else:
             if self.cache is not None:
-                # Persist before journaling DONE: resume trusts DONE to
-                # mean the result is on disk.
+                # Persist before logging "done": a "done" attempt means
+                # the result is on disk, so a re-run will not recompute it.
                 self.cache.put(task.config, outcome)
-            if journal is not None:
-                journal.record(task.key, PointState.DONE, attempt=task.attempt)
+            self._log(task, "done")
         self.outcomes[task.index] = outcome
         if self.recorder is not None:
             self.recorder.point_finished(task.index, outcome, profile)
@@ -726,11 +715,12 @@ def run_configs(
             :class:`TypeError`).  A timeout or retries run the points on
             the owned worker pool even at one worker, so a hung worker
             can be terminated at its deadline and failed attempts
-            re-dispatched after a deterministic backoff; ``checkpoint``
-            journals each point's lifecycle (keyed by
-            :func:`config_content_hash`), appending to the journal when
-            ``resume`` is set, so an interrupted sweep can be resumed and
-            audited.
+            re-dispatched after a deterministic backoff.  A ``ledger``
+            logs each attempt (keyed by :func:`config_content_hash`) as
+            it starts and ends, and each point once the batch returns,
+            so an interrupted batch can be audited; re-running it over
+            the same ``cache_dir`` recomputes only the points the cache
+            lacks.
 
     Returns:
         One :class:`ExperimentResult` or :class:`PointFailure` per config.
@@ -760,7 +750,9 @@ def _run_batch(
     per batch: spans are keyed by submission index) when it is given.
 
     Cached points are served from the cache (failures are never cached);
-    the rest run on the transport :func:`_execute` picks.
+    the rest run on the transport :func:`_execute` picks.  Attempt
+    records reach the ledger as they happen; point records follow once
+    the batch returns, in submission order.
     """
     configs = list(configs)
     if isinstance(opts.cache_dir, ResultCache):
@@ -769,34 +761,9 @@ def _run_batch(
         cache = ResultCache(opts.cache_dir) if opts.cache_dir is not None else None
     if recorder is not None:
         recorder.total = len(configs)
-    journal = None
-    if opts.checkpoint is not None:
-        journal = CheckpointJournal(opts.checkpoint)
-        journal.open(fresh=not opts.resume)
-    outcomes: List[Union[ExperimentResult, PointFailure, None]] = [None] * len(configs)
-    try:
-        pending: List[_Attempt] = []
-        for index, config in enumerate(configs):
-            task = _Attempt(index, config)
-            cached = cache.get(config) if cache is not None else None
-            if cached is not None:
-                outcomes[index] = cached
-                if recorder is not None:
-                    recorder.point_cached(index, task.key, config.describe())
-                if journal is not None:
-                    journal.record(task.key, PointState.DONE, detail="cached")
-            else:
-                if recorder is not None:
-                    recorder.point_enqueued(index, task.key, config.describe())
-                pending.append(task)
-        if pending:
-            _execute(
-                pending, opts, _Books(outcomes, opts.retries, journal, cache, recorder)
-            )
-    finally:
-        if journal is not None:
-            journal.close()
+    ledger = None
     if opts.ledger is not None:
+        # Imported lazily: a batch without a ledger never loads it.
         from repro.core.ledger import RunLedger, point_record
 
         ledger = (
@@ -804,6 +771,24 @@ def _run_batch(
             if isinstance(opts.ledger, RunLedger)
             else RunLedger(opts.ledger)
         )
+    outcomes: List[Union[ExperimentResult, PointFailure, None]] = [None] * len(configs)
+    pending: List[_Attempt] = []
+    for index, config in enumerate(configs):
+        task = _Attempt(index, config)
+        cached = cache.get(config) if cache is not None else None
+        if cached is not None:
+            outcomes[index] = cached
+            if recorder is not None:
+                recorder.point_cached(index, task.key, config.describe())
+        else:
+            if recorder is not None:
+                recorder.point_enqueued(index, task.key, config.describe())
+            pending.append(task)
+    if pending:
+        _execute(
+            pending, opts, _Books(outcomes, opts.retries, ledger, cache, recorder)
+        )
+    if ledger is not None:
         for index, (config, outcome) in enumerate(zip(configs, outcomes)):
             ledger.append(
                 point_record(config, outcome, span=recorder.span(index))

@@ -2,21 +2,23 @@
 
 ``repro report`` turns a :class:`~repro.core.ledger.RunLedger` stream
 into the one-page answer an operator wants after (or during) a long
-sweep: did throughput regress over the run, which points dominated the
-wall clock, did the cache actually help, what retried or timed out, how
-well did the policies track their budgets, what a fleet run's governor
-did per epoch, and did validation sign off.
+sweep: did every point finish, did throughput regress over the run,
+which points dominated the wall clock, did the cache actually help, what
+retried or timed out, how well did the policies track their budgets,
+what a fleet run's governor did per epoch, and did validation sign off.
 :func:`build_report` computes a JSON-ready structure (for dashboards and
 diffing); :func:`render_markdown` formats it for humans.
 
 The report is computed purely from ledger records, so it works across
-sessions and resumes -- including over a sweep that is still running,
+sessions and re-runs -- including over a sweep that is still running,
 since the ledger is append-only and torn-tail tolerant.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+from repro.core.ledger import last_attempts
 
 __all__ = ["build_report", "render_markdown"]
 
@@ -261,7 +263,13 @@ def build_report(records: List[dict]) -> dict:
     (when a fleet run left epoch records or a summary), and
     ``validation`` (when any run validated) sections, plus a top-level
     ``ok`` verdict: the latest run record's validation passed (or was
-    absent) and the latest batch reported no failures.
+    absent), the latest batch reported no failures, and no point is
+    left in flight.
+
+    ``overview.in_flight`` counts the points whose last ``attempt``
+    record after the latest ``run`` record is ``in_flight``: cut off
+    mid-attempt (or still running).  Earlier attempt records belong to
+    batches the latest run already judged, as earlier failures do.
 
     Records of a kind this reader does not know are counted (never
     silently dropped): ``overview.skipped_records`` says how many, so a
@@ -271,7 +279,17 @@ def build_report(records: List[dict]) -> dict:
     points = [r for r in records if r.get("rec") == "point"]
     runs = [r for r in records if r.get("rec") == "run"]
     fleet_records = [r for r in records if r.get("rec") == "fleet"]
-    skipped = len(records) - len(points) - len(runs) - len(fleet_records)
+    skipped = sum(
+        1 for r in records if r.get("rec") not in ("attempt", "point", "run", "fleet")
+    )
+    latest_run = max(
+        (i for i, r in enumerate(records) if r.get("rec") == "run"), default=-1
+    )
+    in_flight = sum(
+        1
+        for attempt in last_attempts(records[latest_run + 1 :]).values()
+        if attempt["state"] == "in_flight"
+    )
     by_status: Dict[str, int] = {}
     for p in points:
         status = p.get("status", "?")
@@ -287,10 +305,11 @@ def build_report(records: List[dict]) -> dict:
     else:
         ok = not any(by_status.get(status) for status in _BAD_STATUSES)
     report = {
-        "ok": ok,
+        "ok": ok and not in_flight,
         "overview": {
             "points": len(points),
             "runs": len(runs),
+            "in_flight": in_flight,
             "skipped_records": skipped,
             "by_status": {k: by_status[k] for k in sorted(by_status)},
             "devices": sorted(
@@ -341,6 +360,12 @@ def render_markdown(report: dict) -> str:
         f"{overview['runs']} run(s) on "
         f"{', '.join(overview['devices']) or 'no devices'}; {census}."
     )
+    if overview["in_flight"]:
+        lines.append(
+            f"{overview['in_flight']} point(s) interrupted mid-attempt "
+            "(or still running): re-run the same command over the same "
+            "`--cache` to finish them"
+        )
     if overview.get("skipped_records"):
         lines.append(
             f"skipped {overview['skipped_records']} unrecognized "

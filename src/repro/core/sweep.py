@@ -186,8 +186,8 @@ def sweep_outcome(
         grid: The sweep specification.
         options: An :class:`~repro.core.options.ExecutionOptions` bundling
             every execution setting: worker count, result cache, tracing,
-            per-point timeouts, retries, checkpointing, resume and
-            telemetry.  Omit it for the defaults (one in-process worker, no
+            per-point timeouts, retries, telemetry and the run ledger.
+            Omit it for the defaults (one in-process worker, no
             cache); anything other than an ``ExecutionOptions`` raises
             :class:`TypeError`.  Results are identical for any worker
             count — points are independent and deterministic from their
@@ -195,13 +195,6 @@ def sweep_outcome(
             completion order.
     """
     opts = require_options("sweep_outcome", options)
-    if opts.resume and opts.cache_dir is None:
-        raise ValueError(
-            "resume requires cache_dir: completed points are skipped via "
-            "their cached results"
-        )
-    if opts.resume and opts.checkpoint is None:
-        raise ValueError("resume requires a checkpoint journal path")
     # The sweep keeps the batch's recorder: its spans become the
     # outcome's telemetry and the run record.
     recorder = _recorder_for(opts)

@@ -83,11 +83,12 @@ class PointSpan:
 
     Attributes:
         index: Submission-order position in the batch.
-        key: Config content hash (the cache / checkpoint / ledger key).
+        key: Config content hash (the cache and ledger key).
         label: ``config.describe()`` for humans.
         status: Terminal state: ``done``, ``cached``, ``failed``,
             ``timeout`` or ``crashed``.
-        attempts: Dispatch count (> 1 means the point was retried).
+        attempts: Dispatch count (> 1 means the point was retried); 1
+            for a cache hit.
         queue_wait_s: Enqueue to first dispatch (scheduling latency).
         total_s: Enqueue to terminal outcome, parent-side (includes
             queueing, retries and backoff).
@@ -400,16 +401,12 @@ class TelemetryRecorder:
         record.worker = worker
 
     def point_finished(self, index: int, outcome, profile=None) -> None:
-        """Terminal outcome for a point (success or final failure)."""
+        """Terminal outcome for a dispatched point (success or final
+        failure); its attempt count is its dispatch count."""
         record = self._points[index]
         record.status = point_status(outcome)
         record.finished_at = self._clock()
         record.profile = profile
-        attempts = getattr(outcome, "attempts", None)
-        if attempts is not None:
-            record.attempts = max(record.attempts, attempts)
-        elif record.attempts == 0:
-            record.attempts = 1
         self._emit_progress()
 
     # -- worker lifecycle -------------------------------------------------
@@ -471,7 +468,7 @@ class TelemetryRecorder:
             key=record.key,
             label=record.label,
             status=record.status,
-            attempts=max(1, record.attempts) if record.status != "cached" else 1,
+            attempts=1 if record.status == "cached" else record.attempts,
             queue_wait_s=max(0.0, dispatched - record.enqueued_at),
             total_s=max(0.0, finished - record.enqueued_at),
             worker=record.worker,

@@ -8,42 +8,17 @@ survives, what the p99 pays, and whether any invariant --
 ``budget_safety_under_faults`` above all -- broke.  Violating cells are
 shrunk to minimal ``--faults`` reproducers.
 
-Thin driver over :mod:`repro.faults.campaign`; the ``repro chaos`` CLI
-subcommand calls the same entry points.
+The campaign itself is :func:`repro.faults.campaign.run_campaign`; this
+module renders its result as the study's table, for the ``repro chaos``
+CLI subcommand.
 """
 
 from __future__ import annotations
 
 from repro.core.reporting import format_table
 from repro.faults.campaign import CampaignResult, run_campaign
-from repro.studies.common import DEFAULT, StudyScale
 
-__all__ = ["render", "run"]
-
-
-def run(
-    scale: StudyScale = DEFAULT,
-    n_workers: int | None = 1,
-    seed: int = 0,
-    devices: tuple[str, ...] = ("ssd2",),
-    controllers=None,
-    budget_cells=None,
-    watchdog: bool = True,
-    cache_dir=None,
-    ledger=None,
-) -> CampaignResult:
-    """Run the chaos campaign at study scale (see :func:`run_campaign`)."""
-    return run_campaign(
-        scale=scale,
-        devices=devices,
-        controllers=controllers,
-        budget_cells=budget_cells,
-        watchdog=watchdog,
-        seed=seed,
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        ledger=ledger,
-    )
+__all__ = ["render"]
 
 
 def render(result: CampaignResult) -> str:
@@ -81,4 +56,4 @@ def render(result: CampaignResult) -> str:
 
 
 if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(render(run()))
+    print(render(run_campaign()))

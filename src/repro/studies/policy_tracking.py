@@ -20,9 +20,10 @@ tracking error.  The expected shape matches the paper: SSDs harvest
 double-digit percentages for single-digit p99 cost; the HDD harvests
 ~nothing because EPC cannot bite under load.
 
-Both phases share one result cache / checkpoint journal, so ``repro
-policy --cache --resume`` skips completed points; validation is always
-post-hoc over the returned results, cache hits included.
+Both phases share one result cache and run ledger, so re-running
+``repro policy --cache DIR`` skips every point the cache holds, an
+interrupted run's included; validation is always post-hoc over the
+returned results, cache hits included.
 """
 
 from __future__ import annotations
@@ -145,8 +146,6 @@ def run(
     policies: tuple[str, ...] = POLICY_KINDS,
     faults: Optional[FaultPlan] = None,
     cache_dir=None,
-    checkpoint=None,
-    resume: bool = False,
     ledger=None,
 ) -> PolicyTrackingResult:
     """Run the tracking study.
@@ -155,21 +154,18 @@ def run(
     clean so budget derivation (and its cache keys) cannot drift with
     the fault plan under test.
 
-    ``ledger`` (a path or :class:`~repro.core.ledger.RunLedger`) appends
-    one provenance record per point plus a study-level summary carrying
-    the validation verdict, so ``repro report`` can audit the study
-    later.  Purely passive: results are identical with or without it.
+    ``ledger`` (a path or :class:`~repro.core.ledger.RunLedger`) receives
+    both phases' attempt and point records plus a study-level summary
+    carrying the validation verdict, so ``repro report`` can audit the
+    study later.  Purely passive: results are identical with or without
+    it.
     """
     if ledger is not None:
         from repro.core.ledger import RunLedger
 
         ledger = ledger if isinstance(ledger, RunLedger) else RunLedger(ledger)
     options = ExecutionOptions(
-        n_workers=n_workers,
-        cache_dir=cache_dir,
-        checkpoint=checkpoint,
-        resume=resume,
-        ledger=ledger,
+        n_workers=n_workers, cache_dir=cache_dir, ledger=ledger
     )
     baseline_configs = [
         point_config(
@@ -188,8 +184,7 @@ def run(
         policy_configs.append(
             replace(baselines[device].config, policy=spec, faults=faults)
         )
-    # Phase 2 appends to the journal phase 1 opened.
-    outcomes = run_configs(policy_configs, options.evolve(resume=True))
+    outcomes = run_configs(policy_configs, options)
     results: dict[tuple[str, str], ExperimentResult] = dict(
         zip(pairs, results_or_raise(outcomes))
     )

@@ -1,8 +1,11 @@
-"""Tests for the checkpoint journal and sweep resume.
+"""Tests for picking up an interrupted sweep: the run ledger's attempt
+records say where every point stands, and a re-run over the same result
+cache recomputes only what the cache lacks.
 
 The capstone test interrupts a real sweep subprocess with SIGINT mid-run
-and resumes it in-process, asserting that only the unfinished points are
-recomputed -- the exact crash-recovery story ``repro sweep --resume`` sells.
+and re-runs it in-process, asserting that only the unfinished points are
+recomputed -- the crash-recovery story of re-running ``repro sweep``
+over the same ``--cache``.
 """
 
 import os
@@ -15,11 +18,13 @@ from pathlib import Path
 import pytest
 
 from repro._units import KiB, MiB
+from repro.cli import main
 from repro.core import parallel
-from repro.core.checkpoint import CheckpointEntry, CheckpointJournal, PointState
+from repro.core.ledger import RunLedger, last_attempts
 from repro.core.options import ExecutionOptions
 from repro.core.parallel import run_configs
-from repro.core.sweep import SweepGrid, run_sweep, sweep_outcome
+from repro.core.report import build_report, render_markdown
+from repro.core.sweep import SweepGrid, run_sweep
 from repro.iogen.spec import IoPattern, JobSpec
 from tests.conftest import tiny_ssd_config
 
@@ -49,130 +54,165 @@ def small_grid(**overrides):
     return SweepGrid(**defaults)
 
 
-class TestJournal:
-    def test_round_trip_last_entry_wins(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        with CheckpointJournal(path) as journal:
-            journal.record("a", PointState.IN_FLIGHT)
-            journal.record("b", PointState.IN_FLIGHT)
-            journal.record("a", PointState.DONE, attempt=1)
-            journal.record("b", PointState.FAILED, attempt=1, detail="boom")
-            journal.record("b", PointState.IN_FLIGHT, attempt=2)
-        entries = CheckpointJournal.load(path)
-        assert entries["a"].state is PointState.DONE
-        assert not entries["a"].interrupted
-        assert entries["b"].state is PointState.IN_FLIGHT
-        assert entries["b"].attempt == 2
-        assert entries["b"].interrupted
+def attempt(key, state, n=1, detail=""):
+    record = {"rec": "attempt", "key": key, "state": state, "attempt": n}
+    if detail:
+        record["detail"] = detail
+    return record
 
-    def test_missing_journal_loads_empty(self, tmp_path):
-        assert CheckpointJournal.load(tmp_path / "absent.jsonl") == {}
+
+def attempt_states(path):
+    """Each point's last attempt state in the ledger at ``path``."""
+    return [a["state"] for a in last_attempts(RunLedger.load(path)).values()]
+
+
+def counting_stand_in(monkeypatch):
+    """Replace run_experiment with a pass-through that records its calls."""
+    real = parallel.run_experiment
+    executed = []
+
+    def counting(config, **kwargs):
+        # kwargs: with a ledger, the point's profiler rides along.
+        executed.append(config)
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_experiment", counting)
+    return executed
+
+
+class TestJournal:
+    """The ledger's attempt records, read back as each point's last one."""
+
+    def test_round_trip_last_entry_wins(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(path)
+        for record in (
+            attempt("a", "in_flight"),
+            attempt("b", "in_flight"),
+            attempt("a", "done"),
+            attempt("b", "failed", detail="boom"),
+            attempt("b", "in_flight", n=2),
+        ):
+            ledger.append(record)
+        last = last_attempts(RunLedger.load(path))
+        assert last["a"]["state"] == "done"
+        assert last["b"]["state"] == "in_flight"
+        assert last["b"]["attempt"] == 2
 
     def test_torn_and_corrupt_lines_skipped(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        with CheckpointJournal(path) as journal:
-            journal.record("a", PointState.DONE)
+        """An unknown state and a torn tail are skipped."""
+        path = tmp_path / "ledger.jsonl"
+        RunLedger(path).append(attempt("a", "done"))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json at all\n")
-            fh.write('{"key": "b", "state": "no-such-state"}\n')
-            fh.write('{"key": "c", "state": "do')  # torn tail, no newline
-        entries = CheckpointJournal.load(path)
-        assert set(entries) == {"a"}
-        assert entries["a"].state is PointState.DONE
-
-    def test_fresh_truncates_append_preserves(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        journal = CheckpointJournal(path)
-        journal.open(fresh=True)
-        journal.record("a", PointState.DONE)
-        journal.close()
-        journal.open(fresh=False)
-        journal.record("b", PointState.DONE)
-        journal.close()
-        assert set(CheckpointJournal.load(path)) == {"a", "b"}
-        journal.open(fresh=True)
-        journal.close()
-        assert CheckpointJournal.load(path) == {}
-
-    def test_record_requires_open(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "ck.jsonl")
-        with pytest.raises(RuntimeError, match="not open"):
-            journal.record("a", PointState.DONE)
+            fh.write('{"rec": "attempt", "key": "b", "state": "no-such-state"}\n')
+            fh.write('{"rec": "attempt", "key": "c", "state": "do')  # torn tail
+        last = last_attempts(RunLedger.load(path))
+        assert set(last) == {"a"}
+        assert last["a"]["state"] == "done"
 
     def test_summarize(self):
-        entries = {
-            "a": CheckpointEntry("a", PointState.DONE),
-            "b": CheckpointEntry("b", PointState.DONE),
-            "c": CheckpointEntry("c", PointState.IN_FLIGHT),
-            "d": CheckpointEntry("d", PointState.EXHAUSTED),
-        }
-        assert CheckpointJournal.summarize(entries) == (
-            "2 done, 1 in-flight, 1 exhausted"
-        )
-        assert CheckpointJournal.summarize({}) == "empty journal"
+        """The report counts the points whose last attempt is in flight."""
+        records = [
+            attempt("a", "in_flight"), attempt("a", "done"),
+            attempt("b", "in_flight"), attempt("b", "failed"),
+            attempt("b", "in_flight", n=2),
+            attempt("c", "in_flight"), attempt("c", "failed"),
+            attempt("c", "exhausted"),
+            attempt("d", "in_flight"),
+        ]
+        report = build_report(records)
+        assert report["overview"]["in_flight"] == 2
+        assert report["overview"]["skipped_records"] == 0
+        assert report["ok"] is False
+        assert "2 point(s) interrupted mid-attempt" in render_markdown(report)
+        clean = build_report(records[:2])
+        assert clean["overview"]["in_flight"] == 0
+        assert clean["ok"] is True
+        assert "interrupted" not in render_markdown(clean)
 
 
 class TestJournaledExecution:
-    def test_interrupt_leaves_in_flight_entry(self, tmp_path, monkeypatch):
-        """A Ctrl-C mid-sweep must leave the running point IN_FLIGHT."""
-        grid = small_grid()
-        configs = [grid.config_for(p) for p in grid.points()]
+    @staticmethod
+    def _interrupt_second_point(monkeypatch):
         real = parallel.run_experiment
         seen = []
 
-        def interrupt_second(config):
+        def interrupt_second(config, **kwargs):
+            # kwargs: with a ledger, the point's profiler rides along.
             seen.append(config)
             if len(seen) == 2:
                 raise KeyboardInterrupt
-            return real(config)
+            return real(config, **kwargs)
 
         monkeypatch.setattr(parallel, "run_experiment", interrupt_second)
-        path = tmp_path / "ck.jsonl"
-        with pytest.raises(KeyboardInterrupt):
-            run_configs(configs, ExecutionOptions(n_workers=1, checkpoint=path))
-        entries = CheckpointJournal.load(path)
-        states = [entry.state for entry in entries.values()]
-        assert states.count(PointState.DONE) == 1
-        assert states.count(PointState.IN_FLIGHT) == 1
 
-    def test_resume_requires_cache_and_checkpoint(self, tmp_path):
+    def test_interrupt_leaves_in_flight_entry(self, tmp_path, monkeypatch):
+        """A Ctrl-C mid-batch must leave the running point in flight."""
         grid = small_grid()
-        with pytest.raises(ValueError, match="resume requires cache_dir"):
-            sweep_outcome(
-                grid,
-                ExecutionOptions(resume=True, checkpoint=tmp_path / "ck.jsonl"),
-            )
-        with pytest.raises(ValueError, match="checkpoint journal"):
-            sweep_outcome(grid, ExecutionOptions(resume=True, cache_dir=tmp_path))
+        configs = [grid.config_for(p) for p in grid.points()]
+        self._interrupt_second_point(monkeypatch)
+        path = tmp_path / "ledger.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_configs(configs, ExecutionOptions(n_workers=1, ledger=path))
+        states = attempt_states(path)
+        assert states.count("done") == 1
+        assert states.count("in_flight") == 1
+        # The batch never returned, so it wrote no point records.
+        assert [r["rec"] for r in RunLedger.load(path)] == ["attempt"] * 3
+
+    def test_interrupted_batch_is_reported_until_rerun(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        grid = small_grid()
+        configs = [grid.config_for(p) for p in grid.points()]
+        options = ExecutionOptions(
+            cache_dir=tmp_path, ledger=tmp_path / "ledger.jsonl"
+        )
+        self._interrupt_second_point(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run_configs(configs, options)
+        report = build_report(RunLedger.load(tmp_path / "ledger.jsonl"))
+        assert report["overview"]["in_flight"] == 1
+        assert report["ok"] is False
+        assert main(["report", "--cache", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "1 point(s) interrupted mid-attempt" in out
+        assert "re-run the same command over the same `--cache`" in out
+
+        executed = counting_stand_in(monkeypatch)
+        run_configs(configs, options)
+        # The first point came from the cache; the other three ran.
+        assert executed == configs[1:]
+        report = build_report(RunLedger.load(tmp_path / "ledger.jsonl"))
+        assert report["overview"]["in_flight"] == 0
+        assert report["ok"] is True
+        assert main(["report", "--cache", str(tmp_path)]) == 0
+        assert "interrupted" not in capsys.readouterr().out
 
     def test_resume_skips_completed_points(self, tmp_path, monkeypatch):
+        """A re-run over the same cache is the resume: it recomputes only
+        the points the cache lacks."""
         grid = small_grid()
-        ck = tmp_path / "ck.jsonl"
+        ledger = tmp_path / "ledger.jsonl"
         cache = tmp_path / "cache"
         # Simulate an interrupted sweep by completing only half the grid.
         partial = small_grid(block_sizes=(16 * KiB,))
-        first = run_sweep(partial, ExecutionOptions(cache_dir=cache, checkpoint=ck))
+        first = run_sweep(partial, ExecutionOptions(cache_dir=cache, ledger=ledger))
         assert len(first) == 2
 
-        real = parallel.run_experiment
-        executed = []
-
-        def counting(config):
-            executed.append(config)
-            return real(config)
-
-        monkeypatch.setattr(parallel, "run_experiment", counting)
-        results = run_sweep(
-            grid, ExecutionOptions(cache_dir=cache, checkpoint=ck, resume=True)
-        )
+        executed = counting_stand_in(monkeypatch)
+        results = run_sweep(grid, ExecutionOptions(cache_dir=cache, ledger=ledger))
         assert len(results) == 4
         # Only the two 64 KiB points were recomputed.
         assert len(executed) == 2
         assert all(c.job.block_size == 64 * KiB for c in executed)
-        entries = CheckpointJournal.load(ck)
-        done = [e for e in entries.values() if e.state is PointState.DONE]
-        assert len(done) == 4
-        assert sum(e.detail == "cached" for e in done) == 2
+        assert attempt_states(ledger) == ["done"] * 4
+        # Cache hits get point records but no attempt records.
+        second_run = [r for r in RunLedger.load(ledger) if r["rec"] == "point"][2:]
+        assert sorted(r["status"] for r in second_run) == [
+            "cached", "cached", "done", "done",
+        ]
 
 
 SIGINT_SCRIPT = """
@@ -181,9 +221,9 @@ from repro.core import parallel
 
 real = parallel.run_experiment
 
-def slow(config):
+def slow(config, **kwargs):
     time.sleep(0.5)  # widen the window so SIGINT lands mid-sweep
-    return real(config)
+    return real(config, **kwargs)
 
 parallel.run_experiment = slow
 
@@ -206,7 +246,7 @@ grid = SweepGrid(
     seed=5,
 )
 run_sweep(
-    grid, ExecutionOptions(n_workers=1, cache_dir={cache!r}, checkpoint={ck!r})
+    grid, ExecutionOptions(n_workers=1, cache_dir={cache!r}, ledger={ledger!r})
 )
 print("finished-uninterrupted", flush=True)
 """
@@ -233,11 +273,15 @@ class TestSigintResume:
         self, tmp_path, monkeypatch
     ):
         cache = str(tmp_path / "cache")
-        ck = str(tmp_path / "ck.jsonl")
+        ledger = str(tmp_path / "ledger.jsonl")
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, "-c", SIGINT_SCRIPT.format(cache=cache, ck=ck)],
+            [
+                sys.executable,
+                "-c",
+                SIGINT_SCRIPT.format(cache=cache, ledger=ledger),
+            ],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
@@ -247,10 +291,7 @@ class TestSigintResume:
             # Wait for at least one completed point, then interrupt.
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                entries = CheckpointJournal.load(ck)
-                if any(
-                    e.state is PointState.DONE for e in entries.values()
-                ):
+                if "done" in attempt_states(ledger):
                     break
                 time.sleep(0.05)
             else:
@@ -263,28 +304,16 @@ class TestSigintResume:
                 proc.communicate()
         assert "finished-uninterrupted" not in stdout
 
-        entries = CheckpointJournal.load(ck)
-        done_before = sum(
-            e.state is PointState.DONE for e in entries.values()
-        )
-        assert 1 <= done_before < 4, CheckpointJournal.summarize(entries)
+        states = attempt_states(ledger)
+        done_before = states.count("done")
+        assert 1 <= done_before < 4, states
 
-        real = parallel.run_experiment
-        executed = []
-
-        def counting(config):
-            executed.append(config)
-            return real(config)
-
-        monkeypatch.setattr(parallel, "run_experiment", counting)
+        executed = counting_stand_in(monkeypatch)
         results = run_sweep(
             self._parent_grid(),
-            ExecutionOptions(
-                n_workers=1, cache_dir=cache, checkpoint=ck, resume=True
-            ),
+            ExecutionOptions(n_workers=1, cache_dir=cache, ledger=ledger),
         )
         assert len(results) == 4
-        # Resume recomputed exactly the points the interrupt lost.
+        # The re-run recomputed exactly the points the interrupt lost.
         assert len(executed) == 4 - done_before
-        final = CheckpointJournal.load(ck)
-        assert sum(e.state is PointState.DONE for e in final.values()) == 4
+        assert attempt_states(ledger) == ["done"] * 4

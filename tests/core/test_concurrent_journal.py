@@ -1,12 +1,14 @@
-"""Durability of the append-only logs under concurrent writers and torn
-tails.
+"""Durability of the append-only run ledger under concurrent writers and
+torn tails.
 
-Both ``RunLedger`` and ``CheckpointJournal`` promise that (a) multiple
-processes appending to one file interleave whole lines and lose nothing
-(O_APPEND semantics), and (b) a torn final line -- the signature of a
-crashed writer -- is skipped on load, never raised.  These tests drive
-two real subprocess appenders against one file and then mutilate the
-tail by hand.
+The ledger promises that (a) multiple processes appending to one file
+interleave whole lines and lose nothing (O_APPEND semantics), and (b) a
+torn final line -- the signature of a crashed writer -- is skipped on
+load, never raised.  Both hold for its plain records and for the
+``attempt`` records read back as each point's last state (the journal
+of where an interrupted batch stood).  These tests drive two real
+subprocess appenders against one file and then mutilate the tail by
+hand.
 """
 
 import json
@@ -14,8 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.core.checkpoint import CheckpointJournal, PointState
-from repro.core.ledger import RunLedger
+from repro.core.ledger import RunLedger, last_attempts
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -32,15 +33,20 @@ for i in range({count}):
 _JOURNAL_WRITER = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.core.checkpoint import CheckpointJournal, PointState
+from repro.core.ledger import RunLedger
 
-journal = CheckpointJournal({path!r})
-journal.open()
+ledger = RunLedger({path!r})
 for i in range({count}):
-    journal.record("w{writer}-" + str(i), PointState.IN_FLIGHT)
-    journal.record("w{writer}-" + str(i), PointState.DONE)
-journal.close()
+    for state in ("in_flight", "done"):
+        ledger.append({{
+            "rec": "attempt", "key": "w{writer}-" + str(i),
+            "state": state, "attempt": 1,
+        }})
 """
+
+
+def _attempt(key, state):
+    return {"rec": "attempt", "key": key, "state": state, "attempt": 1}
 
 
 def _run_writers(tmp_path, template, path, count=50):
@@ -95,41 +101,35 @@ class TestConcurrentLedgerAppenders:
 
 
 class TestConcurrentJournalAppenders:
+    """The same promises for attempt records, read back per point."""
+
     def test_two_writers_lose_no_entries(self, tmp_path):
-        path = tmp_path / "checkpoint.jsonl"
+        path = tmp_path / "ledger.jsonl"
         _run_writers(tmp_path, _JOURNAL_WRITER, path)
-        entries = CheckpointJournal.load(path)
-        assert len(entries) == 100
-        assert all(
-            entry.state is PointState.DONE for entry in entries.values()
-        )
+        last = last_attempts(RunLedger.load(path))
+        assert len(last) == 100
+        assert all(record["state"] == "done" for record in last.values())
 
     def test_torn_tail_keeps_prior_entries(self, tmp_path):
-        path = tmp_path / "checkpoint.jsonl"
-        journal = CheckpointJournal(path)
-        journal.open()
-        journal.record("alpha", PointState.DONE)
-        journal.record("beta", PointState.IN_FLIGHT)
-        journal.close()
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(path)
+        ledger.append(_attempt("alpha", "done"))
+        ledger.append(_attempt("beta", "in_flight"))
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "beta", "state": "do')
-        entries = CheckpointJournal.load(path)
-        assert entries["alpha"].state is PointState.DONE
+            fh.write('{"rec": "attempt", "key": "beta", "state": "do')
+        last = last_attempts(RunLedger.load(path))
+        assert last["alpha"]["state"] == "done"
         # The torn update is dropped; beta keeps its last intact state.
-        assert entries["beta"].state is PointState.IN_FLIGHT
+        assert last["beta"]["state"] == "in_flight"
 
     def test_garbage_line_mid_file_is_skipped(self, tmp_path):
-        path = tmp_path / "checkpoint.jsonl"
-        journal = CheckpointJournal(path)
-        journal.open()
-        journal.record("alpha", PointState.DONE)
-        journal.close()
+        path = tmp_path / "ledger.jsonl"
+        RunLedger(path).append(_attempt("alpha", "done"))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json at all\n")
-            fh.write('{"key": "gamma", "state": "unknown-state"}\n')
-        journal = CheckpointJournal(path)
-        journal.open()
-        journal.record("delta", PointState.DONE)
-        journal.close()
-        entries = CheckpointJournal.load(path)
-        assert set(entries) == {"alpha", "delta"}
+            fh.write(
+                '{"rec": "attempt", "key": "gamma", "state": "unknown-state"}\n'
+            )
+        RunLedger(path).append(_attempt("delta", "done"))
+        last = last_attempts(RunLedger.load(path))
+        assert set(last) == {"alpha", "delta"}

@@ -50,8 +50,14 @@ class TestExecutionOptions:
         assert opts.telemetry is False
         assert opts.timeout_s is None
         assert opts.retries == 0
-        assert opts.checkpoint is None
-        assert opts.resume is False
+        assert opts.ledger is None
+        # The whole settable surface; there is no resume switch (a
+        # re-run over the same cache_dir skips every cached point).
+        assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
+            "n_workers", "cache_dir", "tracer", "timeout_s", "retries",
+            "validate", "policy", "fastpath", "telemetry", "ledger",
+            "progress",
+        ]
 
     def test_frozen(self):
         opts = ExecutionOptions()

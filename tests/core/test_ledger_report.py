@@ -209,6 +209,22 @@ class TestBuildReport:
         )
         assert build_report(records)["ok"] is True
 
+    def test_only_attempts_after_the_latest_run_count(self):
+        """A point cut off before the latest run record belongs to a batch
+        that run already judged: it must not flip a later clean verdict,
+        while one cut off after it does."""
+        cut_off = {"rec": "attempt", "key": "k", "state": "in_flight",
+                   "attempt": 1}
+        clean_run = {"rec": "run", "kind": "sweep", "failures": 0, "points": 1}
+        records = [cut_off] + _points(1) + [clean_run]
+        report = build_report(records)
+        assert report["overview"]["in_flight"] == 0
+        assert report["ok"] is True
+        report = build_report(records + [cut_off])
+        assert report["overview"]["in_flight"] == 1
+        assert report["ok"] is False
+        assert report["overview"]["skipped_records"] == 0
+
     def test_no_run_records_judges_point_statuses(self):
         assert build_report(_points(2))["ok"] is True
         assert build_report(_points(1, status="crashed"))["ok"] is False

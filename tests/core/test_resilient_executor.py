@@ -5,7 +5,6 @@ The resilient pool owns its worker processes (fork start method), so a
 children -- the tests stand in hung/crashing experiments for real ones.
 """
 
-import json
 import os
 import time
 import warnings
@@ -121,12 +120,13 @@ class TestWorkerCrash:
     )
     @pytest.mark.parametrize("retries", [0, 1], ids=["no-policy", "retry"])
     def test_hard_crash_survived_and_reported(
-        self, monkeypatch, retries, telemetry
+        self, monkeypatch, tmp_path, retries, telemetry
     ):
         """A worker dying mid-point costs only that point, with or
         without retries and telemetry: the sibling's result is kept and
         the batch is never re-run in the caller (which the crash would
-        kill)."""
+        kill).  Each crash replaces the worker, and the point's record
+        still counts every attempt, on the replacement too."""
         real = parallel.run_experiment
 
         def crash_on_deep(config, **kwargs):
@@ -136,9 +136,12 @@ class TestWorkerCrash:
             return real(config, **kwargs)
 
         monkeypatch.setattr(parallel, "run_experiment", crash_on_deep)
+        ledger = tmp_path / "ledger.jsonl" if telemetry else None
         healthy, crashed = run_configs(
             [quick_config(iodepth=4), quick_config(iodepth=8)],
-            ExecutionOptions(n_workers=2, telemetry=telemetry, retries=retries),
+            ExecutionOptions(
+                n_workers=2, telemetry=telemetry, retries=retries, ledger=ledger
+            ),
         )
         assert isinstance(healthy, ExperimentResult)
         assert healthy.mean_power_w > 0
@@ -146,6 +149,12 @@ class TestWorkerCrash:
         assert crashed.error_type == "WorkerCrashError"
         assert "died" in crashed.message
         assert crashed.attempts == 1 + retries
+        if telemetry:
+            _, record = [
+                r for r in RunLedger.load(ledger) if r["rec"] == "point"
+            ]
+            assert record["status"] == "crashed"
+            assert record["attempts"] == 1 + retries
 
     def test_flaky_point_succeeds_on_retry(self, monkeypatch, tmp_path):
         marker = tmp_path / "first-attempt-done"
@@ -221,31 +230,28 @@ class TestResilientEquivalence:
 
 
 class TestBothTransportsKeepTheSameBooks:
-    """One point with one retry, a checkpoint and a ledger, run once in
-    this process (a tracer keeps it there) and once on the pool: both
-    transports journal the same lines and count the same attempts."""
+    """One point with one retry and a ledger, run once in this process
+    (a tracer keeps it there) and once on the pool: both transports log
+    the same attempt records and count the same attempts."""
 
     TRANSPORTS = ("in-process", "pool")
 
     def _run(self, config, transport, tmp_path):
-        root = tmp_path / transport
+        path = tmp_path / transport / "ledger.jsonl"
         options = ExecutionOptions(
             n_workers=2,
             tracer=Tracer() if transport == "in-process" else None,
             retries=1,
-            checkpoint=root / "ck.jsonl",
-            ledger=root / "ledger.jsonl",
+            ledger=path,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no transport fallback
             (outcome,) = run_configs([config], options)
-        journal = [
-            json.loads(line)
-            for line in (root / "ck.jsonl").read_text().splitlines()
-        ]
-        (record,) = [
-            r for r in RunLedger.load(root / "ledger.jsonl") if r["rec"] == "point"
-        ]
+        records = RunLedger.load(path)
+        journal = [r for r in records if r["rec"] == "attempt"]
+        (record,) = [r for r in records if r["rec"] == "point"]
+        # Every attempt record precedes the batch's point record.
+        assert records[-1] is record
         return outcome, journal, record
 
     def test_always_failing_point(self, tmp_path):

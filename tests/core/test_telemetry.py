@@ -32,11 +32,9 @@ class FakeClock:
 
 
 class _Outcome:
-    def __init__(self, error_type=None, attempts=None):
+    def __init__(self, error_type=None):
         if error_type is not None:
             self.error_type = error_type
-        if attempts is not None:
-            self.attempts = attempts
 
 
 class TestPointStatus:
@@ -78,16 +76,6 @@ class TestRecorderLifecycle:
         span = recorder.span(0)
         assert span.attempts == 2
         assert span.worker == 1
-
-    def test_failure_attempts_override_dispatch_count(self):
-        """A PointFailure knows its true attempt count (the recorder may
-        have seen fewer dispatches, e.g. after a worker replacement)."""
-        recorder = TelemetryRecorder(clock=FakeClock())
-        recorder.point_enqueued(0, "k", "pt")
-        recorder.point_dispatched(0)
-        recorder.point_finished(0, _Outcome("PointTimeoutError", attempts=3))
-        assert recorder.span(0).attempts == 3
-        assert recorder.span(0).status == "timeout"
 
     def test_cached_points_skip_dispatch(self):
         recorder = TelemetryRecorder(clock=FakeClock())

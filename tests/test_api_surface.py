@@ -36,7 +36,6 @@ PUBLIC_API = (
     "BudgetAllocator",
     "BudgetSchedule",
     "BudgetSplit",
-    "CheckpointJournal",
     "ClusterGovernor",
     "DEFAULT",
     "DEVICE_PRESETS",
@@ -74,7 +73,6 @@ PUBLIC_API = (
     "NvmeCli",
     "PointFailure",
     "PointSpan",
-    "PointState",
     "PolicySpec",
     "PolicySummary",
     "PowerMeter",

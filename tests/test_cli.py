@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +101,55 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet", "--workers", "0"])
         assert "worker count must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["sweep", "--device", "ssd3"], ["policy"]],
+        ids=["sweep", "policy"],
+    )
+    def test_resume_is_not_a_flag(self, command, capsys):
+        """Re-running over the same --cache is the resume."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--resume"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """Every ``repro`` command in README's bash blocks, as argument lists.
+
+    ``$ `` and ``> `` prompts are stripped, lines ending in a backslash
+    are joined, and comments are dropped; output lines are not commands.
+    """
+    blocks = re.findall(r"^```bash\n(.*?)^```", README.read_text(), re.S | re.M)
+    commands = []
+    for block in blocks:
+        line = ""
+        for raw in block.splitlines():
+            line += re.sub(r"^[$>] ", "", raw.strip())
+            if line.endswith("\\"):
+                line = line[:-1]
+                continue
+            command = re.match(r"(?:python -m )?repro (.*)", line)
+            if command:
+                commands.append(shlex.split(command.group(1), comments=True))
+            line = ""
+    return commands
+
+
+class TestReadme:
+    def test_every_readme_command_parses(self, capsys):
+        commands = readme_commands()
+        assert len(commands) >= 15  # the README shows about twenty
+        rejected = []
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                rejected.append(" ".join(argv))
+        assert not rejected, (rejected, capsys.readouterr().err)
 
 
 class TestCommands:
@@ -230,28 +282,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "faults:" in out and "io_error" in out
 
-    def test_sweep_resume_requires_cache(self, capsys):
-        code = main(
-            [
-                "sweep",
-                "--device",
-                "ssd3",
-                "--rw",
-                "randread",
-                "--bs",
-                "16k",
-                "--iodepth",
-                "1",
-                "--runtime",
-                "0.01",
-                "--size",
-                "2M",
-                "--resume",
-            ]
-        )
-        assert code == 2
-        assert "--resume requires --cache" in capsys.readouterr().out
-
     def test_sweep_resume_round_trip(self, capsys, tmp_path):
         argv = [
             "sweep",
@@ -272,12 +302,12 @@ class TestCommands:
         ]
         assert main(argv) == 0
         capsys.readouterr()
-        assert (tmp_path / "checkpoint.jsonl").exists()
-        assert main(argv + ["--resume"]) == 0
+        # Re-running over the same cache is the resume.
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "resuming from" in out
-        assert "1 done" in out
+        assert "1 hit(s), 0 miss(es)" in out
         assert "1 points" in out  # the table still shows the full grid
+        assert [p.name for p in tmp_path.glob("*.jsonl")] == ["ledger.jsonl"]
 
     def test_sweep_reports_failed_points(self, capsys):
         code = main(
@@ -412,10 +442,6 @@ class TestCommands:
         assert main(["figure", "fig2", *flags]) == 0
         assert "Figure 2a" in capsys.readouterr().out
 
-    def test_policy_resume_requires_cache(self, capsys):
-        assert main(["policy", "--resume"]) == 2
-        assert "--resume requires --cache" in capsys.readouterr().out
-
     def test_policy_quick_validates_clean(self, capsys):
         code = main(
             ["policy", "--device", "ssd3", "--policy", "static", "--quick"]
@@ -441,36 +467,35 @@ class TestCommands:
         first = capsys.readouterr().out
         assert "all hold" in first
         assert list(tmp_path.glob("*.pkl"))  # results actually cached
-        assert (tmp_path / "checkpoint.jsonl").exists()
 
         # Re-run over pure cache hits: byte-identical report, still 0.
-        assert main(argv + ["--resume"]) == 0
-        assert "all hold" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
 
         # Zero meter tolerance makes every result a violation; the
         # cached results are revalidated, so the exit code flips to 1.
         monkeypatch.setattr(
             policy_tracking, "TOLERANCES", Tolerances(meter_rel=0.0)
         )
-        assert main(argv + ["--resume"]) == 1
+        assert main(argv) == 1
         out = capsys.readouterr().out
         assert "violation" in out
 
     def test_policy_journals_both_phases(self, capsys, tmp_path):
         """The baseline and the policy run each end ``done`` in the one
-        journal: the policy phase appends to the file the baseline phase
-        opened instead of truncating it."""
-        from repro.core.checkpoint import CheckpointJournal, PointState
+        run ledger: the policy phase appends to the file the baseline
+        phase wrote."""
+        from repro.core.ledger import RunLedger, last_attempts
 
         argv = [
             "policy", "--device", "ssd3", "--policy", "static", "--quick",
             "--cache", str(tmp_path),
         ]
         assert main(argv) == 0
-        entries = CheckpointJournal.load(tmp_path / "checkpoint.jsonl")
+        last = last_attempts(RunLedger.load(tmp_path / "ledger.jsonl"))
         # One point per phase: the ssd3 baseline and its static-policy run.
-        assert len(entries) == 2
-        assert all(e.state is PointState.DONE for e in entries.values())
+        assert len(last) == 2
+        assert all(a["state"] == "done" for a in last.values())
 
     def test_fleet_quick_validates_clean(self, capsys):
         code = main(
@@ -655,7 +680,7 @@ class TestReportCommand:
             "--cache", str(tmp_path),
         ]
         assert main(argv) == 0
-        assert main(argv + ["--resume"]) == 0
+        assert main(argv) == 0  # the re-run is served from the cache
         capsys.readouterr()
         assert main(["report", "--cache", str(tmp_path)]) == 0
         out = capsys.readouterr().out
