@@ -263,69 +263,83 @@ def run_experiment(
     """
     wall_start = RunProfiler.clock() if profiler is not None else 0.0
     engine = Engine(tracer=tracer)
-    if tracer is not None and tracer.enabled:
-        tracer.set_scope(config.describe())
-    rngs = RngStreams(config.seed)
-    faults = (
-        FaultInjector(engine, config.faults, rngs)
-        if config.faults is not None
-        else None
-    )
-    device = build_device(engine, config.device, rng=rngs, faults=faults)
-    if audit is not None:
-        device.rail.attach_audit(audit)
-    if faults is not None:
-        faults.install(device)
-    _apply_power_controls(engine, device, config)
-    policy_runtime = None
-    if config.policy is not None:
-        # Lazy: runs without a policy must never load repro.policy (the
-        # policy row of benchmarks/zero_cost.py proves it).
-        from repro.policy.runtime import PolicyRuntime
-
-        policy_runtime = PolicyRuntime(engine, device, config.policy, rngs)
-
-    job = FioJob(engine, device, config.job, rng=rngs.get("io.offsets"))
-    fastpath_summary = None
-    if config.fastpath is not None:
-        # Lazy, like policy: runs without a fastpath must never load
-        # repro.sim.fastpath (the poisoned-import test pins this).
-        from repro.sim.fastpath import drive_job
-
-        fastpath_summary = drive_job(engine, device, job, config, config.fastpath)
-    else:
-        master = job.start()
-        _drive_to_completion(engine, master)
-
-    job_result = job.result(warmup_fraction=config.warmup_fraction)
-    meter = PowerMeter(device.rail, config.meter, rng=rngs.get("meter"))
-    t_measure, t_end = job_result.measure_window
-    if t_end - t_measure < 2.0 / meter.sample_rate_hz:
-        # Degenerate (ultra-short) runs: measure the full span instead.
-        t_measure, t_end = job_result.start_time, job_result.end_time
-    trace = meter.measure(t_measure, t_end, label=config.describe())
-    power = summarize_samples(trace)
-    cap_w = None
-    if isinstance(device, SimulatedSSD):
-        # intended_cap_w survives an injected governor failure, so the
-        # result still knows which cap the run was *supposed* to honour.
-        cap_w = device.governor.intended_cap_w
-    if profiler is not None:
-        profiler.record(
-            label=config.describe(),
-            wall_s=RunProfiler.clock() - wall_start,
-            sim_events=engine.events_processed,
-            sim_time_s=engine.now,
-            sim_events_fast_forwarded=engine.events_fast_forwarded,
+    device = policy_runtime = None
+    try:
+        if tracer is not None and tracer.enabled:
+            tracer.set_scope(config.describe())
+        rngs = RngStreams(config.seed)
+        faults = (
+            FaultInjector(engine, config.faults, rngs)
+            if config.faults is not None
+            else None
         )
-    return ExperimentResult(
-        config=config,
-        job=job_result,
-        power=power,
-        true_mean_power_w=device.rail.trace.mean(t_measure, t_end),
-        cap_w=cap_w,
-        trace=trace if config.keep_trace else None,
-        faults=faults.summary() if faults is not None else None,
-        policy=policy_runtime.summary() if policy_runtime is not None else None,
-        fastpath=fastpath_summary,
-    )
+        device = build_device(engine, config.device, rng=rngs, faults=faults)
+        if audit is not None:
+            device.rail.attach_audit(audit)
+        if faults is not None:
+            faults.install(device)
+        _apply_power_controls(engine, device, config)
+        if config.policy is not None:
+            # Lazy: runs without a policy must never load repro.policy (the
+            # policy row of benchmarks/zero_cost.py proves it).
+            from repro.policy.runtime import PolicyRuntime
+
+            policy_runtime = PolicyRuntime(engine, device, config.policy, rngs)
+
+        job = FioJob(engine, device, config.job, rng=rngs.get("io.offsets"))
+        fastpath_summary = None
+        if config.fastpath is not None:
+            # Lazy, like policy: runs without a fastpath must never load
+            # repro.sim.fastpath (the poisoned-import test pins this).
+            from repro.sim.fastpath import drive_job
+
+            fastpath_summary = drive_job(
+                engine, device, job, config, config.fastpath
+            )
+        else:
+            master = job.start()
+            _drive_to_completion(engine, master)
+
+        job_result = job.result(warmup_fraction=config.warmup_fraction)
+        meter = PowerMeter(device.rail, config.meter, rng=rngs.get("meter"))
+        t_measure, t_end = job_result.measure_window
+        if t_end - t_measure < 2.0 / meter.sample_rate_hz:
+            # Degenerate (ultra-short) runs: measure the full span instead.
+            t_measure, t_end = job_result.start_time, job_result.end_time
+        trace = meter.measure(t_measure, t_end, label=config.describe())
+        power = summarize_samples(trace)
+        cap_w = None
+        if isinstance(device, SimulatedSSD):
+            # intended_cap_w survives an injected governor failure, so the
+            # result still knows which cap the run was *supposed* to honour.
+            cap_w = device.governor.intended_cap_w
+        if profiler is not None:
+            profiler.record(
+                label=config.describe(),
+                wall_s=RunProfiler.clock() - wall_start,
+                sim_events=engine.events_processed,
+                sim_time_s=engine.now,
+                sim_events_fast_forwarded=engine.events_fast_forwarded,
+            )
+        return ExperimentResult(
+            config=config,
+            job=job_result,
+            power=power,
+            true_mean_power_w=device.rail.trace.mean(t_measure, t_end),
+            cap_w=cap_w,
+            trace=trace if config.keep_trace else None,
+            faults=faults.summary() if faults is not None else None,
+            policy=(
+                policy_runtime.summary() if policy_runtime is not None else None
+            ),
+            fastpath=fastpath_summary,
+        )
+    finally:
+        # The result exists (or the run raised): end the simulation so
+        # reference counting frees its graph now, not the cyclic collector
+        # some time later (DESIGN.md section 10, "Run lifetime").
+        engine.close()
+        if device is not None:
+            device.close()
+        if policy_runtime is not None:
+            policy_runtime.close()

@@ -81,8 +81,14 @@ class RunLedger:
         """Append one record (a JSON-serializable dict) as a single line."""
         payload = dict(record)
         payload.setdefault("v", LEDGER_VERSION)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
+        try:
+            fh = open(self.path, "a", encoding="utf-8")
+        except FileNotFoundError:
+            # No directory yet (the first record, or it was removed):
+            # make it only then, not before every record.
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fh = open(self.path, "a", encoding="utf-8")
+        with fh:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
     def append_attempt(

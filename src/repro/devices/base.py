@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.faults.injector import NULL_INJECTOR
 from repro.obs.events import EventKind
 from repro.power.rail import PowerRail
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine, Event, bind_handlers, unbind_handlers
 from repro.sim.process import drive_inline
 
 __all__ = ["HostIO", "IOKind", "IORequest", "IOResult", "StorageDevice"]
@@ -111,15 +111,13 @@ class StorageDevice(abc.ABC):
     """Common behaviour of all simulated drives."""
 
     #: Handler methods that per-IO entries and continuations name, bound
-    #: once per device: ``self._x`` would otherwise bind a fresh method
-    #: object at every push.
+    #: once per device (:func:`~repro.sim.engine.bind_handlers`).
     _handlers: tuple[str, ...] = ()
 
     def __init__(
         self, engine: Engine, name: str, rail_voltage: float, faults=None
     ) -> None:
-        for handler in self._handlers:
-            setattr(self, handler, getattr(self, handler))
+        bind_handlers(self)
         self.engine = engine
         self.name = name
         self.rail = PowerRail(engine, voltage=rail_voltage, name=f"{name}.rail")
@@ -208,6 +206,13 @@ class StorageDevice(abc.ABC):
                 f"{self.name}: IO [{request.offset}, {request.end}) exceeds "
                 f"capacity {self.capacity_bytes}"
             )
+
+    def close(self) -> None:
+        """Break the reference cycles this device holds, once its run is
+        over and its engine closed: the handlers bound into its own
+        ``__dict__`` (subclasses add their components' cycles).  Its
+        rail, counters and state stay readable."""
+        unbind_handlers(self)
 
     # -- power control ----------------------------------------------------------
 

@@ -40,7 +40,7 @@ from repro.hdd.geometry import HddGeometry
 from repro.hdd.mechanics import RotationModel, SeekModel
 from repro.hdd.spindle import Spindle, SpindleConfig
 from repro.obs.events import EventKind
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, unbind_handlers
 from repro.sim.process import drive_inline
 
 __all__ = ["HddConfig", "IdleCondition", "SimulatedHDD"]
@@ -199,6 +199,12 @@ class SimulatedHDD(StorageDevice):
         # The actuator's start entry; idle, it has none until woken.
         self._actuator_idle = False
         engine.call_soon(self._actuate)
+
+    def close(self) -> None:
+        """Also unbind the link's handlers and drop the media queue."""
+        super().close()
+        unbind_handlers(self.link)
+        self._media_queue.clear()
 
     @property
     def capacity_bytes(self) -> int:

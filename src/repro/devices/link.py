@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.power.rail import PowerRail
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, bind_handlers
 from repro.sim.process import drive_inline
 from repro.sim.resources import Resource
 
@@ -61,6 +61,9 @@ class HostLink:
         transfer_power_w: Extra draw while a transfer streams.
     """
 
+    #: Bound once: every transfer's entries name them.
+    _handlers = ("_on_bus", "_streamed")
+
     def __init__(
         self,
         engine: Engine,
@@ -85,9 +88,7 @@ class HostLink:
         self._xfer_component = f"{name}.xfer"
         self._phy_component = f"{name}.phy"
         self.bytes_transferred = 0
-        # Bound once: every transfer's entries name them.
-        self._on_bus = self._on_bus
-        self._streamed = self._streamed
+        bind_handlers(self)
         self._apply_phy_power()
 
     def _apply_phy_power(self) -> None:

@@ -105,6 +105,7 @@ class PowerGovernor:
         self.granted_ops = 0
         # Queued requests in FIFO order: (handler, arg, watts).
         self._waiters: Deque[tuple] = deque()
+        engine.register_waiters(self._waiters)
         self.total_grants = 0
         self.total_stalls = 0
         self.failed = False

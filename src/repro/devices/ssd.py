@@ -41,7 +41,7 @@ from repro.nand.die import NandArray
 from repro.nand.geometry import NandGeometry
 from repro.nand.ops import NandPower, NandTimings, OpKind
 from repro.obs.events import EventKind
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, unbind_handlers
 from repro.sim.process import drive_inline, wait_call
 from repro.sim.resources import Gate, Resource
 from repro.sim.rng import RngStreams
@@ -322,6 +322,15 @@ class SimulatedSSD(StorageDevice):
             engine.process(self._power_wave_loop(rngs.get(f"{config.name}.wave")))
         if config.apst_idle_timeout_s is not None:
             engine.process(self._apst_loop())
+
+    def close(self) -> None:
+        """Also unbind the array's and the link's handlers, drop the
+        governor's feedback reading and the writers parked on the buffer."""
+        super().close()
+        unbind_handlers(self.array)
+        unbind_handlers(self.link)
+        self.governor.other_power_fn = None
+        self._buffer_waiters.clear()
 
     # -- properties -------------------------------------------------------
 

@@ -52,6 +52,7 @@ class WriteCache:
         self.used_bytes = 0
         self._entries: list[CachedWrite] = []  # kept sorted by offset
         self._space_waiters: list[tuple] = []  # (handler, arg)
+        engine.register_waiters(self._space_waiters)
         self._sweep_pos = 0  # elevator position (index hint)
 
     def __len__(self) -> int:
@@ -113,9 +114,10 @@ class WriteCache:
         if self._space_waiters:
             # One entry retries every parked writer, oldest first: an
             # entry per writer would be pushed back to back at this
-            # instant, so they would pop back to back too.
-            waiters, self._space_waiters = self._space_waiters, []
-            self.engine.call_soon(_retry_all, waiters)
+            # instant, so they would pop back to back too.  The queue
+            # object itself stays (the engine empties it at close).
+            self.engine.call_soon(_retry_all, self._space_waiters.copy())
+            self._space_waiters.clear()
 
 
 def _retry_all(waiters: list) -> None:

@@ -125,13 +125,16 @@ class FioJob:
         submit_time = 0.0
 
         def loop(_arg=None) -> None:
-            nonlocal submit_time
+            nonlocal submit_time, complete
             if engine._now < deadline and self._issued_bytes < size_limit:
                 offset = next_offset()
                 self._issued_bytes += block_size
                 submit_time = engine._now
                 submit_call(IORequest(kind, offset, block_size), complete)
             else:
+                # Stopped: drop the loop <-> complete cycle, which holds
+                # the device through submit_call.
+                complete = None
                 done.succeed()
 
         def complete(complete_time: float) -> None:

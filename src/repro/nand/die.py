@@ -29,7 +29,7 @@ from repro.nand.geometry import NandGeometry
 from repro.nand.onfi import ChannelBus
 from repro.nand.ops import NandPower, NandTimings, OpKind
 from repro.power.rail import PowerRail
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, bind_handlers
 from repro.sim.resources import Resource
 
 __all__ = ["NandArray", "NandDie"]
@@ -158,8 +158,7 @@ class NandArray:
         pulse_fraction: float = 0.3,
         rng=None,
     ) -> None:
-        for handler in self._handlers:
-            setattr(self, handler, getattr(self, handler))
+        bind_handlers(self)
         self.engine = engine
         self.rail = rail
         self.geometry = geometry

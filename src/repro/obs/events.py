@@ -164,6 +164,9 @@ class NullTracer:
     def attach(self, engine) -> None:
         """Accept an engine binding (no-op)."""
 
+    def detach(self, engine) -> None:
+        """Accept an engine unbinding (no-op)."""
+
     def emit(self, kind: EventKind, component: str, /, **fields) -> None:
         """Discard the event."""
 
@@ -212,6 +215,14 @@ class Tracer:
     def attach(self, engine) -> None:
         """Bind to ``engine``'s clock (called by ``Engine.__init__``)."""
         self._engine = engine
+
+    def detach(self, engine) -> None:
+        """Drop the binding to ``engine`` if it is the bound one (called
+        by ``Engine.close``): a closed engine's clock no longer moves, and
+        the tracer would keep it alive.  Later events read time 0 until
+        the next :meth:`attach`."""
+        if self._engine is engine:
+            self._engine = None
 
     def subscribe(self, callback: Callable[[SimEvent], None]) -> None:
         """Deliver every future event to ``callback``, in emit order."""

@@ -58,6 +58,7 @@ from repro.obs.events import EventKind
 from repro.policy.api import PolicyObservation, PolicySummary
 from repro.policy.controllers import build_policy
 from repro.policy.spec import PolicySpec
+from repro.sim.engine import unbind_handlers
 
 __all__ = ["PolicyRuntime"]
 
@@ -98,6 +99,10 @@ def _hdd_range(config) -> tuple[float, float, tuple[float, ...]]:
 
 class PolicyRuntime:
     """Runs one controller against one device for the life of a run."""
+
+    #: The actuator bound into the instance at construction (the SSD's or
+    #: the HDD's, whichever the device exposes).
+    _handlers = ("_actuate",)
 
     def __init__(self, engine, device, spec: PolicySpec, rngs) -> None:
         self.engine = engine
@@ -169,6 +174,12 @@ class PolicyRuntime:
         self._stride = 1
         self._ticks = 0
         self.process = engine.process(self._loop())
+
+    def close(self) -> None:
+        """Break the cycles through the bound actuator once the run is
+        over and its engine closed; :meth:`summary` stays readable."""
+        unbind_handlers(self)
+        self._actuator = None
 
     # -- actuators -------------------------------------------------------
 

@@ -79,11 +79,6 @@ class PowerRail:
         """Current instantaneous total draw in watts."""
         return self._total
 
-    @property
-    def current_amps(self) -> float:
-        """Current through the power wire, ``P / U``."""
-        return self._total / self.voltage
-
     def set_draw(self, component: str, watts: float) -> None:
         """Set ``component``'s instantaneous draw (absolute, not a delta)."""
         if watts < 0:

@@ -22,6 +22,12 @@ Only this package touches the heap, the FIFO and the sequence counter
 (``tools/check_engine_heap.py``): a same-instant entry pushed onto the
 heap behind the FIFO's back would pop after later pushes.
 
+A simulation's object graph is cyclic.  :meth:`Engine.close` ends it:
+it closes every suspended generator and drops every entry and waiter, so
+that, once the owners also drop their bound handlers
+(:func:`unbind_handlers`), reference counting frees the graph at once
+instead of the cyclic collector some time later.
+
 The engine also carries the simulation's :mod:`repro.obs` tracer so any
 component holding the engine can emit structured observability events
 (``self.engine.tracer``).  The default is the zero-cost null tracer;
@@ -36,7 +42,10 @@ from typing import Any, Callable, Optional
 
 from repro.obs.events import NULL_TRACER
 
-__all__ = ["Engine", "Event", "SimulationError", "Timeout"]
+__all__ = [
+    "Engine", "Event", "SimulationError", "Timeout", "bind_handlers",
+    "unbind_handlers",
+]
 
 # Lazily bound Process class (engine <-> process import cycle); filled on
 # the first Engine.process() call instead of paying a sys.modules lookup
@@ -46,6 +55,21 @@ _PROCESS_CLS = None
 
 class SimulationError(Exception):
     """Raised for kernel misuse (scheduling in the past, double-trigger...)."""
+
+
+def bind_handlers(owner) -> None:
+    """Bind each method named in ``owner._handlers`` into its ``__dict__``,
+    once: per-IO entries name them, and ``owner._x`` binds a fresh method
+    object at every push.  Each binding is a cycle through ``owner``."""
+    for name in owner._handlers:
+        setattr(owner, name, getattr(owner, name))
+
+
+def unbind_handlers(owner) -> None:
+    """Drop the instance attributes named in ``owner._handlers``; methods
+    still resolve through the class."""
+    for name in owner._handlers:
+        owner.__dict__.pop(name, None)
 
 
 def _fire(event: "Event") -> None:
@@ -229,6 +253,11 @@ class Engine:
         # processing (see repro.sim.fastpath); the effective event rate
         # of an accelerated run is (processed + fast_forwarded) / wall.
         self.events_fast_forwarded = 0
+        # Holders of suspended generators (processes, inline drivers) in
+        # start order, the order close() closes them in: a set would
+        # order them, and what their ``finally`` clauses emit, by address.
+        self._suspended: dict = {}
+        self._waiter_queues: list = []  # see register_waiters()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.attach(self)
 
@@ -258,6 +287,11 @@ class Engine:
             from repro.sim.process import Process as _PROCESS_CLS  # noqa: PLW0603
 
         return _PROCESS_CLS(self, generator)
+
+    def register_waiters(self, queue) -> None:
+        """Have :meth:`close` empty ``queue``, a component's waiter queue
+        (anything with ``clear()``), which it must never rebind."""
+        self._waiter_queues.append(queue)
 
     # -- scheduling ------------------------------------------------------
 
@@ -390,3 +424,28 @@ class Engine:
             while ready or (queue and queue[0][0] <= until):
                 self.step()
             self._now = until
+
+    # -- the end of a run ------------------------------------------------
+
+    def close(self) -> None:
+        """End the simulation: nothing is left to run.  Idempotent.
+
+        Closes every suspended generator in start order, so its
+        ``finally`` clauses run now, at the last instant and in the
+        tracer's current scope; a closed process never fires and drops
+        its waiters.  Then drops every pending entry and empties every
+        registered waiter queue, repeating while a ``finally`` clause
+        pushed, queued or started something.  Last, unbinds the tracer.
+        """
+        suspended = self._suspended
+        queues = self._waiter_queues
+        while suspended or self._queue or self._ready or any(queues):
+            while suspended:  # oldest first; one started meanwhile is last
+                holder = next(iter(suspended))
+                del suspended[holder]
+                holder._close()
+            self._queue.clear()
+            self._ready.clear()
+            for waiters in queues:
+                waiters.clear()
+        self.tracer.detach(self)

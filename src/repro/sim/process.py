@@ -63,6 +63,7 @@ class Process(Event):
         start._scheduled = True
         engine._ready.append((_fire, start))
         start.callbacks.append(self._resume)
+        engine._suspended[self] = None
 
     @property
     def is_alive(self) -> bool:
@@ -78,6 +79,7 @@ class Process(Event):
             else:
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
+            del self.engine._suspended[self]
             self.succeed(stop.value)
             return
         except BaseException as exc:
@@ -85,6 +87,7 @@ class Process(Event):
             # fail the process event.  If something waits on this process
             # the exception is delivered there; otherwise the engine
             # re-raises it when the failure is processed.
+            del self.engine._suspended[self]
             self.fail(exc)
             return
         if not isinstance(target, Event):
@@ -101,6 +104,12 @@ class Process(Event):
             self._resume(target)
         else:
             callbacks.append(self._resume)
+
+    def _close(self) -> None:
+        """Close the generator; the process never fires, so it drops
+        whatever waits on it (see :meth:`Engine.close`)."""
+        self._generator.close()
+        self.callbacks = None
 
 
 class _InlineDriver:
@@ -120,6 +129,7 @@ class _InlineDriver:
             else:
                 target = self._generator.throw(event._value)
         except StopIteration:
+            del event.engine._suspended[self]
             self._then(self._arg)
             return
         self._park(target)
@@ -138,6 +148,11 @@ class _InlineDriver:
         else:
             callbacks.append(self._resume)
 
+    def _close(self) -> None:
+        """Close the generator and drop its continuation."""
+        self._generator.close()
+        self._then = self._arg = None
+
 
 def drive_inline(generator: Generator[Event, Any, Any], then, arg=None) -> None:
     """Run ``generator`` as ``yield from`` would, then call ``then(arg)``.
@@ -151,14 +166,17 @@ def drive_inline(generator: Generator[Event, Any, Any], then, arg=None) -> None:
     a start entry and a done entry, which reorders same-instant ties.
 
     An exception the generator raises propagates to the caller (and from
-    a handler, out of the engine loop).
+    a handler, out of the engine loop).  A generator that parks counts
+    as suspended until it returns (see :meth:`Engine.close`).
     """
-    driver = _InlineDriver(generator, then, arg)
     try:
         target = next(generator)
     except StopIteration:
         then(arg)
         return
+    driver = _InlineDriver(generator, then, arg)
+    if isinstance(target, Event):
+        target.engine._suspended[driver] = None
     driver._park(target)
 
 

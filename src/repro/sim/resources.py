@@ -49,6 +49,7 @@ class Resource:
         # One FIFO for both request forms: (handler, arg) pairs, where a
         # None handler marks a generator waiter whose arg is its Event.
         self._waiters: Deque[tuple] = deque()
+        engine.register_waiters(self._waiters)
 
     @property
     def capacity(self) -> int:
@@ -127,6 +128,7 @@ class Gate:
         # One FIFO for both wait forms, as in Resource: (handler, arg)
         # pairs, where a None handler marks an Event waiter.
         self._waiters: list[tuple] = []
+        engine.register_waiters(self._waiters)
 
     @property
     def is_open(self) -> bool:
@@ -154,13 +156,13 @@ class Gate:
 
     def open(self) -> None:
         self._open = True
-        waiters, self._waiters = self._waiters, []
         ready = self.engine._ready
-        for handler, arg in waiters:
+        for handler, arg in self._waiters:
             if handler is None:
                 arg.succeed()
             else:
                 ready.append((handler, arg))
+        self._waiters.clear()
 
     def close(self) -> None:
         self._open = False

@@ -65,31 +65,16 @@ class StepTrace:
 
     # -- sampling ---------------------------------------------------------
 
-    def value_at(self, t: float) -> float:
-        """Value of the step function at time ``t``.
+    def sample(self, times: Sequence[float]) -> np.ndarray:
+        """Values of the step function at ``times``.
 
         Times before the first breakpoint return the initial value; times
         after the last return the last value (the step "holds").
         """
-        idx = np.searchsorted(self._times, t, side="right") - 1
-        return self._values[max(idx, 0)]
-
-    def sample(self, times: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`value_at` over ``times``."""
         times_arr = np.asarray(times, float)
         idx = np.searchsorted(self._times, times_arr, side="right") - 1
         idx = np.clip(idx, 0, None)
         return np.asarray(self._values, float)[idx]
-
-    def sample_uniform(self, t_start: float, t_end: float, rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-        """Sample at ``rate_hz`` on ``[t_start, t_end)``; returns (times, values)."""
-        if t_end <= t_start:
-            raise ValueError("t_end must be after t_start")
-        if rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
-        n = int(np.floor((t_end - t_start) * rate_hz))
-        times = t_start + np.arange(n) / rate_hz
-        return times, self.sample(times)
 
     # -- time-weighted statistics ------------------------------------------
 

@@ -18,6 +18,39 @@ class TestRunLedger:
         assert [r["rec"] for r in records] == ["point", "run"]
         assert all(r["v"] == 1 for r in records)  # version stamped
 
+    def test_directory_is_made_once_and_only_when_missing(
+        self, tmp_path, monkeypatch
+    ):
+        """Constructing a ledger touches nothing; the first append makes
+        the missing nested directory, and later appends never call
+        ``mkdir`` again (it cost about a quarter of each append)."""
+        from pathlib import Path
+
+        calls = []
+        depth = [0]
+        real_mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            # Count the outermost calls: parents=True recurses.
+            if depth[0] == 0:
+                calls.append(self)
+            depth[0] += 1
+            try:
+                return real_mkdir(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        path = tmp_path / "a" / "b" / "ledger.jsonl"
+        ledger = RunLedger(path)
+        assert not path.parent.exists()
+        for i in range(100):
+            ledger.append({"rec": "point", "key": str(i)})
+        assert len(calls) <= 1
+        assert [r["key"] for r in RunLedger.load(path)] == [
+            str(i) for i in range(100)
+        ]
+
     def test_missing_file_loads_empty(self, tmp_path):
         assert RunLedger.load(tmp_path / "absent.jsonl") == []
 

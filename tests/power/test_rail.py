@@ -39,18 +39,12 @@ class TestPowerRail:
         with pytest.raises(ValueError):
             PowerRail(engine, voltage=0.0)
 
-    def test_current_follows_ohms_law(self, engine):
-        rail = PowerRail(engine, voltage=12.0)
-        rail.set_draw("a", 6.0)
-        assert rail.current_amps == pytest.approx(0.5)
-
     def test_trace_records_changes_at_sim_time(self, engine):
         rail = PowerRail(engine)
         rail.set_draw("a", 1.0)
         engine.timeout(2.0).add_callback(lambda e: rail.set_draw("a", 3.0))
         engine.run()
-        assert rail.trace.value_at(1.0) == pytest.approx(1.0)
-        assert rail.trace.value_at(2.5) == pytest.approx(3.0)
+        assert list(rail.trace.sample([1.0, 2.5])) == [1.0, 3.0]
 
     def test_mean_power_window(self, engine):
         rail = PowerRail(engine)

@@ -174,3 +174,60 @@ class TestCompositeEvents:
         engine.run()
         assert not all_event.ok
         assert isinstance(all_event.value, RuntimeError)
+
+
+class TestClose:
+    def test_closes_suspended_generators_in_start_order(self):
+        """Processes and inline drivers close oldest first, their
+        ``finally`` clauses at the last instant; one a ``finally`` clause
+        starts is closed too, and whatever waited on a process is
+        dropped with it."""
+        from repro.obs.events import EventKind, Tracer
+        from repro.sim.process import drive_inline
+
+        tracer = Tracer()
+        engine = Engine(tracer=tracer)
+        closed = []
+
+        def parked(name, spawn=None):
+            try:
+                yield engine.timeout(10.0)
+            finally:
+                closed.append((name, engine.now))
+                tracer.emit(EventKind.MARK, name)
+                if spawn is not None:
+                    drive_inline(parked(spawn), closed.append, "then")
+
+        first = engine.process(parked("first", spawn="late"))
+        engine.timeout(1.0).add_callback(
+            lambda _: drive_inline(parked("inline"), closed.append, "then")
+        )
+        waiter = engine.all_of([engine.process(parked("second"))])
+        engine.run(until=2.0)
+        engine.close()
+        assert closed == [
+            ("first", 2.0), ("second", 2.0), ("inline", 2.0), ("late", 2.0)
+        ]
+        assert [e.time for e in tracer.events] == [2.0] * 4
+        assert first.callbacks is None and not waiter.triggered
+        assert engine._suspended == {} and engine.peek() == float("inf")
+        engine.close()  # idempotent
+        assert len(closed) == 4
+        tracer.emit(EventKind.MARK, "after")
+        assert tracer.events[-1].time == 0.0  # the tracer let go of it
+
+    def test_drops_entries_and_empties_registered_waiters(self, engine):
+        from repro.sim.resources import Gate, Resource
+
+        resource = Resource(engine, capacity=1)
+        gate = Gate(engine, is_open=False)
+        resource.request_call(lambda _: None)
+        resource.request_call(lambda _: None)
+        gate.wait_open_call(lambda _: None)
+        own = []
+        engine.register_waiters(own)
+        own.append("parked")
+        engine.schedule(5.0, lambda _: None)
+        engine.close()
+        assert resource.queued == 0 and gate._waiters == [] and own == []
+        assert engine.peek() == float("inf")

@@ -11,17 +11,13 @@ from repro.sim.trace import StepTrace
 class TestStepTraceBasics:
     def test_initial_value_holds(self):
         trace = StepTrace(t0=0.0, initial=5.0)
-        assert trace.value_at(0.0) == 5.0
-        assert trace.value_at(100.0) == 5.0
+        assert list(trace.sample([0.0, 100.0])) == [5.0, 5.0]
 
     def test_set_creates_breakpoints(self):
         trace = StepTrace()
         trace.set(1.0, 2.0)
         trace.set(2.0, 4.0)
-        assert trace.value_at(0.5) == 0.0
-        assert trace.value_at(1.0) == 2.0
-        assert trace.value_at(1.5) == 2.0
-        assert trace.value_at(2.0) == 4.0
+        assert list(trace.sample([0.5, 1.0, 1.5, 2.0])) == [0.0, 2.0, 2.0, 4.0]
 
     def test_set_in_past_rejected(self):
         trace = StepTrace()
@@ -33,7 +29,7 @@ class TestStepTraceBasics:
         trace = StepTrace()
         trace.set(1.0, 2.0)
         trace.set(1.0, 3.0)
-        assert trace.value_at(1.0) == 3.0
+        assert trace.sample([1.0])[0] == 3.0
         assert len(trace) == 2  # t0 plus the single overwritten breakpoint
 
     def test_equal_value_collapses(self):
@@ -46,19 +42,6 @@ class TestStepTraceBasics:
         trace.set(1.0, 10.0)
         values = trace.sample([0.0, 0.99, 1.0, 5.0])
         assert list(values) == [0.0, 0.0, 10.0, 10.0]
-
-    def test_sample_uniform(self):
-        trace = StepTrace(initial=3.0)
-        times, values = trace.sample_uniform(0.0, 1.0, rate_hz=10)
-        assert len(times) == 10
-        assert np.allclose(values, 3.0)
-
-    def test_sample_uniform_validates(self):
-        trace = StepTrace()
-        with pytest.raises(ValueError):
-            trace.sample_uniform(1.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            trace.sample_uniform(0.0, 1.0, 0)
 
 
 class TestStepTraceIntegration:
@@ -219,8 +202,3 @@ class TestStepTraceProperties:
     def test_mean_bounded_by_min_max(self, trace):
         mean = trace.mean(0.0, 10.0)
         assert trace.min(0.0, 10.0) - 1e-9 <= mean <= trace.max(0.0, 10.0) + 1e-9
-
-    @given(step_traces(), st.floats(min_value=0.0, max_value=10.0))
-    @settings(max_examples=60, deadline=None)
-    def test_value_at_matches_sample(self, trace, t):
-        assert trace.value_at(t) == trace.sample([t])[0]

@@ -205,9 +205,10 @@ class TestEngineHeapLint:
         assert check_engine_heap.main([]) == 0
 
     def _seed_tree(self, root: Path) -> None:
-        """A tree holding the legal uses: the kernel itself, the NAND
-        array's page operations, and classes' own ``self._seq`` counters,
-        ``self._ready`` gates and ``self._bus`` links."""
+        """A tree holding the legal uses: the kernel itself (its heap and
+        its close registries), the NAND array's page operations, and
+        classes' own ``self._seq`` counters, ``self._ready`` gates and
+        ``self._bus`` links."""
         sim = root / "sim"
         sim.mkdir()
         (sim / "engine.py").write_text(
@@ -217,6 +218,10 @@ class TestEngineHeapLint:
             "def drain(engine):\n"
             "    while engine._ready or engine._queue:\n"
             "        engine.step()\n"
+        )
+        (sim / "process.py").write_text(
+            "def start(engine, process):\n"
+            "    engine._suspended[process] = None\n"
         )
         obs = root / "obs"
         obs.mkdir()
@@ -287,6 +292,25 @@ class TestEngineHeapLint:
             assert f"bad.py:{line}:" in out
         assert "only repro.nand may touch _prog_p_rest" in out
         assert "die.py" not in out and "link.py" not in out
+
+    def test_detects_the_close_registries_outside_sim(self, tmp_path, capsys):
+        """Only the kernel files generators and waiter queues for
+        Engine.close; a device joins through engine.register_waiters."""
+        self._seed_tree(tmp_path)
+        (tmp_path / "governor.py").write_text(
+            "class Governor:\n"
+            "    def __init__(self, engine):\n"
+            "        engine.register_waiters(self._waiters)\n"
+            "    def bad(self, engine, gen):\n"
+            "        engine._waiter_queues.append(self._waiters)\n"
+            "        engine._suspended[gen] = None\n"
+        )
+        assert check_engine_heap.main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "governor.py:5:" in out and "governor.py:6:" in out
+        assert "governor.py:3:" not in out
+        assert "only repro.sim may touch _waiter_queues" in out
+        assert "only repro.sim may touch _suspended" in out
 
     def test_detects_ready_fifo_access_through_an_attribute(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(

@@ -10,7 +10,11 @@ attribute names that only modules inside it may read or write:
   ``Engine.call_soon``, which route an entry due at the current instant
   to the FIFO; an inline ``heappush`` onto ``engine._queue`` at ``now``
   would land on the heap behind the FIFO's back and pop after entries
-  pushed later.
+  pushed later.  Also the registries ``Engine.close`` ends a run with:
+  the suspended generators (``_suspended``, filled by processes and the
+  inline driver) and the waiter queues (``_waiter_queues``), which a
+  component outside the kernel joins only through
+  ``Engine.register_waiters``.
 - ``nand``: a die's server and pulse profile and a channel's bus.  Page
   operations are sequenced in one place, the array's handler-form
   ``read_call``, ``program_call`` and ``erase_call``; a device that holds
@@ -40,9 +44,10 @@ DEFAULT_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: instead).
 OWNERS = {
     "sim": (
-        ("_queue", "_seq", "_ready"),
+        ("_queue", "_seq", "_ready", "_suspended", "_waiter_queues"),
         "push with engine.schedule(delay, handler, arg) or "
-        "engine.call_soon(handler, arg)",
+        "engine.call_soon(handler, arg); register a waiter queue with "
+        "engine.register_waiters(queue)",
     ),
     "nand": (
         ("_server", "_bus", "_op_draw", "_op_duration", "_pulsed_programs", "_prog_*"),
