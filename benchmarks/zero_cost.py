@@ -239,7 +239,7 @@ def _policy_inert():
         interval_s=1.5e-3,
         window_s=3e-3,
     )
-    outcome = _sweep(WRITE, policy=spec)
+    outcome = _sweep(replace(WRITE, policy=spec))
     _expect(
         all(r.policy.decisions > 1 for r in outcome.results.values()),
         "the inert cap never ticked",
@@ -260,7 +260,7 @@ def _feedback(**fields):
 
 
 def _policy_on():
-    outcome = _sweep(WRITE, validate=True, policy=_feedback())
+    outcome = _sweep(replace(WRITE, policy=_feedback()), validate=True)
     _expect(
         all(r.policy.decisions > 3 for r in outcome.results.values()),
         "the feedback loop took too few decisions",
@@ -322,8 +322,10 @@ def _telemetry_on():
 def _policy_run(spec, faults=None):
     """Large writes under a stepped budget; a clean control plane never
     degrades, trips or counts a fault."""
-    grid = replace(_grid(IoPattern.RANDWRITE, (256 * KiB,)), faults=faults)
-    results = _sweep(grid, policy=spec).results
+    grid = replace(
+        _grid(IoPattern.RANDWRITE, (256 * KiB,)), faults=faults, policy=spec
+    )
+    results = _sweep(grid).results
     _expect(
         all(
             r.policy.degraded_fraction == 0.0

@@ -109,7 +109,6 @@ from repro.validate import (
     Tolerances,
     ValidationReport,
     Violation,
-    validate_outcome,
     validate_result,
 )
 
@@ -209,6 +208,5 @@ __all__ = [
     "run_sweep",
     "standby_immediate",
     "sweep_outcome",
-    "validate_outcome",
     "validate_result",
 ]

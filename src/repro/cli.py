@@ -688,11 +688,16 @@ def _cmd_run(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
+def _ledger_path(args: argparse.Namespace):
+    """The run ledger inside ``--cache DIR`` (``None`` without a cache)."""
     from pathlib import Path
 
+    return Path(args.cache) / "ledger.jsonl" if args.cache else None
+
+
+def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     from repro.core.options import ExecutionOptions
-    from repro.core.parallel import ResultCache, resolve_workers
+    from repro.core.parallel import resolve_workers
     from repro.core.reporting import format_table
     from repro.core.sweep import SweepGrid, sweep_outcome
     from repro.iogen.spec import (
@@ -723,26 +728,24 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         faults=args.faults,
     )
     obs = _ObsSession(args)
-    cache = ResultCache(args.cache) if args.cache else None
-    ledger = Path(args.cache) / "ledger.jsonl" if args.cache else None
+    ledger = _ledger_path(args)
     progress = _progress_printer() if args.progress else None
+    # Opened here, not in the sweep, so the cache's statistics stay
+    # readable for the summary below.
+    options = ExecutionOptions(
+        n_workers=args.workers,
+        cache_dir=args.cache or None,
+        tracer=obs.tracer,
+        timeout_s=args.timeout,
+        retries=args.retries,
+        fastpath=_fastpath_options(args),
+        telemetry=bool(args.progress or args.metrics or ledger is not None),
+        ledger=ledger,
+        progress=progress,
+    ).opened()
+    cache = options.cache_dir
     try:
-        outcome = sweep_outcome(
-            grid,
-            ExecutionOptions(
-                n_workers=args.workers,
-                cache_dir=cache if cache is not None else None,
-                tracer=obs.tracer,
-                timeout_s=args.timeout,
-                retries=args.retries,
-                fastpath=_fastpath_options(args),
-                telemetry=bool(
-                    args.progress or args.metrics or ledger is not None
-                ),
-                ledger=ledger,
-                progress=progress,
-            ),
-        )
+        outcome = sweep_outcome(grid, options)
     finally:
         if progress is not None:
             progress.finish()
@@ -913,13 +916,8 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_policy(args: argparse.Namespace) -> tuple[str, int]:
-    from pathlib import Path
-
-    from repro.core.parallel import ResultCache
     from repro.studies import policy_tracking
 
-    cache = ResultCache(args.cache) if args.cache else None
-    ledger = Path(args.cache) / "ledger.jsonl" if args.cache else None
     result = policy_tracking.run(
         scale=QUICK if args.quick else DEFAULT,
         n_workers=args.workers,
@@ -927,8 +925,8 @@ def _cmd_policy(args: argparse.Namespace) -> tuple[str, int]:
         devices=tuple(args.device) if args.device else policy_tracking.DEVICES,
         policies=tuple(args.policy) if args.policy else POLICY_KINDS,
         faults=args.faults,
-        cache_dir=cache,
-        ledger=ledger,
+        cache_dir=args.cache or None,
+        ledger=_ledger_path(args),
     )
     # Validation runs post-hoc over the *returned* results, cache hits
     # included, so the exit code cannot be laundered by a warm cache.
@@ -936,17 +934,12 @@ def _cmd_policy(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> tuple[str, int]:
-    from pathlib import Path
-
-    from repro.core.parallel import ResultCache
     from repro.faults.campaign import run_campaign
     from repro.studies import chaos_resilience
 
     controllers = None
     if args.controllers and "all" not in args.controllers:
         controllers = tuple(dict.fromkeys(args.controllers))
-    cache = ResultCache(args.cache) if args.cache else None
-    ledger = Path(args.cache) / "ledger.jsonl" if args.cache else None
     result = run_campaign(
         scale=QUICK if args.quick else DEFAULT,
         n_workers=args.workers,
@@ -955,8 +948,8 @@ def _cmd_chaos(args: argparse.Namespace) -> tuple[str, int]:
         controllers=controllers,
         budget_cells=args.budget_cells,
         watchdog=not args.no_watchdog,
-        cache_dir=cache,
-        ledger=ledger,
+        cache_dir=args.cache or None,
+        ledger=_ledger_path(args),
     )
     # Validation runs post-hoc over the returned results, cache hits
     # included, so the exit code cannot be laundered by a warm cache.
@@ -964,13 +957,8 @@ def _cmd_chaos(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> tuple[str, int]:
-    from pathlib import Path
-
-    from repro.core.parallel import ResultCache
     from repro.studies import fleet_scale
 
-    cache = ResultCache(args.cache) if args.cache else None
-    ledger = Path(args.cache) / "ledger.jsonl" if args.cache else None
     result = fleet_scale.run(
         scale=QUICK if args.quick else DEFAULT,
         n_workers=args.workers,
@@ -981,8 +969,8 @@ def _cmd_fleet(args: argparse.Namespace) -> tuple[str, int]:
         skew=args.skew,
         budget_low=args.budget_low,
         budget_high=args.budget_high,
-        cache_dir=cache,
-        ledger=ledger,
+        cache_dir=args.cache or None,
+        ledger=_ledger_path(args),
     )
     # Validation runs post-hoc over the returned results, cache hits
     # included, so the exit code cannot be laundered by a warm cache.
@@ -998,11 +986,7 @@ def _cmd_report(args: argparse.Namespace) -> tuple[str, int]:
 
     if not args.ledger and not args.cache:
         return ("report: provide --ledger PATH or --cache DIR", 2)
-    path = (
-        Path(args.ledger)
-        if args.ledger
-        else Path(args.cache) / "ledger.jsonl"
-    )
+    path = Path(args.ledger) if args.ledger else _ledger_path(args)
     if not path.exists():
         return (
             f"report: no ledger at {path} (run `repro sweep --cache` or "

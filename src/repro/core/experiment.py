@@ -203,15 +203,6 @@ class ExperimentResult:
         )
 
 
-def _drive_to_completion(engine: Engine, process) -> None:
-    """Run the engine until ``process`` finishes.
-
-    ``engine.run()`` alone would never return: devices keep housekeeping
-    processes alive forever.
-    """
-    engine.run_until_complete(process)
-
-
 def _apply_power_controls(
     engine: Engine, device: StorageDevice, config: ExperimentConfig
 ) -> None:
@@ -220,14 +211,14 @@ def _apply_power_controls(
             raise ValueError(
                 f"{device.name} does not support NVMe power states"
             )
-        _drive_to_completion(
-            engine, engine.process(device.set_power_state(config.power_state))
+        engine.run_until_complete(
+            engine.process(device.set_power_state(config.power_state))
         )
     if config.alpm_mode is not None:
         if not isinstance(device, SimulatedSSD):
             raise ValueError("ALPM control is modelled for SATA SSDs only")
         alpm = AlpmController(device)
-        _drive_to_completion(engine, engine.process(alpm.set_mode(config.alpm_mode)))
+        engine.run_until_complete(engine.process(alpm.set_mode(config.alpm_mode)))
 
 
 def run_experiment(
@@ -297,8 +288,8 @@ def run_experiment(
                 engine, device, job, config, config.fastpath
             )
         else:
-            master = job.start()
-            _drive_to_completion(engine, master)
+            # Not engine.run(): housekeeping processes never finish.
+            engine.run_until_complete(job.start())
 
         job_result = job.result(warmup_fraction=config.warmup_fraction)
         meter = PowerMeter(device.rail, config.meter, rng=rngs.get("meter"))

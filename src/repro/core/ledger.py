@@ -27,9 +27,11 @@ Four record shapes share the stream, discriminated by ``"rec"``:
   (from executor telemetry), and a compact result summary (power,
   throughput, tail latency, fault and policy accounting).  A batch
   writes its point records once it returns, in submission order.
-- ``run`` -- one orchestrated batch finishing: point-status census,
-  cache-effectiveness snapshot, executor summary, and the validation
-  verdict.  ``repro report`` segments the stream on these.
+- ``run`` -- one orchestrated run (a sweep, or a study's batches)
+  finishing: point-status census, cache-effectiveness snapshot, executor
+  summary, and the validation verdict.  Only
+  :meth:`~repro.core.options.ExecutionOptions.close_run` writes them.
+  ``repro report`` segments the stream on these.
 - ``fleet`` -- one governor epoch of a fleet run: budget, allocated
   caps, deficit, measured and baseline power and p99.
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.obs.profile import PointProfile
 
@@ -240,36 +242,34 @@ def point_record(config, outcome, span=None) -> dict:
 def run_record(
     kind: str,
     *,
+    points: int,
+    failures: int = 0,
     telemetry=None,
     validation=None,
-    points: Optional[int] = None,
-    failures: int = 0,
     cache=None,
+    **sections,
 ) -> dict:
-    """Build one ``run`` record closing out an orchestrated batch.
+    """Build one ``run`` record closing out an orchestrated run.
 
     Args:
-        kind: What orchestrated the batch (``"sweep"``, ``"policy"``...).
+        kind: What orchestrated the run (``"sweep"``, ``"policy"``...).
+        points: Total points in the run.
+        failures: Points that ended in failure.
         telemetry: Optional
             :class:`~repro.core.telemetry.SweepTelemetry`; its snapshot
             carries the executor and cache summaries.
         validation: Optional
             :class:`~repro.validate.report.ValidationReport`.
-        points: Total points in the batch (defaults to the telemetry
-            count when available).
-        failures: Points that ended in failure.
-        cache: Optional :class:`~repro.core.parallel.CacheStats` for
-            batches that carry no telemetry snapshot (the snapshot
-            already embeds one).
+        cache: Optional :class:`~repro.core.parallel.CacheStats`, recorded
+            when there is no telemetry snapshot (which embeds its own).
+        sections: Further top-level sections (``chaos=...``,
+            ``fleet=...``).
     """
-    record: dict = {"rec": "run", "kind": kind, "failures": failures}
+    record = {"rec": "run", "kind": kind, "points": points, "failures": failures}
+    record.update(sections)
     if telemetry is not None:
-        snap = telemetry.snapshot()
-        record["points"] = points if points is not None else snap["points"]
-        record["telemetry"] = snap
-    elif points is not None:
-        record["points"] = points
-    if cache is not None and telemetry is None:
+        record["telemetry"] = telemetry.snapshot()
+    elif cache is not None:
         record["telemetry"] = {"cache": cache.snapshot()}
     if validation is not None:
         by_invariant: dict = {}

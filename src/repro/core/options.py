@@ -8,10 +8,16 @@ cache, tracing, per-point timeouts, retries, telemetry, the run ledger
     options = ExecutionOptions(n_workers=4, cache_dir="cache", retries=1)
     results = run_sweep(grid, options)
 
+*What* runs (the grid, its fault plan and policy) stays on the configs.
 Every public entry point takes it as its ``options`` argument and
 rejects anything else by name (:func:`require_options`).  Re-running a
 batch over the same ``cache_dir`` resumes it: every point the cache
 holds is skipped, whether or not the first run was interrupted.
+
+An orchestrated run -- a sweep, or a study's phases -- is bracketed by
+two calls: :meth:`ExecutionOptions.opened` opens its cache and ledger
+once, so every batch of the run shares them, and
+:meth:`ExecutionOptions.close_run` writes its one ``run`` record.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ class ExecutionOptions:
             uses every CPU this process may run on.  Results are
             identical either way.
         cache_dir: On-disk result cache directory (or a
-            :class:`~repro.core.parallel.ResultCache` instance for
-            hit/miss statistics).  Cached points are not re-run.
+            :class:`~repro.core.parallel.ResultCache` instance, whose
+            hit/miss statistics then span every call given it).  Cached
+            points are not re-run.
         tracer: Optional :class:`~repro.obs.events.Tracer` recording
             mechanism events (forces in-process execution; passive).
         timeout_s: Per-attempt wall-clock budget for one point; a worker
@@ -47,16 +54,12 @@ class ExecutionOptions:
             attaches the report to the outcome;
             :func:`~repro.core.sweep.run_sweep` raises
             :class:`~repro.validate.report.InvariantViolationError` if any
-            invariant fails.  Validation is post-hoc and passive: results
+            invariant fails; :func:`~repro.core.parallel.run_configs`
+            refuses it.  Validation is post-hoc and passive: results
             are bit-identical with and without it.
-        policy: Optional :class:`~repro.policy.spec.PolicySpec` attached
-            to every point of the sweep (an online power-adaptive
-            controller).  Typed as ``object`` so this module never
-            imports :mod:`repro.policy`; ``None`` keeps the policy
-            machinery entirely unloaded.
         fastpath: Optional
             :class:`~repro.sim.fastpath.options.FastpathOptions` attached
-            to every point of the sweep (analytic steady-state
+            to every point of the batch (analytic steady-state
             fast-forward).  Typed as ``object``
             so this module never imports :mod:`repro.sim.fastpath`;
             ``None`` keeps the fastpath machinery entirely unloaded and
@@ -75,9 +78,9 @@ class ExecutionOptions:
             whenever an attempt at a point starts or ends, written as it
             happens, one ``point`` record per point once the batch
             returns (config hash, seed, status, wall time, events/sec,
-            result summary), plus one per run (validation verdict, cache
-            stats, executor summary), surviving across sessions and
-            re-runs.
+            result summary), plus one per orchestrated run (written by
+            :meth:`close_run`: validation verdict, cache stats, executor
+            summary), surviving across sessions and re-runs.
         progress: Optional callback receiving a
             :class:`~repro.core.telemetry.ProgressUpdate` after every
             point reaches a terminal state -- the hook behind the CLI's
@@ -90,7 +93,6 @@ class ExecutionOptions:
     timeout_s: Optional[float] = None
     retries: int = 0
     validate: bool = False
-    policy: Optional[object] = None
     fastpath: Optional[object] = None
     telemetry: bool = False
     ledger: Optional[Union[str, Path, object]] = None
@@ -107,6 +109,45 @@ class ExecutionOptions:
     def evolve(self, **changes: Any) -> "ExecutionOptions":
         """Return a copy with ``changes`` applied (frozen-safe update)."""
         return replace(self, **changes)
+
+    def opened(self) -> "ExecutionOptions":
+        """These options with a ``cache_dir`` path opened as a fresh
+        :class:`~repro.core.parallel.ResultCache` and a ``ledger`` path
+        as a :class:`~repro.core.ledger.RunLedger`.
+
+        Objects pass through unchanged, so a cache's statistics span
+        every call given it.  An orchestrated run opens its options once:
+        its batches share one cache, whose statistics reach the run's
+        :meth:`close_run` record.
+        """
+        from repro.core.parallel import ResultCache
+
+        cache, ledger = self.cache_dir, self.ledger
+        if cache is not None and not isinstance(cache, ResultCache):
+            cache = ResultCache(cache)
+        if ledger is not None:
+            # Imported only when asked for: a run without a ledger never
+            # loads the module.
+            from repro.core.ledger import RunLedger
+
+            if not isinstance(ledger, RunLedger):
+                ledger = RunLedger(ledger)
+        if cache is self.cache_dir and ledger is self.ledger:
+            return self
+        return replace(self, cache_dir=cache, ledger=ledger)
+
+    def close_run(self, kind: str, **fields: Any) -> None:
+        """Append the ``run`` record closing out an orchestrated run, if
+        there is a ledger: :func:`~repro.core.ledger.run_record` of
+        ``kind`` and ``fields``, with the cache's statistics.  Call it on
+        the options :meth:`opened` returned."""
+        if self.ledger is None:
+            return
+        from repro.core.ledger import run_record
+
+        cache = self.cache_dir
+        stats = cache.stats if cache is not None else None
+        self.ledger.append(run_record(kind, cache=stats, **fields))
 
 
 def require_options(func_name: str, options: Any) -> ExecutionOptions:

@@ -720,12 +720,20 @@ def run_configs(
             it starts and ends, and each point once the batch returns,
             so an interrupted batch can be audited; re-running it over
             the same ``cache_dir`` recomputes only the points the cache
-            lacks.
+            lacks.  ``validate`` raises :class:`ValueError`: a batch
+            returns no report to attach one to.
 
     Returns:
         One :class:`ExperimentResult` or :class:`PointFailure` per config.
     """
     opts = require_options("run_configs", options)
+    if opts.validate:
+        raise ValueError(
+            "run_configs() returns no validation report: "
+            "ExecutionOptions(validate=True) is for sweep_outcome() and "
+            "run_sweep(); check a batch's results with "
+            "repro.validate.validate_result"
+        )
     return _run_batch(configs, opts, _recorder_for(opts))
 
 
@@ -746,31 +754,31 @@ def _recorder_for(opts: ExecutionOptions):
 def _run_batch(
     configs: Sequence[ExperimentConfig], opts: ExecutionOptions, recorder
 ) -> List[Union[ExperimentResult, PointFailure]]:
-    """The engine behind :func:`run_configs`, feeding ``recorder`` (one
+    """The engine behind :func:`run_configs` and
+    :func:`~repro.core.sweep.sweep_outcome`, feeding ``recorder`` (one
     per batch: spans are keyed by submission index) when it is given.
 
-    Cached points are served from the cache (failures are never cached);
-    the rest run on the transport :func:`_execute` picks.  Attempt
-    records reach the ledger as they happen; point records follow once
-    the batch returns, in submission order.
+    The options' fastpath rides on every config first, so cache keys and
+    ledger keys see it.  Cached points are served from the cache
+    (failures are never cached); the rest run on the transport
+    :func:`_execute` picks.  Attempt records reach the ledger as they
+    happen; point records follow once the batch returns, in submission
+    order.
     """
+    opts = opts.opened()
+    cache, ledger = opts.cache_dir, opts.ledger
     configs = list(configs)
-    if isinstance(opts.cache_dir, ResultCache):
-        cache: Optional[ResultCache] = opts.cache_dir
-    else:
-        cache = ResultCache(opts.cache_dir) if opts.cache_dir is not None else None
+    if opts.fastpath is not None:
+        # The fastpath rides on each config rather than the execution
+        # machinery: that is how it reaches pool workers, and how
+        # config_content_hash keeps accelerated and exact runs apart in
+        # the cache.
+        configs = [
+            dataclasses.replace(config, fastpath=opts.fastpath)
+            for config in configs
+        ]
     if recorder is not None:
         recorder.total = len(configs)
-    ledger = None
-    if opts.ledger is not None:
-        # Imported lazily: a batch without a ledger never loads it.
-        from repro.core.ledger import RunLedger, point_record
-
-        ledger = (
-            opts.ledger
-            if isinstance(opts.ledger, RunLedger)
-            else RunLedger(opts.ledger)
-        )
     outcomes: List[Union[ExperimentResult, PointFailure, None]] = [None] * len(configs)
     pending: List[_Attempt] = []
     for index, config in enumerate(configs):
@@ -789,6 +797,8 @@ def _run_batch(
             pending, opts, _Books(outcomes, opts.retries, ledger, cache, recorder)
         )
     if ledger is not None:
+        from repro.core.ledger import point_record
+
         for index, (config, outcome) in enumerate(zip(configs, outcomes)):
             ledger.append(
                 point_record(config, outcome, span=recorder.span(index))

@@ -19,7 +19,6 @@ from repro.core.options import ExecutionOptions, require_options
 from repro.faults.plan import FaultPlan
 from repro.core.parallel import (
     PointFailure,
-    ResultCache,
     SweepExecutionError,
     _recorder_for,
     _run_batch,
@@ -100,6 +99,11 @@ class SweepGrid:
         faults: Optional :class:`~repro.faults.plan.FaultPlan` applied to
             every point (each point derives its own fault randomness from
             its per-point seed).
+        policy: Optional :class:`~repro.policy.spec.PolicySpec` (an
+            online power-adaptive controller) attached to every point.
+            Typed as ``object`` so this module never imports
+            :mod:`repro.policy`; ``None`` keeps the policy machinery
+            entirely unloaded.
     """
 
     device: object
@@ -119,6 +123,7 @@ class SweepGrid:
     warmup_fraction: float = 0.25
     seed: int = 0
     faults: Optional[FaultPlan] = None
+    policy: Optional[object] = None
 
     def points(self) -> Iterator[SweepPoint]:
         for power_state in self.power_states:
@@ -144,6 +149,7 @@ class SweepGrid:
             warmup_fraction=self.warmup_fraction,
             seed=(self.seed * 1_000_003 + salt) & 0x7FFFFFFF,
             faults=self.faults,
+            policy=self.policy,
         )
 
 
@@ -194,33 +200,12 @@ def sweep_outcome(
             config — and always returned in grid order regardless of
             completion order.
     """
-    opts = require_options("sweep_outcome", options)
+    opts = require_options("sweep_outcome", options).opened()
     # The sweep keeps the batch's recorder: its spans become the
     # outcome's telemetry and the run record.
     recorder = _recorder_for(opts)
-    cache = None
-    if recorder is not None and opts.cache_dir is not None:
-        # Resolve the cache here so its hit/miss statistics survive into
-        # the telemetry snapshot after the batch returns.
-        cache = (
-            opts.cache_dir
-            if isinstance(opts.cache_dir, ResultCache)
-            else ResultCache(opts.cache_dir)
-        )
-        opts = opts.evolve(cache_dir=cache)
     points = list(grid.points())
     configs = [grid.config_for(point) for point in points]
-    if opts.policy is not None:
-        # The policy rides on each config rather than the execution
-        # machinery: that is how it reaches pool workers, and how
-        # config_content_hash folds it into cache keys (policy and
-        # policy-free runs of the same grid never collide).
-        configs = [replace(config, policy=opts.policy) for config in configs]
-    if opts.fastpath is not None:
-        # Same rider pattern as policy: the fastpath options travel on
-        # each config so pool workers see them and config_content_hash
-        # keeps accelerated and exact runs apart in the cache.
-        configs = [replace(config, fastpath=opts.fastpath) for config in configs]
     outcomes = _run_batch(configs, opts, recorder)
     results: dict[SweepPoint, ExperimentResult] = {}
     failures: dict[SweepPoint, PointFailure] = {}
@@ -240,26 +225,17 @@ def sweep_outcome(
             emit_violations(validation, opts.tracer)
     telemetry = None
     if recorder is not None:
+        cache = opts.cache_dir
         telemetry = recorder.finalize(
             cache=cache.stats if cache is not None else None
         )
-        if opts.ledger is not None:
-            from repro.core.ledger import RunLedger, run_record
-
-            ledger = (
-                opts.ledger
-                if isinstance(opts.ledger, RunLedger)
-                else RunLedger(opts.ledger)
-            )
-            ledger.append(
-                run_record(
-                    "sweep",
-                    telemetry=telemetry,
-                    validation=validation,
-                    points=len(points),
-                    failures=len(failures),
-                )
-            )
+    opts.close_run(
+        "sweep",
+        telemetry=telemetry,
+        validation=validation,
+        points=len(points),
+        failures=len(failures),
+    )
     return SweepOutcome(
         results=results,
         failures=failures,

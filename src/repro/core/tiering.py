@@ -93,12 +93,6 @@ class WriteAbsorptionScenario:
         ssd = build_device(engine, self.ssd_preset, rng=rngs)
         hdd = build_device(engine, self.hdd_preset)
 
-        # Put the HDD tier into standby first (cache is empty, so this is
-        # just the spin-down).
-        prep = engine.process(hdd.enter_standby())
-        while prep.is_alive:
-            engine.step()
-
         latencies: list[float] = []
         burst_span: list[float] = [0.0, 0.0]
         destage_span: list[float] = [0.0, 0.0]
@@ -133,17 +127,22 @@ class WriteAbsorptionScenario:
                     yield engine.timeout(1e-2)
                 destage_span[1] = engine.now
 
-        proc = engine.process(deliver())
-        while proc.is_alive:
-            engine.step()
-
-        return AbsorptionResult(
-            absorbed=absorb,
-            burst_latency=LatencyStats.from_latencies(latencies),
-            burst_duration_s=burst_span[1] - burst_span[0],
-            destage_duration_s=max(destage_span[1] - destage_span[0], 0.0),
-            hdd_spinups=hdd.spindle.spinups,
-        )
+        try:
+            # Put the HDD tier into standby first (cache is empty, so this
+            # is just the spin-down).
+            engine.run_until_complete(engine.process(hdd.enter_standby()))
+            engine.run_until_complete(engine.process(deliver()))
+            return AbsorptionResult(
+                absorbed=absorb,
+                burst_latency=LatencyStats.from_latencies(latencies),
+                burst_duration_s=burst_span[1] - burst_span[0],
+                destage_duration_s=max(destage_span[1] - destage_span[0], 0.0),
+                hdd_spinups=hdd.spindle.spinups,
+            )
+        finally:
+            engine.close()
+            ssd.close()
+            hdd.close()
 
     def compare(self) -> tuple[AbsorptionResult, AbsorptionResult]:
         """Run both variants; returns (direct, absorbed)."""

@@ -338,15 +338,9 @@ def run_campaign(
     """
     if controllers is None:
         controllers = CONTROLLER_FAMILIES + (UNSAFE_FAMILY,)
-    if ledger is not None:
-        from repro.core.ledger import RunLedger
-
-        ledger = (
-            ledger if isinstance(ledger, RunLedger) else RunLedger(ledger)
-        )
     options = ExecutionOptions(
         n_workers=n_workers, cache_dir=cache_dir, ledger=ledger
-    )
+    ).opened()
 
     # Phase 1: clean baselines anchor budgets and fault windows.
     baseline_configs = [
@@ -469,21 +463,10 @@ def run_campaign(
         watchdog_armed=watchdog,
         validation=validation,
     )
-    if ledger is not None:
-        from repro.core.ledger import run_record
-        from repro.core.parallel import ResultCache
-
-        record = run_record(
-            "chaos",
-            validation=validation,
-            points=len(cells),
-            failures=0,
-            cache=(
-                cache_dir.stats
-                if isinstance(cache_dir, ResultCache)
-                else None
-            ),
-        )
-        record["chaos"] = result.summary_dict()
-        ledger.append(record)
+    options.close_run(
+        "chaos",
+        validation=validation,
+        points=len(cells),
+        chaos=result.summary_dict(),
+    )
     return result

@@ -461,10 +461,6 @@ def run_fleet(
             (validation violations do *not* raise -- they are reported
             in ``result.validation`` and gate the CLI exit code).
     """
-    if ledger is not None:
-        from repro.core.ledger import RunLedger
-
-        ledger = ledger if isinstance(ledger, RunLedger) else RunLedger(ledger)
     if allocator is None:
         allocator = ClusterGovernor()
     if not isinstance(allocator, BudgetAllocator):
@@ -486,7 +482,7 @@ def run_fleet(
     epochs = spec.epochs
     options = ExecutionOptions(
         n_workers=n_workers, cache_dir=cache_dir, ledger=ledger
-    )
+    ).opened()
 
     def job(slot: int, epoch: int):
         return front.job_for(slot, epoch, epochs, scale, spec.devices[slot])
@@ -566,8 +562,8 @@ def run_fleet(
             snapshot if metrics is None else merge_snapshots(metrics, snapshot)
         )
         previous = results
-        if ledger is not None:
-            ledger.append(
+        if options.ledger is not None:
+            options.ledger.append(
                 {
                     "rec": "fleet",
                     "epoch": epoch,
@@ -613,19 +609,10 @@ def run_fleet(
         metrics=metrics or {},
         validation=validation,
     )
-    if ledger is not None:
-        from repro.core.ledger import run_record
-        from repro.core.parallel import ResultCache
-
-        record = run_record(
-            "fleet",
-            validation=validation,
-            points=len(all_results),
-            failures=0,
-            cache=cache_dir.stats
-            if isinstance(cache_dir, ResultCache)
-            else None,
-        )
-        record["fleet"] = result.summary()
-        ledger.append(record)
+    options.close_run(
+        "fleet",
+        validation=validation,
+        points=len(all_results),
+        fleet=result.summary(),
+    )
     return result

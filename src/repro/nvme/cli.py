@@ -73,8 +73,7 @@ class NvmeCli:
             # Drive the transition to completion on the engine.
             proc = self.engine.process(set_power_state(device, ps))
             self.engine.run(until=self.engine.peek() if proc.is_alive else self.engine.now)
-            while proc.is_alive:
-                self.engine.step()
+            self.engine.run_until_complete(proc)
             return f"set-feature:0x2 (Power Management), value:{ps}"
         raise ValueError(f"unsupported nvme command {verb!r}")
 

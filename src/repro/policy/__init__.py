@@ -21,7 +21,7 @@ EPC -- expose a real dynamic range; this package asks whether an online
   watchdog-off runs never load it).
 
 Attach a policy with ``ExperimentConfig(policy=PolicySpec(...))`` or
-sweep-wide via ``ExecutionOptions(policy=...)``; score it with the
+sweep-wide via ``SweepGrid(policy=...)``; score it with the
 ``repro policy`` CLI subcommand / :mod:`repro.studies.policy_tracking`.
 """
 

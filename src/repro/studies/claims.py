@@ -63,19 +63,19 @@ def _hdd_standby_claim() -> tuple[Claim, Claim]:
     """C2 and C3: HDD standby power and spin-up duration."""
     engine = Engine()
     hdd = build_device(engine, "hdd")
-    engine.run(until=0.5)
-    idle_w = hdd.rail.trace.mean(0.2, 0.5)
-    proc = engine.process(hdd.enter_standby())
-    while proc.is_alive:
-        engine.step()
-    t0 = engine.now
-    engine.run(until=t0 + 0.5)
-    standby_w = hdd.rail.trace.mean(t0 + 0.2, t0 + 0.5)
-    spinup_start = engine.now
-    proc = engine.process(hdd.exit_standby())
-    while proc.is_alive:
-        engine.step()
-    spinup_s = engine.now - spinup_start
+    try:
+        engine.run(until=0.5)
+        idle_w = hdd.rail.trace.mean(0.2, 0.5)
+        engine.run_until_complete(engine.process(hdd.enter_standby()))
+        t0 = engine.now
+        engine.run(until=t0 + 0.5)
+        standby_w = hdd.rail.trace.mean(t0 + 0.2, t0 + 0.5)
+        spinup_start = engine.now
+        engine.run_until_complete(engine.process(hdd.exit_standby()))
+        spinup_s = engine.now - spinup_start
+    finally:
+        engine.close()
+        hdd.close()
     saving = idle_w - standby_w
     c2 = Claim(
         "C2",
@@ -121,9 +121,13 @@ def _pm1743_claim(scale: StudyScale) -> Claim:
     )
     engine = Engine()
     device = build_device(engine, "pm1743", rng=RngStreams(0))
-    engine.run(until=0.3)
-    meter = PowerMeter(device.rail, MeterConfig(), rng=RngStreams(0).get("m"))
-    idle_w = meter.measure(0.1, 0.3).mean()
+    try:
+        engine.run(until=0.3)
+        meter = PowerMeter(device.rail, MeterConfig(), rng=RngStreams(0).get("m"))
+        idle_w = meter.measure(0.1, 0.3).mean()
+    finally:
+        engine.close()
+        device.close()
     cap_vs_max = capped.mean_power_w / uncapped.mean_power_w
     cap_vs_idle = capped.mean_power_w / idle_w
     return Claim(

@@ -137,48 +137,55 @@ def run_demand_response(
     engine = Engine()
     rngs = RngStreams(seed)
     devices, runtimes, jobs = [], [], []
-    for index in range(n_devices):
-        streams = rngs.fork(index)
-        device = build_device(engine, PRESET, rng=streams)
-        device.name = f"{PRESET}-{index}"
-        devices.append(device)
-        runtimes.append(PolicyRuntime(engine, device, spec, streams))
-        arrivals = ArrivalProcess(
-            offered_load_bps / n_devices,
-            request_bytes=REQUEST_BYTES,
-            poisson=True,
-            rng=rngs.fork(100 + index).get("arrivals"),
-        )
-        job = OpenLoopJob(
-            engine,
-            device,
-            arrivals,
-            pattern=IoPattern.RANDWRITE,
-            duration_s=duration_s,
-            max_outstanding=128,
-            rng=rngs.fork(200 + index).get("offsets"),
-        )
-        job.start()
-        jobs.append(job)
-    engine.run(until=duration_s + 0.05)  # drain in-flight writes
+    try:
+        for index in range(n_devices):
+            streams = rngs.fork(index)
+            device = build_device(engine, PRESET, rng=streams)
+            device.name = f"{PRESET}-{index}"
+            devices.append(device)
+            runtimes.append(PolicyRuntime(engine, device, spec, streams))
+            arrivals = ArrivalProcess(
+                offered_load_bps / n_devices,
+                request_bytes=REQUEST_BYTES,
+                poisson=True,
+                rng=rngs.fork(100 + index).get("arrivals"),
+            )
+            job = OpenLoopJob(
+                engine,
+                device,
+                arrivals,
+                pattern=IoPattern.RANDWRITE,
+                duration_s=duration_s,
+                max_outstanding=128,
+                rng=rngs.fork(200 + index).get("offsets"),
+            )
+            job.start()
+            jobs.append(job)
+        engine.run(until=duration_s + 0.05)  # drain in-flight writes
 
-    fleet_power, compliance = [], []
-    for start, end, watts in segments:
-        settled = start + SETTLE_FRACTION * (end - start)
-        power = sum(device.rail.trace.mean(settled, end) for device in devices)
-        fleet_power.append(power)
-        compliance.append(power <= watts + 0.5)
-    workload = OpenLoopResult(
-        records=IoRecords.concat(job.records.view() for job in jobs),
-        offered=sum(job.offered for job in jobs),
-        submitted=sum(job.submitted for job in jobs),
-        shed=sum(job.shed for job in jobs),
-    )
-    return DemandResponseResult(
-        budget=budget,
-        fleet_power=tuple(fleet_power),
-        compliance=tuple(compliance),
-        workload=workload,
-        policies=tuple(runtime.summary() for runtime in runtimes),
-        duration_s=duration_s,
-    )
+        fleet_power, compliance = [], []
+        for start, end, watts in segments:
+            settled = start + SETTLE_FRACTION * (end - start)
+            power = sum(device.rail.trace.mean(settled, end) for device in devices)
+            fleet_power.append(power)
+            compliance.append(power <= watts + 0.5)
+        workload = OpenLoopResult(
+            records=IoRecords.concat(job.records.view() for job in jobs),
+            offered=sum(job.offered for job in jobs),
+            submitted=sum(job.submitted for job in jobs),
+            shed=sum(job.shed for job in jobs),
+        )
+        return DemandResponseResult(
+            budget=budget,
+            fleet_power=tuple(fleet_power),
+            compliance=tuple(compliance),
+            workload=workload,
+            policies=tuple(runtime.summary() for runtime in runtimes),
+            duration_s=duration_s,
+        )
+    finally:
+        engine.close()
+        for device in devices:
+            device.close()
+        for runtime in runtimes:
+            runtime.close()

@@ -76,17 +76,24 @@ def _capture(scenario: str) -> tuple[PowerTrace, float, float]:
         LinkPowerMode.SLUMBER if scenario == "enter" else LinkPowerMode.ACTIVE
     )
     cmd_at = ENTER_CMD_AT if scenario == "enter" else EXIT_CMD_AT
-    if scenario == "exit":
-        # Pre-position in SLUMBER, then reset the clock window by running
-        # the preparation before the trace starts.
-        prep = engine.process(alpm.set_mode(LinkPowerMode.SLUMBER))
-        while prep.is_alive:
-            engine.step()
-    t0 = engine.now
-    engine.call_at(t0 + cmd_at, lambda: engine.process(alpm.set_mode(target)))
-    engine.run(until=t0 + TRACE_SECONDS)
-    meter = PowerMeter(device.rail, MeterConfig(), rng=rngs.get("meter"))
-    trace = meter.measure(t0, t0 + TRACE_SECONDS, label=f"860evo {scenario}")
+    try:
+        if scenario == "exit":
+            # Pre-position in SLUMBER, then reset the clock window by
+            # running the preparation before the trace starts.
+            slumber = alpm.set_mode(LinkPowerMode.SLUMBER)
+            engine.run_until_complete(engine.process(slumber))
+        t0 = engine.now
+        engine.call_at(
+            t0 + cmd_at, lambda: engine.process(alpm.set_mode(target))
+        )
+        engine.run(until=t0 + TRACE_SECONDS)
+        meter = PowerMeter(device.rail, MeterConfig(), rng=rngs.get("meter"))
+        trace = meter.measure(
+            t0, t0 + TRACE_SECONDS, label=f"860evo {scenario}"
+        )
+    finally:
+        engine.close()
+        device.close()
     # Shift times so the trace starts at 0 like the figure's x-axis.
     trace = PowerTrace(
         times=trace.times - t0,

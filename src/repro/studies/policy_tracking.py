@@ -160,13 +160,9 @@ def run(
     study later.  Purely passive: results are identical with or without
     it.
     """
-    if ledger is not None:
-        from repro.core.ledger import RunLedger
-
-        ledger = ledger if isinstance(ledger, RunLedger) else RunLedger(ledger)
     options = ExecutionOptions(
         n_workers=n_workers, cache_dir=cache_dir, ledger=ledger
-    )
+    ).opened()
     baseline_configs = [
         point_config(
             device, _PATTERN, _BLOCK_SIZE, _IODEPTH, scale=scale, seed=seed
@@ -198,21 +194,7 @@ def run(
         checked=len(everything),
         invariants=RESULT_INVARIANTS,
     )
-    if ledger is not None:
-        from repro.core.ledger import run_record
-        from repro.core.parallel import ResultCache
-
-        ledger.append(
-            run_record(
-                "policy",
-                validation=validation,
-                points=len(everything),
-                failures=0,
-                cache=cache_dir.stats
-                if isinstance(cache_dir, ResultCache)
-                else None,
-            )
-        )
+    options.close_run("policy", validation=validation, points=len(everything))
     return PolicyTrackingResult(
         baselines=baselines, results=results, validation=validation
     )

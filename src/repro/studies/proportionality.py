@@ -83,27 +83,29 @@ def _power_at_load(device: str, rate_bps: float, duration_s: float, seed: int) -
     engine = Engine()
     rngs = RngStreams(seed)
     dev = build_device(engine, device, rng=rngs)
-    if rate_bps <= 0:
-        engine.run(until=duration_s)
-        return dev.rail.trace.mean(duration_s * 0.3, duration_s)
-    job = OpenLoopJob(
-        engine,
-        dev,
-        ArrivalProcess(
-            rate_bps,
-            request_bytes=CHUNK,
-            poisson=True,
-            rng=rngs.get("arrivals"),
-        ),
-        pattern=IoPattern.RANDWRITE,
-        duration_s=duration_s,
-        max_outstanding=128,
-        rng=rngs.get("offsets"),
-    )
-    proc = job.start()
-    while proc.is_alive:
-        engine.step()
-    return dev.rail.trace.mean(duration_s * 0.3, engine.now)
+    try:
+        if rate_bps <= 0:
+            engine.run(until=duration_s)
+            return dev.rail.trace.mean(duration_s * 0.3, duration_s)
+        job = OpenLoopJob(
+            engine,
+            dev,
+            ArrivalProcess(
+                rate_bps,
+                request_bytes=CHUNK,
+                poisson=True,
+                rng=rngs.get("arrivals"),
+            ),
+            pattern=IoPattern.RANDWRITE,
+            duration_s=duration_s,
+            max_outstanding=128,
+            rng=rngs.get("offsets"),
+        )
+        engine.run_until_complete(job.start())
+        return dev.rail.trace.mean(duration_s * 0.3, engine.now)
+    finally:
+        engine.close()
+        dev.close()
 
 
 def run(scale: StudyScale = DEFAULT) -> list[ProportionalityCurve]:

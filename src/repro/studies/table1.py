@@ -62,14 +62,17 @@ def _quiescent_power(label: str, seed: int = 0) -> float:
     """Device power with no IO offered (idle; standby for the HDD)."""
     engine = Engine()
     device = build_device(engine, label, rng=RngStreams(seed))
-    if label == "hdd":
-        proc = engine.process(device.enter_standby())
-        while proc.is_alive:
-            engine.step()
-    start = engine.now
-    engine.run(until=start + 0.3)
-    meter = PowerMeter(device.rail, MeterConfig(), rng=RngStreams(seed).get("meter"))
-    return meter.measure(start + 0.1, start + 0.3).mean()
+    try:
+        if label == "hdd":
+            engine.run_until_complete(engine.process(device.enter_standby()))
+        start = engine.now
+        engine.run(until=start + 0.3)
+        rng = RngStreams(seed).get("meter")
+        meter = PowerMeter(device.rail, MeterConfig(), rng=rng)
+        return meter.measure(start + 0.1, start + 0.3).mean()
+    finally:
+        engine.close()
+        device.close()
 
 
 def run(

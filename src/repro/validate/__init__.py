@@ -23,7 +23,7 @@ This package checks that agreement explicitly:
 
 Entry points: :func:`~repro.validate.runner.validate_result`,
 :func:`~repro.validate.runner.validate_results`,
-:func:`~repro.validate.runner.validate_outcome`, and the ``repro
+:func:`~repro.validate.runner.live_validate`, and the ``repro
 validate`` CLI subcommand.  Sweeps opt in via
 ``ExecutionOptions(validate=True)``; when a tracer rides along,
 violations are also emitted as ``EventKind.VIOLATION`` events.
@@ -42,7 +42,6 @@ from repro.validate.report import (
 from repro.validate.runner import (
     emit_violations,
     live_validate,
-    validate_outcome,
     validate_result,
     validate_results,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "emit_violations",
     "live_validate",
     "power_envelope",
-    "validate_outcome",
     "validate_result",
     "validate_results",
 ]

@@ -1,9 +1,9 @@
 """Entry points tying checkers, contracts, and auditors together.
 
 - :func:`validate_result` -- every post-hoc invariant over one result.
-- :func:`validate_results` / :func:`validate_outcome` -- a whole sweep:
-  per-result checkers plus the cross-result monotonicity contracts,
-  aggregated into one :class:`~repro.validate.report.ValidationReport`.
+- :func:`validate_results` -- a whole sweep: per-result checkers plus
+  the cross-result monotonicity contracts, aggregated into one
+  :class:`~repro.validate.report.ValidationReport`.
 - :func:`live_validate` -- run one experiment with the live auditors
   attached (rail energy conservation, event-stream invariants) on top of
   the post-hoc checks.
@@ -27,12 +27,11 @@ from repro.validate.report import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.sweep import SweepOutcome, SweepPoint
+    from repro.core.sweep import SweepPoint
 
 __all__ = [
     "emit_violations",
     "live_validate",
-    "validate_outcome",
     "validate_result",
     "validate_results",
 ]
@@ -63,17 +62,6 @@ def validate_results(
         checked=len(results),
         invariants=RESULT_INVARIANTS + CONTRACT_INVARIANTS,
     )
-
-
-def validate_outcome(
-    outcome: "SweepOutcome", tolerances: Optional[Tolerances] = None
-) -> ValidationReport:
-    """Validate a :class:`~repro.core.sweep.SweepOutcome`'s results.
-
-    Failed points carry no result to audit; they are reported by the
-    outcome itself and do not appear here.
-    """
-    return validate_results(outcome.results, tolerances)
 
 
 def live_validate(

@@ -51,12 +51,13 @@ class TestExecutionOptions:
         assert opts.timeout_s is None
         assert opts.retries == 0
         assert opts.ledger is None
-        # The whole settable surface; there is no resume switch (a
-        # re-run over the same cache_dir skips every cached point).
+        # The whole settable surface, all of it *how* a batch runs:
+        # there is no resume switch (a re-run over the same cache_dir
+        # skips every cached point), and a sweep-wide policy is part of
+        # what runs, so it lives on SweepGrid.
         assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
             "n_workers", "cache_dir", "tracer", "timeout_s", "retries",
-            "validate", "policy", "fastpath", "telemetry", "ledger",
-            "progress",
+            "validate", "fastpath", "telemetry", "ledger", "progress",
         ]
 
     def test_frozen(self):

@@ -119,7 +119,6 @@ PUBLIC_API = (
     "run_sweep",
     "standby_immediate",
     "sweep_outcome",
-    "validate_outcome",
     "validate_result",
 )
 

@@ -6,20 +6,79 @@ renderers emit the paper's rows -- cheaply, via the QUICK scale and the
 smallest grids.
 """
 
+import functools
+import gc
 import importlib.util
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from repro.core.tiering import WriteAbsorptionScenario
 from repro.iogen.spec import IoPattern, PAPER_CHUNK_SIZES, PAPER_QUEUE_DEPTHS
-from repro.studies import FIGURES, claims, fig3, fig6, reproduce, table1
+from repro.sim.engine import Engine
+from repro.studies import (
+    FIGURES,
+    claims,
+    fig3,
+    fig6,
+    fig7,
+    proportionality,
+    reproduce,
+    table1,
+)
 from repro.studies.common import QUICK
+from repro.studies.demand_response import run_demand_response
 
 pytestmark = pytest.mark.integration
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: The studies that build and drive engines of their own, as calls.
+SELF_DRIVEN = {
+    "claims": lambda: claims.run(QUICK),
+    "demand_response": lambda: run_demand_response(duration_s=0.1),
+    "fig7": fig7.run,
+    "proportionality": lambda: proportionality.run(QUICK),
+    "table1": lambda: table1.run(QUICK),
+    "tiering": lambda: WriteAbsorptionScenario(burst_bytes=1 << 20).compare(),
+}
+
+
+def _engine_census(run):
+    """``run()``'s value, how many engines it built, and how many of
+    them are still alive once it returns, with the cyclic collector off
+    (and restored afterwards), so only reference counting frees them."""
+    engines = []
+    init = Engine.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(weakref.ref(self))
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    Engine.__init__ = tracked
+    try:
+        value = run()
+        alive = sum(ref() is not None for ref in engines)
+    finally:
+        Engine.__init__ = init
+        if enabled:
+            gc.enable()
+    return value, len(engines), alive
+
+
+@pytest.fixture(scope="module")
+def census():
+    """Each self-driven study, run once per module under the engine
+    census: ``census(name)`` is its ``(value, built, alive)``."""
+    return functools.lru_cache(maxsize=None)(
+        lambda name: _engine_census(SELF_DRIVEN[name])
+    )
 
 
 def _run_bare():
@@ -86,8 +145,8 @@ class TestRegistry:
 
 class TestTable1Structure:
     @pytest.fixture(scope="class")
-    def rows(self):
-        return table1.run(QUICK)
+    def rows(self, census):
+        return census("table1")[0]
 
     def test_covers_all_devices(self, rows):
         assert [r.label for r in rows] == ["ssd1", "ssd2", "ssd3", "hdd"]
@@ -159,8 +218,8 @@ class TestFig8Fig9Structure:
 
 
 class TestClaims:
-    def test_all_claims_hold_at_quick_scale(self):
-        results = claims.run(QUICK)
+    def test_all_claims_hold_at_quick_scale(self, census):
+        results = census("claims")[0]
         assert [c.claim_id for c in results] == [
             "C1", "C2", "C3", "C4", "C5", "C6", "C7",
         ]
@@ -196,3 +255,17 @@ class TestClaims:
         rendered = reproduce("claims", QUICK, n_workers=3)
         assert swept == [("ssd2", 3), ("hdd", 3)]
         assert "60.0%" in rendered and "4.0%" in rendered
+
+
+
+class TestStudiesEndTheirSimulations:
+    """A study that builds its own engine closes it, with its devices
+    and policy runtimes, once its numbers are read, as ``run_experiment``
+    does: with the cyclic collector off, reference counting alone frees
+    every engine the study built."""
+
+    @pytest.mark.parametrize("name", sorted(SELF_DRIVEN))
+    def test_no_engine_outlives_the_study(self, census, name):
+        _value, built, alive = census(name)
+        assert built, f"{name} built no engine"
+        assert alive == 0, f"{alive} of {built} engines outlived {name}"
