@@ -189,7 +189,7 @@ def _result_summary(result) -> dict:
     return summary
 
 
-def point_record(config, outcome, span=None) -> dict:
+def point_record(config, outcome, span) -> dict:
     """Build one ``point`` record from a finished sweep point.
 
     Args:
@@ -197,18 +197,19 @@ def point_record(config, outcome, span=None) -> dict:
         outcome: The point's :class:`~repro.core.experiment.ExperimentResult`
             or :class:`~repro.core.parallel.PointFailure`.
         span: The point's executor-side
-            :class:`~repro.core.telemetry.PointSpan`, when telemetry was
-            recording: it supplies status and attempts, and its profile
-            wall time, events/sec and kernel events (zeros without one).
+            :class:`~repro.core.telemetry.PointSpan`: it supplies key,
+            status and attempts, and its profile wall time, events/sec
+            and kernel events (zeros without one, as for a cache hit).
     """
     # Imported here, not at module top: the ledger is itself imported
     # lazily by the executor, but keep the one-way dependency anyway.
-    from repro.core.parallel import PointFailure, config_content_hash
+    from repro.core.parallel import PointFailure
 
     job = config.job
+    profile = span.profile or PointProfile(span.label, 0.0, 0, 0.0)
     record = {
         "rec": "point",
-        "key": span.key if span is not None else config_content_hash(config),
+        "key": span.key,
         "label": config.describe(),
         "device": config.device_label,
         "seed": config.seed,
@@ -216,25 +217,16 @@ def point_record(config, outcome, span=None) -> dict:
         "pattern": job.pattern.value,
         "block_size": job.block_size,
         "iodepth": job.iodepth,
+        "status": span.status,
+        "attempts": span.attempts,
+        "wall_s": profile.wall_s,
+        "events_per_s": profile.events_per_second,
+        "sim_events": profile.sim_events,
     }
-    if span is not None:
-        profile = span.profile or PointProfile(span.label, 0.0, 0, 0.0)
-        record.update(
-            {
-                "status": span.status,
-                "attempts": span.attempts,
-                "wall_s": profile.wall_s,
-                "events_per_s": profile.events_per_second,
-                "sim_events": profile.sim_events,
-            }
-        )
     if isinstance(outcome, PointFailure):
-        record.setdefault("status", "failed")
         record["error_type"] = outcome.error_type
         record["error"] = outcome.message
-        record["attempts"] = outcome.attempts
     else:
-        record.setdefault("status", "done")
         record["result"] = _result_summary(outcome)
     return record
 

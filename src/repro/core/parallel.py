@@ -16,18 +16,20 @@ substrate the sweep layer, the figure studies and the CLI share:
   content hash of the config, so re-runs of overlapping grids skip
   already-computed points.
 
-Every attempt at a point is recorded by one object per batch,
-:class:`_Books`: it counts the attempt, logs it to the run ledger as it
-starts and ends, writes a success to the cache, spends the retry budget
-(``ExecutionOptions.retries``, with the deterministic backoff of
-:func:`backoff_delay`) and feeds the telemetry recorder.  Two transports
-run the attempts.  A tracer keeps a batch in this process (tracer events
-cannot cross a process boundary in order), and so do one worker or one
-pending point unless the batch has a timeout or retries (only a
-separate process can be killed).  Every other batch runs on an owned
-pool of forked workers, each connected by a pipe: a worker still running
-at its deadline is ``terminate()``-d and replaced, and a worker that
-dies mid-point (segfault, OOM kill, ``os._exit``) costs only that
+One object per batch, :class:`_Books`, keeps its one record: it serves
+cache hits, counts every attempt at a point, logs it to the run ledger
+as it starts and ends, writes a success to the cache, spends the retry
+budget (``ExecutionOptions.retries``, with the deterministic backoff of
+:func:`backoff_delay`), times each point's lifecycle and each pool
+worker's life, and builds the point records, progress updates and
+telemetry from what it kept.  Two transports run the attempts.  A
+tracer keeps a batch in this process (tracer events cannot cross a
+process boundary in order), and so do one worker or one pending point
+unless the batch has a timeout or retries (only a separate process can
+be killed).  Every other batch runs on an owned pool of forked
+workers, each connected by a pipe: a worker still running at its
+deadline is ``terminate()``-d and replaced, and a worker that dies
+mid-point (segfault, OOM kill, ``os._exit``) costs only that
 attempt, which is retried or reported as a :class:`WorkerCrashError`
 failure while its siblings' results are kept.  If the pool's first
 workers cannot be spawned, the batch warns and runs in-process instead.
@@ -35,14 +37,13 @@ Retry scheduling is wall-clock only and never touches simulation state,
 so every point that completes is bit-identical on both transports, and
 both keep the same books.
 
-Telemetry note: when a
-:class:`~repro.core.telemetry.TelemetryRecorder` rides along (sweep
-telemetry, live progress, or a run ledger was requested), both
-transports measure each point through :func:`_run_config`: pool workers
-ship the point's :class:`~repro.obs.profile.PointProfile` back over the
-pipe next to its outcome, and the books hand it to the point's lifecycle
-span.  The recorder is wall-clock only and strictly passive: results are
-bit-identical with and without it (the telemetry row of
+Telemetry note: when the batch measures (sweep telemetry, live
+progress, or a run ledger was requested), both transports measure each
+point through :func:`_run_config`: pool workers ship the point's
+:class:`~repro.obs.profile.PointProfile` back over the pipe next to its
+outcome, and the books keep it for the point's lifecycle span.  The
+books read only the wall clock and are strictly passive: results are
+bit-identical with and without measuring (the telemetry row of
 ``benchmarks/zero_cost.py`` holds that line).
 
 Determinism note: parallel execution only matches sequential execution
@@ -71,7 +72,7 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.core.options import ExecutionOptions, require_options
@@ -393,48 +394,128 @@ def _run_config(
 
 @dataclass
 class _Attempt:
-    """One point of a batch on its way to a terminal outcome."""
+    """One point of a batch on its way to a terminal outcome.
+
+    ``attempt`` counts the attempts started so far.  The wall-clock
+    stamps, ``status`` and ``profile`` are kept only when the batch
+    measures; they make the point's
+    :class:`~repro.core.telemetry.PointSpan`.
+    """
 
     index: int
     config: ExperimentConfig
     attempt: int = 0
+    outcome: Union[ExperimentResult, PointFailure, None] = None
+    #: Pool worker of the latest attempt (``None`` in this process).
+    worker: Optional[int] = None
+    #: Terminal status (:func:`~repro.core.telemetry.point_status`, or
+    #: ``"cached"``); ``None`` until the point finishes.
+    status: Optional[str] = None
+    profile: Optional[PointProfile] = None
+    enqueued_at: float = 0.0
+    dispatched_at: float = 0.0  # the first attempt's start
+    started_at: float = 0.0  # the latest attempt's start
+    finished_at: float = 0.0
 
     @functools.cached_property
     def key(self) -> str:
         """The point's :func:`config_content_hash`, hashed on first read.
 
-        Only a ledger, the telemetry recorder and a retry backoff read
-        it; a plain batch never pays for hashing its configs.
+        Only a measured batch and a retry backoff read it; a plain batch
+        never pays for hashing its configs.
         """
         return config_content_hash(self.config)
 
 
-@dataclass
 class _Books:
-    """The one record of a batch's attempts, whichever transport ran them.
+    """The one record of a batch, whichever transport ran its attempts.
 
-    Both transports bracket every attempt with :meth:`start` and
-    :meth:`finish`; nothing else logs, caches or reports an executed
-    point.
+    :meth:`admit` serves the cache hits; both transports bracket every
+    attempt with :meth:`start` and :meth:`finish`, and the pool reports
+    each worker's :meth:`spawned` and :meth:`retired`.  Nothing else
+    logs, caches, times or reports a point.  The books read the clock
+    only when the batch measures (telemetry, progress or a ledger was
+    asked for), so a plain batch takes no timestamps and never imports
+    :mod:`repro.core.telemetry` or :mod:`repro.core.ledger`.
     """
 
-    outcomes: List[Union[ExperimentResult, PointFailure, None]]
-    retries: int
-    ledger: object  # a RunLedger, or None
-    cache: Optional[ResultCache]
-    recorder: object  # a TelemetryRecorder, or None
+    def __init__(
+        self,
+        opts: ExecutionOptions,
+        configs: Sequence[ExperimentConfig],
+        clock: Callable[[], float] = time.perf_counter,
+    ) -> None:
+        self.retries = opts.retries
+        self.cache: Optional[ResultCache] = opts.cache_dir
+        self.ledger = opts.ledger  # a RunLedger, or None
+        self.progress = opts.progress
+        self.measure = (
+            opts.telemetry or opts.progress is not None or opts.ledger is not None
+        )
+        self.clock = clock
+        self.started = clock() if self.measure else 0.0
+        self.tasks = [_Attempt(index, config) for index, config in enumerate(configs)]
+        # Per pool worker: spawn and retirement times, and the busy
+        # seconds of every attempt it served.
+        self._spawned_at: Dict[int, float] = {}
+        self._retired_at: Dict[int, float] = {}
+        self._busy: Dict[int, List[float]] = {}
+
+    @property
+    def outcomes(self) -> List[Union[ExperimentResult, PointFailure, None]]:
+        return [task.outcome for task in self.tasks]
 
     def _log(self, task: _Attempt, state: str, detail: str = "") -> None:
         """Append the attempt's new state to the ledger, if there is one."""
         if self.ledger is not None:
             self.ledger.append_attempt(task.key, state, task.attempt, detail)
 
+    def _settle(self, task: _Attempt, outcome, cached: bool = False) -> None:
+        """Record a point's terminal outcome, and report progress."""
+        task.outcome = outcome
+        if not self.measure:
+            return
+        from repro.core.telemetry import ProgressUpdate, point_status
+
+        task.status = "cached" if cached else point_status(outcome)
+        if self.progress is not None:
+            finished = [t for t in self.tasks if t.status is not None]
+            self.progress(
+                ProgressUpdate(
+                    done=len(finished),
+                    total=len(self.tasks),
+                    cached=sum(t.status == "cached" for t in finished),
+                    failed=sum(isinstance(t.outcome, PointFailure) for t in finished),
+                    elapsed_s=self.clock() - self.started,
+                )
+            )
+
+    def admit(self) -> List[_Attempt]:
+        """Serve every point the cache holds; return the rest, to run.
+
+        Failures are never cached, so a cache hit is always a result.
+        """
+        pending = []
+        for task in self.tasks:
+            cached = self.cache.get(task.config) if self.cache is not None else None
+            if self.measure:
+                task.enqueued_at = self.clock()
+            if cached is None:
+                pending.append(task)
+            else:
+                task.dispatched_at = task.finished_at = task.enqueued_at
+                self._settle(task, cached, cached=True)
+        return pending
+
     def start(self, task: _Attempt, worker: Optional[int] = None) -> None:
         """Count an attempt that is now running (on ``worker``, if pooled)."""
         task.attempt += 1
+        task.worker = worker
         self._log(task, "in_flight")
-        if self.recorder is not None:
-            self.recorder.point_dispatched(task.index, worker=worker)
+        if self.measure:
+            task.started_at = self.clock()
+            if task.attempt == 1:
+                task.dispatched_at = task.started_at
 
     def finish(
         self,
@@ -447,6 +528,10 @@ class _Books:
         Returns the backoff delay before the point's next attempt while
         the retry budget lasts, else ``None``: the outcome is final.
         """
+        if self.measure:
+            task.finished_at = self.clock()
+            if task.worker is not None:
+                self._busy[task.worker].append(task.finished_at - task.started_at)
         if isinstance(outcome, PointFailure):
             outcome = dataclasses.replace(outcome, attempts=task.attempt)
             self._log(task, "failed", f"{outcome.error_type}: {outcome.message}")
@@ -459,10 +544,73 @@ class _Books:
                 # the result is on disk, so a re-run will not recompute it.
                 self.cache.put(task.config, outcome)
             self._log(task, "done")
-        self.outcomes[task.index] = outcome
-        if self.recorder is not None:
-            self.recorder.point_finished(task.index, outcome, profile)
+        task.profile = profile
+        self._settle(task, outcome)
         return None
+
+    def spawned(self, worker: int) -> None:
+        """Note that pool worker ``worker`` started."""
+        if self.measure:
+            self._spawned_at[worker] = self.clock()
+            self._busy[worker] = []
+
+    def retired(self, worker: int) -> None:
+        """Note that pool worker ``worker`` is gone."""
+        if self.measure:
+            self._retired_at.setdefault(worker, self.clock())
+
+    def span(self, task: _Attempt):
+        """The point's :class:`~repro.core.telemetry.PointSpan`, or
+        ``None`` while it is unfinished (or the batch does not measure)."""
+        if task.status is None:
+            return None
+        from repro.core.telemetry import PointSpan
+
+        return PointSpan(
+            index=task.index,
+            key=task.key,
+            label=task.config.describe(),
+            status=task.status,
+            attempts=task.attempt or 1,  # a cache hit counts as one
+            queue_wait_s=task.dispatched_at - task.enqueued_at,
+            total_s=task.finished_at - task.enqueued_at,
+            worker=task.worker,
+            profile=task.profile,
+        )
+
+    def write_points(self) -> None:
+        """Append one ``point`` record per point to the ledger, if there
+        is one, in submission order."""
+        if self.ledger is None:
+            return
+        from repro.core.ledger import point_record
+
+        for task in self.tasks:
+            record = point_record(task.config, task.outcome, self.span(task))
+            self.ledger.append(record)
+
+    def telemetry(self):
+        """Everything kept so far as a
+        :class:`~repro.core.telemetry.SweepTelemetry`, with the cache's
+        statistics folded in."""
+        from repro.core.telemetry import SweepTelemetry, WorkerStats
+
+        now = self.clock()
+        workers = (
+            WorkerStats(
+                worker=worker,
+                attempts=len(busy),
+                busy_s=sum(busy),
+                alive_s=self._retired_at.get(worker, now) - self._spawned_at[worker],
+            )
+            for worker, busy in sorted(self._busy.items())
+        )
+        return SweepTelemetry(
+            spans=tuple(filter(None, map(self.span, self.tasks))),
+            workers=tuple(workers),
+            wall_s=now - self.started,
+            cache=self.cache.stats.snapshot() if self.cache is not None else None,
+        )
 
 
 #: Source files whose frames a warning skips to reach the caller.
@@ -495,11 +643,10 @@ def _run_inprocess(tasks: List[_Attempt], tracer, books: _Books) -> None:
     A point's retries run back to back after their backoff; a timeout
     cannot apply (there is no worker to kill).
     """
-    measure = books.recorder is not None
     for task in tasks:
         while True:
             books.start(task)
-            outcome, profile = _run_config(task.config, tracer, measure)
+            outcome, profile = _run_config(task.config, tracer, books.measure)
             delay = books.finish(task, outcome, profile)
             if delay is None:
                 break
@@ -541,7 +688,6 @@ class _WorkerSlot:
         self.worker_id = worker_id
         self.task: Optional[_Attempt] = None
         self.deadline: Optional[float] = None
-        self.dispatched_at: Optional[float] = None
 
     @property
     def busy(self) -> bool:
@@ -550,9 +696,8 @@ class _WorkerSlot:
     def dispatch(self, task: _Attempt, timeout_s: Optional[float]) -> None:
         self.conn.send(task.config)
         self.task = task
-        self.dispatched_at = time.monotonic()
         self.deadline = (
-            self.dispatched_at + timeout_s if timeout_s is not None else None
+            time.monotonic() + timeout_s if timeout_s is not None else None
         )
 
     def kill(self) -> None:
@@ -582,7 +727,6 @@ def _run_pool(
     that point never re-runs the batch.
     """
     ctx = multiprocessing.get_context("fork")
-    recorder = books.recorder
     queue = deque(tasks)
     delayed: List[tuple[float, int, _Attempt]] = []  # (ready_at, tiebreak, task)
     tiebreak = itertools.count()
@@ -590,15 +734,13 @@ def _run_pool(
     pool: List[_WorkerSlot] = []
 
     def spawn() -> None:
-        slot = _WorkerSlot(ctx, recorder is not None, worker_id=next(worker_ids))
+        slot = _WorkerSlot(ctx, books.measure, worker_id=next(worker_ids))
         pool.append(slot)
-        if recorder is not None:
-            recorder.worker_spawned(slot.worker_id)
+        books.spawned(slot.worker_id)
 
     def retire(slot: _WorkerSlot) -> None:
         slot.kill()
-        if recorder is not None:
-            recorder.worker_retired(slot.worker_id)
+        books.retired(slot.worker_id)
 
     def replace(slot: _WorkerSlot) -> None:
         retire(slot)
@@ -607,20 +749,18 @@ def _run_pool(
         if outstanding > len(pool):
             spawn()
 
-    def finish(slot: _WorkerSlot, now: float, outcome, profile=None) -> None:
+    def finish(slot: _WorkerSlot, outcome, profile=None) -> None:
         task, slot.task = slot.task, None
-        if recorder is not None:
-            recorder.worker_attempt(slot.worker_id, now - slot.dispatched_at)
         delay = books.finish(task, outcome, profile)
         if delay is not None:
             ready_at = time.monotonic() + delay
             heapq.heappush(delayed, (ready_at, next(tiebreak), task))
 
-    def lose(slot: _WorkerSlot, now: float, error: type, message: str) -> None:
+    def lose(slot: _WorkerSlot, error: type, message: str) -> None:
         # The attempt fails with its worker.  Queue any retry *before*
         # replacing the worker, so the replacement head-count sees it.
         failure = PointFailure(slot.task.config, error.__name__, message, "")
-        finish(slot, now, failure)
+        finish(slot, failure)
         replace(slot)
 
     try:
@@ -681,12 +821,12 @@ def _run_pool(
                     except (EOFError, OSError):
                         # Hard crash mid-point (segfault, OOM kill,
                         # os._exit): the pipe breaks before a result.
-                        lose(slot, now, WorkerCrashError,
+                        lose(slot, WorkerCrashError,
                              "worker process died mid-experiment")
                         continue
-                    finish(slot, now, outcome, profile)
+                    finish(slot, outcome, profile)
                 elif slot.deadline is not None and now >= slot.deadline:
-                    lose(slot, now, PointTimeoutError,
+                    lose(slot, PointTimeoutError,
                          f"exceeded {timeout_s:g}s wall-clock budget")
     finally:
         for slot in pool:
@@ -734,29 +874,13 @@ def run_configs(
             "run_sweep(); check a batch's results with "
             "repro.validate.validate_result"
         )
-    return _run_batch(configs, opts, _recorder_for(opts))
+    return _run_batch(configs, opts).outcomes  # type: ignore[return-value]
 
 
-def _recorder_for(opts: ExecutionOptions):
-    """A :class:`~repro.core.telemetry.TelemetryRecorder` when ``opts``
-    asks for telemetry, progress or a ledger; else ``None``."""
-    if not (opts.telemetry or opts.progress is not None or opts.ledger is not None):
-        return None
-    # Imported lazily: the default (telemetry-off) path never pays for
-    # the telemetry module.
-    from repro.core.telemetry import TelemetryRecorder
-
-    recorder = TelemetryRecorder()
-    recorder.on_progress = opts.progress
-    return recorder
-
-
-def _run_batch(
-    configs: Sequence[ExperimentConfig], opts: ExecutionOptions, recorder
-) -> List[Union[ExperimentResult, PointFailure]]:
+def _run_batch(configs: Sequence[ExperimentConfig], opts: ExecutionOptions) -> _Books:
     """The engine behind :func:`run_configs` and
-    :func:`~repro.core.sweep.sweep_outcome`, feeding ``recorder`` (one
-    per batch: spans are keyed by submission index) when it is given.
+    :func:`~repro.core.sweep.sweep_outcome`: returns the batch's books,
+    which hold its outcomes and, when it measured, its telemetry.
 
     The options' fastpath rides on every config first, so cache keys and
     ledger keys see it.  Cached points are served from the cache
@@ -766,8 +890,6 @@ def _run_batch(
     order.
     """
     opts = opts.opened()
-    cache, ledger = opts.cache_dir, opts.ledger
-    configs = list(configs)
     if opts.fastpath is not None:
         # The fastpath rides on each config rather than the execution
         # machinery: that is how it reaches pool workers, and how
@@ -777,33 +899,12 @@ def _run_batch(
             dataclasses.replace(config, fastpath=opts.fastpath)
             for config in configs
         ]
-    if recorder is not None:
-        recorder.total = len(configs)
-    outcomes: List[Union[ExperimentResult, PointFailure, None]] = [None] * len(configs)
-    pending: List[_Attempt] = []
-    for index, config in enumerate(configs):
-        task = _Attempt(index, config)
-        cached = cache.get(config) if cache is not None else None
-        if cached is not None:
-            outcomes[index] = cached
-            if recorder is not None:
-                recorder.point_cached(index, task.key, config.describe())
-        else:
-            if recorder is not None:
-                recorder.point_enqueued(index, task.key, config.describe())
-            pending.append(task)
+    books = _Books(opts, configs)
+    pending = books.admit()
     if pending:
-        _execute(
-            pending, opts, _Books(outcomes, opts.retries, ledger, cache, recorder)
-        )
-    if ledger is not None:
-        from repro.core.ledger import point_record
-
-        for index, (config, outcome) in enumerate(zip(configs, outcomes)):
-            ledger.append(
-                point_record(config, outcome, span=recorder.span(index))
-            )
-    return outcomes  # type: ignore[return-value]
+        _execute(pending, opts, books)
+    books.write_points()
+    return books
 
 
 def _execute(pending: List[_Attempt], opts: ExecutionOptions, books: _Books) -> None:

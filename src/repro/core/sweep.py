@@ -17,12 +17,7 @@ from repro._units import GiB, MiB
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.core.options import ExecutionOptions, require_options
 from repro.faults.plan import FaultPlan
-from repro.core.parallel import (
-    PointFailure,
-    SweepExecutionError,
-    _recorder_for,
-    _run_batch,
-)
+from repro.core.parallel import PointFailure, SweepExecutionError, _run_batch
 from repro.iogen.spec import (
     IoPattern,
     JobSpec,
@@ -201,15 +196,13 @@ def sweep_outcome(
             completion order.
     """
     opts = require_options("sweep_outcome", options).opened()
-    # The sweep keeps the batch's recorder: its spans become the
-    # outcome's telemetry and the run record.
-    recorder = _recorder_for(opts)
     points = list(grid.points())
-    configs = [grid.config_for(point) for point in points]
-    outcomes = _run_batch(configs, opts, recorder)
+    # The sweep keeps the batch's books: its spans become the outcome's
+    # telemetry and the run record.
+    books = _run_batch([grid.config_for(point) for point in points], opts)
     results: dict[SweepPoint, ExperimentResult] = {}
     failures: dict[SweepPoint, PointFailure] = {}
-    for point, outcome in zip(points, outcomes):
+    for point, outcome in zip(points, books.outcomes):
         if isinstance(outcome, PointFailure):
             failures[point] = outcome
         else:
@@ -223,12 +216,7 @@ def sweep_outcome(
         validation = validate_results(results)
         if opts.tracer is not None and not validation.ok:
             emit_violations(validation, opts.tracer)
-    telemetry = None
-    if recorder is not None:
-        cache = opts.cache_dir
-        telemetry = recorder.finalize(
-            cache=cache.stats if cache is not None else None
-        )
+    telemetry = books.telemetry() if books.measure else None
     opts.close_run(
         "sweep",
         telemetry=telemetry,

@@ -1,12 +1,13 @@
-"""Sweep-scale executor telemetry.
+"""Sweep-scale executor telemetry: the value types of a batch's story.
 
 :mod:`repro.obs` observes one *simulation* at a time; this module
-observes the *executor* that fans hundreds of simulations out across a
+describes the *executor* that fans hundreds of simulations out across a
 worker pool.  A long sweep is a small distributed system -- points queue,
 dispatch, run, time out, retry, crash, and land in a result cache -- and
-until now that system was a black box: :class:`~repro.core.parallel.CacheStats`
-and :class:`~repro.core.parallel.PointFailure` captured fragments, but
-nothing tied them into a picture of where the wall-clock went.
+these frozen values tie it into a picture of where the wall-clock went.
+The executor's books (``_Books`` in :mod:`repro.core.parallel`, the one
+record of a batch) keep each point's lifecycle and each pool worker's
+life, and build these values from what they kept.
 
 The model mirrors the obs layer's house rules:
 
@@ -15,10 +16,10 @@ The model mirrors the obs layer's house rules:
   RNG streams, or the result objects, so telemetered results pickle
   bit-identical to untelemetered ones (the telemetry row of
   ``benchmarks/zero_cost.py`` asserts this).
-- **Zero cost when off.**  Nothing here is imported or instantiated
-  unless :class:`~repro.core.options.ExecutionOptions` asked for
-  telemetry, a ledger, or progress reporting; the executor's default
-  paths carry a ``None`` recorder and pay one ``is not None`` test.
+- **Zero cost when off.**  Nothing here is imported unless
+  :class:`~repro.core.options.ExecutionOptions` asked for telemetry, a
+  ledger, or progress reporting; otherwise the books take no
+  timestamps.
 - **One cost record.**  Each span carries its point's
   :class:`~repro.obs.profile.PointProfile`, measured the same way on
   both executor paths; pool workers ship it back over the existing pipe
@@ -34,16 +35,14 @@ Vocabulary:
 - :class:`SweepTelemetry` -- the frozen snapshot attached to
   :class:`~repro.core.sweep.SweepOutcome`; :meth:`SweepTelemetry.merge`
   is associative, so shards of a partitioned sweep roll up in any order.
-- :class:`TelemetryRecorder` -- the mutable builder the executor feeds.
 - :class:`ProgressUpdate` -- one live progress/ETA sample delivered to
   an ``ExecutionOptions.progress`` callback.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.obs.profile import PointProfile, RunProfiler
 
@@ -51,7 +50,6 @@ __all__ = [
     "PointSpan",
     "ProgressUpdate",
     "SweepTelemetry",
-    "TelemetryRecorder",
     "WorkerStats",
     "point_status",
 ]
@@ -320,189 +318,3 @@ class SweepTelemetry:
         if self.workers:
             parts.append(f"pool util {self.utilization:.0%}")
         return ", ".join(parts)
-
-
-class _PointRecord:
-    """Mutable per-point state inside the recorder (builder internals)."""
-
-    __slots__ = (
-        "key",
-        "label",
-        "enqueued_at",
-        "dispatched_at",
-        "attempts",
-        "status",
-        "finished_at",
-        "profile",
-        "worker",
-    )
-
-    def __init__(self, key: str, label: str, now: float) -> None:
-        self.key = key
-        self.label = label
-        self.enqueued_at = now
-        self.dispatched_at: Optional[float] = None
-        self.attempts = 0
-        self.status: Optional[str] = None
-        self.finished_at: Optional[float] = None
-        self.profile: Optional[PointProfile] = None
-        self.worker: Optional[int] = None
-
-
-@dataclass
-class _WorkerRecord:
-    spawned_at: float
-    retired_at: Optional[float] = None
-    attempts: int = 0
-    busy_s: float = 0.0
-
-
-class TelemetryRecorder:
-    """Mutable collector the executor feeds; finalizes to a snapshot.
-
-    The recorder is wall-clock-only and entirely outside the simulation:
-    it can be attached to either execution path (in-process or the owned
-    worker pool) without perturbing results.  The executor
-    guards every call on ``recorder is not None``, so the default path
-    pays nothing.
-
-    ``on_progress`` (when set) receives a :class:`ProgressUpdate` after
-    every terminal point event; exceptions it raises propagate -- a
-    progress callback is caller code, not telemetry.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        self._started = clock()
-        self._points: Dict[int, _PointRecord] = {}
-        self._workers: Dict[int, _WorkerRecord] = {}
-        self.total: Optional[int] = None
-        self.on_progress: Optional[Callable[[ProgressUpdate], None]] = None
-
-    # -- point lifecycle --------------------------------------------------
-
-    def point_enqueued(self, index: int, key: str, label: str) -> None:
-        self._points[index] = _PointRecord(key, label, self._clock())
-
-    def point_cached(self, index: int, key: str, label: str) -> None:
-        now = self._clock()
-        record = _PointRecord(key, label, now)
-        record.status = "cached"
-        record.finished_at = now
-        self._points[index] = record
-        self._emit_progress()
-
-    def point_dispatched(self, index: int, worker: Optional[int] = None) -> None:
-        record = self._points[index]
-        now = self._clock()
-        if record.dispatched_at is None:
-            record.dispatched_at = now
-        record.attempts += 1
-        record.worker = worker
-
-    def point_finished(self, index: int, outcome, profile=None) -> None:
-        """Terminal outcome for a dispatched point (success or final
-        failure); its attempt count is its dispatch count."""
-        record = self._points[index]
-        record.status = point_status(outcome)
-        record.finished_at = self._clock()
-        record.profile = profile
-        self._emit_progress()
-
-    # -- worker lifecycle -------------------------------------------------
-
-    def worker_spawned(self, worker: int) -> None:
-        self._workers[worker] = _WorkerRecord(spawned_at=self._clock())
-
-    def worker_attempt(self, worker: int, busy_s: float) -> None:
-        """Credit one served attempt (completed or killed) to a slot."""
-        record = self._workers.get(worker)
-        if record is not None:
-            record.attempts += 1
-            record.busy_s += max(0.0, busy_s)
-
-    def worker_retired(self, worker: int) -> None:
-        record = self._workers.get(worker)
-        if record is not None and record.retired_at is None:
-            record.retired_at = self._clock()
-
-    # -- progress ---------------------------------------------------------
-
-    def progress(self) -> ProgressUpdate:
-        finished = [p for p in self._points.values() if p.status is not None]
-        return ProgressUpdate(
-            done=len(finished),
-            total=self.total if self.total is not None else len(self._points),
-            cached=sum(1 for p in finished if p.status == "cached"),
-            failed=sum(
-                1
-                for p in finished
-                if p.status in ("failed", "timeout", "crashed")
-            ),
-            elapsed_s=self._clock() - self._started,
-        )
-
-    def _emit_progress(self) -> None:
-        if self.on_progress is not None:
-            self.on_progress(self.progress())
-
-    # -- output -----------------------------------------------------------
-
-    def span(self, index: int) -> Optional[PointSpan]:
-        """The span for one point, or ``None`` if it never finished."""
-        record = self._points.get(index)
-        if record is None or record.status is None:
-            return None
-        dispatched = (
-            record.dispatched_at
-            if record.dispatched_at is not None
-            else record.enqueued_at
-        )
-        finished = (
-            record.finished_at
-            if record.finished_at is not None
-            else self._clock()
-        )
-        return PointSpan(
-            index=index,
-            key=record.key,
-            label=record.label,
-            status=record.status,
-            attempts=1 if record.status == "cached" else record.attempts,
-            queue_wait_s=max(0.0, dispatched - record.enqueued_at),
-            total_s=max(0.0, finished - record.enqueued_at),
-            worker=record.worker,
-            profile=record.profile,
-        )
-
-    def finalize(self, cache=None) -> SweepTelemetry:
-        """Freeze everything recorded so far into a snapshot.
-
-        Args:
-            cache: Optional :class:`~repro.core.parallel.CacheStats` (or
-                an object with a ``snapshot()``) folded into the result.
-        """
-        now = self._clock()
-        spans = []
-        for index in sorted(self._points):
-            span = self.span(index)
-            if span is not None:
-                spans.append(span)
-        workers = []
-        for worker_id in sorted(self._workers):
-            record = self._workers[worker_id]
-            retired = record.retired_at if record.retired_at is not None else now
-            workers.append(
-                WorkerStats(
-                    worker=worker_id,
-                    attempts=record.attempts,
-                    busy_s=record.busy_s,
-                    alive_s=max(0.0, retired - record.spawned_at),
-                )
-            )
-        return SweepTelemetry(
-            spans=tuple(spans),
-            workers=tuple(workers),
-            wall_s=now - self._started,
-            cache=cache.snapshot() if cache is not None else None,
-        )

@@ -473,12 +473,8 @@ class SimulatedHDD(StorageDevice):
     def _epc_recovery(self, recovery: float):
         """Generator: leave the EPC idle condition before the access."""
         if self.faults.enabled:
-            # Head reload can fail transiently; each stuck attempt
-            # re-pays the recovery latency.
-            stuck = self.faults.transition_stuck(f"{self.name}.epc", "epc")
-            for attempt in range(1, stuck + 1):
-                self.faults.note_retry("stuck_transition", f"{self.name}.epc", attempt)
-                yield self.engine.timeout(recovery)
+            # Head reload can fail transiently.
+            yield from self.faults.stuck_retries(f"{self.name}.epc", "epc", recovery)
         # Reload heads (and re-spin for IDLE_C) before the access.
         self.set_idle_condition(IdleCondition.IDLE_A)
         yield self.engine.timeout(recovery)

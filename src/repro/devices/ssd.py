@@ -475,13 +475,9 @@ class SimulatedSSD(StorageDevice):
         target = states[index]
         if target.entry_latency_s > 0:
             if self.faults.enabled:
-                # A stuck transition re-pays the entry latency before the
-                # state change finally takes.
-                component = f"{self.name}.power"
-                stuck = self.faults.transition_stuck(component, "nvme_ps")
-                for attempt in range(1, stuck + 1):
-                    self.faults.note_retry("stuck_transition", component, attempt)
-                    yield self.engine.timeout(target.entry_latency_s)
+                yield from self.faults.stuck_retries(
+                    f"{self.name}.power", "nvme_ps", target.entry_latency_s
+                )
             yield self.engine.timeout(target.entry_latency_s)
         previous = self._resident
         self._resident = target
@@ -521,12 +517,9 @@ class SimulatedSSD(StorageDevice):
         self._waking = True
         try:
             if self.faults.enabled:
-                # A wake that refuses to complete: re-pay the exit latency.
-                component = f"{self.name}.power"
-                stuck = self.faults.transition_stuck(component, "nvme_ps")
-                for attempt in range(1, stuck + 1):
-                    self.faults.note_retry("stuck_transition", component, attempt)
-                    yield self.engine.timeout(self._resident.exit_latency_s)
+                yield from self.faults.stuck_retries(
+                    f"{self.name}.power", "nvme_ps", self._resident.exit_latency_s
+                )
             yield self.engine.timeout(self._resident.exit_latency_s)
         finally:
             self._waking = False

@@ -206,6 +206,13 @@ class FaultInjector:
         self._record("stuck_transition", component, target=target, attempts=extra)
         return extra
 
+    def stuck_retries(self, component: str, target: str, latency_s: float) -> Iterator:
+        """Process generator: the retries of a stuck transition, each
+        re-paying ``latency_s`` before the transition finally takes."""
+        for attempt in range(1, self.transition_stuck(component, target) + 1):
+            self.note_retry("stuck_transition", component, attempt)
+            yield self.engine.timeout(latency_s)
+
     def epc_refused(self, component: str) -> bool:
         """Whether an (instant) EPC idle-condition entry is refused."""
         spec = self.plan.stuck_transitions

@@ -50,7 +50,7 @@ from repro.iogen.stats import IoRecords, LatencyStats
 from repro.obs.aggregate import BucketedHistogram, SweepRollup, merge_snapshots
 from repro.policy.runtime import _hdd_range, _ssd_range
 from repro.policy.spec import BudgetSchedule, PolicySpec
-from repro.studies.common import DEFAULT, StudyScale
+from repro.studies.common import DEFAULT, StudyScale, decision_cadence
 from repro.validate.checkers import RESULT_INVARIANTS, check_result
 from repro.validate.report import Tolerances, ValidationReport, Violation
 
@@ -310,20 +310,10 @@ class FleetResult:
 
 def _policy_for(label: str, cap_w: float) -> PolicySpec:
     """The per-device actuation of one governor cap: a static controller
-    pinned at the cap, on the device class's natural decision timescale
-    (mechanical vs. NVMe cadence, as in the policy tracking study)."""
-    if label == "hdd":
-        return PolicySpec(
-            kind="static",
-            budget=BudgetSchedule.constant(cap_w),
-            interval_s=0.05,
-            window_s=0.1,
-        )
+    pinned at the cap, on the device class's decision cadence (the one
+    the policy tracking study uses)."""
     return PolicySpec(
-        kind="static",
-        budget=BudgetSchedule.constant(cap_w),
-        interval_s=1.5e-3,
-        window_s=3e-3,
+        kind="static", budget=BudgetSchedule.constant(cap_w), **decision_cadence(label)
     )
 
 

@@ -16,7 +16,14 @@ from repro._units import GiB, MiB
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.iogen.spec import IoPattern, JobSpec
 
-__all__ = ["DEFAULT", "QUICK", "StudyScale", "point_config", "run_point"]
+__all__ = [
+    "DEFAULT",
+    "QUICK",
+    "StudyScale",
+    "decision_cadence",
+    "point_config",
+    "run_point",
+]
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,15 @@ QUICK = StudyScale(
     hdd_bytes=24 * MiB,
     ssd_warmup=0.3,
 )
+
+
+def decision_cadence(device: str) -> dict:
+    """A policy's ``interval_s`` and ``window_s`` on its device class's
+    timescale: tens of milliseconds for the HDD's mechanics, NVMe
+    cadence for the SSDs."""
+    if device == "hdd":
+        return {"interval_s": 0.05, "window_s": 0.1}
+    return {"interval_s": 1.5e-3, "window_s": 3e-3}
 
 
 def point_config(

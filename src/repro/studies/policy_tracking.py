@@ -39,7 +39,7 @@ from repro.core.reporting import format_table
 from repro.faults.plan import FaultPlan
 from repro.iogen.spec import IoPattern
 from repro.policy import POLICY_KINDS, BudgetSchedule, PolicySpec
-from repro.studies.common import DEFAULT, StudyScale, point_config
+from repro.studies.common import DEFAULT, StudyScale, decision_cadence, point_config
 from repro.validate.checkers import RESULT_INVARIANTS, check_result
 from repro.validate.report import Tolerances, ValidationReport
 
@@ -75,17 +75,13 @@ def spec_for(
     """
     runtime_s = _runtime_s(device, scale)
     if device == "hdd":
-        # Mechanical timescales: decide at tens of milliseconds, and
-        # only shave the budget -- EPC cannot cut a busy disk deeper.
+        # Only shave the budget: EPC cannot cut a busy disk deeper.
         budget = BudgetSchedule.step(
             high_w=baseline_mean_w,
             low_w=0.92 * baseline_mean_w,
             period_s=runtime_s / 2.0,
         )
-        return PolicySpec(
-            kind=kind, budget=budget, interval_s=0.05, window_s=0.1
-        )
-    if device == "ssd3":
+    elif device == "ssd3":
         # No NVMe power-state table: the diurnal shape exercises the
         # continuous governor-cap actuator.
         budget = BudgetSchedule.diurnal(
@@ -99,9 +95,7 @@ def spec_for(
             low_w=0.75 * baseline_mean_w,
             period_s=runtime_s / 2.0,
         )
-    return PolicySpec(
-        kind=kind, budget=budget, interval_s=1.5e-3, window_s=3e-3
-    )
+    return PolicySpec(kind=kind, budget=budget, **decision_cadence(device))
 
 
 @dataclass(frozen=True)

@@ -100,10 +100,18 @@ def quick_result():
     return config, run_experiment(config)
 
 
+def _span(config, outcome, attempts=1):
+    """The span the executor's books give a point that ran."""
+    from repro.core.telemetry import PointSpan, point_status
+
+    return PointSpan(index=0, key="k", label=config.describe(),
+                     status=point_status(outcome), attempts=attempts)
+
+
 class TestPointRecord:
     def test_from_result(self, quick_result):
         config, result = quick_result
-        record = point_record(config, result)
+        record = point_record(config, result, _span(config, result))
         assert record["rec"] == "point"
         assert record["status"] == "done"
         assert record["device"] == "ssd2"
@@ -137,10 +145,11 @@ class TestPointRecord:
             config=config, error_type="PointTimeoutError",
             message="exceeded 1.0s", traceback="", attempts=2,
         )
-        record = point_record(config, failure)
-        assert record["status"] == "failed"
+        record = point_record(config, failure, _span(config, failure, 2))
+        assert record["status"] == "timeout"
         assert record["error_type"] == "PointTimeoutError"
         assert record["attempts"] == 2
+        assert record["wall_s"] == 0.0  # no profile: the attempt was killed
         assert "result" not in record
 
 

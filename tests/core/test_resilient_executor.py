@@ -299,6 +299,50 @@ class TestBothTransportsKeepTheSameBooks:
         ]
         assert inproc_record["attempts"] == pool_record["attempts"] == 2
 
+    def test_spans_and_point_records(self, monkeypatch, tmp_path):
+        """A cached point, one that fails once and succeeds on its retry,
+        and one that runs out of retries: both transports keep the same
+        spans and write the same point records, wall clock aside."""
+        real = parallel.run_experiment
+        state = {}
+
+        def flaky(config, **kwargs):
+            if config.job.iodepth == 8 and not state["marker"].exists():
+                state["marker"].write_text("failing this attempt")
+                raise RuntimeError("flaky host")
+            return real(config, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_experiment", flaky)
+        cached = quick_config()
+        batch = [cached, quick_config(iodepth=8), always_failing_config()]
+        transports = {
+            # A tracer keeps a batch with retries in this process.
+            "in-process": ExecutionOptions(n_workers=1, tracer=Tracer()),
+            "pool": ExecutionOptions(n_workers=2),
+        }
+        spans, records = {}, {}
+        for transport, options in transports.items():
+            cache, ledger = tmp_path / transport, tmp_path / f"{transport}.jsonl"
+            run_configs([cached], ExecutionOptions(cache_dir=cache))
+            state["marker"] = tmp_path / f"{transport}-failed-once"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no transport fallback
+                options = options.evolve(retries=1, cache_dir=cache, ledger=ledger)
+                books = parallel._run_batch(batch, options)
+            spans[transport] = [
+                (span.status, span.attempts) for span in books.telemetry().spans
+            ]
+            records[transport] = [
+                {k: v for k, v in r.items() if k not in ("wall_s", "events_per_s")}
+                for r in RunLedger.load(ledger)
+                if r["rec"] == "point"
+            ]
+        assert spans["in-process"] == spans["pool"] == [
+            ("cached", 1), ("done", 2), ("failed", 2),
+        ]
+        assert records["in-process"] == records["pool"]
+        assert [r["status"] for r in records["pool"]] == ["cached", "done", "failed"]
+
 
 class TestWarningsNameTheCaller:
     """Executor warnings point at the line that called the executor,

@@ -1,15 +1,21 @@
-"""Tests for sweep-scale executor telemetry (repro.core.telemetry)."""
+"""Tests for sweep-scale executor telemetry (repro.core.telemetry) and
+the executor books that build it."""
 
 import pytest
 
+from repro.core.experiment import ExperimentConfig
 from repro.core.options import ExecutionOptions
-from repro.core.parallel import CacheStats
+from repro.core.parallel import (
+    CacheStats,
+    PointFailure,
+    _Books,
+    config_content_hash,
+)
 from repro.core.sweep import SweepGrid, sweep_outcome
 from repro.core.telemetry import (
     PointSpan,
     ProgressUpdate,
     SweepTelemetry,
-    TelemetryRecorder,
     WorkerStats,
     point_status,
 )
@@ -37,6 +43,33 @@ class _Outcome:
             self.error_type = error_type
 
 
+def _config(seed=0):
+    return ExperimentConfig(
+        device="ssd2",
+        job=JobSpec(IoPattern.RANDREAD, 4096, 1, runtime_s=0.01),
+        seed=seed,
+    )
+
+
+class _Cache:
+    """A result cache holding ``holds`` (the books use only ``get``,
+    ``put`` and ``stats``)."""
+
+    def __init__(self, holds=(), stats=None):
+        self.holds = list(holds)
+        self.stats = stats if stats is not None else CacheStats()
+
+    def get(self, config):
+        return _Outcome() if config in self.holds else None
+
+    def put(self, config, result):
+        self.holds.append(config)
+
+
+def _books(configs, clock, **options):
+    return _Books(ExecutionOptions(telemetry=True, **options), configs, clock=clock)
+
+
 class TestPointStatus:
     def test_result_maps_to_done(self):
         assert point_status(object()) == "done"
@@ -48,67 +81,81 @@ class TestPointStatus:
 
 
 class TestRecorderLifecycle:
+    """The executor's books keep each point's span and each pool
+    worker's life, on an injected clock."""
+
     def test_span_captures_queue_wait_and_total(self):
         clock = FakeClock()
-        recorder = TelemetryRecorder(clock=clock)
-        recorder.point_enqueued(0, "abc123", "pt A")
+        books = _books([_config()], clock)
+        (task,) = books.admit()
+        books.spawned(2)
         clock.tick(0.5)  # queued for half a second
-        recorder.point_dispatched(0, worker=2)
+        books.start(task, worker=2)
         clock.tick(2.0)  # ran for two
-        recorder.point_finished(0, _Outcome())
-        span = recorder.span(0)
+        books.finish(task, _Outcome())
+        span = books.span(task)
         assert span.status == "done"
         assert span.attempts == 1
         assert span.worker == 2
         assert span.queue_wait_s == pytest.approx(0.5)
         assert span.total_s == pytest.approx(2.5)
-        assert span.key == "abc123"
+        assert span.key == config_content_hash(_config())
 
     def test_retries_accumulate_attempts(self):
         clock = FakeClock()
-        recorder = TelemetryRecorder(clock=clock)
-        recorder.point_enqueued(0, "k", "pt")
-        recorder.point_dispatched(0, worker=0)
+        books = _books([_config()], clock, retries=1)
+        (task,) = books.admit()
+        books.spawned(0)
+        books.spawned(1)
+        books.start(task, worker=0)
         clock.tick(1.0)
-        recorder.point_dispatched(0, worker=1)  # retry on a new slot
+        failure = PointFailure(task.config, "WorkerCrashError", "died", "")
+        assert books.finish(task, failure) is not None  # a retry is due
+        books.start(task, worker=1)  # retry on a new slot
         clock.tick(1.0)
-        recorder.point_finished(0, _Outcome())
-        span = recorder.span(0)
-        assert span.attempts == 2
+        books.finish(task, _Outcome())
+        span = books.span(task)
+        assert span.attempts == task.attempt == 2
         assert span.worker == 1
 
     def test_cached_points_skip_dispatch(self):
-        recorder = TelemetryRecorder(clock=FakeClock())
-        recorder.point_cached(0, "k", "pt")
-        span = recorder.span(0)
+        books = _books([_config()], FakeClock(), cache_dir=_Cache([_config()]))
+        assert books.admit() == []
+        span = books.span(books.tasks[0])
         assert span.status == "cached"
         assert span.attempts == 1
         assert span.profile is None
 
     def test_unfinished_point_has_no_span(self):
-        recorder = TelemetryRecorder(clock=FakeClock())
-        recorder.point_enqueued(0, "k", "pt")
-        assert recorder.span(0) is None
-        assert recorder.span(99) is None
+        books = _books([_config()], FakeClock())
+        (task,) = books.admit()
+        assert books.span(task) is None
+        books.start(task)
+        assert books.span(task) is None
+        assert books.telemetry().spans == ()
 
     def test_worker_utilization(self):
         clock = FakeClock()
-        recorder = TelemetryRecorder(clock=clock)
-        recorder.worker_spawned(0)
-        recorder.worker_attempt(0, busy_s=3.0)
-        clock.tick(4.0)
-        recorder.worker_retired(0)
-        telemetry = recorder.finalize()
-        (worker,) = telemetry.workers
+        books = _books([_config()], clock)
+        (task,) = books.admit()
+        books.spawned(0)
+        books.start(task, worker=0)
+        clock.tick(3.0)
+        books.finish(task, _Outcome())
+        clock.tick(1.0)
+        books.retired(0)
+        (worker,) = books.telemetry().workers
         assert worker.attempts == 1
         assert worker.alive_s == pytest.approx(4.0)
         assert worker.utilization == pytest.approx(0.75)
 
     def test_finalize_folds_cache_stats(self):
-        recorder = TelemetryRecorder(clock=FakeClock())
-        recorder.point_cached(0, "k", "pt")
         stats = CacheStats(hits=1, misses=2, puts=2)
-        telemetry = recorder.finalize(cache=stats)
+        books = _books(
+            [_config()], FakeClock(), cache_dir=_Cache([_config()], stats)
+        )
+        books.admit()
+        telemetry = books.telemetry()
         assert telemetry.cache["hits"] == 1
         assert telemetry.cache["hit_rate"] == pytest.approx(1 / 3)
 
@@ -116,15 +163,17 @@ class TestRecorderLifecycle:
 class TestProgress:
     def test_callback_fires_on_every_terminal_event(self):
         clock = FakeClock()
-        recorder = TelemetryRecorder(clock=clock)
-        recorder.total = 3
         seen = []
-        recorder.on_progress = seen.append
-        recorder.point_cached(0, "k0", "pt0")
-        recorder.point_enqueued(1, "k1", "pt1")
-        recorder.point_dispatched(1)
+        configs = [_config(seed) for seed in range(3)]
+        books = _Books(
+            ExecutionOptions(cache_dir=_Cache(configs[:1]), progress=seen.append),
+            configs,
+            clock=clock,
+        )
+        task, _ = books.admit()
+        books.start(task)
         clock.tick(2.0)
-        recorder.point_finished(1, _Outcome())
+        books.finish(task, _Outcome())
         assert [u.done for u in seen] == [1, 2]
         assert seen[-1].total == 3
         assert seen[-1].cached == 1

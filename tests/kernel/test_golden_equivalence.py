@@ -116,15 +116,17 @@ class TestGoldenEquivalence:
         assert "fleet_tiny" in stems
 
     def test_covers_the_cold_paths(self):
-        """Handlers reach GC, APST, housekeeping, faults, the ALPM wake
-        and tracing through the inline driver, and GC relocations reach
-        stalled admissions, pulsed programs and fault delays; each is
-        pinned by a run that actually gets there."""
+        """Handlers reach GC, APST (its wake under stuck transitions
+        too), housekeeping, faults, the ALPM wake and tracing through
+        the inline driver, and GC relocations reach stalled admissions,
+        pulsed programs and fault delays; each is pinned by a run that
+        actually gets there."""
         stems = {p.stem for p in golden_result.GOLDEN_DIR.glob("*.json")}
         assert {
             "tiny_gc_randwrite",
             "tiny_gc_faults_ps2",
             "tiny_apst_randwrite",
+            "tiny_apst_stuck",
             "ssd2_maintenance_ps1",
             "ssd2_randwrite_4k_qd64_ps2",
             "ssd2_faults_randwrite",

@@ -9,6 +9,7 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 import check_coverage  # noqa: E402
 import check_engine_heap  # noqa: E402
 import check_fault_rng  # noqa: E402
+import check_ledger_writers  # noqa: E402
 import check_no_bare_except  # noqa: E402
 import check_no_bare_hash  # noqa: E402
 import check_no_print  # noqa: E402
@@ -319,6 +320,72 @@ class TestEngineHeapLint:
         )
         assert check_engine_heap.main([str(tmp_path)]) == 1
         assert "bad.py:2" in capsys.readouterr().out
+
+
+class TestLedgerWritersLint:
+    def test_src_repro_is_clean(self):
+        """The executor's books write every attempt and point record, and
+        ExecutionOptions opens every ledger and cache and writes every run
+        record: a second writer keeps a second, drifting lifecycle."""
+        assert check_ledger_writers.main([]) == 0
+
+    def _seed_tree(self, root: Path) -> None:
+        """A tree holding the one writer of each record kind, and code
+        that defines, imports and type-checks the names without calling
+        them."""
+        core = root / "core"
+        core.mkdir()
+        (core / "parallel.py").write_text(
+            "from repro.core.ledger import point_record\n"
+            "class ResultCache:\n"
+            "    pass\n"
+            "class _Books:\n"
+            "    def _log(self, task, state):\n"
+            "        self.ledger.append_attempt(task.key, state, task.attempt)\n"
+            "    def write_points(self):\n"
+            "        self.ledger.append(point_record(config, outcome, span))\n"
+        )
+        (core / "options.py").write_text(
+            "from repro.core.ledger import RunLedger, run_record\n"
+            "def opened(cache, ledger):\n"
+            "    if not isinstance(ledger, RunLedger):\n"
+            "        ledger = RunLedger(ledger)\n"
+            "    return ResultCache(cache), ledger\n"
+            "def close_run(ledger, kind):\n"
+            "    ledger.append(run_record(kind, points=0))\n"
+        )
+        (core / "ledger.py").write_text(
+            "class RunLedger:\n"
+            "    def append_attempt(self, key, state, attempt):\n"
+            "        self.append({'rec': 'attempt'})\n"
+            "def point_record(config, outcome, span):\n"
+            "    return {}\n"
+        )
+
+    def test_seeded_tree_of_legal_uses_is_clean(self, tmp_path):
+        self._seed_tree(tmp_path)
+        assert check_ledger_writers.main([str(tmp_path)]) == 0
+
+    def test_detects_a_second_writer(self, tmp_path, capsys):
+        self._seed_tree(tmp_path)
+        studies = tmp_path / "studies"
+        studies.mkdir()
+        (studies / "bad.py").write_text(
+            "from repro.core import ledger as L\n"
+            "def run(path, cache_dir, config, outcome, span):\n"
+            "    ledger = L.RunLedger(path)\n"
+            "    cache = ResultCache(cache_dir)\n"
+            "    ledger.append_attempt('k', 'done', 1)\n"
+            "    ledger.append(L.point_record(config, outcome, span))\n"
+            "    ledger.append(run_record('study', points=1))\n"
+        )
+        assert check_ledger_writers.main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        for line in range(3, 8):
+            assert f"bad.py:{line}:" in out
+        assert "only repro/core/parallel.py may call point_record" in out
+        assert "only repro/core/options.py may call RunLedger" in out
+        assert "parallel.py:" not in out and "options.py:" not in out
 
 
 class TestFaultRngLint:

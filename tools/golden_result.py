@@ -258,6 +258,7 @@ def cold_path_configs() -> dict:
     from repro.core.experiment import ExperimentConfig
     from repro.devices.catalog import ssd_d7p5510
     from repro.devices.link import LinkPowerMode
+    from repro.faults.plan import FaultPlan, StuckTransitionSpec
     from repro.iogen.spec import IoPattern, JobSpec
 
     def job(pattern, block_kib, iodepth, runtime_s, size_mib, **extra):
@@ -289,6 +290,15 @@ def cold_path_configs() -> dict:
         "tiny_apst_randwrite": ExperimentConfig(
             device=tiny_ssd_config(apst_idle_timeout_s=2e-4),
             job=job(IoPattern.RANDWRITE, 16, 2, 0.03, 64, host_overhead_s=1e-3),
+            seed=7,
+        ),
+        # Every APST doze and every wake sticks: both re-pay their latency.
+        "tiny_apst_stuck": ExperimentConfig(
+            device=tiny_ssd_config(apst_idle_timeout_s=2e-4),
+            job=job(IoPattern.RANDWRITE, 16, 2, 0.03, 64, host_overhead_s=1e-3),
+            faults=FaultPlan(
+                stuck_transitions=StuckTransitionSpec(probability=1.0, max_stuck=2)
+            ),
             seed=7,
         ),
         "ssd2_maintenance_ps1": ExperimentConfig(
